@@ -19,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .assembler import (
+    _check_closed,
+    _gluing_pattern,
     assemble,
     count_lower_bound,
     default_parcel,
@@ -34,6 +36,7 @@ from .form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
     epsilon_q_at,
+    gauss_representation,
     make_q,
     make_r,
     noncommensurability_certificate,
@@ -111,7 +114,7 @@ def _criterion_prime_lists() -> str:
         assert report.conditions == {"legendre_minus_one": 1, "legendre_two": -1}
     for report in search_primes_anisotropic(6):
         assert report.conditions["legendre_sqrt2"] == -1
-        assert report.gauss_representation is None
+        assert gauss_representation(report.prime) is None
     return f"isotropic {isotropic}, anisotropic {anisotropic}"
 
 
@@ -263,7 +266,7 @@ def _criterion_counting_pipeline() -> str:
     assert (report.k, report.descriptor_count, report.floor_bound) == (6, 3447, 216)
     validated = 0
     for descriptor in descriptors_for_index(6, parcel):
-        # Closedness is asserted by the descriptor constructor itself.
+        _check_closed(*_gluing_pattern(descriptor.source_graph))
         assert volume_bound(descriptor, parcel) == 30
         validated += 1
     assert validated == 3447

@@ -15,7 +15,10 @@ vertex block per vertex (V1 when colored) and one minus/plus block pair per
 edge, for 5k block instances, then glues boundary slots in a fixed scan
 order: each vertex exposes (a-out, a-in, b-out, b-in), each edge runs
 source -> minus -> plus -> target.  The result is a closed descriptor: every
-slot is glued exactly once.  Tracing a word through a descriptor crosses
+slot is glued exactly once.  The graph alone fixes these instances and
+gluings, so a descriptor stores only the graph, the parcel id and the
+volume; the lists are derived when a document is written, and a document
+read back must list exactly the ones its graph derives.  Tracing a word through a descriptor crosses
 three block boundaries per letter, and the kind of the terminal vertex block
 (V1 against V0) is the observable that separates descriptors.
 
@@ -94,7 +97,8 @@ class Parcel:
     diagonal.  boundary_form is the common restriction of all six forms; its
     equality across the parcel is what licenses mixed gluings.  The
     construction of the block spaces themselves (choosing torsion-free
-    finite-level subgroups) is assumed, not computed, and flagged.
+    finite-level subgroups) is assumed, not computed, and listed in every
+    CommensurabilityVerdict.
     """
 
     parcel_id: str
@@ -102,7 +106,6 @@ class Parcel:
     blocks: tuple[BuildingBlock, ...]
     certificates: tuple
     boundary_form: QuadraticForm
-    torsion_free_assumed: bool = True
 
     def __post_init__(self):
         if len(self.blocks) != 6:
@@ -192,120 +195,115 @@ def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
         blocks,
         parcel.certificates,
         parcel.boundary_form,
-        parcel.torsion_free_assumed,
     )
 
 
 @dataclass(frozen=True)
-class BlockInstance:
-    instance_id: str
-    kind: str
-    serves: str  # the graph element this instance realizes
-
-
-SlotRef = tuple[str, int]
-Gluing = tuple[SlotRef, SlotRef]
-
-
-@dataclass(frozen=True)
 class ManifoldDescriptor:
-    """A closed gluing pattern of block instances over a decorated graph."""
+    """A closed gluing pattern of block instances over a decorated graph.
+
+    The graph fixes the pattern: one block instance per vertex and two per
+    edge, glued in the scan order that _gluing_pattern spells out.
+    """
 
     source_graph: DecoratedGraph
     parcel_id: str
-    instances: tuple[BlockInstance, ...]
-    gluings: tuple[Gluing, ...]
     volume_bound: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "volume_bound", Fraction(self.volume_bound))
-        expected: dict[str, int] = {}
-        for instance in self.instances:
-            if instance.instance_id in expected:
-                raise ValueError(f"duplicate instance id {instance.instance_id}")
-            expected[instance.instance_id] = slots_for_kind(instance.kind)
-        seen: set[SlotRef] = set()
-        for end1, end2 in self.gluings:
-            for instance_id, slot in (end1, end2):
-                if instance_id not in expected:
-                    raise ValueError(f"gluing references unknown instance {instance_id}")
-                if not 0 <= slot < expected[instance_id]:
-                    raise ValueError(f"slot {slot} out of range for {instance_id}")
-                ref = (instance_id, slot)
-                if ref in seen:
-                    raise ValueError(f"slot {ref} glued more than once")
-                seen.add(ref)
-        total_slots = sum(expected.values())
-        if len(seen) != total_slots:
-            raise ValueError(
-                f"descriptor is not closed: {total_slots - len(seen)} slots unglued"
-            )
-
-    def instance_kind(self, instance_id: str) -> str:
-        for instance in self.instances:
-            if instance.instance_id == instance_id:
-                return instance.kind
-        raise KeyError(instance_id)
 
 
 def _vertex_kind(graph: DecoratedGraph, vertex: int) -> str:
     return "V1" if vertex in graph.colored else "V0"
 
 
-def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
-    """Instantiate and glue parcel blocks along a connected decorated graph.
+def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
+    """The instance and gluing lists of the graph, as its document spells them.
 
-    Instances: vertex v -> "v{v}" of kind V1/V0; the a-edge leaving v ->
-    "a{v}-" and "a{v}+" (likewise b).  Gluings per vertex follow the slot
-    scan order (a-out, a-in, b-out, b-in), then each edge's minus block is
-    glued to its plus block.  An x-self-loop at v consumes both x-slots of v.
+    Instances [id, kind, serves]: vertex v -> "v{v}" of kind V1/V0; the
+    a-edge leaving v -> "a{v}-" and "a{v}+" (likewise b).  Gluings
+    [[id, slot], [id, slot]] per vertex follow the slot scan order (a-out,
+    a-in, b-out, b-in), then each edge's minus block is glued to its plus
+    block.  An x-self-loop at v consumes both x-slots of v.
     """
-    if not graph.is_connected():
-        raise ValueError("assembly requires a connected graph")
     k = graph.vertex_count
-    instances = [
-        BlockInstance(f"v{v}", _vertex_kind(graph, v), f"vertex {v}")
-        for v in range(k)
-    ]
+    instances = [[f"v{v}", _vertex_kind(graph, v), f"vertex {v}"] for v in range(k)]
     for letter, perm in (("a", graph.perm_a), ("b", graph.perm_b)):
         kind = "A" if letter == "a" else "B"
         for v in range(k):
             serves = f"{letter}-edge {v}->{perm[v]}"
-            instances.append(BlockInstance(f"{letter}{v}-", f"{kind}_minus", serves))
-            instances.append(BlockInstance(f"{letter}{v}+", f"{kind}_plus", serves))
+            instances.append([f"{letter}{v}-", f"{kind}_minus", serves])
+            instances.append([f"{letter}{v}+", f"{kind}_plus", serves])
 
-    inverse_a = [0] * k
-    inverse_b = [0] * k
+    steps = graph.steps()
+    inverse_a, inverse_b = steps[1], steps[3]
+    gluings = []
     for v in range(k):
-        inverse_a[graph.perm_a[v]] = v
-        inverse_b[graph.perm_b[v]] = v
-
-    gluings: list[Gluing] = []
-    for v in range(k):
-        # Slot scan order: a-out, a-in, b-out, b-in.
-        gluings.append(((f"v{v}", 0), (f"a{v}-", 0)))
-        gluings.append(((f"v{v}", 1), (f"a{inverse_a[v]}+", 1)))
-        gluings.append(((f"v{v}", 2), (f"b{v}-", 0)))
-        gluings.append(((f"v{v}", 3), (f"b{inverse_b[v]}+", 1)))
+        gluings.append([[f"v{v}", 0], [f"a{v}-", 0]])
+        gluings.append([[f"v{v}", 1], [f"a{inverse_a[v]}+", 1]])
+        gluings.append([[f"v{v}", 2], [f"b{v}-", 0]])
+        gluings.append([[f"v{v}", 3], [f"b{inverse_b[v]}+", 1]])
     for letter in ("a", "b"):
         for v in range(k):
-            gluings.append(((f"{letter}{v}-", 1), (f"{letter}{v}+", 0)))
+            gluings.append([[f"{letter}{v}-", 1], [f"{letter}{v}+", 0]])
+    return instances, gluings
 
-    total = sum(parcel.block_of_kind(instance.kind).volume for instance in instances)
+
+def _check_closed(instances, gluings) -> None:
+    """Raise ValueError unless every slot of every instance is glued exactly once."""
+    expected: dict[str, int] = {}
+    for instance_id, kind, _ in instances:
+        if instance_id in expected:
+            raise ValueError(f"duplicate instance id {instance_id}")
+        expected[instance_id] = slots_for_kind(kind)
+    seen: set = set()
+    for end1, end2 in gluings:
+        for instance_id, slot in (end1, end2):
+            if instance_id not in expected:
+                raise ValueError(f"gluing references unknown instance {instance_id}")
+            if not 0 <= slot < expected[instance_id]:
+                raise ValueError(f"slot {slot} out of range for {instance_id}")
+            ref = (instance_id, slot)
+            if ref in seen:
+                raise ValueError(f"slot {ref} glued more than once")
+            seen.add(ref)
+    total_slots = sum(expected.values())
+    if len(seen) != total_slots:
+        raise ValueError(
+            f"descriptor is not closed: {total_slots - len(seen)} slots unglued"
+        )
+
+
+def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
+    # Instance counts per kind, in BLOCK_KINDS order: one vertex block per
+    # vertex, and one block of each edge kind per vertex.
+    k = graph.vertex_count
+    colored = len(graph.colored)
+    counts = (k - colored, colored, k, k, k, k)
+    return sum(
+        (count * block.volume for count, block in zip(counts, parcel.blocks)), Fraction(0)
+    )
+
+
+def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
+    """Instantiate and glue parcel blocks along a connected decorated graph.
+
+    The 5k instances and 6k gluings follow from the graph (see
+    _gluing_pattern); the descriptor keeps the graph and the exact volume.
+    """
+    if not graph.is_connected():
+        raise ValueError("assembly requires a connected graph")
     return ManifoldDescriptor(
         source_graph=graph,
         parcel_id=parcel.parcel_id,
-        instances=tuple(instances),
-        gluings=tuple(gluings),
-        volume_bound=total,
+        volume_bound=_total_volume(graph, parcel),
     )
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
     """Exact sum of instance volumes; asserts the 5k * max_volume cap."""
-    total = Fraction(0)
-    for instance in descriptor.instances:
-        total += parcel.block_of_kind(instance.kind).volume
+    total = _total_volume(descriptor.source_graph, parcel)
     cap = 5 * descriptor.source_graph.vertex_count * parcel.max_volume
     if total > cap:
         raise RuntimeError(f"volume {total} exceeds the cap {cap}")
@@ -437,6 +435,7 @@ def commensurability_verdict(
 def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     """Stable JSON document for a descriptor; keys sorted, volumes exact."""
     graph = descriptor.source_graph
+    instances, gluings = _gluing_pattern(graph)
     document = {
         "graph": {
             "vertices": graph.vertex_count,
@@ -445,20 +444,19 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
             "colored": sorted(graph.colored),
         },
         "parcel_id": descriptor.parcel_id,
-        "instances": [
-            [instance.instance_id, instance.kind, instance.serves]
-            for instance in descriptor.instances
-        ],
-        "gluings": [
-            [[end1[0], end1[1]], [end2[0], end2[1]]]
-            for end1, end2 in descriptor.gluings
-        ],
+        "instances": instances,
+        "gluings": gluings,
         "volume_bound": str(descriptor.volume_bound),
     }
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def descriptor_from_json(text: str) -> ManifoldDescriptor:
+    """Read a descriptor document back.
+
+    Raises ValueError when its instances or gluings are not the ones its
+    graph derives, so that writing the result reproduces the document.
+    """
     document = json.loads(text)
     graph = DecoratedGraph(
         document["graph"]["vertices"],
@@ -466,25 +464,20 @@ def descriptor_from_json(text: str) -> ManifoldDescriptor:
         tuple(document["graph"]["perm_b"]),
         frozenset(document["graph"]["colored"]),
     )
-    instances = tuple(
-        BlockInstance(instance_id, kind, serves)
-        for instance_id, kind, serves in document["instances"]
-    )
-    gluings = tuple(
-        ((end1[0], end1[1]), (end2[0], end2[1])) for end1, end2 in document["gluings"]
-    )
+    instances, gluings = _gluing_pattern(graph)
+    if document["instances"] != instances:
+        raise ValueError("document instances differ from those its graph derives")
+    if document["gluings"] != gluings:
+        raise ValueError("document gluings differ from those its graph derives")
     return ManifoldDescriptor(
         source_graph=graph,
         parcel_id=document["parcel_id"],
-        instances=instances,
-        gluings=gluings,
         volume_bound=Fraction(document["volume_bound"]),
     )
 
 
 __all__ = [
     "BLOCK_KINDS",
-    "BlockInstance",
     "BuildingBlock",
     "CommensurabilityVerdict",
     "CountReport",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .free_groups import SubgroupTable, step_tables
+from .free_groups import SubgroupTable, _bfs, _bfs_relabel, _validate_permutations, step_tables
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ class DecoratedGraph:
         object.__setattr__(self, "colored", frozenset(self.colored))
         if self.vertex_count < 1:
             raise ValueError("a graph needs at least one vertex")
-        for name, perm in (("perm_a", self.perm_a), ("perm_b", self.perm_b)):
-            if len(perm) != self.vertex_count or sorted(perm) != list(range(self.vertex_count)):
-                raise ValueError(f"{name}={perm!r} is not a permutation of the vertices")
+        _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
         if not self.colored <= set(range(self.vertex_count)):
             raise ValueError("colored vertices must be vertices")
 
@@ -46,17 +44,7 @@ class DecoratedGraph:
         return step_tables(self.perm_a, self.perm_b)
 
     def component_of(self, start: int) -> tuple[int, ...]:
-        steps = self.steps()
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for letter in range(4):
-                w = steps[letter][v]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return tuple(sorted(seen))
+        return tuple(sorted(_bfs(self.steps(), start)[0]))
 
     def components(self) -> list[tuple[int, ...]]:
         remaining = set(range(self.vertex_count))
@@ -77,24 +65,11 @@ def from_subgroup(table: SubgroupTable, colored: Iterable[int]) -> DecoratedGrap
 
 
 def _anchored_encoding(graph: DecoratedGraph, start: int):
-    # Breadth-first relabeling of start's component with letter order
-    # a, a^-1, b, b^-1; the encoding determines the component up to the
-    # unique label-respecting isomorphism fixing the anchor.
-    steps = graph.steps()
-    label = {start: 0}
-    order = [start]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for letter in range(4):
-            w = steps[letter][v]
-            if w not in label:
-                label[w] = len(order)
-                order.append(w)
-    perm_a = tuple(label[graph.perm_a[v]] for v in order)
-    perm_b = tuple(label[graph.perm_b[v]] for v in order)
-    colored = tuple(sorted(label[v] for v in order if v in graph.colored))
+    # Breadth-first relabeling of start's component; the encoding determines
+    # the component up to the unique label-respecting isomorphism fixing the
+    # anchor.
+    order, perm_a, perm_b = _bfs_relabel(graph.perm_a, graph.perm_b, start)
+    colored = tuple(label for label, v in enumerate(order) if v in graph.colored)
     return (len(order), perm_a, perm_b, colored)
 
 

@@ -16,16 +16,20 @@ from math import gcd, isqrt
 # Rationals are stdlib fractions: always in lowest terms, denominator > 0.
 Rational = Fraction
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10**24,
-# comfortably past the advertised 2**64 input bound.
+# The twelve prime Miller-Rabin bases 2..37 are deterministic below
+# psi_12 = 318665857834031151167461 (about 3.2 * 10**23), the least strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIMALITY_BOUND = 1 << 64
+_PRIMALITY_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Deterministic primality test for 0 <= n < psi_12 (about 3.2 * 10**23)."""
     if n >= _PRIMALITY_BOUND:
-        raise ValueError(f"primality test accepts inputs below 2**64, got {n}")
+        raise ValueError(
+            f"primality test is certified only below psi_12 = {_PRIMALITY_BOUND}, got {n}"
+        )
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:

@@ -359,15 +359,11 @@ def _discriminant_description(form: QuadraticForm) -> str:
 class PrimeSearchReport:
     """One family prime with its verified membership conditions.
 
-    conditions maps condition names to values in {-1, 0, 1};
-    gauss_representation is the pair (x, y) with p = x^2 + 64 y^2 when such a
-    representation exists (it never does for reported anisotropic primes; the
-    field is populated when reporting excluded candidates).
+    conditions maps condition names to values in {-1, 0, 1}.
     """
 
     prime: int
     conditions: dict
-    gauss_representation: tuple[int, int] | None = None
 
 
 def gauss_representation(p: int) -> tuple[int, int] | None:

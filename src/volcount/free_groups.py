@@ -26,7 +26,6 @@ from math import factorial
 
 # Letter codes; the integer order is the lexicographic order used throughout.
 LETTER_A, LETTER_A_INV, LETTER_B, LETTER_B_INV = range(4)
-INVERSE_LETTER = (LETTER_A_INV, LETTER_A, LETTER_B_INV, LETTER_B)
 _LETTER_CHARS = "aAbB"  # uppercase marks the inverse of a generator
 
 MAX_INDEX = 7  # desk-scale cap for enumeration
@@ -41,9 +40,11 @@ def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _validate_permutation(perm, degree: int, name: str) -> None:
-    if len(perm) != degree or sorted(perm) != list(range(degree)):
-        raise ValueError(f"{name}={perm!r} is not a permutation of 0..{degree - 1}")
+def _validate_permutations(degree: int, perm_a, perm_b) -> None:
+    """Raise ValueError unless both rows permute 0..degree-1."""
+    for name, perm in (("perm_a", perm_a), ("perm_b", perm_b)):
+        if len(perm) != degree or sorted(perm) != list(range(degree)):
+            raise ValueError(f"{name}={perm!r} is not a permutation of 0..{degree - 1}")
 
 
 def step_tables(perm_a: tuple[int, ...], perm_b: tuple[int, ...]):
@@ -51,31 +52,35 @@ def step_tables(perm_a: tuple[int, ...], perm_b: tuple[int, ...]):
     return (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
 
 
-def _bfs_relabel(
-    degree: int, perm_a: tuple[int, ...], perm_b: tuple[int, ...], start: int = BASEPOINT
-) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
-    """Relabel by breadth-first discovery order from `start`.
+def _bfs(steps, start: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first discovery from `start`, letters in the order a, a^-1, b, b^-1.
 
-    Returns the relabeled permutation pair plus the discovery order (new
-    label -> old label).  Requires the pair to act transitively.
+    Returns the orbit of `start` in discovery order and the labeling
+    old vertex -> position in that order.
     """
-    steps = step_tables(perm_a, perm_b)
     label = {start: 0}
     order = [start]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for letter in range(4):
-            image = steps[letter][v]
+    for v in order:
+        for images in steps:
+            image = images[v]
             if image not in label:
                 label[image] = len(order)
                 order.append(image)
-    if len(order) != degree:
-        raise ValueError("the permutation pair does not act transitively")
-    new_a = tuple(label[perm_a[order[j]]] for j in range(degree))
-    new_b = tuple(label[perm_b[order[j]]] for j in range(degree))
-    return new_a, new_b, order
+    return order, label
+
+
+def _bfs_relabel(
+    perm_a: tuple[int, ...], perm_b: tuple[int, ...], start: int = BASEPOINT
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """The orbit of `start` relabeled by breadth-first discovery order.
+
+    Returns the discovery order (new label -> old label) and the permutation
+    pair restricted to the orbit, in the new labels.
+    """
+    order, label = _bfs(step_tables(perm_a, perm_b), start)
+    new_a = tuple(label[perm_a[v]] for v in order)
+    new_b = tuple(label[perm_b[v]] for v in order)
+    return order, new_a, new_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +94,10 @@ class SubgroupTable:
     def __post_init__(self):
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
         object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        _validate_permutation(self.perm_a, self.degree, "perm_a")
-        _validate_permutation(self.perm_b, self.degree, "perm_b")
-        # Transitivity check; also caches nothing yet.
-        _bfs_relabel(self.degree, self.perm_a, self.perm_b)
+        _validate_permutations(self.degree, self.perm_a, self.perm_b)
+        orbit, _ = _bfs(step_tables(self.perm_a, self.perm_b), BASEPOINT)
+        if len(orbit) != self.degree:
+            raise ValueError("the permutation pair does not act transitively")
         object.__setattr__(self, "_canonical_key", None)
 
     @property
@@ -102,7 +107,7 @@ class SubgroupTable:
     def canonical_key(self) -> tuple:
         key = self._canonical_key
         if key is None:
-            new_a, new_b, _ = _bfs_relabel(self.degree, self.perm_a, self.perm_b)
+            _, new_a, new_b = _bfs_relabel(self.perm_a, self.perm_b)
             key = (self.degree, new_a, new_b)
             object.__setattr__(self, "_canonical_key", key)
         return key
@@ -175,8 +180,10 @@ def hall_count(k: int) -> int:
     if k < 1:
         raise ValueError(f"index must be positive, got {k}")
     total = k * factorial(k)
+    running = factorial(k - 1)  # (k - i)! for the current i
     for i in range(1, k):
-        total -= factorial(k - i) * hall_count(i)
+        total -= running * hall_count(i)
+        running //= k - i
     return total
 
 
@@ -208,17 +215,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-def free_reduce(word: Word) -> Word:
-    """Delete adjacent inverse pairs until none remain."""
-    stack: list[int] = []
-    for letter in word.letters:
-        if stack and stack[-1] == INVERSE_LETTER[letter]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return Word(tuple(stack))
 
 
 def trace_vertex(table: SubgroupTable, word: Word, start: int | None = None) -> int:

@@ -157,24 +157,6 @@ def discriminant_class(coefficients: Sequence[Rational]) -> int:
     return squarefree_part(product)
 
 
-@dataclass(frozen=True)
-class LocalInvariantRecord:
-    """Rank, square-free discriminant representative, and epsilon at a place."""
-
-    rank: int
-    discriminant: int
-    epsilon: int
-
-
-def invariant_record(coefficients: Sequence[Rational], place: Place) -> LocalInvariantRecord:
-    coeffs = _coefficients_of(coefficients)
-    return LocalInvariantRecord(
-        rank=len(coeffs),
-        discriminant=discriminant_class(coeffs),
-        epsilon=hasse_witt(coeffs, place),
-    )
-
-
 def _same_square_class_locally(d1: int, d2: int, place: Place) -> bool:
     # d1, d2 are square-free nonzero integers.
     if place.kind == "real":

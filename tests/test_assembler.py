@@ -1,13 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from volcount.assembler import (
     BLOCK_KINDS,
-    BlockInstance,
     BuildingBlock,
-    ManifoldDescriptor,
     Parcel,
+    _check_closed,
     assemble,
     commensurability_verdict,
     count_lower_bound,
@@ -25,6 +26,17 @@ from volcount.free_groups import Word, distinguishing_word, enumerate_subgroups
 
 LOOP = DecoratedGraph(1, (0,), (0,), frozenset({0}))
 TWO = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
+
+
+def _document(graph, parcel):
+    return json.loads(descriptor_to_json(assemble(graph, parcel)))
+
+
+def _assert_rejected(document):
+    with pytest.raises(ValueError):
+        _check_closed(document["instances"], document["gluings"])
+    with pytest.raises(ValueError):
+        descriptor_from_json(json.dumps(document))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +58,6 @@ class TestParcels:
         ]
         assert parcel.max_volume == 1
         assert not parcel.compact
-        assert parcel.torsion_free_assumed
 
     def test_default_compact(self, compact_parcel):
         assert compact_parcel.parcel_id == "anisotropic-n4"
@@ -88,35 +99,35 @@ class TestParcels:
 
 class TestAssembly:
     def test_one_vertex_shape(self, parcel):
-        descriptor = assemble(LOOP, parcel)
-        assert len(descriptor.instances) == 5
+        document = _document(LOOP, parcel)
+        assert len(document["instances"]) == 5
         # 12 slot ends matched in pairs.
-        assert len(descriptor.gluings) == 6
-        kinds = sorted(instance.kind for instance in descriptor.instances)
+        assert len(document["gluings"]) == 6
+        kinds = sorted(kind for _, kind, _ in document["instances"])
         assert kinds == ["A_minus", "A_plus", "B_minus", "B_plus", "V1"]
 
     def test_instance_count_scales(self, parcel):
         for k in (1, 2, 3, 4):
             table = enumerate_subgroups(k)[0]
-            graph = from_subgroup(table, frozenset({0}))
-            descriptor = assemble(graph, parcel)
-            assert len(descriptor.instances) == 5 * k
-            assert len(descriptor.gluings) == 6 * k
+            document = _document(from_subgroup(table, frozenset({0})), parcel)
+            assert len(document["instances"]) == 5 * k
+            assert len(document["gluings"]) == 6 * k
 
     def test_vertex_kinds_follow_colors(self, parcel):
-        descriptor = assemble(TWO, parcel)
-        kinds = {i.instance_id: i.kind for i in descriptor.instances}
+        document = _document(TWO, parcel)
+        kinds = {instance_id: kind for instance_id, kind, _ in document["instances"]}
         assert kinds["v0"] == "V1" and kinds["v1"] == "V0"
 
     def test_closedness_exhaustive_small_indices(self, parcel):
-        # Constructor-level invariant: every slot glued exactly once, for all
-        # graphs of index <= 4 under both decorations.
+        # Every slot glued exactly once, for all graphs of index <= 4 under
+        # both decorations.
         for k in (1, 2, 3, 4):
             for table in enumerate_subgroups(k):
                 for colored in (frozenset({0}), frozenset()):
                     graph = from_subgroup(table, colored)
-                    descriptor = assemble(graph, parcel)
-                    assert volume_bound(descriptor, parcel) == 5 * k
+                    document = _document(graph, parcel)
+                    _check_closed(document["instances"], document["gluings"])
+                    assert volume_bound(assemble(graph, parcel), parcel) == 5 * k
 
     def test_disconnected_rejected(self, parcel):
         disconnected = DecoratedGraph(2, (0, 1), (0, 1), frozenset())
@@ -124,38 +135,30 @@ class TestAssembly:
             assemble(disconnected, parcel)
 
     def test_unglued_slot_rejected(self, parcel):
-        descriptor = assemble(LOOP, parcel)
-        with pytest.raises(ValueError):
-            ManifoldDescriptor(
-                descriptor.source_graph,
-                descriptor.parcel_id,
-                descriptor.instances,
-                descriptor.gluings[:-1],
-                descriptor.volume_bound,
-            )
+        document = _document(LOOP, parcel)
+        document["gluings"].pop()
+        _assert_rejected(document)
 
     def test_doubly_glued_slot_rejected(self, parcel):
-        descriptor = assemble(LOOP, parcel)
-        doubled = descriptor.gluings[:-1] + (descriptor.gluings[0],)
-        with pytest.raises(ValueError):
-            ManifoldDescriptor(
-                descriptor.source_graph,
-                descriptor.parcel_id,
-                descriptor.instances,
-                doubled,
-                descriptor.volume_bound,
-            )
+        document = _document(LOOP, parcel)
+        document["gluings"][-1] = document["gluings"][0]
+        _assert_rejected(document)
 
     def test_duplicate_instance_rejected(self, parcel):
-        descriptor = assemble(LOOP, parcel)
-        with pytest.raises(ValueError):
-            ManifoldDescriptor(
-                descriptor.source_graph,
-                descriptor.parcel_id,
-                descriptor.instances + (BlockInstance("v0", "V0", "dup"),),
-                descriptor.gluings,
-                descriptor.volume_bound,
-            )
+        document = _document(LOOP, parcel)
+        document["instances"].append(["v0", "V0", "dup"])
+        _assert_rejected(document)
+
+    def test_closed_but_underived_pattern_rejected(self, parcel):
+        # Closed lists that are still not the ones the graph derives.
+        reordered = _document(TWO, parcel)
+        reordered["gluings"].reverse()
+        relabeled = _document(TWO, parcel)
+        relabeled["instances"][0][2] = "vertex 9"
+        for document in (reordered, relabeled):
+            _check_closed(document["instances"], document["gluings"])
+            with pytest.raises(ValueError):
+                descriptor_from_json(json.dumps(document))
 
 
 class TestVolumeBound:
@@ -251,10 +254,7 @@ class TestSerialization:
         text = descriptor_to_json(descriptor)
         back = descriptor_from_json(text)
         assert descriptor_to_json(back) == text
-        assert back.source_graph == descriptor.source_graph
-        assert back.volume_bound == descriptor.volume_bound
-        assert back.instances == descriptor.instances
-        assert back.gluings == descriptor.gluings
+        assert back == descriptor
 
     def test_document_is_stable(self, parcel):
         descriptor = assemble(LOOP, parcel)
@@ -276,6 +276,28 @@ class TestSerialization:
             assert volume_bound(descriptor, parcel) == 10
 
 
+# sha256 over the concatenated index-5 documents (isotropic parcel, n = 4) in
+# enumeration order.
+INDEX5_DOCUMENTS_SHA256 = "ce884cbc08f96e307afefc543383b7e9d559e85f60732432bb3b815e6875eba3"
+
+
+class TestGoldenDocuments:
+    @pytest.mark.parametrize("name", ["LOOP", "TWO"])
+    def test_verbatim_document(self, parcel, name):
+        graph, document = GOLDEN[name]
+        assert descriptor_to_json(assemble(graph, parcel)) == document
+        assert descriptor_to_json(descriptor_from_json(document)) == document
+
+    def test_index5_digest(self, parcel):
+        digest = hashlib.sha256()
+        count = 0
+        for descriptor in descriptors_for_index(5, parcel):
+            digest.update(descriptor_to_json(descriptor).encode("ascii"))
+            count += 1
+        assert count == 461
+        assert digest.hexdigest() == INDEX5_DOCUMENTS_SHA256
+
+
 class TestVerdicts:
     def test_same_graph_commensurable(self, parcel):
         d1 = assemble(TWO, parcel)
@@ -295,3 +317,310 @@ class TestVerdicts:
         d2 = assemble(LOOP, compact_parcel)
         with pytest.raises(ValueError):
             commensurability_verdict(d1, d2, parcel)
+
+
+# Documents as written at the commit that introduced this test.
+LOOP_DOCUMENT = """\
+{
+  "gluings": [
+    [
+      [
+        "v0",
+        0
+      ],
+      [
+        "a0-",
+        0
+      ]
+    ],
+    [
+      [
+        "v0",
+        1
+      ],
+      [
+        "a0+",
+        1
+      ]
+    ],
+    [
+      [
+        "v0",
+        2
+      ],
+      [
+        "b0-",
+        0
+      ]
+    ],
+    [
+      [
+        "v0",
+        3
+      ],
+      [
+        "b0+",
+        1
+      ]
+    ],
+    [
+      [
+        "a0-",
+        1
+      ],
+      [
+        "a0+",
+        0
+      ]
+    ],
+    [
+      [
+        "b0-",
+        1
+      ],
+      [
+        "b0+",
+        0
+      ]
+    ]
+  ],
+  "graph": {
+    "colored": [
+      0
+    ],
+    "perm_a": [
+      0
+    ],
+    "perm_b": [
+      0
+    ],
+    "vertices": 1
+  },
+  "instances": [
+    [
+      "v0",
+      "V1",
+      "vertex 0"
+    ],
+    [
+      "a0-",
+      "A_minus",
+      "a-edge 0->0"
+    ],
+    [
+      "a0+",
+      "A_plus",
+      "a-edge 0->0"
+    ],
+    [
+      "b0-",
+      "B_minus",
+      "b-edge 0->0"
+    ],
+    [
+      "b0+",
+      "B_plus",
+      "b-edge 0->0"
+    ]
+  ],
+  "parcel_id": "isotropic-n4",
+  "volume_bound": "5"
+}
+"""
+
+TWO_DOCUMENT = """\
+{
+  "gluings": [
+    [
+      [
+        "v0",
+        0
+      ],
+      [
+        "a0-",
+        0
+      ]
+    ],
+    [
+      [
+        "v0",
+        1
+      ],
+      [
+        "a1+",
+        1
+      ]
+    ],
+    [
+      [
+        "v0",
+        2
+      ],
+      [
+        "b0-",
+        0
+      ]
+    ],
+    [
+      [
+        "v0",
+        3
+      ],
+      [
+        "b0+",
+        1
+      ]
+    ],
+    [
+      [
+        "v1",
+        0
+      ],
+      [
+        "a1-",
+        0
+      ]
+    ],
+    [
+      [
+        "v1",
+        1
+      ],
+      [
+        "a0+",
+        1
+      ]
+    ],
+    [
+      [
+        "v1",
+        2
+      ],
+      [
+        "b1-",
+        0
+      ]
+    ],
+    [
+      [
+        "v1",
+        3
+      ],
+      [
+        "b1+",
+        1
+      ]
+    ],
+    [
+      [
+        "a0-",
+        1
+      ],
+      [
+        "a0+",
+        0
+      ]
+    ],
+    [
+      [
+        "a1-",
+        1
+      ],
+      [
+        "a1+",
+        0
+      ]
+    ],
+    [
+      [
+        "b0-",
+        1
+      ],
+      [
+        "b0+",
+        0
+      ]
+    ],
+    [
+      [
+        "b1-",
+        1
+      ],
+      [
+        "b1+",
+        0
+      ]
+    ]
+  ],
+  "graph": {
+    "colored": [
+      0
+    ],
+    "perm_a": [
+      1,
+      0
+    ],
+    "perm_b": [
+      0,
+      1
+    ],
+    "vertices": 2
+  },
+  "instances": [
+    [
+      "v0",
+      "V1",
+      "vertex 0"
+    ],
+    [
+      "v1",
+      "V0",
+      "vertex 1"
+    ],
+    [
+      "a0-",
+      "A_minus",
+      "a-edge 0->1"
+    ],
+    [
+      "a0+",
+      "A_plus",
+      "a-edge 0->1"
+    ],
+    [
+      "a1-",
+      "A_minus",
+      "a-edge 1->0"
+    ],
+    [
+      "a1+",
+      "A_plus",
+      "a-edge 1->0"
+    ],
+    [
+      "b0-",
+      "B_minus",
+      "b-edge 0->0"
+    ],
+    [
+      "b0+",
+      "B_plus",
+      "b-edge 0->0"
+    ],
+    [
+      "b1-",
+      "B_minus",
+      "b-edge 1->1"
+    ],
+    [
+      "b1+",
+      "B_plus",
+      "b-edge 1->1"
+    ]
+  ],
+  "parcel_id": "isotropic-n4",
+  "volume_bound": "10"
+}
+"""
+
+GOLDEN = {"LOOP": (LOOP, LOOP_DOCUMENT), "TWO": (TWO, TWO_DOCUMENT)}

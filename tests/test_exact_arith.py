@@ -30,8 +30,11 @@ class TestPrimality:
             assert not is_prime(n)
 
     def test_large_inputs_rejected(self):
+        # psi_12, the least strong pseudoprime to all twelve bases, is the
+        # first input outside the certified range.
         with pytest.raises(ValueError):
-            is_prime(1 << 64)
+            is_prime(318665857834031151167461)
+        assert is_prime((1 << 64) + 13)
         assert is_prime((1 << 61) - 1)  # Mersenne prime within range
 
     @given(st.integers(min_value=2, max_value=10**6))
@@ -78,6 +81,8 @@ class TestFactorization:
         assert factor_int(-12) == {2: 2, 3: 1}  # sign is discarded
         # Forces the large-factor path past the trial-division bound.
         assert factor_int(10007 * 10009) == {10007: 1, 10009: 1}
+        # A cofactor above 2**64 made of primes past the trial-division bound.
+        assert factor_int(10007**5) == {10007: 5}
 
     @given(st.integers(min_value=2, max_value=10**9))
     def test_reconstructs_input(self, n):

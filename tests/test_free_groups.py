@@ -9,7 +9,6 @@ from volcount.free_groups import (
     Word,
     distinguishing_word,
     enumerate_subgroups,
-    free_reduce,
     hall_count,
     trace_vertex,
     word_membership,
@@ -99,11 +98,6 @@ class TestWords:
     def test_string_round_trip(self):
         for text in ("a", "aB", "abAB", "e"):
             assert str(Word.from_string(text)) == text
-
-    def test_free_reduction(self):
-        assert str(free_reduce(Word.from_string("aA"))) == "e"
-        assert str(free_reduce(Word.from_string("abBA"))) == "e"
-        assert str(free_reduce(Word.from_string("abA"))) == "abA"
 
     def test_invalid_letters_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from volcount.local_invariants import (
     hilbert_dyadic,
     hilbert_odd_p,
     hilbert_real,
-    invariant_record,
     locally_equivalent,
     odd_place,
 )
@@ -159,6 +158,9 @@ class TestHasseWitt:
 class TestLocalEquivalence:
     def test_discriminant_class(self):
         assert discriminant_class((Fraction(5), 1, 1, 1, Fraction(-2))) == -10
+        # The product, about 1.0 * 10**24, lies past the certified primality range.
+        with pytest.raises(ValueError):
+            discriminant_class([10007**3, 10009**3])
 
     def test_family_members_differ_at_witness(self):
         q5 = (Fraction(5), 1, 1, 1, Fraction(-2))
@@ -171,9 +173,3 @@ class TestLocalEquivalence:
         scaled = (Fraction(12), Fraction(20))  # multiplied by 4
         for place in (REAL, DYADIC, odd_place(3), odd_place(5)):
             assert locally_equivalent(q, scaled, place)
-
-    def test_record_fields(self):
-        record = invariant_record((Fraction(5), 1, 1, 1, Fraction(-2)), odd_place(5))
-        assert record.rank == 5
-        assert record.epsilon == -1
-        assert record.discriminant == -10
