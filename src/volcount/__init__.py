@@ -34,6 +34,7 @@ from .decorated_graphs import (
     is_isomorphic,
 )
 from .exact_arith import (
+    PrimalityRangeError,
     QSqrt2,
     SQRT2,
     factor_int,

@@ -12,13 +12,16 @@ selftest   run all release criteria
 
 Default output is a human table; --json switches to the structured document
 {"status": ..., "payload": ...}.  Identical inputs produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+output.  Exit codes: 0 success, 1 verification failure, 2 usage error, 141
+(128 + SIGPIPE) when the reader closes stdout early, as in `volcount ... |
+head`; that case prints no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -51,6 +54,7 @@ MAX_EMIT_INDEX = 5
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
+BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -385,6 +389,24 @@ def _emit(status: str, payload, lines, as_json: bool) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's final flush of the
+        # unwritten rest cannot raise again at exit.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return BROKEN_PIPE
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exit_:

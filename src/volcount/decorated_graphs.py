@@ -34,8 +34,6 @@ class DecoratedGraph:
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
         object.__setattr__(self, "perm_b", tuple(self.perm_b))
         object.__setattr__(self, "colored", frozenset(self.colored))
-        if self.vertex_count < 1:
-            raise ValueError("a graph needs at least one vertex")
         _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
         if not self.colored <= set(range(self.vertex_count)):
             raise ValueError("colored vertices must be vertices")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 # Rationals are stdlib fractions: always in lowest terms, denominator > 0.
@@ -24,10 +25,20 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
 
 
+class PrimalityRangeError(ValueError):
+    """An input at or above psi_12, where the twelve bases certify nothing."""
+
+
+# Legendre symbols and valuations re-test the same few primes over and over,
+# while a prime search tests each candidate once: a small bounded memo keeps
+# the former and lets the latter pass through.  typed=True keeps a float from
+# being answered from an int's entry; an error is never cached, so an input
+# outside the certified range raises on every call.
+@lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < psi_12 (about 3.2 * 10**23)."""
     if n >= _PRIMALITY_BOUND:
-        raise ValueError(
+        raise PrimalityRangeError(
             f"primality test is certified only below psi_12 = {_PRIMALITY_BOUND}, got {n}"
         )
     if n < 2:

@@ -43,11 +43,7 @@ from .exact_arith import (
     sqrt_mod,
     squarefree_part,
 )
-from .local_invariants import (
-    hasse_witt,
-    hilbert_odd_from_parts,
-    odd_place,
-)
+from .local_invariants import _odd_pair_product, hasse_witt, odd_place
 
 RATIONAL_FIELD = "rational"
 SQRT2_FIELD = "q_sqrt2"
@@ -219,15 +215,11 @@ def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
     if p % 8 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 8")
     form = make_r(a, n)
-    parts = [split_prime_valuation(c, p, root) for c in form.coefficients]
-    generic = 1
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            mi, ui = parts[i]
-            mj, uj = parts[j]
-            generic *= hilbert_odd_from_parts(
-                mi, legendre_symbol(ui, p), mj, legendre_symbol(uj, p), p
-            )
+    parts = []
+    for c in form.coefficients:
+        m, u = split_prime_valuation(c, p, root)
+        parts.append((m, legendre_symbol(u, p)))
+    generic = _odd_pair_product(parts, p)
     closed = legendre_symbol(root, p) if padic_valuation(a, p).exponent % 2 else 1
     if closed != generic:
         raise RuntimeError(

@@ -41,7 +41,9 @@ def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _validate_permutations(degree: int, perm_a, perm_b) -> None:
-    """Raise ValueError unless both rows permute 0..degree-1."""
+    """Raise ValueError unless degree >= 1 and both rows permute 0..degree-1."""
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     for name, perm in (("perm_a", perm_a), ("perm_b", perm_b)):
         if len(perm) != degree or sorted(perm) != list(range(degree)):
             raise ValueError(f"{name}={perm!r} is not a permutation of 0..{degree - 1}")

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .exact_arith import (
@@ -49,9 +51,13 @@ REAL = Place("real")
 DYADIC = Place("dyadic", 2)
 
 
-def odd_place(p: int) -> Place:
+def _require_odd_place(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+
+
+def odd_place(p: int) -> Place:
+    _require_odd_place(p)
     return Place("odd_prime", p)
 
 
@@ -73,14 +79,22 @@ def _legendre_of_unit(u: Fraction, p: int) -> int:
     return legendre_symbol(u.numerator * u.denominator % p, p)
 
 
+def _odd_parts(x: Rational, p: int) -> tuple[int, int]:
+    # (v_p(x), (u|p)) for x = p^v * u with u a p-adic unit.
+    d = padic_valuation(_nonzero_fraction(x), p)
+    return d.exponent, _legendre_of_unit(d.unit_part, p)
+
+
+def _odd_pair_product(parts: Sequence[tuple[int, int]], p: int) -> int:
+    # Product of the odd-place symbols over index pairs i < j of decomposed
+    # coefficients: one decomposition per coefficient, not one per pair.
+    return prod(hilbert_odd_from_parts(*x, *y, p) for x, y in combinations(parts, 2))
+
+
 def hilbert_odd_p(a: Rational, b: Rational, p: int) -> int:
     """(a, b) at an odd prime p via the valuation/Legendre formula."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    da = padic_valuation(_nonzero_fraction(a), p)
-    db = padic_valuation(_nonzero_fraction(b), p)
-    return hilbert_odd_from_parts(da.exponent, _legendre_of_unit(da.unit_part, p),
-                                  db.exponent, _legendre_of_unit(db.unit_part, p), p)
+    _require_odd_place(p)
+    return hilbert_odd_from_parts(*_odd_parts(a, p), *_odd_parts(b, p), p)
 
 
 def hilbert_odd_from_parts(n: int, legendre_u: int, m: int, legendre_v: int, p: int) -> int:
@@ -100,16 +114,23 @@ def _unit_mod8(u: Fraction) -> int:
     return u.numerator * pow(u.denominator, -1, 8) % 8
 
 
-def hilbert_dyadic(a: Rational, b: Rational) -> int:
-    """(a, b) at the dyadic place via the eps/omega unit formula."""
-    da = padic_valuation(_nonzero_fraction(a), 2)
-    db = padic_valuation(_nonzero_fraction(b), 2)
-    u = _unit_mod8(da.unit_part)
-    v = _unit_mod8(db.unit_part)
+def _dyadic_parts(x: Rational) -> tuple[int, int]:
+    # (v_2(x), u mod 8) for x = 2^v * u with u a 2-adic unit.
+    d = padic_valuation(_nonzero_fraction(x), 2)
+    return d.exponent, _unit_mod8(d.unit_part)
+
+
+def _dyadic_from_parts(x: tuple[int, int], y: tuple[int, int]) -> int:
+    (n, u), (m, v) = x, y
     eps_u, eps_v = (u % 4 == 3), (v % 4 == 3)
     omega_u, omega_v = (u in (3, 5)), (v in (3, 5))
-    exponent = (eps_u and eps_v) + da.exponent * omega_v + db.exponent * omega_u
+    exponent = (eps_u and eps_v) + n * omega_v + m * omega_u
     return -1 if exponent % 2 else 1
+
+
+def hilbert_dyadic(a: Rational, b: Rational) -> int:
+    """(a, b) at the dyadic place via the eps/omega unit formula."""
+    return _dyadic_from_parts(_dyadic_parts(a), _dyadic_parts(b))
 
 
 def hilbert(a: Rational, b: Rational, place: Place) -> int:
@@ -137,15 +158,21 @@ def _coefficients_of(q) -> tuple[Fraction, ...]:
 def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
     """Product of hilbert(a_i, a_j, place) over index pairs i < j.
 
-    The empty product (rank-1 forms) is 1.  Invariant under permutation of
-    the coefficients since each symbol is symmetric.
+    The empty product (rank-1 forms) is 1 at any place.  Invariant under
+    permutation of the coefficients since each symbol is symmetric.  At a
+    finite place each coefficient is decomposed once, and the pairwise
+    symbols are formed from the decompositions.
     """
     coeffs = _coefficients_of(coefficients)
-    result = 1
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            result *= hilbert(coeffs[i], coeffs[j], place)
-    return result
+    if len(coeffs) == 1:
+        return 1
+    if place.kind == "odd_prime":
+        _require_odd_place(place.prime)
+        return _odd_pair_product([_odd_parts(c, place.prime) for c in coeffs], place.prime)
+    if place.kind == "dyadic":
+        parts = [_dyadic_parts(c) for c in coeffs]
+        return prod(_dyadic_from_parts(x, y) for x, y in combinations(parts, 2))
+    return prod(hilbert(x, y, place) for x, y in combinations(coeffs, 2))
 
 
 def discriminant_class(coefficients: Sequence[Rational]) -> int:

@@ -1,8 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from volcount.cli import main
+from volcount.cli import BROKEN_PIPE, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -221,3 +228,34 @@ class TestUsage:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "selftest" in out
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+class TestClosedPipe:
+    def test_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["primes", "isotropic", "3"]) == BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def test_reader_gone_before_output(self):
+        # The reader closes its end before the child writes anything, so
+        # every write fails with EPIPE; nothing may reach stderr.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "volcount.cli", "primes", "isotropic", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == BROKEN_PIPE
+        assert err == b""

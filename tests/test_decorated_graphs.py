@@ -40,7 +40,8 @@ class TestConstruction:
             DecoratedGraph(2, (0, 0), (0, 1), frozenset())
         with pytest.raises(ValueError):
             DecoratedGraph(2, (1, 0), (0, 1), frozenset({2}))
-        with pytest.raises(ValueError):
+        # Rejected by the permutation-pair check it shares with SubgroupTable.
+        with pytest.raises(ValueError, match="degree must be at least 1"):
             DecoratedGraph(0, (), (), frozenset())
 
     def test_from_subgroup(self):

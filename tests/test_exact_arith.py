@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from volcount.exact_arith import (
+    PrimalityRangeError,
     QSqrt2,
     SQRT2,
     embed_sqrt2_mod_p,
@@ -31,11 +33,36 @@ class TestPrimality:
 
     def test_large_inputs_rejected(self):
         # psi_12, the least strong pseudoprime to all twelve bases, is the
-        # first input outside the certified range.
-        with pytest.raises(ValueError):
-            is_prime(318665857834031151167461)
+        # first input outside the certified range.  The error is raised on
+        # every call: the memo never stores it.
+        for _ in range(2):
+            with pytest.raises(PrimalityRangeError, match="certified only below psi_12"):
+                is_prime(318665857834031151167461)
+        assert issubclass(PrimalityRangeError, ValueError)
         assert is_prime((1 << 64) + 13)
         assert is_prime((1 << 61) - 1)  # Mersenne prime within range
+
+    def test_matches_sieve_twice(self):
+        # The second pass is answered partly from the memo; both must agree
+        # with an Eratosthenes sieve on every n below 2 * 10**5.
+        limit = 200_000
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for d in range(2, isqrt(limit - 1) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+        for _ in range(2):
+            assert [n for n in range(limit) if is_prime(n)] == [
+                n for n in range(limit) if sieve[n]
+            ]
+
+    def test_memo_is_bounded_and_typed(self):
+        assert is_prime.cache_info().maxsize is not None
+        # A float is never answered from an int's entry: 41.0 still reaches
+        # the modular exponentiation, which rejects it, as it did unmemoized.
+        assert is_prime(41)
+        with pytest.raises(TypeError):
+            is_prime(41.0)
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_matches_trial_division(self, n):

@@ -88,6 +88,10 @@ class TestSubgroupTable:
         with pytest.raises(ValueError):
             SubgroupTable(2, (0, 1), (0, 1)).canonical_key()
 
+    def test_zero_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            SubgroupTable(0, (), ())
+
     def test_hashable_and_distinct(self):
         tables = enumerate_subgroups(3)
         assert len({hash(t) for t in tables}) > 1

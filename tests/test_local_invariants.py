@@ -154,6 +154,26 @@ class TestHasseWitt:
         for place in (REAL, DYADIC, odd_place(3)):
             assert hasse_witt(shuffled, place) == hasse_witt(tuple(coefficients), place)
 
+    @given(
+        st.lists(
+            st.tuples(nonzero_fractions, st.integers(min_value=-3, max_value=3)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from((3, 5, 13, 17, 97)),
+    )
+    @settings(max_examples=150)
+    def test_equals_pairwise_product(self, scaled, p):
+        # Coefficients carry powers of p, so p divides some and not others;
+        # the other places see the same coefficients.
+        coefficients = tuple(c * Fraction(p) ** e for c, e in scaled)
+        for place in (odd_place(p), odd_place(7), odd_place(10007), DYADIC, REAL):
+            pairwise = 1
+            for i in range(len(coefficients)):
+                for j in range(i + 1, len(coefficients)):
+                    pairwise *= hilbert(coefficients[i], coefficients[j], place)
+            assert hasse_witt(coefficients, place) == pairwise
+
 
 class TestLocalEquivalence:
     def test_discriminant_class(self):
