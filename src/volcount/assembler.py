@@ -33,7 +33,8 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from json.encoder import encode_basestring_ascii
+from math import floor, isqrt, lcm
 
 from .decorated_graphs import (
     DecoratedGraph,
@@ -277,13 +278,19 @@ def _check_closed(instances, gluings) -> None:
 
 def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
     # Instance counts per kind, in BLOCK_KINDS order: one vertex block per
-    # vertex, and one block of each edge kind per vertex.
+    # vertex, and one block of each edge kind per vertex.  The sum runs over
+    # the common denominator, so the Fraction is normalised once, not once
+    # per product and partial sum.
     k = graph.vertex_count
     colored = len(graph.colored)
     counts = (k - colored, colored, k, k, k, k)
-    return sum(
-        (count * block.volume for count, block in zip(counts, parcel.blocks)), Fraction(0)
+    volumes = [block.volume for block in parcel.blocks]
+    common = lcm(*[volume.denominator for volume in volumes])
+    numerator = sum(
+        count * volume.numerator * (common // volume.denominator)
+        for count, volume in zip(counts, volumes)
     )
+    return Fraction(numerator, common)
 
 
 def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
@@ -432,48 +439,95 @@ def commensurability_verdict(
     return CommensurabilityVerdict(same, tuple(checked), assumed)
 
 
+# Row templates of the indent=2 layout.  Instance ids, kinds, "serves" texts
+# and slots come from _gluing_pattern: digits, letters, '-', '+', '>' and
+# spaces, none of which JSON escapes.
+_INSTANCE_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
+_GLUING_ROW = (
+    '    [\n      [\n        "%s",\n        %d\n      ],'
+    '\n      [\n        "%s",\n        %d\n      ]\n    ]'
+)
+
+
+def _int_list(values) -> str:
+    # A list of ints under a "graph" key, at the document's third level.
+    if not values:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]"
+
+
 def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
-    """Stable JSON document for a descriptor; keys sorted, volumes exact."""
+    """Stable JSON document for a descriptor; keys sorted, volumes exact.
+
+    The text is byte-identical to json.dumps(document, sort_keys=True,
+    indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
+    run the pure-Python one token by token, so this writer fills fixed
+    templates instead: keys in sorted order by hand, one template per
+    instance and per gluing, and the caller's strings escaped by the same
+    encode_basestring_ascii that json.dumps applies.
+    """
     graph = descriptor.source_graph
     instances, gluings = _gluing_pattern(graph)
-    document = {
-        "graph": {
-            "vertices": graph.vertex_count,
-            "perm_a": list(graph.perm_a),
-            "perm_b": list(graph.perm_b),
-            "colored": sorted(graph.colored),
-        },
-        "parcel_id": descriptor.parcel_id,
-        "instances": instances,
-        "gluings": gluings,
-        "volume_bound": str(descriptor.volume_bound),
-    }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    gluing_rows = ",\n".join(
+        [_GLUING_ROW % (id1, slot1, id2, slot2) for (id1, slot1), (id2, slot2) in gluings]
+    )
+    instance_rows = ",\n".join([_INSTANCE_ROW % tuple(row) for row in instances])
+    return (
+        f'{{\n  "gluings": [\n{gluing_rows}\n  ],\n'
+        f'  "graph": {{\n'
+        f'    "colored": {_int_list(sorted(graph.colored))},\n'
+        f'    "perm_a": {_int_list(graph.perm_a)},\n'
+        f'    "perm_b": {_int_list(graph.perm_b)},\n'
+        f'    "vertices": {graph.vertex_count}\n'
+        f'  }},\n'
+        f'  "instances": [\n{instance_rows}\n  ],\n'
+        f'  "parcel_id": {encode_basestring_ascii(descriptor.parcel_id)},\n'
+        f'  "volume_bound": {encode_basestring_ascii(str(descriptor.volume_bound))}\n'
+        f'}}\n'
+    )
+
+
+_DOCUMENT_KEYS = {"gluings", "graph", "instances", "parcel_id", "volume_bound"}
+_GRAPH_KEYS = {"colored", "perm_a", "perm_b", "vertices"}
 
 
 def descriptor_from_json(text: str) -> ManifoldDescriptor:
     """Read a descriptor document back.
 
-    Raises ValueError when its instances or gluings are not the ones its
-    graph derives, so that writing the result reproduces the document.
+    Raises ValueError, and only ValueError, unless the document is one that
+    descriptor_to_json writes: it must be JSON with exactly the writer's
+    keys and value types, integer graph entries, colored vertices listed
+    once each in increasing order, a positive volume_bound in lowest terms,
+    and the instances and gluings its graph derives.  So writing the result
+    reproduces the document up to layout.
     """
-    document = json.loads(text)
-    graph = DecoratedGraph(
-        document["graph"]["vertices"],
-        tuple(document["graph"]["perm_a"]),
-        tuple(document["graph"]["perm_b"]),
-        frozenset(document["graph"]["colored"]),
-    )
+    try:
+        document = json.loads(text)
+        spec = document["graph"]
+        vertices, perm_a, perm_b = spec["vertices"], tuple(spec["perm_a"]), tuple(spec["perm_b"])
+        listed_colored = spec["colored"]
+        colored = frozenset(listed_colored)
+        if any(type(v) is not int for v in (vertices, *perm_a, *perm_b, *colored)):
+            raise ValueError("graph entries must be integers")
+        graph = DecoratedGraph(vertices, perm_a, perm_b, colored)
+        parcel_id, volume_text = document["parcel_id"], document["volume_bound"]
+        if not isinstance(parcel_id, str) or not isinstance(volume_text, str):
+            raise ValueError("parcel_id and volume_bound must be strings")
+        volume = Fraction(volume_text)
+    except (KeyError, TypeError, ZeroDivisionError, RecursionError) as error:
+        raise ValueError(f"malformed descriptor document: {error!r}") from error
+    if document.keys() != _DOCUMENT_KEYS or spec.keys() != _GRAPH_KEYS:
+        raise ValueError("document keys differ from the descriptor layout")
+    if sorted(colored) != listed_colored:
+        raise ValueError("colored vertices must be listed once each, in increasing order")
+    if volume <= 0 or str(volume) != volume_text:
+        raise ValueError(f"volume_bound {volume_text!r} is not a positive fraction in lowest terms")
     instances, gluings = _gluing_pattern(graph)
     if document["instances"] != instances:
         raise ValueError("document instances differ from those its graph derives")
     if document["gluings"] != gluings:
         raise ValueError("document gluings differ from those its graph derives")
-    return ManifoldDescriptor(
-        source_graph=graph,
-        parcel_id=document["parcel_id"],
-        volume_bound=Fraction(document["volume_bound"]),
-    )
+    return ManifoldDescriptor(source_graph=graph, parcel_id=parcel_id, volume_bound=volume)
 
 
 __all__ = [

@@ -12,7 +12,8 @@ selftest   run all release criteria
 
 Default output is a human table; --json switches to the structured document
 {"status": ..., "payload": ...}.  Identical inputs produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error, 141
+output.  Exit codes: 0 success, 1 verification failure (a failed release
+check or internal self-check), 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early, as in `volcount ... |
 head`; that case prints no traceback.
 """
@@ -419,7 +420,8 @@ def _run(argv) -> int:
         else:
             print(f"usage error: {error}", file=sys.stderr)
         return USAGE_ERROR
-    except VerificationFailure as error:
+    except (VerificationFailure, RuntimeError) as error:
+        # A RuntimeError is a failed internal self-check.
         if args.json:
             _emit("error", {"error": str(error)}, [], True)
         else:

@@ -23,6 +23,8 @@ Rational = Fraction
 # twelve prime bases", Math. Comp. 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
+_RHO_BATCH = 128
+_HART_ROUNDS = 256
 
 
 class PrimalityRangeError(ValueError):
@@ -46,12 +48,17 @@ def is_prime(n: int) -> bool:
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
+    return _strong_probable_prime(n, _MILLER_RABIN_BASES)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """False when some base is a Miller-Rabin witness that odd n > max(bases) is composite."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MILLER_RABIN_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -156,26 +163,72 @@ def factor_int(n: int) -> dict[int, int]:
 
 
 def _factor_large(n: int) -> list[int]:
-    # n has no prime factor below 10**4 here.
+    # n has no prime factor below 10**4 here.  At or above psi_12 a witness
+    # among the bases 2..41 still proves n composite; only a cofactor passing
+    # all thirteen is left uncertified.
     if n == 1:
         return []
-    if is_prime(n):
-        return [n]
-    d = _pollard_brent(n)
+    if n < _PRIMALITY_BOUND:
+        if is_prime(n):
+            return [n]
+        d = _pollard_brent(n)
+    elif _strong_probable_prime(n, _MILLER_RABIN_BASES + (41,)):
+        raise PrimalityRangeError(
+            f"cofactor {n} is at least psi_12 = {_PRIMALITY_BOUND} and passes the "
+            "Miller-Rabin bases 2..41, so its primality is not certified"
+        )
+    else:
+        d = _hart_one_line(n, _HART_ROUNDS) or _pollard_brent(n)
     return _factor_large(d) + _factor_large(n // d)
 
 
+def _hart_one_line(n: int, rounds: int) -> int | None:
+    """A proper factor of composite n by Hart's one-line method, or None.
+
+    It splits n = p * q within a few rounds when q / p is near a ratio of
+    small integers.  Composites that pass many Miller-Rabin bases, psi_12 =
+    p * (2p - 1) among them, are built with that shape.
+    """
+    for i in range(1, rounds + 1):
+        s = isqrt(n * i - 1) + 1
+        m = s * s % n
+        t = isqrt(m)
+        if t * t == m:
+            d = gcd(s - t, n)
+            if 1 < d < n:
+                return d
+    return None
+
+
 def _pollard_brent(n: int) -> int:
+    """A proper factor of composite n by Brent's rho (BIT 1980).
+
+    One gcd per batch of _RHO_BATCH steps, taken of the product of the
+    differences; a batch that overshoots to n is replayed step by step.
+    """
     if n % 2 == 0:
         return 2
-    x0, c = 2, 1
+    c = 1
     while True:
-        x, y, d = x0, x0, 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = gcd(abs(x - saved), n)
         if d != n:
             return d
         c += 1

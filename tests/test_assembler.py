@@ -3,12 +3,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from volcount.assembler import (
     BLOCK_KINDS,
     BuildingBlock,
+    ManifoldDescriptor,
     Parcel,
     _check_closed,
+    _gluing_pattern,
+    _total_volume,
     assemble,
     commensurability_verdict,
     count_lower_bound,
@@ -274,6 +278,155 @@ class TestSerialization:
         for path in files:
             descriptor = descriptor_from_json(path.read_text())
             assert volume_bound(descriptor, parcel) == 10
+
+
+def _dumps_document(descriptor):
+    """The document as json.dumps writes it: the oracle for the fixed writer."""
+    graph = descriptor.source_graph
+    instances, gluings = _gluing_pattern(graph)
+    document = {
+        "graph": {
+            "vertices": graph.vertex_count,
+            "perm_a": list(graph.perm_a),
+            "perm_b": list(graph.perm_b),
+            "colored": sorted(graph.colored),
+        },
+        "parcel_id": descriptor.parcel_id,
+        "instances": instances,
+        "gluings": gluings,
+        "volume_bound": str(descriptor.volume_bound),
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def connected_graphs(draw, max_degree=7):
+    n = draw(st.integers(min_value=1, max_value=max_degree))
+    perm_a = draw(st.permutations(range(n)))
+    perm_b = draw(st.permutations(range(n)))
+    colored = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    graph = DecoratedGraph(n, perm_a, perm_b, colored)
+    assume(graph.is_connected())
+    return graph
+
+
+positive_volumes = st.fractions(min_value=Fraction(1, 720), max_value=1000, max_denominator=720)
+parcel_ids = st.one_of(st.text(), st.sampled_from(["isotropic-n4", "anisotropic-n4"]))
+
+
+class TestWriter:
+    @given(connected_graphs(), st.lists(positive_volumes, min_size=6, max_size=6), parcel_ids)
+    @example(LOOP, [1] * 6, 'quote " backslash \\ tab \t nul \x00 \x1f')
+    @example(TWO, [Fraction(1, 3)] * 6, "non-ASCII: \u00e9\u20ac\U0001f600 \ud800")
+    @example(DecoratedGraph(3, (1, 2, 0), (0, 1, 2), frozenset()), [1] * 6, "")
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, parcel, graph, volumes, parcel_id):
+        built = assemble(graph, with_block_volumes(parcel, volumes))
+        descriptor = ManifoldDescriptor(graph, parcel_id, built.volume_bound)
+        text = descriptor_to_json(descriptor)
+        assert text == _dumps_document(descriptor)
+        assert descriptor_from_json(text) == descriptor
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=5), st.data())
+    def test_enumerated_tables_match_json_dumps(self, parcel, k, data):
+        tables = enumerate_subgroups(k)
+        table = tables[data.draw(st.integers(min_value=0, max_value=len(tables) - 1))]
+        colored = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+        descriptor = assemble(from_subgroup(table, colored), parcel)
+        assert descriptor_to_json(descriptor) == _dumps_document(descriptor)
+
+    @given(connected_graphs(), st.lists(positive_volumes, min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_total_volume_is_the_plain_sum(self, parcel, graph, volumes):
+        priced = with_block_volumes(parcel, volumes)
+        k, colored = graph.vertex_count, len(graph.colored)
+        counts = (k - colored, colored, k, k, k, k)
+        plain = sum(
+            (count * block.volume for count, block in zip(counts, priced.blocks)), Fraction(0)
+        )
+        assert _total_volume(graph, priced) == plain
+
+
+def _malformed_documents(parcel):
+    """(what is wrong, text) pairs of LOOP documents that must be refused."""
+    valid = _document(LOOP, parcel)
+
+    def edited(**changes):
+        document = json.loads(json.dumps(valid))
+        for key, value in changes.items():
+            if "." in key:
+                outer, inner = key.split(".")
+                document[outer][inner] = value
+            else:
+                document[key] = value
+        return json.dumps(document)
+
+    missing_graph = {key: value for key, value in valid.items() if key != "graph"}
+    return [
+        ("not json", "{"),
+        ("a list", json.dumps([valid])),
+        ("a string", json.dumps("graph")),
+        ("missing graph", json.dumps(missing_graph)),
+        ("graph a list", edited(graph=[1])),
+        ("zero denominator", edited(volume_bound="1/0")),
+        ("negative volume", edited(volume_bound="-5")),
+        ("zero volume", edited(volume_bound="0")),
+        ("float volume", edited(volume_bound=5.5)),
+        ("integer volume", edited(volume_bound=5)),
+        ("volume not a number", edited(volume_bound="five")),
+        ("integer parcel_id", edited(parcel_id=3)),
+        ("nested colored", edited(**{"graph.colored": [[0]]})),
+        ("integer perm_a", edited(**{"graph.perm_a": 5})),
+        ("string vertices", edited(**{"graph.vertices": "1"})),
+        ("boolean vertices", edited(**{"graph.vertices": True})),
+        ("float perm entry", edited(**{"graph.perm_b": [0.0]})),
+        ("no vertices", edited(**{"graph.vertices": 0, "graph.perm_a": [], "graph.perm_b": []})),
+        ("colored outside", edited(**{"graph.colored": [1]})),
+        ("instances a number", edited(instances=7)),
+        ("volume not in lowest terms", edited(volume_bound="10/2")),
+        ("volume with a leading zero", edited(volume_bound="05")),
+        ("colored repeated", edited(**{"graph.colored": [0, 0]})),
+        ("an extra key", edited(comment="x")),
+        ("an extra graph key", edited(**{"graph.name": "loop"})),
+    ]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestMalformedDocuments:
+    def test_each_is_a_value_error(self, parcel):
+        for what, text in _malformed_documents(parcel):
+            try:
+                descriptor_from_json(text)
+            except ValueError:
+                continue
+            pytest.fail(f"accepted a document with {what}")
+
+    @given(
+        st.sampled_from(["graph", "graph.vertices", "graph.perm_a", "graph.perm_b",
+                         "graph.colored", "parcel_id", "volume_bound", "instances", "gluings"]),
+        st.one_of(st.just(KeyError), json_values),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_edit_reads_back_or_is_a_value_error(self, parcel, key, value):
+        document = _document(LOOP, parcel)
+        outer, _, inner = key.partition(".")
+        holder, name = (document[outer], inner) if inner else (document, outer)
+        if value is KeyError:
+            del holder[name]
+        else:
+            holder[name] = value
+        try:
+            descriptor = descriptor_from_json(json.dumps(document))
+        except ValueError:
+            return
+        assert json.loads(descriptor_to_json(descriptor)) == document
 
 
 # sha256 over the concatenated index-5 documents (isotropic parcel, n = 4) in

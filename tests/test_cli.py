@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from volcount.cli import BROKEN_PIPE, main
+from volcount import cli
+from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -213,6 +214,30 @@ class TestCount:
         assert code == 2
         document = json.loads(out)
         assert document["status"] == "error"
+
+
+class TestSelfCheckFailure:
+    @pytest.fixture
+    def broken_primes(self, monkeypatch):
+        def handler(args):
+            raise RuntimeError("modular square root failed self-check")
+
+        monkeypatch.setitem(cli._HANDLERS, "primes", handler)
+
+    def test_text(self, capsys, broken_primes):
+        code, out, err = run(["primes", "isotropic", "2"], capsys)
+        assert code == VERIFICATION_FAILURE
+        assert out == ""
+        assert err == "verification failure: modular square root failed self-check\n"
+
+    def test_json_document(self, capsys, broken_primes):
+        code, out, err = run(["primes", "isotropic", "2", "--json"], capsys)
+        assert code == VERIFICATION_FAILURE
+        assert err == ""
+        assert json.loads(out) == {
+            "status": "error",
+            "payload": {"error": "modular square root failed self-check"},
+        }
 
 
 class TestUsage:

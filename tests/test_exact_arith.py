@@ -111,6 +111,19 @@ class TestFactorization:
         # A cofactor above 2**64 made of primes past the trial-division bound.
         assert factor_int(10007**5) == {10007: 5}
 
+    def test_past_the_certified_range(self):
+        # psi_12 passes the twelve bases 2..37, but base 41 proves it
+        # composite, so rho splits it.
+        psi_12 = 318665857834031151167461
+        assert factor_int(psi_12) == {399165290221: 1, 798330580441: 1}
+        assert factor_int(2 * 10007 * psi_12) == {
+            2: 1, 10007: 1, 399165290221: 1, 798330580441: 1,
+        }
+        # The Mersenne prime 2**89 - 1 passes all thirteen bases 2..41, and
+        # nothing certifies its primality.
+        with pytest.raises(PrimalityRangeError, match="not certified"):
+            factor_int(2**89 - 1)
+
     @given(st.integers(min_value=2, max_value=10**9))
     def test_reconstructs_input(self, n):
         factors = factor_int(n)

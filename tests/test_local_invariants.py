@@ -178,9 +178,12 @@ class TestHasseWitt:
 class TestLocalEquivalence:
     def test_discriminant_class(self):
         assert discriminant_class((Fraction(5), 1, 1, 1, Fraction(-2))) == -10
-        # The product, about 1.0 * 10**24, lies past the certified primality range.
+        # The product, about 1.0 * 10**24, lies past psi_12, where a
+        # Miller-Rabin witness still proves it composite and rho splits it.
+        assert discriminant_class([10007**3, 10009**3]) == 10007 * 10009
+        # A prime past psi_12 passes every base, so it stays uncertified.
         with pytest.raises(ValueError):
-            discriminant_class([10007**3, 10009**3])
+            discriminant_class([2**89 - 1])
 
     def test_family_members_differ_at_witness(self):
         q5 = (Fraction(5), 1, 1, 1, Fraction(-2))
