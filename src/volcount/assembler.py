@@ -33,6 +33,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import floor, isqrt, lcm
 
@@ -53,7 +54,7 @@ from .form_families import (
     search_primes_anisotropic,
     search_primes_isotropic,
 )
-from .free_groups import Word, enumerate_subgroups, hall_count
+from .free_groups import Word, _inverse_permutation, enumerate_subgroups, hall_count
 
 VERTEX_KINDS = ("V0", "V1")
 EDGE_KINDS = ("A_minus", "A_plus", "B_minus", "B_plus")
@@ -219,35 +220,54 @@ def _vertex_kind(graph: DecoratedGraph, vertex: int) -> str:
     return "V1" if vertex in graph.colored else "V0"
 
 
+# Patterns are written and read for graphs of a handful of sizes at a time
+# (index <= 7 in the pipeline), so a few entries keep every id list hot.
+@lru_cache(maxsize=8)
+def _instance_ids(k: int) -> tuple[tuple[str, ...], ...]:
+    """Per-vertex ids of a k-vertex pattern: v{v}, vertex {v}, a{v}-, a{v}+, b{v}-, b{v}+."""
+    return tuple(
+        tuple(template % v for v in range(k))
+        for template in ("v%d", "vertex %d", "a%d-", "a%d+", "b%d-", "b%d+")
+    )
+
+
 def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
     """The instance and gluing lists of the graph, as its document spells them.
 
-    Instances [id, kind, serves]: vertex v -> "v{v}" of kind V1/V0; the
-    a-edge leaving v -> "a{v}-" and "a{v}+" (likewise b).  Gluings
-    [[id, slot], [id, slot]] per vertex follow the slot scan order (a-out,
-    a-in, b-out, b-in), then each edge's minus block is glued to its plus
-    block.  An x-self-loop at v consumes both x-slots of v.
+    Instances [id, kind, serves]: vertex v -> ["v{v}", V1 or V0,
+    "vertex {v}"] for every v; then the a-edge leaving v -> ["a{v}-",
+    "A_minus", "a-edge {v}->{w}"] and ["a{v}+", "A_plus", same], w its head,
+    for every v; then likewise b.  Gluings [[id, slot], [id, slot]]: per
+    vertex v in the slot scan order, slot 0 (a-out) to slot 0 of "a{v}-",
+    slot 1 (a-in) to slot 1 of "a{u}+" for the a-edge u -> v, slots 2 and 3
+    likewise for b; then per edge, a-edges before b-edges, slot 1 of its
+    minus block to slot 0 of its plus block.  An x-self-loop at v consumes
+    both x-slots of v.
     """
     k = graph.vertex_count
-    instances = [[f"v{v}", _vertex_kind(graph, v), f"vertex {v}"] for v in range(k)]
-    for letter, perm in (("a", graph.perm_a), ("b", graph.perm_b)):
+    vertex_ids, vertex_names, a_minus, a_plus, b_minus, b_plus = _instance_ids(k)
+    instances = [
+        [vertex_ids[v], _vertex_kind(graph, v), vertex_names[v]] for v in range(k)
+    ]
+    edges = (("a", graph.perm_a, a_minus, a_plus), ("b", graph.perm_b, b_minus, b_plus))
+    for letter, perm, minus, plus in edges:
         kind = "A" if letter == "a" else "B"
         for v in range(k):
             serves = f"{letter}-edge {v}->{perm[v]}"
-            instances.append([f"{letter}{v}-", f"{kind}_minus", serves])
-            instances.append([f"{letter}{v}+", f"{kind}_plus", serves])
+            instances.append([minus[v], f"{kind}_minus", serves])
+            instances.append([plus[v], f"{kind}_plus", serves])
 
-    steps = graph.steps()
-    inverse_a, inverse_b = steps[1], steps[3]
+    inverse_a = _inverse_permutation(graph.perm_a)
+    inverse_b = _inverse_permutation(graph.perm_b)
     gluings = []
     for v in range(k):
-        gluings.append([[f"v{v}", 0], [f"a{v}-", 0]])
-        gluings.append([[f"v{v}", 1], [f"a{inverse_a[v]}+", 1]])
-        gluings.append([[f"v{v}", 2], [f"b{v}-", 0]])
-        gluings.append([[f"v{v}", 3], [f"b{inverse_b[v]}+", 1]])
-    for letter in ("a", "b"):
-        for v in range(k):
-            gluings.append([[f"{letter}{v}-", 1], [f"{letter}{v}+", 0]])
+        vertex = vertex_ids[v]
+        gluings.append([[vertex, 0], [a_minus[v], 0]])
+        gluings.append([[vertex, 1], [a_plus[inverse_a[v]], 1]])
+        gluings.append([[vertex, 2], [b_minus[v], 0]])
+        gluings.append([[vertex, 3], [b_plus[inverse_b[v]], 1]])
+    for _, _, minus, plus in edges:
+        gluings.extend([[minus[v], 1], [plus[v], 0]] for v in range(k))
     return instances, gluings
 
 

@@ -9,10 +9,23 @@ Isomorphism uses the anchored-map procedure: once an image is chosen for one
 vertex, the label-respecting extension is forced, as in a deterministic
 automaton.  Covering maps in the permutation encoding are color-preserving
 vertex maps commuting with both permutations; local bijectivity on edge
-stars is automatic.  The common-cover decision builds the fiber product and
-looks for a color-consistent connected component, which is decisive: any
-common decorated cover maps onto such a component, and conversely a
-consistent component is itself a common decorated cover.
+stars is automatic.  The common-cover decision looks for a color-consistent
+connected component of the fiber product, which is decisive: any common
+decorated cover maps onto such a component, and conversely a consistent
+component is itself a common decorated cover.
+
+The decision never builds the whole product.  Projection lemma: a component
+of the fiber product of two connected graphs is closed under both
+coordinatewise permutations, so it projects onto each factor and meets
+(c1, y) for every vertex c1 of the first graph and (x, c2) for every vertex
+c2 of the second.  Hence if exactly one graph has colored vertices no
+component is consistent, if neither has any every component is, and
+otherwise only components through a colored pair (c1, c2) can be.  The
+component through the basepoint pair of two Schreier graphs is the graph of
+the intersection of the two subgroups (Stallings, "Topology of finite
+graphs", Invent. Math. 1983).  Each candidate component is explored
+breadth-first from its colored pair and abandoned at the first pair whose
+two color bits differ.
 """
 
 from __future__ import annotations
@@ -45,16 +58,21 @@ class DecoratedGraph:
         return tuple(sorted(_bfs(self.steps(), start)[0]))
 
     def components(self) -> list[tuple[int, ...]]:
+        steps = self.steps()
         remaining = set(range(self.vertex_count))
         out = []
         while remaining:
-            comp = self.component_of(min(remaining))
-            out.append(comp)
-            remaining -= set(comp)
+            orbit = _bfs(steps, min(remaining))[0]
+            out.append(tuple(sorted(orbit)))
+            remaining.difference_update(orbit)
         return out
 
     def is_connected(self) -> bool:
-        return len(self.component_of(0)) == self.vertex_count
+        return _is_connected(self.steps(), self.vertex_count)
+
+
+def _is_connected(steps, vertex_count: int) -> bool:
+    return len(_bfs(steps, 0)[0]) == vertex_count
 
 
 def from_subgroup(table: SubgroupTable, colored: Iterable[int]) -> DecoratedGraph:
@@ -164,31 +182,69 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     If no component is consistent, no common decorated cover exists: any
     common cover would admit a map to the fiber product whose image is a
     component, forcing the pullback colorings to agree there.
+
+    By the projection lemma (module docstring) only the components through
+    colored pairs (c1, c2) are candidates, or the component of (0, 0) when
+    neither graph is colored; no component is one when exactly one graph is
+    colored.  Candidates are explored from their colored pairs in encoded
+    order i * |V2| + j, each abandoned at its first color clash.  The
+    witness is the consistent component with the smallest encoded vertex,
+    relabeled in increasing encoded order: the first consistent component of
+    fiber_product(g1, g2).components, colored by pulling back g1's coloring.
     """
-    for g in (g1, g2):
-        if not g.is_connected():
-            raise ValueError("the common-cover decision takes connected graphs")
-    fp = fiber_product(g1, g2)
-    for component in fp.components:
-        consistent = all(
-            (fp.projection1[x] in g1.colored) == (fp.projection2[x] in g2.colored)
-            for x in component
-        )
-        if not consistent:
+    steps1, steps2 = g1.steps(), g2.steps()
+    if not (_is_connected(steps1, g1.vertex_count) and _is_connected(steps2, g2.vertex_count)):
+        raise ValueError("the common-cover decision takes connected graphs")
+    colored1, colored2 = g1.colored, g2.colored
+    if bool(colored1) != bool(colored2):
+        return CommonCoverDecision(False)
+    # Pairs (i, j) in lexicographic order, which is the encoded order.
+    seeds = sorted((i, j) for i in colored1 for j in colored2) or [(0, 0)]
+    owner: dict[tuple[int, int], tuple[int, int]] = {}
+    best = None
+    for seed in seeds:
+        if seed in owner:
             continue
-        index = {old: new for new, old in enumerate(component)}
-        perm_a = tuple(index[fp.product.perm_a[old]] for old in component)
-        perm_b = tuple(index[fp.product.perm_b[old]] for old in component)
-        colored = frozenset(
-            index[old] for old in component if fp.projection1[old] in g1.colored
-        )
-        witness = DecoratedGraph(len(component), perm_a, perm_b, colored)
-        map1 = tuple(fp.projection1[old] for old in component)
-        map2 = tuple(fp.projection2[old] for old in component)
-        if not (check_cover(witness, g1, map1) and check_cover(witness, g2, map2)):
-            raise RuntimeError("fiber-product witness failed the covering check")
-        return CommonCoverDecision(True, witness, map1, map2)
-    return CommonCoverDecision(False)
+        component = _consistent_component(steps1, steps2, colored1, colored2, seed, owner)
+        if component is not None and (best is None or min(component) < min(best)):
+            best = component
+    if best is None:
+        return CommonCoverDecision(False)
+
+    order = sorted(best)
+    index = {pair: new for new, pair in enumerate(order)}
+    perm_a = tuple(index[g1.perm_a[i], g2.perm_a[j]] for i, j in order)
+    perm_b = tuple(index[g1.perm_b[i], g2.perm_b[j]] for i, j in order)
+    map1 = tuple(i for i, _ in order)
+    map2 = tuple(j for _, j in order)
+    colored = frozenset(new for new, i in enumerate(map1) if i in colored1)
+    witness = DecoratedGraph(len(order), perm_a, perm_b, colored)
+    if not (check_cover(witness, g1, map1) and check_cover(witness, g2, map2)):
+        raise RuntimeError("fiber-product witness failed the covering check")
+    return CommonCoverDecision(True, witness, map1, map2)
+
+
+def _consistent_component(steps1, steps2, colored1, colored2, seed, owner: dict):
+    """The pairs of the fiber-product component of seed, or None at a color clash.
+
+    owner maps every pair reached so far to the seed it was reached from.  A
+    pair owned by an earlier seed lies in a component already found
+    inconsistent, since a consistent one is explored in full; meeting it is
+    a clash too.
+    """
+    owner[seed] = seed
+    component = [seed]
+    for i, j in component:
+        for step1, step2 in zip(steps1, steps2):
+            pair = (step1[i], step2[j])
+            reached_from = owner.get(pair)
+            if reached_from == seed:
+                continue
+            if reached_from is not None or (pair[0] in colored1) != (pair[1] in colored2):
+                return None
+            owner[pair] = seed
+            component.append(pair)
+    return component
 
 
 def graph_to_text(graph: DecoratedGraph) -> str:

@@ -19,16 +19,25 @@ Rational = Fraction
 
 # The twelve prime Miller-Rabin bases 2..37 are deterministic below
 # psi_12 = 318665857834031151167461 (about 3.2 * 10**23), the least strong
-# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# pseudoprime to all of them, and the thirteen bases 2..41 below psi_13 =
+# 3317044064679887385961981 (about 3.3 * 10**24), the least strong
+# pseudoprime to those (Sorenson and Webster, "Strong pseudoprimes to
 # twelve prime bases", Math. Comp. 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
+_THIRTEEN_BASES = _MILLER_RABIN_BASES + (41,)
+_THIRTEEN_BASE_BOUND = 3317044064679887385961981
 _RHO_BATCH = 128
 _HART_ROUNDS = 256
 
 
 class PrimalityRangeError(ValueError):
-    """An input at or above psi_12, where the twelve bases certify nothing."""
+    """An input past the certified range.
+
+    is_prime raises it at or above psi_12, where the twelve bases certify
+    nothing; factor_int raises it for a cofactor at or above psi_13 that
+    passes all thirteen bases and that it cannot split.
+    """
 
 
 # Legendre symbols and valuations re-test the same few primes over and over,
@@ -164,21 +173,27 @@ def factor_int(n: int) -> dict[int, int]:
 
 def _factor_large(n: int) -> list[int]:
     # n has no prime factor below 10**4 here.  At or above psi_12 a witness
-    # among the bases 2..41 still proves n composite; only a cofactor passing
-    # all thirteen is left uncertified.
+    # among the bases 2..41 still proves n composite, and passing all
+    # thirteen proves n prime below psi_13.  At or above psi_13 a cofactor
+    # passing all thirteen is split if Hart's method finds a factor (psi_13
+    # itself is p * (2p - 1)) and is otherwise left uncertified.
     if n == 1:
         return []
     if n < _PRIMALITY_BOUND:
         if is_prime(n):
             return [n]
         d = _pollard_brent(n)
-    elif _strong_probable_prime(n, _MILLER_RABIN_BASES + (41,)):
-        raise PrimalityRangeError(
-            f"cofactor {n} is at least psi_12 = {_PRIMALITY_BOUND} and passes the "
-            "Miller-Rabin bases 2..41, so its primality is not certified"
-        )
-    else:
+    elif not _strong_probable_prime(n, _THIRTEEN_BASES):
         d = _hart_one_line(n, _HART_ROUNDS) or _pollard_brent(n)
+    elif n < _THIRTEEN_BASE_BOUND:
+        return [n]
+    else:
+        d = _hart_one_line(n, _HART_ROUNDS)
+        if d is None:
+            raise PrimalityRangeError(
+                f"cofactor {n} is at least psi_13 = {_THIRTEEN_BASE_BOUND} and passes the "
+                "Miller-Rabin bases 2..41, so its primality is not certified"
+            )
     return _factor_large(d) + _factor_large(n // d)
 
 

@@ -314,6 +314,39 @@ positive_volumes = st.fractions(min_value=Fraction(1, 720), max_value=1000, max_
 parcel_ids = st.one_of(st.text(), st.sampled_from(["isotropic-n4", "anisotropic-n4"]))
 
 
+def _pattern_as_documented(graph):
+    """_gluing_pattern's lists spelled out from its docstring, one row at a time."""
+    k = graph.vertex_count
+    instances = [[f"v{v}", "V1" if v in graph.colored else "V0", f"vertex {v}"] for v in range(k)]
+    for x, perm in (("a", graph.perm_a), ("b", graph.perm_b)):
+        for v in range(k):
+            serves = f"{x}-edge {v}->{perm[v]}"
+            instances.append([f"{x}{v}-", f"{x.upper()}_minus", serves])
+            instances.append([f"{x}{v}+", f"{x.upper()}_plus", serves])
+    gluings = []
+    for v in range(k):
+        (a_tail,) = [u for u in range(k) if graph.perm_a[u] == v]
+        (b_tail,) = [u for u in range(k) if graph.perm_b[u] == v]
+        gluings.append([[f"v{v}", 0], [f"a{v}-", 0]])
+        gluings.append([[f"v{v}", 1], [f"a{a_tail}+", 1]])
+        gluings.append([[f"v{v}", 2], [f"b{v}-", 0]])
+        gluings.append([[f"v{v}", 3], [f"b{b_tail}+", 1]])
+    for x in ("a", "b"):
+        for v in range(k):
+            gluings.append([[f"{x}{v}-", 1], [f"{x}{v}+", 0]])
+    return instances, gluings
+
+
+class TestGluingPattern:
+    # Degrees past the enumeration cap and past the id-list cache's size,
+    # so sizes evict one another between examples.
+    @given(connected_graphs(max_degree=12))
+    @example(LOOP)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_documented_pattern(self, graph):
+        assert _gluing_pattern(graph) == _pattern_as_documented(graph)
+
+
 class TestWriter:
     @given(connected_graphs(), st.lists(positive_volumes, min_size=6, max_size=6), parcel_ids)
     @example(LOOP, [1] * 6, 'quote " backslash \\ tab \t nul \x00 \x1f')

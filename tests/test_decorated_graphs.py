@@ -1,9 +1,10 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from volcount.decorated_graphs import (
+    CommonCoverDecision,
     DecoratedGraph,
     check_cover,
     fiber_product,
@@ -131,7 +132,97 @@ class TestFiberProduct:
         assert tuple(sorted(diagonal)) in {tuple(sorted(c)) for c in components}
 
 
+def _reference_decision(g1, g2):
+    """The decision read off the whole fiber product: its first consistent component."""
+    fp = fiber_product(g1, g2)
+    for component in fp.components:
+        if not all(
+            (fp.projection1[x] in g1.colored) == (fp.projection2[x] in g2.colored)
+            for x in component
+        ):
+            continue
+        index = {old: new for new, old in enumerate(component)}
+        witness = DecoratedGraph(
+            len(component),
+            tuple(index[fp.product.perm_a[old]] for old in component),
+            tuple(index[fp.product.perm_b[old]] for old in component),
+            frozenset(index[old] for old in component if fp.projection1[old] in g1.colored),
+        )
+        map1 = tuple(fp.projection1[old] for old in component)
+        map2 = tuple(fp.projection2[old] for old in component)
+        return CommonCoverDecision(True, witness, map1, map2)
+    return CommonCoverDecision(False)
+
+
+@st.composite
+def colored_graphs(draw, max_degree=6):
+    """A connected permutation pair with no, some, or all vertices colored."""
+    n = draw(st.integers(min_value=1, max_value=max_degree))
+    perm_a = draw(st.permutations(range(n)))
+    perm_b = draw(st.permutations(range(n)))
+    colored = draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.frozensets(st.integers(min_value=0, max_value=n - 1)),
+            st.just(frozenset(range(n))),
+        )
+    )
+    graph = DecoratedGraph(n, perm_a, perm_b, colored)
+    assume(graph.is_connected())
+    return graph
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two colored graphs; in half the pairs the second relabels the first.
+
+    A relabeled copy shares covers with the original and, when a
+    color-preserving symmetry exists, has several consistent components.
+    """
+    g1 = draw(colored_graphs())
+    if draw(st.booleans()):
+        return g1, draw(colored_graphs())
+    relabel = draw(st.permutations(range(g1.vertex_count)))
+    return g1, relabeled(g1, tuple(relabel))
+
+
 class TestCommonCoverDecision:
+    @given(graph_pairs())
+    # One component, two colored pairs: the search from (0, 0) clashes at
+    # once, and the one from (0, 1) meets (0, 0) again before any clash.
+    @example((LOOP, DecoratedGraph(3, (2, 1, 0), (1, 0, 2), frozenset({0, 1}))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_whole_fiber_product(self, pair):
+        g1, g2 = pair
+        decision = has_common_decorated_cover(g1, g2)
+        assert decision == _reference_decision(g1, g2)
+
+    def test_witness_is_the_smallest_consistent_component(self):
+        # The 4-cycle a = +1, b = +2 colored at 1 and 3, against its
+        # relabeling by 1 <-> 3.  The symmetries x -> x and x -> x + 2 keep
+        # the coloring, so two components are consistent: the one through
+        # (0, 0) comes first in the product, but the smallest colored pair
+        # (1, 1) lies in the other one, through (0, 2).
+        g1 = DecoratedGraph(4, (1, 2, 3, 0), (2, 3, 0, 1), frozenset({1, 3}))
+        g2 = relabeled(g1, (0, 3, 2, 1))
+        decision = has_common_decorated_cover(g1, g2)
+        assert decision == _reference_decision(g1, g2)
+        assert decision.witness_map1 == (0, 1, 2, 3)
+        assert decision.witness_map2 == (0, 3, 2, 1)
+
+    def test_one_side_colored(self):
+        uncolored = DecoratedGraph(2, (1, 0), (0, 1), frozenset())
+        assert has_common_decorated_cover(SWAP_A, uncolored) == CommonCoverDecision(False)
+        assert has_common_decorated_cover(uncolored, SWAP_A) == CommonCoverDecision(False)
+
+    def test_uncolored_pair_takes_the_origin_component(self):
+        uncolored = DecoratedGraph(2, (1, 0), (0, 1), frozenset())
+        # The product's a-steps pair (0, 0) with (1, 1) and (0, 1) with (1, 0).
+        assert fiber_product(uncolored, uncolored).components == ((0, 3), (1, 2))
+        decision = has_common_decorated_cover(uncolored, uncolored)
+        assert decision.witness == uncolored
+        assert (decision.witness_map1, decision.witness_map2) == ((0, 1), (0, 1))
+
     def test_distinct_pairs_share_nothing(self):
         graphs = [SWAP_A, SWAP_B, SWAP_BOTH]
         for i, g1 in enumerate(graphs):

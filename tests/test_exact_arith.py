@@ -119,8 +119,14 @@ class TestFactorization:
         assert factor_int(2 * 10007 * psi_12) == {
             2: 1, 10007: 1, 399165290221: 1, 798330580441: 1,
         }
-        # The Mersenne prime 2**89 - 1 passes all thirteen bases 2..41, and
-        # nothing certifies its primality.
+        # Between psi_12 and psi_13 the thirteen bases 2..41 certify a prime.
+        prime = 318665857834031151167483
+        assert factor_int(prime) == {prime: 1}
+        assert factor_int(-3 * prime) == {3: 1, prime: 1}
+        # psi_13 passes all thirteen bases; Hart's method splits it.
+        assert factor_int(3317044064679887385961981) == {1287836182261: 1, 2575672364521: 1}
+        # The Mersenne prime 2**89 - 1 passes all thirteen bases 2..41, but
+        # lies above psi_13, so nothing certifies its primality.
         with pytest.raises(PrimalityRangeError, match="not certified"):
             factor_int(2**89 - 1)
 
