@@ -66,12 +66,21 @@ def format_line(result: CriterionResult) -> str:
     )
 
 
+_NUMERATORS = tuple(n for n in range(-40, 41) if n)
+
+
 def _random_nonzero_fraction(rng: random.Random, prime: int | None = None) -> Fraction:
-    numerator = rng.choice([n for n in range(-40, 41) if n])
-    value = Fraction(numerator, rng.randrange(1, 24))
+    # (numerator / denominator) * prime^e with e in [-2, 2]; p^e is folded
+    # into the integer terms so one Fraction is built.
+    numerator = rng.choice(_NUMERATORS)
+    denominator = rng.randrange(1, 24)
     if prime is not None:
-        value *= Fraction(prime) ** rng.randrange(-2, 3)
-    return value
+        exponent = rng.randrange(-2, 3)
+        if exponent >= 0:
+            numerator *= prime**exponent
+        else:
+            denominator *= prime**-exponent
+    return Fraction(numerator, denominator)
 
 
 def solvability_oracle_odd(a: Fraction, b: Fraction, p: int) -> int:

@@ -383,17 +383,25 @@ class CountReport:
     floor_bound: int
 
 
+# a_1557 has 4,300 digits and a_1558 has 4,303: the largest count that
+# Python's default int-to-str limit still prints.
+MAX_COUNT_INDEX = 1557
+
+
 def count_lower_bound(v, parcel: Parcel) -> CountReport:
     """Descriptors affordable within volume v: k = floor(v / (5 V)) vertices.
 
     Reports the exact index-k subgroup count and the growth floor
-    ceil(k^(k/2)), verified to be dominated by the count.
+    ceil(k^(k/2)), verified to be dominated by the count.  A k above
+    MAX_COUNT_INDEX raises ValueError before any count is computed.
     """
     v = Fraction(v)
     unit = 5 * parcel.max_volume
     if v < unit:
         raise ValueError(f"volume budget {v} is below the one-block scale {unit}")
     k = floor(v / unit)
+    if k > MAX_COUNT_INDEX:
+        raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {k})")
     count = hall_count(k)
     power = k**k
     root = isqrt(power)

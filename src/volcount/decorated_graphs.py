@@ -54,9 +54,6 @@ class DecoratedGraph:
     def steps(self):
         return step_tables(self.perm_a, self.perm_b)
 
-    def component_of(self, start: int) -> tuple[int, ...]:
-        return tuple(sorted(_bfs(self.steps(), start)[0]))
-
     def components(self) -> list[tuple[int, ...]]:
         steps = self.steps()
         remaining = set(range(self.vertex_count))
@@ -259,14 +256,19 @@ def graph_to_text(graph: DecoratedGraph) -> str:
 
 
 def graph_from_text(text: str) -> DecoratedGraph:
+    """Inverse of graph_to_text; blank lines may follow the fourth line."""
     lines = text.split("\n")
     if len(lines) < 4:
         raise ValueError("graph text needs four lines")
+    if any(line.strip() for line in lines[4:]):
+        raise ValueError("graph text has more than four lines")
     try:
         n = int(lines[0])
         perm_a = tuple(int(v) for v in lines[1].split())
         perm_b = tuple(int(v) for v in lines[2].split())
-        colored = frozenset(int(v) for v in lines[3].split())
+        colored = [int(v) for v in lines[3].split()]
     except ValueError:
         raise ValueError("malformed graph text")
-    return DecoratedGraph(n, perm_a, perm_b, colored)
+    if len(set(colored)) != len(colored):
+        raise ValueError("colored list repeats a vertex")
+    return DecoratedGraph(n, perm_a, perm_b, frozenset(colored))

@@ -93,6 +93,11 @@ def legendre_symbol(u: int, p: int) -> int:
     Requires an odd prime p; returns 0 exactly when p divides u.
     """
     _require_odd_prime(p)
+    return _euler_criterion(u, p)
+
+
+def _euler_criterion(u: int, p: int) -> int:
+    # (u|p) from u^((p-1)/2) mod p; p is an odd prime the caller validated.
     e = pow(u % p, (p - 1) // 2, p)
     if e == 0:
         return 0
@@ -287,7 +292,15 @@ def padic_valuation(x: Rational | int, p: int) -> ValuationDecomposition:
     x = Fraction(x)
     if x == 0:
         raise ValueError("the zero element has no finite valuation")
-    num, den = x.numerator, x.denominator
+    m, num, den = _strip_prime(x.numerator, x.denominator, p)
+    return ValuationDecomposition(m, Fraction(num, den))
+
+
+def _strip_prime(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(m, num', den') with num/den = p^m * num'/den' and p dividing neither.
+
+    num and den must be nonzero; p is not validated here.
+    """
     m = 0
     while num % p == 0:
         num //= p
@@ -295,7 +308,7 @@ def padic_valuation(x: Rational | int, p: int) -> ValuationDecomposition:
     while den % p == 0:
         den //= p
         m -= 1
-    return ValuationDecomposition(m, Fraction(num, den))
+    return m, num, den
 
 
 def _as_fraction(value) -> Fraction:
@@ -375,12 +388,6 @@ class QSqrt2:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def conjugate(self) -> "QSqrt2":
         """Image under the field automorphism sqrt(2) -> -sqrt(2)."""

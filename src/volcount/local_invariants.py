@@ -15,6 +15,11 @@ At 2, for a = 2^n * u and b = 2^m * v with odd u, v:
 
 with eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 taken mod 2.  At the real
 place the symbol is -1 exactly when both arguments are negative.
+
+Symbols are computed on the integer numerator and denominator of each
+argument, with no unit Fraction built: for a unit u = r/s, (u|p) is the
+Legendre symbol of r * s mod p, and u mod 8 is r * s mod 8, because an odd s
+is its own inverse mod 8.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from typing import Sequence
 
 from .exact_arith import (
     Rational,
+    _euler_criterion,
+    _strip_prime,
     is_prime,
     legendre_symbol,
-    padic_valuation,
     squarefree_part,
 )
 
@@ -61,28 +67,28 @@ def odd_place(p: int) -> Place:
     return Place("odd_prime", p)
 
 
-def _nonzero_fraction(x) -> Fraction:
-    x = Fraction(x) if not isinstance(x, Fraction) else x
-    if x == 0:
+def _nonzero_terms(x) -> tuple[int, int]:
+    # Numerator and denominator of x, read straight off an int or a Fraction.
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num = x.numerator
+    if num == 0:
         raise ValueError("Hilbert symbols are defined on nonzero arguments only")
-    return x
+    return num, x.denominator
 
 
 def hilbert_real(a: Rational, b: Rational) -> int:
     """(a, b) at the real place: -1 iff both arguments are negative."""
-    a, b = _nonzero_fraction(a), _nonzero_fraction(b)
-    return -1 if a < 0 and b < 0 else 1
-
-
-def _legendre_of_unit(u: Fraction, p: int) -> int:
-    # u is a p-adic unit; (u|p) = (numerator * denominator | p).
-    return legendre_symbol(u.numerator * u.denominator % p, p)
+    a_num, _ = _nonzero_terms(a)
+    b_num, _ = _nonzero_terms(b)
+    return -1 if a_num < 0 and b_num < 0 else 1
 
 
 def _odd_parts(x: Rational, p: int) -> tuple[int, int]:
-    # (v_p(x), (u|p)) for x = p^v * u with u a p-adic unit.
-    d = padic_valuation(_nonzero_fraction(x), p)
-    return d.exponent, _legendre_of_unit(d.unit_part, p)
+    # (v_p(x), (u|p)) for x = p^v * u with u a p-adic unit; p is an odd prime
+    # validated by the caller.
+    m, num, den = _strip_prime(*_nonzero_terms(x), p)
+    return m, _euler_criterion(num * den, p)
 
 
 def _odd_pair_product(parts: Sequence[tuple[int, int]], p: int) -> int:
@@ -109,15 +115,10 @@ def hilbert_odd_from_parts(n: int, legendre_u: int, m: int, legendre_v: int, p: 
     return result
 
 
-def _unit_mod8(u: Fraction) -> int:
-    # u is a 2-adic unit: numerator and denominator both odd.
-    return u.numerator * pow(u.denominator, -1, 8) % 8
-
-
 def _dyadic_parts(x: Rational) -> tuple[int, int]:
     # (v_2(x), u mod 8) for x = 2^v * u with u a 2-adic unit.
-    d = padic_valuation(_nonzero_fraction(x), 2)
-    return d.exponent, _unit_mod8(d.unit_part)
+    m, num, den = _strip_prime(*_nonzero_terms(x), 2)
+    return m, num * den % 8
 
 
 def _dyadic_from_parts(x: tuple[int, int], y: tuple[int, int]) -> int:
@@ -188,14 +189,18 @@ def _same_square_class_locally(d1: int, d2: int, place: Place) -> bool:
     # d1, d2 are square-free nonzero integers.
     if place.kind == "real":
         return (d1 > 0) == (d2 > 0)
+    # The valuation parities are compared before the units, so a hand-built
+    # Place("odd_prime", 2) raises only when the parities agree.
     p = 2 if place.kind == "dyadic" else place.prime
-    v1 = padic_valuation(d1, p)
-    v2 = padic_valuation(d2, p)
-    if v1.exponent % 2 != v2.exponent % 2:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    m1, u1, _ = _strip_prime(d1, 1, p)
+    m2, u2, _ = _strip_prime(d2, 1, p)
+    if m1 % 2 != m2 % 2:
         return False
     if place.kind == "dyadic":
-        return _unit_mod8(v1.unit_part) == _unit_mod8(v2.unit_part)
-    return _legendre_of_unit(v1.unit_part, p) == _legendre_of_unit(v2.unit_part, p)
+        return u1 % 8 == u2 % 8
+    return legendre_symbol(u1, p) == legendre_symbol(u2, p)
 
 
 def locally_equivalent(q1, q2, place: Place) -> bool:

@@ -5,9 +5,12 @@ exhaustive small-index sweeps) and enforces its wall-clock budget; the
 printed line carries the measured time and the verifying detail.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from volcount.acceptance import CRITERIA, format_line, run_criterion
+from volcount.acceptance import CRITERIA, _random_nonzero_fraction, format_line, run_criterion
 
 _IDS = [f"{number}-{name}" for number, name, _, _ in CRITERIA]
 
@@ -18,3 +21,28 @@ def test_criterion(number):
     print(format_line(result))
     assert result.passed, format_line(result)
     assert result.seconds < result.budget_seconds
+
+
+def _three_fraction_draw(rng, prime=None):
+    # The gate's original input generator, kept as the oracle for its inputs.
+    numerator = rng.choice([n for n in range(-40, 41) if n])
+    value = Fraction(numerator, rng.randrange(1, 24))
+    if prime is not None:
+        value *= Fraction(prime) ** rng.randrange(-2, 3)
+    return value
+
+
+# Every prime argument the criteria pass: the Hilbert places, the product-
+# formula and oracle choices, and the p = 1 (mod 4) scaling list.
+_GATE_PRIMES = (None, 2, 3, 5, 7, 11, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
+
+
+@pytest.mark.parametrize("seed", (0, 1003, 1004, 2**31 - 1))
+def test_gate_inputs_match_the_three_fraction_oracle(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        for prime in _GATE_PRIMES:
+            value = _random_nonzero_fraction(new, prime)
+            assert type(value) is Fraction
+            assert value == _three_fraction_draw(old, prime)
+        assert new.getstate() == old.getstate()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from volcount import cli
+from volcount import assembler, cli
 from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -170,6 +170,13 @@ class TestAssemble:
         code, _, err = run(["assemble", str(path)], capsys)
         assert code == 2
 
+    def test_repeated_colored_vertex(self, capsys, tmp_path):
+        path = tmp_path / "repeat.graph"
+        path.write_text("2\n1 0\n0 1\n0 0\n")
+        code, out, err = run(["assemble", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "repeats" in err
+
 
 class TestCount:
     def test_golden_budget_30(self, capsys):
@@ -208,6 +215,21 @@ class TestCount:
         )
         assert code == 2
         assert "emission" in err
+
+    def test_index_cap_checked_before_counting(self, capsys, monkeypatch):
+        # count --v 8000 (k = 1600) once ran Hall's recursion for ~21 s
+        # before printing the count failed.
+        def no_count(k):
+            raise AssertionError(f"hall_count({k}) ran")
+
+        monkeypatch.setattr(assembler, "hall_count", no_count)
+        code, out, err = run(["count", "--v", "8000"], capsys)
+        assert code == 2 and out == ""
+        assert f"capped at index {assembler.MAX_COUNT_INDEX} (got 1600)" in err
+        budget = str(5 * (assembler.MAX_COUNT_INDEX + 1))
+        code, _, err = run(["count", "--v", budget], capsys)
+        assert code == 2
+        assert "capped" in err
 
     def test_json_error_document(self, capsys):
         code, out, _ = run(["count", "--v", "3", "--json"], capsys)

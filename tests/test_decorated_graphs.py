@@ -155,8 +155,11 @@ def _reference_decision(g1, g2):
 
 
 @st.composite
-def colored_graphs(draw, max_degree=6):
-    """A connected permutation pair with no, some, or all vertices colored."""
+def colored_graphs(draw, max_degree=6, connected=True):
+    """A permutation pair with no, some, or all vertices colored.
+
+    Connected unless connected=False is passed.
+    """
     n = draw(st.integers(min_value=1, max_value=max_degree))
     perm_a = draw(st.permutations(range(n)))
     perm_b = draw(st.permutations(range(n)))
@@ -168,7 +171,7 @@ def colored_graphs(draw, max_degree=6):
         )
     )
     graph = DecoratedGraph(n, perm_a, perm_b, colored)
-    assume(graph.is_connected())
+    assume(not connected or graph.is_connected())
     return graph
 
 
@@ -292,3 +295,22 @@ class TestSerialization:
             graph_from_text("2\n1 0\n")
         with pytest.raises(ValueError):
             graph_from_text("2\n1 x\n0 1\n\n")
+
+    @given(colored_graphs(max_degree=8, connected=False))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, graph):
+        assert graph_from_text(graph_to_text(graph)) == graph
+
+    def test_trailing_blank_lines_accepted(self):
+        assert graph_from_text("2\n1 0\n0 1\n0") == SWAP_A
+        assert graph_from_text("2\n1 0\n0 1\n0\n\n \n") == SWAP_A
+
+    def test_repeated_colored_vertex_rejected(self):
+        with pytest.raises(ValueError, match="repeats"):
+            graph_from_text("2\n1 0\n0 1\n0 0\n")
+
+    def test_extra_lines_rejected(self):
+        with pytest.raises(ValueError, match="more than four lines"):
+            graph_from_text("2\n1 0\n0 1\n0\n1\n")
+        with pytest.raises(ValueError, match="more than four lines"):
+            graph_from_text(graph_to_text(SWAP_A) + "\n" + graph_to_text(SWAP_B))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volcount.exact_arith import factor_int, padic_valuation
+from volcount.exact_arith import factor_int, legendre_symbol, padic_valuation
 from volcount.local_invariants import (
     DYADIC,
     REAL,
@@ -132,6 +132,85 @@ class TestHilbertProperties:
         assert hilbert_odd_p(a, b, p) == 1
 
 
+ODD_PLACES = tuple(odd_place(p) for p in (3, 5, 7, 11, 13))
+SYMBOL_PLACES = (REAL, DYADIC) + ODD_PLACES
+
+
+def reference_hilbert(a, b, place: Place) -> int:
+    """The module-docstring formulas on padic_valuation's decompositions.
+
+    Units are reduced through the inverse of their denominator, not through
+    numerator * denominator as the library does.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if place.kind == "real":
+        return -1 if a < 0 and b < 0 else 1
+    p = place.prime
+    da, db = padic_valuation(a, p), padic_valuation(b, p)
+    n, m = da.exponent, db.exponent
+
+    def residue(unit: Fraction, modulus: int) -> int:
+        return unit.numerator * pow(unit.denominator, -1, modulus) % modulus
+
+    if p == 2:
+        u, v = residue(da.unit_part, 8), residue(db.unit_part, 8)
+        eps = {w: (w - 1) // 2 % 2 for w in (1, 3, 5, 7)}
+        omega = {w: (w * w - 1) // 8 % 2 for w in (1, 3, 5, 7)}
+        exponent = eps[u] * eps[v] + n * omega[v] + m * omega[u]
+        return -1 if exponent % 2 else 1
+    minus_one = legendre_symbol(-1, p)
+    u = legendre_symbol(residue(da.unit_part, p), p)
+    v = legendre_symbol(residue(db.unit_part, p), p)
+    return minus_one ** (n * m % 2) * u ** (m % 2) * v ** (n % 2)
+
+
+@st.composite
+def scaled_rationals(draw, p: int):
+    """A nonzero int or Fraction, either sign, times p^e for e in [-2, 2]."""
+    base = draw(
+        st.one_of(
+            st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+            nonzero_fractions,
+        )
+    )
+    e = draw(st.integers(min_value=-2, max_value=2))
+    if isinstance(base, int) and e >= 0:
+        return base * p**e
+    return base * Fraction(p) ** e
+
+
+class TestHilbertAgainstReference:
+    @given(st.sampled_from(SYMBOL_PLACES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, place, data):
+        p = place.prime or 3  # the real place sees multiples of 3^e
+        a = data.draw(scaled_rationals(p))
+        b = data.draw(scaled_rationals(p))
+        assert hilbert(a, b, place) == reference_hilbert(a, b, place)
+
+    @given(st.sampled_from((DYADIC,) + ODD_PLACES), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hasse_witt_is_pairwise_product(self, place, data):
+        coefficients = data.draw(st.lists(scaled_rationals(place.prime), min_size=1, max_size=6))
+        pairwise = 1
+        for i in range(len(coefficients)):
+            for j in range(i + 1, len(coefficients)):
+                pairwise *= hilbert(coefficients[i], coefficients[j], place)
+        assert hasse_witt(coefficients, place) == pairwise
+
+    @pytest.mark.parametrize("place", SYMBOL_PLACES, ids=str)
+    @pytest.mark.parametrize("zero", (0, Fraction(0)))
+    def test_zero_rejected_everywhere(self, place, zero):
+        for a, b in ((zero, 3), (Fraction(-2, 7), zero)):
+            with pytest.raises(ValueError, match="nonzero"):
+                hilbert(a, b, place)
+
+    @pytest.mark.parametrize("p", (2, 9))
+    def test_odd_symbol_rejects_non_odd_prime(self, p):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            hilbert_odd_p(Fraction(3), 5, p)
+
+
 class TestHasseWitt:
     def test_frozen_family_values(self):
         q5 = (Fraction(5), 1, 1, 1, Fraction(-2))
@@ -196,3 +275,14 @@ class TestLocalEquivalence:
         scaled = (Fraction(12), Fraction(20))  # multiplied by 4
         for place in (REAL, DYADIC, odd_place(3), odd_place(5)):
             assert locally_equivalent(q, scaled, place)
+
+    def test_hand_built_place_checks_parity_before_the_prime(self):
+        # Discriminant classes 1 and 2 differ in 2-adic valuation parity, so
+        # an odd_prime place built around 2 answers False before the unit
+        # comparison would reject p = 2; classes 1 and 3 reach that check.
+        two = Place("odd_prime", 2)
+        assert not locally_equivalent([1], [2], two)
+        with pytest.raises(ValueError, match="p = 2 is not an odd prime"):
+            locally_equivalent([1], [3], two)
+        with pytest.raises(ValueError, match="9 is not prime"):
+            locally_equivalent([1], [2], Place("odd_prime", 9))
