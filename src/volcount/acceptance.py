@@ -286,7 +286,7 @@ def _criterion_counting_pipeline() -> str:
         written = emit_descriptors(emit_report.k, parcel, directory)
         files = sorted(Path(directory).glob("descriptor_*.json"))
         assert written == len(files) == 461
-        sample = descriptor_from_json(files[0].read_text())
+        sample = descriptor_from_json(files[0].read_text(), parcel)
         assert volume_bound(sample, parcel) == 25
     return "v=30: k=6, 3447 >= 216, all descriptors closed; v=25 emits 461 files"
 

@@ -54,7 +54,7 @@ from .form_families import (
     search_primes_anisotropic,
     search_primes_isotropic,
 )
-from .free_groups import Word, _inverse_permutation, enumerate_subgroups, hall_count
+from .free_groups import Word, enumerate_subgroups, hall_count
 
 VERTEX_KINDS = ("V0", "V1")
 EDGE_KINDS = ("A_minus", "A_plus", "B_minus", "B_plus")
@@ -221,14 +221,41 @@ def _vertex_kind(graph: DecoratedGraph, vertex: int) -> str:
 
 
 # Patterns are written and read for graphs of a handful of sizes at a time
-# (index <= 7 in the pipeline), so a few entries keep every id list hot.
+# (index <= 7 in the pipeline), so a few entries keep every row table hot.
 @lru_cache(maxsize=8)
-def _instance_ids(k: int) -> tuple[tuple[str, ...], ...]:
-    """Per-vertex ids of a k-vertex pattern: v{v}, vertex {v}, a{v}-, a{v}+, b{v}-, b{v}+."""
-    return tuple(
-        tuple(template % v for v in range(k))
-        for template in ("v%d", "vertex %d", "a%d-", "a%d+", "b%d-", "b%d+")
+def _pattern_rows(k: int):
+    """Every row a k-vertex pattern can hold, built once per k (see _gluing_pattern).
+
+    Returns (vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings):
+    vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
+    edge_rows[x][v][w] the minus and plus rows of the x-edge v -> w (x = 0
+    for a, 1 for b); out_gluings[x][v] and in_gluings[x][v][u] glue vertex
+    v's x-out slot and, for the x-edge u -> v, its x-in slot; edge_gluings
+    lists the minus-to-plus gluings of every edge.  The patterns hold these
+    rows themselves, so they are shared and read-only.
+    """
+    vertex_ids = ["v%d" % v for v in range(k)]
+    vertex_rows = tuple(
+        tuple([vertex_ids[v], kind, "vertex %d" % v] for v in range(k)) for kind in VERTEX_KINDS
     )
+    edge_rows, out_gluings, in_gluings, edge_gluings = [], [], [], []
+    for slot, x in ((0, "a"), (2, "b")):
+        minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
+        minus_kind, plus_kind = x.upper() + "_minus", x.upper() + "_plus"
+        rows = []
+        for v in range(k):
+            serves = ["%s-edge %d->%d" % (x, v, w) for w in range(k)]
+            rows.append(tuple(
+                ([minus[v], minus_kind, serves[w]], [plus[v], plus_kind, serves[w]])
+                for w in range(k)
+            ))
+        edge_rows.append(tuple(rows))
+        out_gluings.append(tuple([[vertex_ids[v], slot], [minus[v], 0]] for v in range(k)))
+        in_gluings.append(tuple(
+            tuple([[vertex_ids[v], slot + 1], [plus[u], 1]] for u in range(k)) for v in range(k)
+        ))
+        edge_gluings.extend([[minus[v], 1], [plus[v], 0]] for v in range(k))
+    return vertex_rows, edge_rows, out_gluings, in_gluings, tuple(edge_gluings)
 
 
 def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
@@ -243,31 +270,26 @@ def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
     likewise for b; then per edge, a-edges before b-edges, slot 1 of its
     minus block to slot 0 of its plus block.  An x-self-loop at v consumes
     both x-slots of v.
+
+    The rows in both lists are _pattern_rows' shared rows: read them, never
+    change them.
     """
     k = graph.vertex_count
-    vertex_ids, vertex_names, a_minus, a_plus, b_minus, b_plus = _instance_ids(k)
-    instances = [
-        [vertex_ids[v], _vertex_kind(graph, v), vertex_names[v]] for v in range(k)
-    ]
-    edges = (("a", graph.perm_a, a_minus, a_plus), ("b", graph.perm_b, b_minus, b_plus))
-    for letter, perm, minus, plus in edges:
-        kind = "A" if letter == "a" else "B"
-        for v in range(k):
-            serves = f"{letter}-edge {v}->{perm[v]}"
-            instances.append([minus[v], f"{kind}_minus", serves])
-            instances.append([plus[v], f"{kind}_plus", serves])
-
-    inverse_a = _inverse_permutation(graph.perm_a)
-    inverse_b = _inverse_permutation(graph.perm_b)
+    (plain, colored), (a_rows, b_rows), (a_out, b_out), (a_in, b_in), edge_gluings = _pattern_rows(k)
+    perm_a, perm_b = graph.perm_a, graph.perm_b
+    instances = [colored[v] if v in graph.colored else plain[v] for v in range(k)]
+    for v in range(k):
+        instances += a_rows[v][perm_a[v]]
+    for v in range(k):
+        instances += b_rows[v][perm_b[v]]
+    inverse_a, inverse_b = [0] * k, [0] * k
+    for v in range(k):
+        inverse_a[perm_a[v]] = v
+        inverse_b[perm_b[v]] = v
     gluings = []
     for v in range(k):
-        vertex = vertex_ids[v]
-        gluings.append([[vertex, 0], [a_minus[v], 0]])
-        gluings.append([[vertex, 1], [a_plus[inverse_a[v]], 1]])
-        gluings.append([[vertex, 2], [b_minus[v], 0]])
-        gluings.append([[vertex, 3], [b_plus[inverse_b[v]], 1]])
-    for _, _, minus, plus in edges:
-        gluings.extend([[minus[v], 1], [plus[v], 0]] for v in range(k))
+        gluings += (a_out[v], a_in[v][inverse_a[v]], b_out[v], b_in[v][inverse_b[v]])
+    gluings += edge_gluings
     return instances, gluings
 
 
@@ -519,7 +541,7 @@ _DOCUMENT_KEYS = {"gluings", "graph", "instances", "parcel_id", "volume_bound"}
 _GRAPH_KEYS = {"colored", "perm_a", "perm_b", "vertices"}
 
 
-def descriptor_from_json(text: str) -> ManifoldDescriptor:
+def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDescriptor:
     """Read a descriptor document back.
 
     Raises ValueError, and only ValueError, unless the document is one that
@@ -527,7 +549,9 @@ def descriptor_from_json(text: str) -> ManifoldDescriptor:
     keys and value types, integer graph entries, colored vertices listed
     once each in increasing order, a positive volume_bound in lowest terms,
     and the instances and gluings its graph derives.  So writing the result
-    reproduces the document up to layout.
+    reproduces the document up to layout.  Given the parcel the document
+    was assembled from, it must also name that parcel and carry the volume
+    the parcel's blocks give its graph.
     """
     try:
         document = json.loads(text)
@@ -555,6 +579,11 @@ def descriptor_from_json(text: str) -> ManifoldDescriptor:
         raise ValueError("document instances differ from those its graph derives")
     if document["gluings"] != gluings:
         raise ValueError("document gluings differ from those its graph derives")
+    if parcel is not None:
+        if parcel_id != parcel.parcel_id:
+            raise ValueError(f"document names parcel {parcel_id!r}, not {parcel.parcel_id!r}")
+        if volume != _total_volume(graph, parcel):
+            raise ValueError(f"volume_bound {volume_text!r} is not the volume the parcel gives")
     return ManifoldDescriptor(source_graph=graph, parcel_id=parcel_id, volume_bound=volume)
 
 

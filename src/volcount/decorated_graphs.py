@@ -5,11 +5,18 @@ together with the set of colored vertices.  Schreier graphs of finite-index
 subgroups are the motivating source; the extra coloring is what obstructs
 common covers.
 
-Isomorphism uses the anchored-map procedure: once an image is chosen for one
-vertex, the label-respecting extension is forced, as in a deterministic
-automaton.  Covering maps in the permutation encoding are color-preserving
-vertex maps commuting with both permutations; local bijectivity on edge
-stars is automatic.  The common-cover decision looks for a color-consistent
+Isomorphism is equality of canonical keys.  Once an image is chosen for one
+vertex, a label-respecting isomorphism is forced, as in a deterministic
+automaton, so breadth-first relabeling from an anchor vertex encodes a
+component up to isomorphisms fixing the anchor.  A component's key is the
+least such encoding over the anchors of its smaller non-empty color class
+(the colored class on a tie), an invariant because isomorphisms preserve
+colors; a graph's key is the sorted tuple of its components' keys, computed
+once per graph.
+
+Covering maps in the permutation encoding are color-preserving vertex maps
+commuting with both permutations; local bijectivity on edge stars is
+automatic.  The common-cover decision looks for a color-consistent
 connected component of the fiber product, which is decisive: any common
 decorated cover maps onto such a component, and conversely a consistent
 component is itself a common decorated cover.
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .free_groups import SubgroupTable, _bfs, _bfs_relabel, _validate_permutations, step_tables
+from .free_groups import SubgroupTable, _bfs, _relabel, _validate_permutations, step_tables
 
 
 @dataclass(frozen=True)
@@ -50,22 +57,37 @@ class DecoratedGraph:
         _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
         if not self.colored <= set(range(self.vertex_count)):
             raise ValueError("colored vertices must be vertices")
+        object.__setattr__(self, "_canonical_key", None)
 
     def steps(self):
         return step_tables(self.perm_a, self.perm_b)
 
     def components(self) -> list[tuple[int, ...]]:
-        steps = self.steps()
-        remaining = set(range(self.vertex_count))
-        out = []
-        while remaining:
-            orbit = _bfs(steps, min(remaining))[0]
-            out.append(tuple(sorted(orbit)))
-            remaining.difference_update(orbit)
-        return out
+        return [tuple(sorted(order)) for order, _ in _orbits(self.steps(), self.vertex_count)]
 
     def is_connected(self) -> bool:
         return _is_connected(self.steps(), self.vertex_count)
+
+    def canonical_key(self) -> tuple:
+        """Equal for two graphs exactly when they are isomorphic (module docstring)."""
+        key = self._canonical_key
+        if key is None:
+            steps = self.steps()
+            key = tuple(sorted(
+                _component_key(self, steps, order, label)
+                for order, label in _orbits(steps, self.vertex_count)
+            ))
+            object.__setattr__(self, "_canonical_key", key)
+        return key
+
+
+def _orbits(steps, vertex_count: int):
+    """_bfs of each component in turn, from its least vertex."""
+    remaining = set(range(vertex_count))
+    while remaining:
+        order, label = _bfs(steps, min(remaining))
+        remaining.difference_update(order)
+        yield order, label
 
 
 def _is_connected(steps, vertex_count: int) -> bool:
@@ -77,41 +99,30 @@ def from_subgroup(table: SubgroupTable, colored: Iterable[int]) -> DecoratedGrap
     return DecoratedGraph(table.degree, table.perm_a, table.perm_b, frozenset(colored))
 
 
-def _anchored_encoding(graph: DecoratedGraph, start: int):
-    # Breadth-first relabeling of start's component; the encoding determines
-    # the component up to the unique label-respecting isomorphism fixing the
-    # anchor.
-    order, perm_a, perm_b = _bfs_relabel(graph.perm_a, graph.perm_b, start)
-    colored = tuple(label for label, v in enumerate(order) if v in graph.colored)
+def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int, int]):
+    # The component found by _bfs from its anchor order[0], relabeled by
+    # discovery order; it determines the component up to the unique
+    # label-respecting isomorphism fixing the anchor.
+    perm_a, perm_b = _relabel(graph.perm_a, graph.perm_b, order, label)
+    colored = tuple([new for new, v in enumerate(order) if v in graph.colored])
     return (len(order), perm_a, perm_b, colored)
 
 
+def _component_key(graph: DecoratedGraph, steps, order: list[int], label: dict[int, int]):
+    """Least anchored encoding over the smaller non-empty color class of a component."""
+    colored = [v for v in order if v in graph.colored]
+    plain = [v for v in order if v not in graph.colored]
+    anchors = min(colored, plain, key=len) if colored and plain else colored or plain
+    return min(
+        _anchored_encoding(graph, order, label) if v == order[0]
+        else _anchored_encoding(graph, *_bfs(steps, v))
+        for v in anchors
+    )
+
+
 def is_isomorphic(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
-    """Label- and color-preserving isomorphism of decorated graphs.
-
-    Connected case: anchor vertex 0 of g1 and try each same-colored vertex of
-    g2 as its image; the extension is unique, so equality of the two anchored
-    encodings decides.  Disconnected graphs are compared component-by-
-    component via canonical (minimal) anchored encodings.
-    """
-    if g1.vertex_count != g2.vertex_count:
-        return False
-    if g1.is_connected() and g2.is_connected():
-        target = _anchored_encoding(g1, 0)
-        anchor_colored = 0 in g1.colored
-        for v in range(g2.vertex_count):
-            if (v in g2.colored) != anchor_colored:
-                continue
-            if _anchored_encoding(g2, v) == target:
-                return True
-        return False
-    certificate1 = sorted(_component_certificate(g1, comp) for comp in g1.components())
-    certificate2 = sorted(_component_certificate(g2, comp) for comp in g2.components())
-    return certificate1 == certificate2
-
-
-def _component_certificate(graph: DecoratedGraph, component: tuple[int, ...]):
-    return min(_anchored_encoding(graph, v) for v in component)
+    """Label- and color-preserving isomorphism: equality of canonical keys."""
+    return g1.canonical_key() == g2.canonical_key()
 
 
 def check_cover(cover: DecoratedGraph, base: DecoratedGraph, vertex_map: Sequence[int]) -> bool:

@@ -71,18 +71,18 @@ def _bfs(steps, start: int) -> tuple[list[int], dict[int, int]]:
     return order, label
 
 
-def _bfs_relabel(
-    perm_a: tuple[int, ...], perm_b: tuple[int, ...], start: int = BASEPOINT
-) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
-    """The orbit of `start` relabeled by breadth-first discovery order.
+def _relabel(
+    perm_a: tuple[int, ...], perm_b: tuple[int, ...], order: list[int], label: dict[int, int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation pair restricted to an orbit, relabeled by discovery order.
 
-    Returns the discovery order (new label -> old label) and the permutation
-    pair restricted to the orbit, in the new labels.
+    order and label are a _bfs result.  When the relabeling is the identity
+    the given tuples themselves are returned, so a key built from them
+    shares their storage.
     """
-    order, label = _bfs(step_tables(perm_a, perm_b), start)
-    new_a = tuple(label[perm_a[v]] for v in order)
-    new_b = tuple(label[perm_b[v]] for v in order)
-    return order, new_a, new_b
+    if order == list(range(len(perm_a))):
+        return perm_a, perm_b
+    return tuple([label[perm_a[v]] for v in order]), tuple([label[perm_b[v]] for v in order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +94,21 @@ class SubgroupTable:
     perm_b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm_a", tuple(self.perm_a))
-        object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        _validate_permutations(self.degree, self.perm_a, self.perm_b)
-        orbit, _ = _bfs(step_tables(self.perm_a, self.perm_b), BASEPOINT)
+        if type(self.perm_a) is not tuple:
+            object.__setattr__(self, "perm_a", tuple(self.perm_a))
+        if type(self.perm_b) is not tuple:
+            object.__setattr__(self, "perm_b", tuple(self.perm_b))
+        perm_a, perm_b = self.perm_a, self.perm_b
+        _validate_permutations(self.degree, perm_a, perm_b)
+        # a and b generate a finite group, so the orbit of the basepoint
+        # under the forward steps alone is already its whole orbit.
+        reached = {BASEPOINT}
+        orbit = [BASEPOINT]
+        for v in orbit:
+            for image in (perm_a[v], perm_b[v]):
+                if image not in reached:
+                    reached.add(image)
+                    orbit.append(image)
         if len(orbit) != self.degree:
             raise ValueError("the permutation pair does not act transitively")
         object.__setattr__(self, "_canonical_key", None)
@@ -109,8 +120,8 @@ class SubgroupTable:
     def canonical_key(self) -> tuple:
         key = self._canonical_key
         if key is None:
-            _, new_a, new_b = _bfs_relabel(self.perm_a, self.perm_b)
-            key = (self.degree, new_a, new_b)
+            order, label = _bfs(step_tables(self.perm_a, self.perm_b), BASEPOINT)
+            key = (self.degree, *_relabel(self.perm_a, self.perm_b, order, label))
             object.__setattr__(self, "_canonical_key", key)
         return key
 
@@ -221,9 +232,12 @@ class Word:
 
 def trace_vertex(table: SubgroupTable, word: Word, start: int | None = None) -> int:
     """Endpoint of the path reading `word` from `start` (default: basepoint)."""
-    steps = step_tables(table.perm_a, table.perm_b)
     v = table.basepoint if start is None else start
-    for letter in word.letters:
+    return _trace(step_tables(table.perm_a, table.perm_b), v, word.letters)
+
+
+def _trace(steps, v: int, letters) -> int:
+    for letter in letters:
         v = steps[letter][v]
     return v
 
@@ -260,7 +274,9 @@ def distinguishing_word(h1: SubgroupTable, h2: SubgroupTable) -> Word | None:
                     cursor, step = parents[cursor]
                     letters.append(step)
                 word = Word(tuple(reversed(letters)))
-                if word_membership(h1, word) == word_membership(h2, word):
+                in_h1 = _trace(steps1, h1.basepoint, word.letters) == h1.basepoint
+                in_h2 = _trace(steps2, h2.basepoint, word.letters) == h2.basepoint
+                if in_h1 == in_h2:
                     raise RuntimeError(f"separator {word} failed its membership check")
                 return word
             queue.append(image)

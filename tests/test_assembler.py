@@ -280,6 +280,30 @@ class TestSerialization:
             assert volume_bound(descriptor, parcel) == 10
 
 
+class TestParcelAwareRead:
+    def test_edited_volume_is_refused_with_the_parcel(self, parcel):
+        document = _document(LOOP, parcel)
+        assert document["volume_bound"] == "5"
+        document["volume_bound"] = "7/3"
+        text = json.dumps(document)
+        with pytest.raises(ValueError, match="volume_bound '7/3'"):
+            descriptor_from_json(text, parcel)
+        assert descriptor_from_json(text).volume_bound == Fraction(7, 3)
+
+    def test_foreign_parcel_is_refused(self, parcel, compact_parcel):
+        text = descriptor_to_json(assemble(TWO, compact_parcel))
+        with pytest.raises(ValueError, match="names parcel 'anisotropic-n4'"):
+            descriptor_from_json(text, parcel)
+        assert descriptor_from_json(text, compact_parcel) == assemble(TWO, compact_parcel)
+
+    def test_priced_parcel_reads_its_own_documents(self, parcel):
+        priced = with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1])
+        text = descriptor_to_json(assemble(TWO, priced))
+        assert descriptor_from_json(text, priced).volume_bound == Fraction(34, 3)
+        with pytest.raises(ValueError):
+            descriptor_from_json(text, parcel)
+
+
 def _dumps_document(descriptor):
     """The document as json.dumps writes it: the oracle for the fixed writer."""
     graph = descriptor.source_graph

@@ -14,7 +14,7 @@ from volcount.decorated_graphs import (
     has_common_decorated_cover,
     is_isomorphic,
 )
-from volcount.free_groups import enumerate_subgroups
+from volcount.free_groups import _bfs, enumerate_subgroups, step_tables
 
 # Small fixed graphs used throughout: the three 2-vertex Schreier graphs.
 SWAP_A = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
@@ -82,6 +82,145 @@ class TestIsomorphism:
 
     def test_vertex_count_mismatch(self):
         assert not is_isomorphic(SWAP_A, LOOP)
+
+
+def _anchored_encoding(graph, start):
+    order, label = _bfs(step_tables(graph.perm_a, graph.perm_b), start)
+    perm_a = tuple(label[graph.perm_a[v]] for v in order)
+    perm_b = tuple(label[graph.perm_b[v]] for v in order)
+    colored = tuple(new for new, v in enumerate(order) if v in graph.colored)
+    return (len(order), perm_a, perm_b, colored)
+
+
+def _vertex_sets_of_components(graph):
+    steps = step_tables(graph.perm_a, graph.perm_b)
+    return {frozenset(_bfs(steps, v)[0]) for v in range(graph.vertex_count)}
+
+
+def anchored_map_isomorphic(g1, g2):
+    """The anchored-map isomorphism search: the oracle for canonical keys.
+
+    Connected case: anchor vertex 0 of g1 and try each same-colored vertex of
+    g2 as its image; the extension is unique, so equality of the two anchored
+    encodings decides.  Otherwise the sorted lists of per-component least
+    encodings, over every vertex of the component, are compared.
+    """
+    if g1.vertex_count != g2.vertex_count:
+        return False
+    components1, components2 = _vertex_sets_of_components(g1), _vertex_sets_of_components(g2)
+    if len(components1) == len(components2) == 1:
+        target = _anchored_encoding(g1, 0)
+        return any(
+            (v in g2.colored) == (0 in g1.colored) and _anchored_encoding(g2, v) == target
+            for v in range(g2.vertex_count)
+        )
+
+    def certificate(graph, components):
+        return sorted(min(_anchored_encoding(graph, v) for v in c) for c in components)
+
+    return certificate(g1, components1) == certificate(g2, components2)
+
+
+@st.composite
+def any_graphs(draw, n):
+    """An n-vertex graph with an empty, partial or full coloring.
+
+    In about half the draws the vertices split into two blocks, 0..cut-1 and
+    cut..n-1, that no edge joins, so the graph is disconnected.
+    """
+    cut = draw(st.integers(min_value=1, max_value=n - 1)) if n > 1 and draw(st.booleans()) else 0
+
+    def permutation():
+        return tuple(draw(st.permutations(range(cut)))) + tuple(draw(st.permutations(range(cut, n))))
+
+    perm_a, perm_b = permutation(), permutation()
+    coloring = draw(st.sampled_from(("empty", "partial", "full")))
+    if coloring == "partial":
+        colored = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=max(1, n - 1)))
+    else:
+        colored = frozenset(range(n) if coloring == "full" else ())
+    return DecoratedGraph(n, perm_a, perm_b, colored)
+
+
+@st.composite
+def isomorphism_pairs(draw):
+    """A graph of degree 1-7 and a second graph of its size.
+
+    Two pairs in three pair it with a relabeled copy, half of those with one
+    vertex's color flipped; the rest with an independent graph.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    g1 = draw(any_graphs(n))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        return g1, draw(any_graphs(n))
+    g2 = relabeled(g1, tuple(draw(st.permutations(range(n)))))
+    if draw(st.booleans()):
+        flipped = draw(st.integers(min_value=0, max_value=n - 1))
+        g2 = DecoratedGraph(n, g2.perm_a, g2.perm_b, g2.colored ^ {flipped})
+    return g1, g2
+
+
+def relabeling_classes(n):
+    """Every n-vertex decorated graph, grouped into its classes under relabeling."""
+    classes = {}
+    for perm_a in permutations(range(n)):
+        for perm_b in permutations(range(n)):
+            for mask in range(2**n):
+                graph = DecoratedGraph(n, perm_a, perm_b, {v for v in range(n) if mask >> v & 1})
+                orbit = frozenset(
+                    (g.perm_a, g.perm_b, g.colored)
+                    for g in (relabeled(graph, r) for r in permutations(range(n)))
+                )
+                classes.setdefault(orbit, []).append(graph)
+    return list(classes.values())
+
+
+class TestCanonicalKey:
+    @given(isomorphism_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_anchored_map_oracle(self, pair):
+        g1, g2 = pair
+        assert (g1.canonical_key() == g2.canonical_key()) == anchored_map_isomorphic(g1, g2)
+        assert is_isomorphic(g1, g2) == anchored_map_isomorphic(g1, g2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_key_per_relabeling_class(self, n):
+        classes = relabeling_classes(n)
+        keys = [{graph.canonical_key() for graph in graphs} for graphs in classes]
+        assert all(len(class_keys) == 1 for class_keys in keys)
+        assert len(set().union(*keys)) == len(classes)
+
+    def test_tie_anchors_on_the_colored_class(self):
+        # One colored and one plain vertex: the key is anchored at vertex 0.
+        assert SWAP_A.canonical_key() == ((2, (1, 0), (0, 1), (0,)),)
+        assert relabeled(SWAP_A, (1, 0)).canonical_key() == SWAP_A.canonical_key()
+        # A 4-cycle under a, colored at 0 and 1.  Discovery from 0 runs
+        # 0, 1, 3, 2 and from 1 runs 1, 2, 0, 3, so the colored labels are
+        # (0, 1) and (0, 2); from a plain anchor label 0 is never colored.
+        cycle = DecoratedGraph(4, (1, 2, 3, 0), (0, 1, 2, 3), frozenset({0, 1}))
+        assert cycle.canonical_key() == ((4, (1, 3, 0, 2), (0, 1, 2, 3), (0, 1)),)
+
+    def test_basepoint_colored_schreier_graphs_share_the_table(self):
+        for k in range(1, 6):
+            for table in enumerate_subgroups(k):
+                graph = from_subgroup(table, frozenset({0}))
+                ((size, perm_a, perm_b, colored),) = graph.canonical_key()
+                assert (size, perm_a, perm_b, colored) == (k, table.perm_a, table.perm_b, (0,))
+                assert perm_a is graph.perm_a and perm_b is graph.perm_b
+
+    def test_component_order_does_not_matter(self):
+        # LOOP's one-vertex component next to a colored SWAP_B, either way round.
+        loop_first = DecoratedGraph(3, (0, 1, 2), (0, 2, 1), frozenset({0, 1}))
+        loop_last = relabeled(loop_first, (2, 0, 1))
+        assert loop_first.components() == [(0,), (1, 2)]
+        assert loop_last.components() == [(0, 1), (2,)]
+        assert loop_first.canonical_key() == loop_last.canonical_key()
+        assert len(loop_first.canonical_key()) == 2
+
+    def test_computed_once(self):
+        graph = DecoratedGraph(3, (1, 2, 0), (0, 2, 1), frozenset({1}))
+        assert graph.canonical_key() is graph.canonical_key()
+        assert graph == DecoratedGraph(3, (1, 2, 0), (0, 2, 1), frozenset({1}))
 
 
 class TestCovers:

@@ -3,6 +3,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from volcount import free_groups
 from volcount.free_groups import (
     MAX_INDEX,
     SubgroupTable,
@@ -10,6 +11,8 @@ from volcount.free_groups import (
     distinguishing_word,
     enumerate_subgroups,
     hall_count,
+    _bfs,
+    step_tables,
     trace_vertex,
     word_membership,
 )
@@ -88,6 +91,29 @@ class TestSubgroupTable:
         with pytest.raises(ValueError):
             SubgroupTable(2, (0, 1), (0, 1)).canonical_key()
 
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_transitive_pairs(self, pair):
+        perm_a, perm_b = pair
+        n = len(perm_a)
+        orbit, _ = _bfs(step_tables(tuple(perm_a), tuple(perm_b)), 0)
+        if len(orbit) == n:
+            table = SubgroupTable(n, perm_a, perm_b)
+            assert (table.perm_a, table.perm_b) == (tuple(perm_a), tuple(perm_b))
+        else:
+            with pytest.raises(ValueError, match="does not act transitively"):
+                SubgroupTable(n, perm_a, perm_b)
+
+    def test_tuples_are_kept_as_given(self):
+        perm_a, perm_b = (1, 2, 0), (0, 2, 1)
+        table = SubgroupTable(3, perm_a, perm_b)
+        assert table.perm_a is perm_a and table.perm_b is perm_b
+        assert SubgroupTable(3, [1, 2, 0], [0, 2, 1]).perm_a == perm_a
+
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             SubgroupTable(0, (), ())
@@ -151,6 +177,13 @@ class TestDistinguishingWords:
                         assert word_membership(tables[i], w) == word_membership(
                             tables[j], w
                         )
+
+    def test_failed_membership_check_raises(self, monkeypatch):
+        # A trace that never leaves the basepoint puts every word in both.
+        monkeypatch.setattr(free_groups, "_trace", lambda steps, v, letters: v)
+        tables = enumerate_subgroups(2)
+        with pytest.raises(RuntimeError, match="failed its membership check"):
+            distinguishing_word(tables[0], tables[1])
 
     @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
     @settings(max_examples=40, deadline=None)
