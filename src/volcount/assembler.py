@@ -220,42 +220,73 @@ def _vertex_kind(graph: DecoratedGraph, vertex: int) -> str:
     return "V1" if vertex in graph.colored else "V0"
 
 
+class _VertexRows(dict):
+    """Rows of one vertex keyed by a second, each made by make(vertex, second) on first use."""
+
+    __slots__ = ("make", "vertex")
+
+    def __init__(self, make, vertex):
+        super().__init__()
+        self.make, self.vertex = make, vertex
+
+    def __missing__(self, second):
+        row = self[second] = self.make(self.vertex, second)
+        return row
+
+
+def _letter_rows(vertex_ids: list[str], slot: int, x: str):
+    """The x-edge rows of _pattern_rows, whose out slot at each vertex is `slot`."""
+    k = len(vertex_ids)
+    minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
+    minus_kind, plus_kind = x.upper() + "_minus", x.upper() + "_plus"
+    in_ends = [[vertex_ids[v], slot + 1] for v in range(k)]
+    plus_ends = [[plus[u], 1] for u in range(k)]
+
+    def edge_rows(v, w):
+        serves = "%s-edge %d->%d" % (x, v, w)
+        return [minus[v], minus_kind, serves], [plus[v], plus_kind, serves]
+
+    def in_gluing(v, u):
+        return [in_ends[v], plus_ends[u]]
+
+    return (
+        tuple(_VertexRows(edge_rows, v) for v in range(k)),
+        tuple([[vertex_ids[v], slot], [minus[v], 0]] for v in range(k)),
+        tuple(_VertexRows(in_gluing, v) for v in range(k)),
+        tuple([[minus[v], 1], [plus[v], 0]] for v in range(k)),
+    )
+
+
 # Patterns are written and read for graphs of a handful of sizes at a time
 # (index <= 7 in the pipeline), so a few entries keep every row table hot.
+# A table holds up to k rows per vertex, so only sizes up to _CACHED_SIZE
+# are kept; a larger graph, which only a single graph file or document
+# brings, builds its table for the one pattern.
+_CACHED_SIZE = 16
+
+
 @lru_cache(maxsize=8)
 def _pattern_rows(k: int):
-    """Every row a k-vertex pattern can hold, built once per k (see _gluing_pattern).
+    """The rows of k-vertex patterns, kept per k (see _gluing_pattern).
 
     Returns (vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings):
     vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
     edge_rows[x][v][w] the minus and plus rows of the x-edge v -> w (x = 0
     for a, 1 for b); out_gluings[x][v] and in_gluings[x][v][u] glue vertex
     v's x-out slot and, for the x-edge u -> v, its x-in slot; edge_gluings
-    lists the minus-to-plus gluings of every edge.  The patterns hold these
-    rows themselves, so they are shared and read-only.
+    lists the minus-to-plus gluings of every edge.  Rows of one vertex are
+    built at once, rows of an edge when a pattern first has it
+    (_VertexRows).  The patterns hold these rows themselves, so they are
+    shared and read-only.
     """
     vertex_ids = ["v%d" % v for v in range(k)]
     vertex_rows = tuple(
         tuple([vertex_ids[v], kind, "vertex %d" % v] for v in range(k)) for kind in VERTEX_KINDS
     )
-    edge_rows, out_gluings, in_gluings, edge_gluings = [], [], [], []
-    for slot, x in ((0, "a"), (2, "b")):
-        minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
-        minus_kind, plus_kind = x.upper() + "_minus", x.upper() + "_plus"
-        rows = []
-        for v in range(k):
-            serves = ["%s-edge %d->%d" % (x, v, w) for w in range(k)]
-            rows.append(tuple(
-                ([minus[v], minus_kind, serves[w]], [plus[v], plus_kind, serves[w]])
-                for w in range(k)
-            ))
-        edge_rows.append(tuple(rows))
-        out_gluings.append(tuple([[vertex_ids[v], slot], [minus[v], 0]] for v in range(k)))
-        in_gluings.append(tuple(
-            tuple([[vertex_ids[v], slot + 1], [plus[u], 1]] for u in range(k)) for v in range(k)
-        ))
-        edge_gluings.extend([[minus[v], 1], [plus[v], 0]] for v in range(k))
-    return vertex_rows, edge_rows, out_gluings, in_gluings, tuple(edge_gluings)
+    edge_rows, out_gluings, in_gluings, (a_gluings, b_gluings) = zip(
+        _letter_rows(vertex_ids, 0, "a"), _letter_rows(vertex_ids, 2, "b")
+    )
+    return vertex_rows, edge_rows, out_gluings, in_gluings, a_gluings + b_gluings
 
 
 def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
@@ -275,7 +306,8 @@ def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
     change them.
     """
     k = graph.vertex_count
-    (plain, colored), (a_rows, b_rows), (a_out, b_out), (a_in, b_in), edge_gluings = _pattern_rows(k)
+    rows = _pattern_rows(k) if k <= _CACHED_SIZE else _pattern_rows.__wrapped__(k)
+    (plain, colored), (a_rows, b_rows), (a_out, b_out), (a_in, b_in), edge_gluings = rows
     perm_a, perm_b = graph.perm_a, graph.perm_b
     instances = [colored[v] if v in graph.colored else plain[v] for v in range(k)]
     for v in range(k):

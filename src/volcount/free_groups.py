@@ -94,21 +94,12 @@ class SubgroupTable:
     perm_b: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.perm_a) is not tuple:
-            object.__setattr__(self, "perm_a", tuple(self.perm_a))
-        if type(self.perm_b) is not tuple:
-            object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        perm_a, perm_b = self.perm_a, self.perm_b
-        _validate_permutations(self.degree, perm_a, perm_b)
+        object.__setattr__(self, "perm_a", tuple(self.perm_a))
+        object.__setattr__(self, "perm_b", tuple(self.perm_b))
+        _validate_permutations(self.degree, self.perm_a, self.perm_b)
         # a and b generate a finite group, so the orbit of the basepoint
         # under the forward steps alone is already its whole orbit.
-        reached = {BASEPOINT}
-        orbit = [BASEPOINT]
-        for v in orbit:
-            for image in (perm_a[v], perm_b[v]):
-                if image not in reached:
-                    reached.add(image)
-                    orbit.append(image)
+        orbit, _ = _bfs((self.perm_a, self.perm_b), BASEPOINT)
         if len(orbit) != self.degree:
             raise ValueError("the permutation pair does not act transitively")
         object.__setattr__(self, "_canonical_key", None)

@@ -12,6 +12,7 @@ from volcount.assembler import (
     Parcel,
     _check_closed,
     _gluing_pattern,
+    _pattern_rows,
     _total_volume,
     assemble,
     commensurability_verdict,
@@ -369,6 +370,18 @@ class TestGluingPattern:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_documented_pattern(self, graph):
         assert _gluing_pattern(graph) == _pattern_as_documented(graph)
+
+
+class TestPatternRows:
+    def test_large_graph_round_trip(self, parcel):
+        k = 3000
+        cycle, spread = [(v + 1) % k for v in range(k)], [(v * 7) % k for v in range(k)]
+        graph = DecoratedGraph(k, cycle, spread, {0, 5})
+        cached = _pattern_rows.cache_info()
+        descriptor = assemble(graph, parcel)
+        assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
+        assert _gluing_pattern(graph) == _pattern_as_documented(graph)
+        assert _pattern_rows.cache_info() == cached
 
 
 class TestWriter:

@@ -108,12 +108,6 @@ class TestSubgroupTable:
             with pytest.raises(ValueError, match="does not act transitively"):
                 SubgroupTable(n, perm_a, perm_b)
 
-    def test_tuples_are_kept_as_given(self):
-        perm_a, perm_b = (1, 2, 0), (0, 2, 1)
-        table = SubgroupTable(3, perm_a, perm_b)
-        assert table.perm_a is perm_a and table.perm_b is perm_b
-        assert SubgroupTable(3, [1, 2, 0], [0, 2, 1]).perm_a == perm_a
-
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             SubgroupTable(0, (), ())
