@@ -13,9 +13,9 @@ selftest   run all release criteria
 Default output is a human table; --json switches to the structured document
 {"status": ..., "payload": ...}.  Identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure (a failed release
-check or internal self-check), 2 usage error, 141
-(128 + SIGPIPE) when the reader closes stdout early, as in `volcount ... |
-head`; that case prints no traceback.
+check or internal self-check) or internal error, 2 usage error (bad
+arguments or input), 141 (128 + SIGPIPE) when the reader closes stdout
+early, as in `volcount ... | head`; that case prints no traceback.
 """
 
 from __future__ import annotations
@@ -67,14 +67,22 @@ class VerificationFailure(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from error
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from error
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+# The form families q_a and r_a are defined for n >= 3.
+_dimension = _int_at_least(3)
 
 
 def _fraction(text: str) -> Fraction:
@@ -99,7 +107,7 @@ def _parser() -> argparse.ArgumentParser:
 
     forms = verbs.add_parser("forms", help="certificate matrix for a form family")
     forms.add_argument("family", choices=("isotropic", "anisotropic"))
-    forms.add_argument("--n", type=_positive_int, default=4, help="dimension (rank n+1)")
+    forms.add_argument("--n", type=_dimension, default=4, help="dimension (rank n+1)")
     forms.add_argument("--count", type=_positive_int, default=6)
     forms.add_argument("--json", action="store_true")
 
@@ -114,13 +122,13 @@ def _parser() -> argparse.ArgumentParser:
 
     assemble_cmd = verbs.add_parser("assemble", help="descriptor for a graph file")
     assemble_cmd.add_argument("graph", nargs="?", default="-", help="graph text file, - for stdin")
-    assemble_cmd.add_argument("--n", type=_positive_int, default=4)
+    assemble_cmd.add_argument("--n", type=_dimension, default=4)
     assemble_cmd.add_argument("--compact", action="store_true")
     assemble_cmd.add_argument("--json", action="store_true")
 
     count = verbs.add_parser("count", help="volume-budget descriptor count")
     count.add_argument("--v", type=_fraction, required=True, help="volume budget (rational)")
-    count.add_argument("--n", type=_positive_int, default=4)
+    count.add_argument("--n", type=_dimension, default=4)
     count.add_argument("--compact", action="store_true")
     count.add_argument("--emit-descriptors", metavar="DIR", default=None)
     count.add_argument("--json", action="store_true")
@@ -415,18 +423,20 @@ def _run(argv) -> int:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:
         payload, lines = _HANDLERS[args.verb](args)
-    except (UsageError, ValueError) as error:
+    except UsageError as error:
         if args.json:
             _emit("error", {"error": str(error)}, [], True)
         else:
             print(f"usage error: {error}", file=sys.stderr)
         return USAGE_ERROR
-    except (VerificationFailure, RuntimeError) as error:
-        # A RuntimeError is a failed internal self-check.
+    except (VerificationFailure, RuntimeError, ValueError) as error:
+        # A RuntimeError is a failed internal self-check.  Bad arguments and
+        # input become UsageError, so a ValueError here is an internal error.
         if args.json:
             _emit("error", {"error": str(error)}, [], True)
         else:
-            print(f"verification failure: {error}", file=sys.stderr)
+            kind = "internal error" if isinstance(error, ValueError) else "verification failure"
+            print(f"{kind}: {error}", file=sys.stderr)
         return VERIFICATION_FAILURE
     _emit("ok", payload, lines, args.json)
     return 0

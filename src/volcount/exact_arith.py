@@ -1,10 +1,10 @@
 """Exact arithmetic over Q and Q(sqrt(2)).
 
 Deterministic primality, Legendre symbols, Tonelli-Shanks modular square
-roots, integer factorization, p-adic valuations, and residue embeddings of
-Q(sqrt(2)) at rational primes where 2 is a quadratic residue.  Everything is
-arbitrary-precision integer or fraction arithmetic; no floating point is used
-anywhere in this package.
+roots, integer factorization, p-adic valuations, and valuations with unit
+residues in Q(sqrt(2)) at rational primes where 2 is a quadratic residue.
+Everything is arbitrary-precision integer or fraction arithmetic; no
+floating point is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -431,28 +431,6 @@ class QSqrt2:
 SQRT2 = QSqrt2.of(0, 1)
 
 
-def embed_sqrt2_mod_p(x: QSqrt2, p: int, root: int) -> int:
-    """Residue of x in F_p under the embedding sending sqrt(2) to root.
-
-    root must satisfy root^2 = 2 (mod p); the two choices give the two
-    embeddings of Q(sqrt(2)) into the p-adics.  Rejects x whose denominators
-    meet p and x of positive valuation (residue zero): callers that need a
-    valuation must decompose first.
-    """
-    _require_odd_prime(p)
-    if not 0 < root < p or (root * root - 2) % p != 0:
-        raise ValueError(f"{root} is not a square root of 2 modulo {p}")
-    c, d = x.rational_part, x.sqrt2_part
-    if c.denominator % p == 0 or d.denominator % p == 0:
-        raise ValueError(f"denominator of {x} is divisible by {p}")
-    residue = (
-        c.numerator * pow(c.denominator, -1, p) + d.numerator * pow(d.denominator, -1, p) * root
-    ) % p
-    if residue == 0:
-        raise ValueError(f"{x} has positive valuation at {p}; decompose before embedding")
-    return residue
-
-
 def _lift_sqrt2(root: int, p: int, exponent: int) -> int:
     # Newton lift of a square root of 2 from mod p to mod p**exponent.
     r, e = root % p, 1
@@ -467,14 +445,30 @@ def split_prime_valuation(x: QSqrt2, p: int, root: int) -> tuple[int, int]:
     """Valuation and unit residue of x at the place of Q(sqrt(2)) chosen by root.
 
     The prime p must split, i.e. root^2 = 2 (mod p).  Returns (m, u) with
-    x = p^m * (unit) and u the unit's residue in F_p.  Computed by lifting
-    root p-adically until the image of x is visibly nonzero.
+    x = p^m * (unit) and u the unit's residue in F_p.  x = c and x = d * sqrt(2)
+    need no lifting: p is stripped from c or d, and for d * sqrt(2) the unit
+    is multiplied by root, because sqrt(2) is a unit at a split odd prime (its
+    square 2 is prime to p) with residue root.  A mixed element is decomposed
+    by lifting root p-adically until the image of x is visibly nonzero.
     """
     _require_odd_prime(p)
     if not 0 < root < p or (root * root - 2) % p != 0:
         raise ValueError(f"{root} is not a square root of 2 modulo {p}")
     if not x:
         raise ValueError("the zero element has no finite valuation")
+    c, d = x.rational_part, x.sqrt2_part
+    if not d:
+        m, num, den = _strip_prime(c.numerator, c.denominator, p)
+        return m, num * pow(den, -1, p) % p
+    if not c:
+        m, num, den = _strip_prime(d.numerator, d.denominator, p)
+        return m, num * pow(den, -1, p) * root % p
+    return _lifted_valuation(x, p, root)
+
+
+def _lifted_valuation(x: QSqrt2, p: int, root: int) -> tuple[int, int]:
+    # split_prime_valuation by lifting root, for any nonzero x; the caller
+    # validated p and root.
     c, d = x.rational_part, x.sqrt2_part
     den = c.denominator * d.denominator // gcd(c.denominator, d.denominator)
     big_c = c.numerator * (den // c.denominator)

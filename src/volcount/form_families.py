@@ -34,11 +34,12 @@ from typing import Iterable
 from .exact_arith import (
     QSqrt2,
     SQRT2,
+    _euler_criterion,
+    _strip_prime,
     factor_int,
     is_prime,
     is_square_rational,
     legendre_symbol,
-    padic_valuation,
     split_prime_valuation,
     sqrt_mod,
     squarefree_part,
@@ -56,6 +57,9 @@ REFERENCE_ANISOTROPIC_PRIMES = (17, 41, 97, 137, 193, 241)
 MEYER_GUARANTEED = "meyer_guaranteed"
 
 _WITNESS_COORDINATE_BOUND = 10
+
+_ONE = QSqrt2.of(1)
+_MINUS_SQRT2 = -SQRT2
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ def make_q(a: int, n: int) -> QuadraticForm:
 def make_r(a: int, n: int) -> QuadraticForm:
     """The anisotropic family member (a, 1, ..., 1, -sqrt(2)) over Q(sqrt(2))."""
     _check_family_parameters(a, n)
-    coeffs = (QSqrt2.of(a),) + (QSqrt2.of(1),) * (n - 1) + (-SQRT2,)
+    coeffs = (QSqrt2.of(a),) + (_ONE,) * (n - 1) + (_MINUS_SQRT2,)
     return QuadraticForm(SQRT2_FIELD, coeffs)
 
 
@@ -190,11 +194,11 @@ def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
     the two must agree whenever the closed form applies.  With detail=True
     returns (value, method) where method names the route taken.
     """
-    form = make_q(a, n)
-    generic = hasse_witt(form.coefficients, odd_place(p))
-    closed_form_applies = legendre_symbol(-1, p) == 1 and legendre_symbol(2, p) == -1
+    _check_family_parameters(a, n)
+    generic = hasse_witt((a,) + (1,) * (n - 1) + (-2,), odd_place(p))
+    closed_form_applies = _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1
     if closed_form_applies:
-        closed = -1 if padic_valuation(a, p).exponent % 2 else 1
+        closed = -1 if _strip_prime(a, 1, p)[0] % 2 else 1
         if closed != generic:
             raise RuntimeError(
                 f"closed form {closed} disagrees with the generic product {generic} "
@@ -214,13 +218,13 @@ def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
     """
     if p % 8 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 8")
-    form = make_r(a, n)
-    parts = []
-    for c in form.coefficients:
-        m, u = split_prime_valuation(c, p, root)
-        parts.append((m, legendre_symbol(u, p)))
+    _check_family_parameters(a, n)
+    # The n - 1 middle coefficients are all 1, so one decomposition serves them.
+    distinct = (QSqrt2.of(a), _ONE, _MINUS_SQRT2)
+    lead, one, last = (split_prime_valuation(c, p, root) for c in distinct)
+    parts = [(m, _euler_criterion(u, p)) for m, u in (lead, *[one] * (n - 1), last)]
     generic = _odd_pair_product(parts, p)
-    closed = legendre_symbol(root, p) if padic_valuation(a, p).exponent % 2 else 1
+    closed = _euler_criterion(root, p) if _strip_prime(a, 1, p)[0] % 2 else 1
     if closed != generic:
         raise RuntimeError(
             f"closed form {closed} disagrees with the embedded product {generic} "
@@ -246,28 +250,22 @@ class NonCommensurabilityCertificate:
 
 
 def _family_parameter(form: QuadraticForm) -> tuple[str, int]:
+    # Compared against ints, which Fraction answers without building anything.
     coeffs = form.coefficients
     if form.field_tag == RATIONAL_FIELD:
-        lead = coeffs[0]
-        shape_ok = (
-            lead.denominator == 1
-            and lead >= 1
-            and all(c == 1 for c in coeffs[1:-1])
-            and coeffs[-1] == -2
-        )
-        if shape_ok:
-            return "q", lead.numerator
+        family, lead = "q", coeffs[0]
+        shape_ok = all(c == 1 for c in coeffs[1:-1]) and coeffs[-1] == -2
     else:
-        lead = coeffs[0]
+        family, lead = "r", coeffs[0].rational_part
+        last = coeffs[-1]
         shape_ok = (
-            lead.sqrt2_part == 0
-            and lead.rational_part.denominator == 1
-            and lead.rational_part >= 1
-            and all(c == QSqrt2.of(1) for c in coeffs[1:-1])
-            and coeffs[-1] == -SQRT2
+            coeffs[0].sqrt2_part == 0
+            and all(c.rational_part == 1 and c.sqrt2_part == 0 for c in coeffs[1:-1])
+            and last.rational_part == 0
+            and last.sqrt2_part == -1
         )
-        if shape_ok:
-            return "r", lead.rational_part.numerator
+    if shape_ok and lead.denominator == 1 and lead.numerator >= 1:
+        return family, lead.numerator
     raise ValueError("certificates are defined for members of the q and r families only")
 
 
@@ -275,10 +273,6 @@ def _square_in_sqrt2_field(x: Fraction) -> bool:
     # A positive rational is a square in Q(sqrt(2)) iff x or x/2 is a square
     # in Q: (c + d sqrt2)^2 is rational only when c*d = 0.
     return is_square_rational(x) or is_square_rational(2 * x)
-
-
-def _odd_prime_divisors(a: int) -> list[int]:
-    return sorted(p for p in factor_int(a) if p != 2)
 
 
 def noncommensurability_certificate(
@@ -309,16 +303,13 @@ def noncommensurability_certificate(
             separated = not _square_in_sqrt2_field(ratio)
         if not separated:
             return None
-        d1 = _discriminant_description(f1)
-        d2 = _discriminant_description(f2)
+        d1 = _discriminant_description(family1, a1)
+        d2 = _discriminant_description(family2, a2)
         return NonCommensurabilityCertificate("discriminant_ratio", None, (d1, d2))
 
     n = f1.rank - 1
-    candidates: list[int] = []
-    for parameter in (a1, a2):
-        for p in _odd_prime_divisors(parameter):
-            if p not in candidates:
-                candidates.append(p)
+    # The odd prime divisors of a1 in order, then those of a2 not yet seen.
+    candidates = dict.fromkeys(p for a in (a1, a2) for p in sorted(factor_int(a)) if p != 2)
     for p in candidates:
         if family1 == "q":
             if p % 4 != 1:
@@ -338,13 +329,12 @@ def noncommensurability_certificate(
     return None
 
 
-def _discriminant_description(form: QuadraticForm) -> str:
-    product = form.coefficients[0]
-    for c in form.coefficients[1:]:
-        product = product * c
-    if form.field_tag == RATIONAL_FIELD:
-        return str(squarefree_part(product))
-    return str(product)
+def _discriminant_description(family: str, a: int) -> str:
+    # The coefficient product of a family member, at any rank: -2a for q_a
+    # (given as its square-free class) and -a * sqrt(2) for r_a.
+    if family == "q":
+        return str(squarefree_part(-2 * a))
+    return str(QSqrt2.of(0, -a))
 
 
 @dataclass(frozen=True)

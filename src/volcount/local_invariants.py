@@ -104,10 +104,11 @@ def hilbert_odd_p(a: Rational, b: Rational, p: int) -> int:
 
 
 def hilbert_odd_from_parts(n: int, legendre_u: int, m: int, legendre_v: int, p: int) -> int:
-    """(p^n u, p^m v)_p given the valuations and the units' Legendre symbols."""
+    """(p^n u, p^m v)_p from the valuations and the units' Legendre symbols,
+    at an odd prime p the caller has validated."""
     result = 1
     if n % 2 and m % 2:
-        result *= legendre_symbol(-1, p)
+        result *= _euler_criterion(-1, p)
     if m % 2:
         result *= legendre_u
     if n % 2:
@@ -145,10 +146,11 @@ def hilbert(a: Rational, b: Rational, place: Place) -> int:
     raise ValueError(f"unknown place kind {place.kind!r}")
 
 
-def _coefficients_of(q) -> tuple[Fraction, ...]:
-    # Accept a diagonal coefficient sequence or any object carrying one.
+def _coefficients_of(q) -> tuple[Rational | int, ...]:
+    # Accept a diagonal coefficient sequence or any object carrying one; int
+    # and Fraction entries are kept, anything else becomes a Fraction.
     coeffs = getattr(q, "coefficients", q)
-    out = tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs)
+    out = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
     if not out:
         raise ValueError("a diagonal form needs at least one coefficient")
     if any(c == 0 for c in out):

@@ -11,6 +11,7 @@ from volcount import assembler, cli
 from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(argv, capsys):
@@ -68,6 +69,14 @@ class TestForms:
         code, out, _ = run(["forms", "anisotropic", "--count", "2"], capsys)
         assert code == 0
         assert "eps@17" in out
+
+    @pytest.mark.parametrize("family", ["isotropic", "anisotropic"])
+    def test_json_golden(self, family, capsys):
+        # Every certificate string at n = 5, as the coefficient-product code
+        # wrote them.
+        code, out, _ = run(["forms", family, "--n", "5", "--json"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"forms_{family}_n5.json").read_text()
 
 
 class TestSubgroups:
@@ -262,6 +271,26 @@ class TestSelfCheckFailure:
         }
 
 
+class TestInternalError:
+    @pytest.fixture
+    def failing_forms(self, monkeypatch):
+        def handler(args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setitem(cli._HANDLERS, "forms", handler)
+
+    def test_text(self, capsys, failing_forms):
+        code, out, err = run(["forms", "isotropic"], capsys)
+        assert code == VERIFICATION_FAILURE
+        assert out == ""
+        assert err == "internal error: internal fault\n"
+
+    def test_json_document(self, capsys, failing_forms):
+        code, out, err = run(["forms", "isotropic", "--json"], capsys)
+        assert code == VERIFICATION_FAILURE and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": "internal fault"}}
+
+
 class TestUsage:
     def test_no_verb(self, capsys):
         code, _, _ = run([], capsys)
@@ -270,6 +299,21 @@ class TestUsage:
     def test_unknown_verb(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forms", "isotropic", "--n", "2"],
+            ["forms", "anisotropic", "--n", "0"],
+            ["assemble", "--n", "2"],
+            ["count", "--v", "30", "--n", "1"],
+        ],
+    )
+    def test_dimension_below_three(self, capsys, argv):
+        # Rejected by the parser, before any verb runs.
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert "--n: must be at least 3" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

@@ -4,11 +4,12 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from volcount import exact_arith
 from volcount.exact_arith import (
     PrimalityRangeError,
     QSqrt2,
     SQRT2,
-    embed_sqrt2_mod_p,
+    _lifted_valuation,
     factor_int,
     is_prime,
     is_square_rational,
@@ -20,6 +21,42 @@ from volcount.exact_arith import (
 )
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 97, 193)
+# Odd primes at which 2 is a square, so Q(sqrt(2)) has two places over p.
+SPLIT_PRIMES = (7, 17, 23, 31, 41)
+
+
+def embed_sqrt2_mod_p(x: QSqrt2, p: int, root: int) -> int:
+    """Residue of x in F_p under the embedding sending sqrt(2) to root.
+
+    The unit-residue oracle for split_prime_valuation.  It maps each part on
+    its own and rejects x whose denominators meet p, and x of positive
+    valuation (residue zero): the valuation must be taken out first.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    if not 0 < root < p or (root * root - 2) % p != 0:
+        raise ValueError(f"{root} is not a square root of 2 modulo {p}")
+    c, d = x.rational_part, x.sqrt2_part
+    if c.denominator % p == 0 or d.denominator % p == 0:
+        raise ValueError(f"denominator of {x} is divisible by {p}")
+    residue = (
+        c.numerator * pow(c.denominator, -1, p) + d.numerator * pow(d.denominator, -1, p) * root
+    ) % p
+    if residue == 0:
+        raise ValueError(f"{x} has positive valuation at {p}; decompose before embedding")
+    return residue
+
+
+@st.composite
+def pure_split_inputs(draw):
+    """(x, p, root) with x = c or x = d * sqrt(2), scaled by p^e, e in [-3, 3]."""
+    p = draw(st.sampled_from(SPLIT_PRIMES))
+    smaller = sqrt_mod(2, p)
+    root = draw(st.sampled_from((smaller, p - smaller)))
+    part = draw(st.fractions(max_denominator=60).filter(bool))
+    part *= Fraction(p) ** draw(st.integers(min_value=-3, max_value=3))
+    x = QSqrt2.of(part, 0) if draw(st.booleans()) else QSqrt2.of(0, part)
+    return x, p, root
 
 
 class TestPrimality:
@@ -206,6 +243,30 @@ class TestQSqrt2:
     def test_sign_multiplicative(self, x, y):
         assert (x * y).sign() == x.sign() * y.sign()
 
+    @given(qsqrt2_elements, qsqrt2_elements, qsqrt2_elements)
+    def test_ring_axioms(self, x, y, z):
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x + y == y + x
+        assert x * y == y * x
+        assert x * (y + z) == x * y + x * z
+
+    @given(qsqrt2_elements)
+    def test_identities_and_inverses(self, x):
+        zero, one = QSqrt2.of(0), QSqrt2.of(1)
+        assert x + -x == zero and x - x == zero
+        assert x + zero == x and x * one == x
+        if x:
+            assert x / x == one and x.inverse().inverse() == x
+
+    @given(qsqrt2_elements)
+    def test_sign_agrees_with_conjugate_norm(self, x):
+        # x * conj(x) = N(x), and both embeddings are real, so the signs of
+        # x under the two embeddings multiply to the sign of the norm.
+        if x:
+            norm = x.norm()
+            assert x.sign() * x.conjugate().sign() == (norm > 0) - (norm < 0)
+
     @given(qsqrt2_elements)
     def test_conjugation_fixes_norm(self, x):
         assert x.conjugate().norm() == x.norm()
@@ -235,6 +296,30 @@ class TestSplitPrimeEmbedding:
     def test_unit_valuation_zero(self):
         exponent, unit = split_prime_valuation(SQRT2, 17, 6)
         assert exponent == 0 and unit == 6
+
+    @given(pure_split_inputs())
+    def test_pure_elements_match_lifting(self, case):
+        # c and d * sqrt(2) are decomposed exactly, with no lifting; the
+        # result must be the lifting path's, and the unit's residue the
+        # oracle's embedding of x / p^m.
+        x, p, root = case
+        exponent, unit = split_prime_valuation(x, p, root)
+        assert (exponent, unit) == _lifted_valuation(x, p, root)
+        assert unit == embed_sqrt2_mod_p(x / Fraction(p) ** exponent, p, root)
+
+    def test_only_mixed_elements_lift(self, monkeypatch):
+        lifted = []
+
+        def counting(x, p, root):
+            lifted.append(x)
+            return _lifted_valuation(x, p, root)
+
+        monkeypatch.setattr(exact_arith, "_lifted_valuation", counting)
+        assert split_prime_valuation(QSqrt2.of(Fraction(34, 3), 0), 17, 6) == (1, 2 * pow(3, -1, 17) % 17)
+        assert split_prime_valuation(QSqrt2.of(0, -17), 17, 11) == (1, -11 % 17)
+        assert lifted == []
+        assert split_prime_valuation(QSqrt2.of(5, 2), 17, 6)[0] == 1
+        assert lifted == [QSqrt2.of(5, 2)]
 
     @given(
         st.integers(min_value=-3, max_value=3),

@@ -3,11 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volcount.exact_arith import QSqrt2, is_square_rational, squarefree_part
+from volcount import form_families
+from volcount.exact_arith import QSqrt2, SQRT2, is_square_rational, squarefree_part
 from volcount.form_families import (
+    RATIONAL_FIELD,
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
+    SQRT2_FIELD,
     QuadraticForm,
+    _discriminant_description,
     epsilon_q_at,
     epsilon_r_at,
     gauss_representation,
@@ -89,6 +93,23 @@ class TestEpsilonInvariants:
         with pytest.raises(ValueError):
             epsilon_r_at(17, 4, 5, 3)
 
+    def test_q_closed_form_cross_check_runs(self, monkeypatch):
+        # epsilon(q_5) at 5 is -1; a generic product forced to 1 must be caught.
+        monkeypatch.setattr(form_families, "hasse_witt", lambda coefficients, place: 1)
+        with pytest.raises(RuntimeError, match="generic product"):
+            epsilon_q_at(5, 4, 5)
+
+    def test_r_embedded_cross_check_runs(self, monkeypatch):
+        monkeypatch.setattr(form_families, "_odd_pair_product", lambda parts, p: 1)
+        with pytest.raises(RuntimeError, match="embedded product"):
+            epsilon_r_at(17, 4, 17, 6)
+
+    def test_parameters_validated(self):
+        with pytest.raises(ValueError):
+            epsilon_q_at(0, 4, 5)
+        with pytest.raises(ValueError):
+            epsilon_r_at(17, 2, 17, 6)
+
     @given(
         st.sampled_from(REFERENCE_ISOTROPIC_PRIMES),
         st.sampled_from(REFERENCE_ISOTROPIC_PRIMES),
@@ -131,6 +152,39 @@ class TestCertificates:
                 for j, f2 in enumerate(forms):
                     certificate = noncommensurability_certificate(f1, f2)
                     assert (certificate is None) == (i == j)
+
+    @given(
+        st.sampled_from(("q", "r")),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=3, max_value=8),
+    )
+    def test_discriminant_description_is_coefficient_product(self, family, a, n):
+        # The oracle multiplies the coefficients of the built form.
+        form = make_q(a, n) if family == "q" else make_r(a, n)
+        product = form.coefficients[0]
+        for c in form.coefficients[1:]:
+            product = product * c
+        expected = str(squarefree_part(product)) if family == "q" else str(product)
+        assert _discriminant_description(family, a) == expected
+
+    @pytest.mark.parametrize(
+        "field, coefficients",
+        [
+            (RATIONAL_FIELD, (5, 1, 2, -2)),
+            (RATIONAL_FIELD, (5, 1, 1, 2)),
+            (RATIONAL_FIELD, (Fraction(5, 2), 1, 1, -2)),
+            (RATIONAL_FIELD, (-5, 1, 1, -2)),
+            (SQRT2_FIELD, (QSqrt2.of(17, 1), QSqrt2.of(1), QSqrt2.of(1), -SQRT2)),
+            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1, 1), QSqrt2.of(1), -SQRT2)),
+            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1), QSqrt2.of(1), SQRT2)),
+            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(-1, -1))),
+            (SQRT2_FIELD, (QSqrt2.of(Fraction(1, 3)), QSqrt2.of(1), QSqrt2.of(1), -SQRT2)),
+        ],
+    )
+    def test_other_forms_rejected(self, field, coefficients):
+        form = QuadraticForm(field, coefficients)
+        with pytest.raises(ValueError, match="q and r families"):
+            noncommensurability_certificate(form, form)
 
     def test_discriminant_ratio_is_nonsquare(self):
         # The even-rank certificate is meaningful: the ratio of the recorded

@@ -89,6 +89,26 @@ class TestPlaces:
         assert REAL.kind == "real"
         assert DYADIC.prime == 2
 
+    def test_hand_built_place_is_validated_on_use(self):
+        # A Place built without odd_place is checked when a symbol uses it,
+        # including symbols whose arguments both have odd valuation.
+        nine = Place("odd_prime", 9)
+        for a, b in ((1, 2), (9, 3)):
+            with pytest.raises(ValueError, match="9 is not an odd prime"):
+                hilbert(a, b, nine)
+            with pytest.raises(ValueError, match="9 is not an odd prime"):
+                hilbert_odd_p(a, b, 9)
+        with pytest.raises(ValueError, match="9 is not an odd prime"):
+            hasse_witt([1, 2, 3], nine)
+
+    def test_integer_coefficients_kept(self):
+        # int and Fraction coefficients give the same invariants.
+        coefficients = [5, 1, 1, -2]
+        as_fractions = [Fraction(c) for c in coefficients]
+        for place in (REAL, DYADIC, odd_place(5), odd_place(3)):
+            assert hasse_witt(coefficients, place) == hasse_witt(as_fractions, place)
+        assert discriminant_class(coefficients) == discriminant_class(as_fractions) == -10
+
 
 class TestHilbertProperties:
     @given(nonzero_fractions, nonzero_fractions, st.sampled_from((3, 5, 7, 11)))
