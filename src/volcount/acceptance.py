@@ -91,7 +91,9 @@ def solvability_oracle_odd(a: Fraction, b: Fraction, p: int) -> int:
     then scan for (x, y), not both divisible by p, making ax^2 + by^2 a
     square mod p^2.  A solution found this way lifts (the gradient has a unit
     coordinate), and a p-adic solution scales to one the scan finds, so the
-    scan's verdict equals the symbol.
+    scan's verdict equals the symbol.  x and y enter only through their
+    squares mod p^2 and whether p divides them, so the scan runs over those
+    classes, about a quarter of the (x, y) pairs.
     """
     modulus = p * p
 
@@ -104,13 +106,11 @@ def solvability_oracle_odd(a: Fraction, b: Fraction, p: int) -> int:
     a_red = reduced(a)
     b_red = reduced(b)
     squares = {(z * z) % modulus for z in range(modulus)}
-    for x in range(modulus):
-        x_term = a_red * x * x
-        x_unit = x % p != 0
-        for y in range(modulus):
-            if not x_unit and y % p == 0:
-                continue
-            if (x_term + b_red * y * y) % modulus in squares:
+    classes = {((z * z) % modulus, z % p != 0) for z in range(modulus)}
+    for x_square, x_unit in classes:
+        x_term = a_red * x_square
+        for y_square, y_unit in classes:
+            if (x_unit or y_unit) and (x_term + b_red * y_square) % modulus in squares:
                 return 1
     return -1
 

@@ -126,10 +126,18 @@ class Parcel:
                     raise ValueError(
                         f"missing certificate between blocks {i} and {j}"
                     )
+        # The volume terms every _total_volume and max_volume call reads:
+        # the six block volumes as numerators over their common denominator.
+        volumes = [block.volume for block in self.blocks]
+        common = lcm(*[volume.denominator for volume in volumes])
+        scaled = tuple(volume.numerator * (common // volume.denominator) for volume in volumes)
+        object.__setattr__(self, "_common_denominator", common)
+        object.__setattr__(self, "_scaled_volumes", scaled)
+        object.__setattr__(self, "_max_volume", max(volumes))
 
     @property
     def max_volume(self) -> Fraction:
-        return max(block.volume for block in self.blocks)
+        return self._max_volume
 
     @property
     def compact(self) -> bool:
@@ -220,18 +228,18 @@ def _vertex_kind(graph: DecoratedGraph, vertex: int) -> str:
     return "V1" if vertex in graph.colored else "V0"
 
 
-class _VertexRows(dict):
-    """Rows of one vertex keyed by a second, each made by make(vertex, second) on first use."""
+class _Memo(dict):
+    """Values keyed by the argument of make, each made by make(key) on first use."""
 
-    __slots__ = ("make", "vertex")
+    __slots__ = ("make",)
 
-    def __init__(self, make, vertex):
+    def __init__(self, make):
         super().__init__()
-        self.make, self.vertex = make, vertex
+        self.make = make
 
-    def __missing__(self, second):
-        row = self[second] = self.make(self.vertex, second)
-        return row
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _letter_rows(vertex_ids: list[str], slot: int, x: str):
@@ -242,27 +250,34 @@ def _letter_rows(vertex_ids: list[str], slot: int, x: str):
     in_ends = [[vertex_ids[v], slot + 1] for v in range(k)]
     plus_ends = [[plus[u], 1] for u in range(k)]
 
-    def edge_rows(v, w):
+    def edge_rows(key):
+        v, w = divmod(key, k)
         serves = "%s-edge %d->%d" % (x, v, w)
         return [minus[v], minus_kind, serves], [plus[v], plus_kind, serves]
 
-    def in_gluing(v, u):
+    def in_gluing(key):
+        v, u = divmod(key, k)
         return [in_ends[v], plus_ends[u]]
 
     return (
-        tuple(_VertexRows(edge_rows, v) for v in range(k)),
+        _Memo(edge_rows),
         tuple([[vertex_ids[v], slot], [minus[v], 0]] for v in range(k)),
-        tuple(_VertexRows(in_gluing, v) for v in range(k)),
+        _Memo(in_gluing),
         tuple([[minus[v], 1], [plus[v], 0]] for v in range(k)),
     )
 
 
 # Patterns are written and read for graphs of a handful of sizes at a time
-# (index <= 7 in the pipeline), so a few entries keep every row table hot.
-# A table holds up to k rows per vertex, so only sizes up to _CACHED_SIZE
-# are kept; a larger graph, which only a single graph file or document
-# brings, builds its table for the one pattern.
+# (index <= 7 in the pipeline), so a few entries keep every row and text
+# table hot.  A table holds up to k rows per vertex, so only sizes up to
+# _CACHED_SIZE are kept; a larger graph, which only a single graph file or
+# document brings, builds its tables for the one pattern.
 _CACHED_SIZE = 16
+
+
+def _sized(table, k: int):
+    """table(k), kept in table's cache only for k up to _CACHED_SIZE."""
+    return table(k) if k <= _CACHED_SIZE else table.__wrapped__(k)
 
 
 @lru_cache(maxsize=8)
@@ -271,13 +286,13 @@ def _pattern_rows(k: int):
 
     Returns (vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings):
     vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
-    edge_rows[x][v][w] the minus and plus rows of the x-edge v -> w (x = 0
-    for a, 1 for b); out_gluings[x][v] and in_gluings[x][v][u] glue vertex
-    v's x-out slot and, for the x-edge u -> v, its x-in slot; edge_gluings
-    lists the minus-to-plus gluings of every edge.  Rows of one vertex are
-    built at once, rows of an edge when a pattern first has it
-    (_VertexRows).  The patterns hold these rows themselves, so they are
-    shared and read-only.
+    edge_rows[x][v * k + w] the minus and plus rows of the x-edge v -> w
+    (x = 0 for a, 1 for b); out_gluings[x][v] and in_gluings[x][v * k + u]
+    glue vertex v's x-out slot and, for the x-edge u -> v, its x-in slot;
+    edge_gluings lists the minus-to-plus gluings of every edge.  Rows of one
+    vertex are built at once, rows of an edge when a pattern first has it
+    (_Memo).  The patterns hold these rows themselves, so they are shared
+    and read-only.
     """
     vertex_ids = ["v%d" % v for v in range(k)]
     vertex_rows = tuple(
@@ -305,22 +320,30 @@ def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
     The rows in both lists are _pattern_rows' shared rows: read them, never
     change them.
     """
+    return _pick(_sized(_pattern_rows, graph.vertex_count), graph)
+
+
+def _pick(table, graph: DecoratedGraph) -> tuple[list, list]:
+    """The entries of table that the graph's pattern lists, in pattern order.
+
+    table is shaped as _pattern_rows(k) returns, so this gives the rows of
+    _gluing_pattern from _pattern_rows and their text from _pattern_text.
+    """
     k = graph.vertex_count
-    rows = _pattern_rows(k) if k <= _CACHED_SIZE else _pattern_rows.__wrapped__(k)
-    (plain, colored), (a_rows, b_rows), (a_out, b_out), (a_in, b_in), edge_gluings = rows
+    (plain, colored), (a_edges, b_edges), (a_out, b_out), (a_in, b_in), edge_gluings = table
     perm_a, perm_b = graph.perm_a, graph.perm_b
     instances = [colored[v] if v in graph.colored else plain[v] for v in range(k)]
     for v in range(k):
-        instances += a_rows[v][perm_a[v]]
+        instances += a_edges[v * k + perm_a[v]]
     for v in range(k):
-        instances += b_rows[v][perm_b[v]]
+        instances += b_edges[v * k + perm_b[v]]
     inverse_a, inverse_b = [0] * k, [0] * k
     for v in range(k):
         inverse_a[perm_a[v]] = v
         inverse_b[perm_b[v]] = v
     gluings = []
     for v in range(k):
-        gluings += (a_out[v], a_in[v][inverse_a[v]], b_out[v], b_in[v][inverse_b[v]])
+        gluings += (a_out[v], a_in[v * k + inverse_a[v]], b_out[v], b_in[v * k + inverse_b[v]])
     gluings += edge_gluings
     return instances, gluings
 
@@ -351,20 +374,14 @@ def _check_closed(instances, gluings) -> None:
 
 
 def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
-    # Instance counts per kind, in BLOCK_KINDS order: one vertex block per
-    # vertex, and one block of each edge kind per vertex.  The sum runs over
-    # the common denominator, so the Fraction is normalised once, not once
-    # per product and partial sum.
+    # One V0 block per plain vertex, one V1 per colored vertex, and one block
+    # of each edge kind per vertex, summed over the parcel's common
+    # denominator so the Fraction is normalised once.
     k = graph.vertex_count
     colored = len(graph.colored)
-    counts = (k - colored, colored, k, k, k, k)
-    volumes = [block.volume for block in parcel.blocks]
-    common = lcm(*[volume.denominator for volume in volumes])
-    numerator = sum(
-        count * volume.numerator * (common // volume.denominator)
-        for count, volume in zip(counts, volumes)
-    )
-    return Fraction(numerator, common)
+    plain_volume, colored_volume, *edge_volumes = parcel._scaled_volumes
+    numerator = (k - colored) * plain_volume + colored * colored_volume + k * sum(edge_volumes)
+    return Fraction(numerator, parcel._common_denominator)
 
 
 def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
@@ -522,13 +539,55 @@ def commensurability_verdict(
 
 
 # Row templates of the indent=2 layout.  Instance ids, kinds, "serves" texts
-# and slots come from _gluing_pattern: digits, letters, '-', '+', '>' and
+# and slots come from _pattern_rows: digits, letters, '-', '+', '>' and
 # spaces, none of which JSON escapes.
 _INSTANCE_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
 _GLUING_ROW = (
     '    [\n      [\n        "%s",\n        %d\n      ],'
     '\n      [\n        "%s",\n        %d\n      ]\n    ]'
 )
+
+
+def _instance_text(row) -> str:
+    return _INSTANCE_ROW % tuple(row)
+
+
+def _gluing_text(gluing) -> str:
+    (id1, slot1), (id2, slot2) = gluing
+    return _GLUING_ROW % (id1, slot1, id2, slot2)
+
+
+def _edge_text(rows) -> tuple[str, str]:
+    minus, plus = rows
+    return _INSTANCE_ROW % tuple(minus), _INSTANCE_ROW % tuple(plus)
+
+
+def _rendered(render, rows: _Memo) -> _Memo:
+    """render(row) for each row of rows, on first use.
+
+    The row comes from rows' own make, so rows is not filled as well.
+    """
+    make = rows.make
+    return _Memo(lambda key: render(make(key)))
+
+
+@lru_cache(maxsize=8)
+def _pattern_text(k: int):
+    """_pattern_rows(k) with every row rendered in the document layout, kept per k.
+
+    The five tables keep their shape, so _pick reads both.  Edge rows and
+    x-in gluings are rendered on first use, as their rows are made, so a
+    graph past _CACHED_SIZE, whose table serves one document, renders only
+    the rows it has.
+    """
+    vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings = _sized(_pattern_rows, k)
+    return (
+        tuple(list(map(_instance_text, rows)) for rows in vertex_rows),
+        tuple(_rendered(_edge_text, rows) for rows in edge_rows),
+        tuple(list(map(_gluing_text, rows)) for rows in out_gluings),
+        tuple(_rendered(_gluing_text, rows) for rows in in_gluings),
+        list(map(_gluing_text, edge_gluings)),
+    )
 
 
 def _int_list(values) -> str:
@@ -543,17 +602,15 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
-    run the pure-Python one token by token, so this writer fills fixed
-    templates instead: keys in sorted order by hand, one template per
-    instance and per gluing, and the caller's strings escaped by the same
-    encode_basestring_ascii that json.dumps applies.
+    run the pure-Python one token by token, so this writer joins the rows of
+    _gluing_pattern as _pattern_text renders them, once per graph size (up
+    to _CACHED_SIZE vertices), writes the keys in sorted order by hand, and
+    escapes the caller's strings with the same encode_basestring_ascii that
+    json.dumps applies.
     """
     graph = descriptor.source_graph
-    instances, gluings = _gluing_pattern(graph)
-    gluing_rows = ",\n".join(
-        [_GLUING_ROW % (id1, slot1, id2, slot2) for (id1, slot1), (id2, slot2) in gluings]
-    )
-    instance_rows = ",\n".join([_INSTANCE_ROW % tuple(row) for row in instances])
+    instances, gluings = _pick(_sized(_pattern_text, graph.vertex_count), graph)
+    gluing_rows, instance_rows = ",\n".join(gluings), ",\n".join(instances)
     return (
         f'{{\n  "gluings": [\n{gluing_rows}\n  ],\n'
         f'  "graph": {{\n'

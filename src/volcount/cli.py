@@ -14,7 +14,8 @@ Default output is a human table; --json switches to the structured document
 {"status": ..., "payload": ...}.  Identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure (a failed release
 check or internal self-check) or internal error, 2 usage error (bad
-arguments or input), 141 (128 + SIGPIPE) when the reader closes stdout
+arguments or input, or an --emit-descriptors directory that cannot be
+written), 141 (128 + SIGPIPE) when the reader closes stdout
 early, as in `volcount ... | head`; that case prints no traceback.
 """
 
@@ -347,7 +348,10 @@ def _cmd_count(args):
     }
     if args.emit_descriptors is not None:
         _require_index(report.k, MAX_EMIT_INDEX, "descriptor emission")
-        written = emit_descriptors(report.k, parcel, args.emit_descriptors)
+        try:
+            written = emit_descriptors(report.k, parcel, args.emit_descriptors)
+        except OSError as error:
+            raise UsageError(f"cannot write descriptors: {error}") from error
         if written != report.descriptor_count:
             raise VerificationFailure(
                 f"emitted {written} descriptors, expected {report.descriptor_count}"

@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from volcount.acceptance import CRITERIA, _random_nonzero_fraction, format_line, run_criterion
+from volcount.acceptance import (
+    CRITERIA,
+    _random_nonzero_fraction,
+    format_line,
+    run_criterion,
+    solvability_oracle_odd,
+)
 
 _IDS = [f"{number}-{name}" for number, name, _, _ in CRITERIA]
 
@@ -46,3 +52,31 @@ def test_gate_inputs_match_the_three_fraction_oracle(seed):
             assert type(value) is Fraction
             assert value == _three_fraction_draw(old, prime)
         assert new.getstate() == old.getstate()
+
+
+def _full_solvability_scan(a_red, b_red, p):
+    # The oracle's original scan over every (x, y) in [0, p^2)^2.
+    modulus = p * p
+    squares = {(z * z) % modulus for z in range(modulus)}
+    for x in range(modulus):
+        x_term = a_red * x * x
+        x_unit = x % p != 0
+        for y in range(modulus):
+            if not x_unit and y % p == 0:
+                continue
+            if (x_term + b_red * y * y) % modulus in squares:
+                return 1
+    return -1
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_class_scan_matches_the_full_scan(p):
+    # Every nonzero residue mod p^2 is a reduced argument (valuation 0 or 1),
+    # and the oracle reduces it to itself.
+    verdicts = {}
+    for a in range(1, p * p):
+        for b in range(1, p * p):
+            verdict = solvability_oracle_odd(Fraction(a), Fraction(b), p)
+            assert verdict == _full_solvability_scan(a, b, p), (a, b)
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert verdicts[1] and verdicts[-1]

@@ -10,9 +10,11 @@ from volcount.assembler import (
     BuildingBlock,
     ManifoldDescriptor,
     Parcel,
+    _CACHED_SIZE,
     _check_closed,
     _gluing_pattern,
     _pattern_rows,
+    _pattern_text,
     _total_volume,
     assemble,
     commensurability_verdict,
@@ -31,6 +33,18 @@ from volcount.free_groups import Word, distinguishing_word, enumerate_subgroups
 
 LOOP = DecoratedGraph(1, (0,), (0,), frozenset({0}))
 TWO = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
+
+
+def _cycle_graph(k, step, colored):
+    """Connected: a is the k-cycle, b multiplies by step (coprime to k)."""
+    return DecoratedGraph(
+        k, [(v + 1) % k for v in range(k)], [(v * step) % k for v in range(k)], colored
+    )
+
+
+# Sizes past _CACHED_SIZE, whose tables are built for one pattern.
+SEVENTEEN = _cycle_graph(17, 5, {0, 16})
+FORTY = _cycle_graph(40, 3, set())
 
 
 def _document(graph, parcel):
@@ -374,14 +388,20 @@ class TestGluingPattern:
 
 class TestPatternRows:
     def test_large_graph_round_trip(self, parcel):
-        k = 3000
-        cycle, spread = [(v + 1) % k for v in range(k)], [(v * 7) % k for v in range(k)]
-        graph = DecoratedGraph(k, cycle, spread, {0, 5})
-        cached = _pattern_rows.cache_info()
+        graph = _cycle_graph(3000, 7, {0, 5})
+        cached = _pattern_rows.cache_info(), _pattern_text.cache_info()
         descriptor = assemble(graph, parcel)
         assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
         assert _gluing_pattern(graph) == _pattern_as_documented(graph)
-        assert _pattern_rows.cache_info() == cached
+        assert (_pattern_rows.cache_info(), _pattern_text.cache_info()) == cached
+
+    @pytest.mark.parametrize("graph", [SEVENTEEN, FORTY], ids=["17", "40"])
+    def test_writer_examples_stay_uncached(self, parcel, graph):
+        # TestWriter's examples of these sizes cover the uncached tables.
+        assert graph.vertex_count > _CACHED_SIZE
+        cached = _pattern_rows.cache_info(), _pattern_text.cache_info()
+        descriptor_to_json(assemble(graph, parcel))
+        assert (_pattern_rows.cache_info(), _pattern_text.cache_info()) == cached
 
 
 class TestWriter:
@@ -389,6 +409,8 @@ class TestWriter:
     @example(LOOP, [1] * 6, 'quote " backslash \\ tab \t nul \x00 \x1f')
     @example(TWO, [Fraction(1, 3)] * 6, "non-ASCII: \u00e9\u20ac\U0001f600 \ud800")
     @example(DecoratedGraph(3, (1, 2, 0), (0, 1, 2), frozenset()), [1] * 6, "")
+    @example(SEVENTEEN, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1], "isotropic-n4")
+    @example(FORTY, [1] * 6, "anisotropic-n4")
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, parcel, graph, volumes, parcel_id):
         built = assemble(graph, with_block_volumes(parcel, volumes))
@@ -416,6 +438,30 @@ class TestWriter:
             (count * block.volume for count, block in zip(counts, priced.blocks)), Fraction(0)
         )
         assert _total_volume(graph, priced) == plain
+
+
+class TestParcelVolumeTerms:
+    # One priced parcel each with a volume of denominator 3, 2 and 720.
+    @pytest.mark.parametrize(
+        "volumes",
+        [
+            [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1],
+            [1, 1, Fraction(5, 2), 1, 1, Fraction(1, 2)],
+            [Fraction(719, 720), Fraction(1, 720), 3, Fraction(7, 3), Fraction(1, 2), 1],
+        ],
+    )
+    @pytest.mark.parametrize("graph", [LOOP, TWO, SEVENTEEN], ids=["loop", "two", "seventeen"])
+    def test_stored_terms_match_the_blocks(self, parcel, volumes, graph):
+        priced = with_block_volumes(parcel, volumes)
+        assert priced.max_volume == max(block.volume for block in priced.blocks)
+        assert priced.max_volume == max(Fraction(v) for v in volumes)
+        k, colored = graph.vertex_count, len(graph.colored)
+        counts = (k - colored, colored, k, k, k, k)
+        plain = sum(
+            (count * block.volume for count, block in zip(counts, priced.blocks)), Fraction(0)
+        )
+        assert _total_volume(graph, priced) == plain
+        assert _total_volume(graph, parcel) == 5 * k
 
 
 def _malformed_documents(parcel):

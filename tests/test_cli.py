@@ -225,6 +225,22 @@ class TestCount:
         assert code == 2
         assert "emission" in err
 
+    def test_unwritable_emit_directory(self, capsys, tmp_path):
+        # A directory under a regular file once ended in a NotADirectoryError
+        # traceback and exit 1.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["count", "--v", "20", "--emit-descriptors", str(blocker / "sub")]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: cannot write descriptors:")
+        assert len(err.splitlines()) == 1
+        code, out, err = run(argv + ["--json"], capsys)
+        assert code == 2 and err == ""
+        document = json.loads(out)
+        assert document["status"] == "error"
+        assert document["payload"]["error"].startswith("cannot write descriptors:")
+
     def test_index_cap_checked_before_counting(self, capsys, monkeypatch):
         # count --v 8000 (k = 1600) once ran Hall's recursion for ~21 s
         # before printing the count failed.
