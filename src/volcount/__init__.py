@@ -66,7 +66,6 @@ from .local_invariants import (
     Place,
     hasse_witt,
     hilbert,
-    locally_equivalent,
     odd_place,
 )
 

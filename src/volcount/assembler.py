@@ -37,22 +37,13 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import floor, isqrt, lcm
 
-from .decorated_graphs import (
-    DecoratedGraph,
-    from_subgroup,
-    graph_from_text,
-    graph_to_text,
-    is_isomorphic,
-)
+from .decorated_graphs import DecoratedGraph, from_subgroup, is_isomorphic
 from .form_families import (
     NonCommensurabilityCertificate,
     QuadraticForm,
-    make_q,
-    make_r,
+    family_members,
     noncommensurability_certificate,
     restrict_to_hyperplane,
-    search_primes_anisotropic,
-    search_primes_isotropic,
 )
 from .free_groups import Word, enumerate_subgroups, hall_count
 
@@ -84,10 +75,6 @@ class BuildingBlock:
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.volume <= 0:
             raise ValueError("block volumes must be positive")
-
-    @property
-    def boundary_slots(self) -> int:
-        return slots_for_kind(self.kind)
 
 
 @dataclass(frozen=True)
@@ -143,9 +130,6 @@ class Parcel:
     def compact(self) -> bool:
         return self.blocks[0].compact
 
-    def block_of_kind(self, kind: str) -> BuildingBlock:
-        return self.blocks[BLOCK_KINDS.index(kind)]
-
 
 def default_parcel(n: int, compact: bool) -> Parcel:
     """Parcel of six certified blocks in dimension n.
@@ -156,14 +140,8 @@ def default_parcel(n: int, compact: bool) -> Parcel:
     the six restrictions to x_1 = 0 agree, every pair gets a certificate,
     and all volumes default to 1.
     """
-    if compact:
-        primes = [report.prime for report in search_primes_anisotropic(6)]
-        forms = [make_r(p, n) for p in primes]
-        tag = "anisotropic"
-    else:
-        primes = [report.prime for report in search_primes_isotropic(6)]
-        forms = [make_q(p, n) for p in primes]
-        tag = "isotropic"
+    tag = "anisotropic" if compact else "isotropic"
+    primes, forms = family_members(tag, 6, n)
     boundary = restrict_to_hyperplane(forms[0])
     for form in forms[1:]:
         if restrict_to_hyperplane(form) != boundary:
@@ -459,6 +437,13 @@ class CountReport:
 MAX_COUNT_INDEX = 1557
 
 
+def growth_floor(k: int) -> int:
+    """The growth floor ceil(k^(k/2)), exactly."""
+    power = k**k
+    root = isqrt(power)
+    return root if root * root == power else root + 1
+
+
 def count_lower_bound(v, parcel: Parcel) -> CountReport:
     """Descriptors affordable within volume v: k = floor(v / (5 V)) vertices.
 
@@ -474,9 +459,7 @@ def count_lower_bound(v, parcel: Parcel) -> CountReport:
     if k > MAX_COUNT_INDEX:
         raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {k})")
     count = hall_count(k)
-    power = k**k
-    root = isqrt(power)
-    bound = root if root * root == power else root + 1
+    bound = growth_floor(k)
     if count < bound:
         raise RuntimeError(f"subgroup count {count} fell below the floor {bound}")
     return CountReport(v, parcel.max_volume, k, count, bound)
@@ -692,8 +675,7 @@ __all__ = [
     "descriptor_to_json",
     "descriptors_for_index",
     "emit_descriptors",
-    "graph_from_text",
-    "graph_to_text",
+    "growth_floor",
     "trace_word",
     "volume_bound",
     "with_block_volumes",

@@ -26,7 +26,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from .acceptance import run_all
 from .assembler import (
@@ -35,13 +34,13 @@ from .assembler import (
     default_parcel,
     descriptor_to_json,
     emit_descriptors,
+    growth_floor,
 )
 from .decorated_graphs import from_subgroup, graph_from_text, has_common_decorated_cover
 from .form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
-    make_q,
-    make_r,
+    family_members,
     noncommensurability_certificate,
     search_primes_anisotropic,
     search_primes_isotropic,
@@ -170,12 +169,7 @@ def _cmd_primes(args):
 
 
 def _cmd_forms(args):
-    if args.family == "isotropic":
-        primes = [r.prime for r in search_primes_isotropic(args.count)]
-        forms = [make_q(p, args.n) for p in primes]
-    else:
-        primes = [r.prime for r in search_primes_anisotropic(args.count)]
-        forms = [make_r(p, args.n) for p in primes]
+    primes, forms = family_members(args.family, args.count, args.n)
     matrix = []
     for f1 in forms:
         row = []
@@ -236,9 +230,7 @@ def _cmd_subgroups(args):
     for k in range(1, args.k + 1):
         enumerated = len(enumerate_subgroups(k))
         recursion = hall_count(k)
-        power = k**k
-        root = isqrt(power)
-        floor = root if root * root == power else root + 1
+        floor = growth_floor(k)
         if enumerated != recursion:
             raise VerificationFailure(
                 f"k={k}: enumeration gives {enumerated}, recursion gives {recursion}"
@@ -304,14 +296,15 @@ def _cmd_graphs(args):
 
 
 def _cmd_assemble(args):
-    if args.graph == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    # A byte outside ASCII raises UnicodeDecodeError, a ValueError, not an OSError.
+    try:
+        if args.graph == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.graph, "r", encoding="ascii") as handle:
                 text = handle.read()
-        except OSError as error:
-            raise UsageError(f"cannot read graph file: {error}") from error
+    except (OSError, UnicodeDecodeError) as error:
+        raise UsageError(f"cannot read graph file: {error}") from error
     try:
         graph = graph_from_text(text)
     except ValueError as error:

@@ -2,7 +2,8 @@
 
 Deterministic primality, Legendre symbols, Tonelli-Shanks modular square
 roots, integer factorization, p-adic valuations, and valuations with unit
-residues in Q(sqrt(2)) at rational primes where 2 is a quadratic residue.
+residues of c and d * sqrt(2) in Q(sqrt(2)) at rational primes where 2 is a
+quadratic residue.
 Everything is arbitrary-precision integer or fraction arithmetic; no
 floating point is used anywhere in this package.
 """
@@ -431,25 +432,15 @@ class QSqrt2:
 SQRT2 = QSqrt2.of(0, 1)
 
 
-def _lift_sqrt2(root: int, p: int, exponent: int) -> int:
-    # Newton lift of a square root of 2 from mod p to mod p**exponent.
-    r, e = root % p, 1
-    while e < exponent:
-        e = min(2 * e, exponent)
-        mod = p**e
-        r = (r - (r * r - 2) * pow(2 * r, -1, mod)) % mod
-    return r
-
-
 def split_prime_valuation(x: QSqrt2, p: int, root: int) -> tuple[int, int]:
     """Valuation and unit residue of x at the place of Q(sqrt(2)) chosen by root.
 
     The prime p must split, i.e. root^2 = 2 (mod p).  Returns (m, u) with
-    x = p^m * (unit) and u the unit's residue in F_p.  x = c and x = d * sqrt(2)
-    need no lifting: p is stripped from c or d, and for d * sqrt(2) the unit
-    is multiplied by root, because sqrt(2) is a unit at a split odd prime (its
-    square 2 is prime to p) with residue root.  A mixed element is decomposed
-    by lifting root p-adically until the image of x is visibly nonzero.
+    x = p^m * (unit) and u the unit's residue in F_p.  x must be c or
+    d * sqrt(2), the only shapes the family coefficients take: p is stripped
+    from c or d, and for d * sqrt(2) the unit is multiplied by root, because
+    sqrt(2) is a unit at a split odd prime (its square 2 is prime to p) with
+    residue root.  A mixed element c + d * sqrt(2) raises ValueError.
     """
     _require_odd_prime(p)
     if not 0 < root < p or (root * root - 2) % p != 0:
@@ -463,34 +454,4 @@ def split_prime_valuation(x: QSqrt2, p: int, root: int) -> tuple[int, int]:
     if not c:
         m, num, den = _strip_prime(d.numerator, d.denominator, p)
         return m, num * pow(den, -1, p) * root % p
-    return _lifted_valuation(x, p, root)
-
-
-def _lifted_valuation(x: QSqrt2, p: int, root: int) -> tuple[int, int]:
-    # split_prime_valuation by lifting root, for any nonzero x; the caller
-    # validated p and root.
-    c, d = x.rational_part, x.sqrt2_part
-    den = c.denominator * d.denominator // gcd(c.denominator, d.denominator)
-    big_c = c.numerator * (den // c.denominator)
-    big_d = d.numerator * (den // d.denominator)
-    den_m = 0
-    while den % p == 0:
-        den //= p
-        den_m += 1
-    precision = 8
-    while True:
-        mod = p**precision
-        lifted = _lift_sqrt2(root, p, precision)
-        image = (big_c + big_d * lifted) % mod
-        if image:
-            m = 0
-            while image % p == 0:
-                image //= p
-                m += 1
-            if m < precision // 2:
-                break
-        precision *= 2
-        if precision > 4096:
-            raise ValueError(f"valuation of {x} at {p} exceeds the supported range")
-    unit = image % p * pow(den % p, -1, p) % p
-    return m - den_m, unit
+    raise ValueError(f"{x} is neither rational nor a rational multiple of sqrt2")

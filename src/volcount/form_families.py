@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable
 
 from .exact_arith import (
     QSqrt2,
@@ -53,10 +52,6 @@ SQRT2_FIELD = "q_sqrt2"
 # and the selftest verifies the match.
 REFERENCE_ISOTROPIC_PRIMES = (5, 13, 29, 37, 53, 61)
 REFERENCE_ANISOTROPIC_PRIMES = (17, 41, 97, 137, 193, 241)
-
-MEYER_GUARANTEED = "meyer_guaranteed"
-
-_WITNESS_COORDINATE_BOUND = 10
 
 _ONE = QSqrt2.of(1)
 _MINUS_SQRT2 = -SQRT2
@@ -90,34 +85,6 @@ class QuadraticForm:
     def rank(self) -> int:
         return len(self.coefficients)
 
-    def evaluate(self, vector: Iterable):
-        """Value of the form on the given coordinate vector."""
-        vec = tuple(vector)
-        if len(vec) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(vec)}")
-        total = self.coefficients[0] * 0
-        for c, v in zip(self.coefficients, vec):
-            total = total + c * v * v
-        return total
-
-    def signature(self) -> tuple[int, int]:
-        """(positives, negatives) under the real embedding sending sqrt(2) > 0."""
-        pos = sum(1 for c in self.coefficients if _sign_of(c) > 0)
-        return pos, self.rank - pos
-
-    def conjugate_signature(self) -> tuple[int, int]:
-        """Signature under the other real embedding (sqrt(2) -> -sqrt(2))."""
-        if self.field_tag != SQRT2_FIELD:
-            return self.signature()
-        pos = sum(1 for c in self.coefficients if c.conjugate().sign() > 0)
-        return pos, self.rank - pos
-
-
-def _sign_of(c) -> int:
-    if isinstance(c, QSqrt2):
-        return c.sign()
-    return 1 if c > 0 else -1
-
 
 def _check_family_parameters(a: int, n: int) -> None:
     if not isinstance(a, int) or a < 1:
@@ -145,45 +112,6 @@ def restrict_to_hyperplane(form: QuadraticForm) -> QuadraticForm:
     if form.rank < 2:
         raise ValueError("cannot restrict a rank-1 form")
     return QuadraticForm(form.field_tag, form.coefficients[1:])
-
-
-def _sum_of_squares(target: int, slots: int, bound: int) -> list[int] | None:
-    # Greedy descent with backtracking; coordinates bounded by `bound`.
-    if slots == 0:
-        return [] if target == 0 else None
-    start = min(isqrt(target), bound)
-    for c in range(start, -1, -1):
-        rest = _sum_of_squares(target - c * c, slots - 1, bound)
-        if rest is not None:
-            return [c] + rest
-    return None
-
-
-def isotropy_witness_q(a: int, n: int) -> tuple[int, ...] | str:
-    """A nonzero integer vector on which q_a vanishes.
-
-    Bounded search with coordinates in [0, 10]; by Meyer's theorem a rank >= 5
-    indefinite form over Q is isotropic, so if the search were ever exhausted
-    the tag ``meyer_guaranteed`` would be returned instead of a vector.  The
-    result is always re-evaluated before being returned.
-    """
-    form = make_q(a, n)
-    bound = _WITNESS_COORDINATE_BOUND
-    for x1 in range(bound + 1):
-        for xlast in range(bound + 1):
-            target = 2 * xlast * xlast - a * x1 * x1
-            if target < 0:
-                continue
-            middle = _sum_of_squares(target, n - 1, bound)
-            if middle is None:
-                continue
-            vector = (x1, *middle, xlast)
-            if not any(vector):
-                continue
-            if form.evaluate(vector) != 0:
-                raise RuntimeError(f"isotropy witness {vector} failed re-evaluation")
-            return vector
-    return MEYER_GUARANTEED
 
 
 def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
@@ -419,3 +347,16 @@ def search_primes_anisotropic(count: int) -> list[PrimeSearchReport]:
             reports.append(PrimeSearchReport(p, conditions))
         p += 8
     return reports
+
+
+def family_members(family: str, count: int, n: int) -> tuple[list[int], list[QuadraticForm]]:
+    """The first `count` primes of a family and its members of dimension n at them.
+
+    family is "isotropic" (q_p over Q) or "anisotropic" (r_p over Q(sqrt(2))).
+    """
+    if family == "isotropic":
+        search, make = search_primes_isotropic, make_q
+    else:
+        search, make = search_primes_anisotropic, make_r
+    primes = [report.prime for report in search(count)]
+    return primes, [make(p, n) for p in primes]

@@ -1,9 +1,8 @@
 """Local invariants of diagonal quadratic forms over Q.
 
 Hilbert symbols at the real place, at odd primes, and at 2; the Hasse-Witt
-invariant as the product of pairwise symbols; square-free discriminant
-classes; and a place-by-place equivalence test comparing rank, discriminant
-square class, and the Hasse-Witt invariant.
+invariant as the product of pairwise symbols; and square-free discriminant
+classes.
 
 At an odd prime p, for a = p^n * u and b = p^m * v with units u, v:
 
@@ -35,17 +34,28 @@ from .exact_arith import (
     _euler_criterion,
     _strip_prime,
     is_prime,
-    legendre_symbol,
     squarefree_part,
 )
 
 
 @dataclass(frozen=True)
 class Place:
-    """A place of Q: the real place, an odd prime, or the dyadic place."""
+    """A place of Q: the real place, an odd prime, or the dyadic place.
+
+    Validated once, at construction, so the symbols trust its prime.
+    """
 
     kind: str  # "real" | "odd_prime" | "dyadic"
     prime: int | None = None
+
+    def __post_init__(self):
+        if self.kind == "odd_prime":
+            _require_odd_place(self.prime)
+        elif self.kind == "dyadic":
+            if self.prime != 2:
+                raise ValueError(f"the dyadic place has prime 2, not {self.prime}")
+        elif self.kind != "real":
+            raise ValueError(f"unknown place kind {self.kind!r}")
 
     def __str__(self) -> str:
         if self.kind == "odd_prime":
@@ -53,17 +63,16 @@ class Place:
         return self.kind
 
 
+def _require_odd_place(p: int) -> None:
+    if not isinstance(p, int) or p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+
+
 REAL = Place("real")
 DYADIC = Place("dyadic", 2)
 
 
-def _require_odd_place(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-
-
 def odd_place(p: int) -> Place:
-    _require_odd_place(p)
     return Place("odd_prime", p)
 
 
@@ -86,7 +95,7 @@ def hilbert_real(a: Rational, b: Rational) -> int:
 
 def _odd_parts(x: Rational, p: int) -> tuple[int, int]:
     # (v_p(x), (u|p)) for x = p^v * u with u a p-adic unit; p is an odd prime
-    # validated by the caller.
+    # validated by the caller (or by its Place).
     m, num, den = _strip_prime(*_nonzero_terms(x), p)
     return m, _euler_criterion(num * den, p)
 
@@ -141,16 +150,13 @@ def hilbert(a: Rational, b: Rational, place: Place) -> int:
         return hilbert_real(a, b)
     if place.kind == "dyadic":
         return hilbert_dyadic(a, b)
-    if place.kind == "odd_prime":
-        return hilbert_odd_p(a, b, place.prime)
-    raise ValueError(f"unknown place kind {place.kind!r}")
+    p = place.prime
+    return hilbert_odd_from_parts(*_odd_parts(a, p), *_odd_parts(b, p), p)
 
 
-def _coefficients_of(q) -> tuple[Rational | int, ...]:
-    # Accept a diagonal coefficient sequence or any object carrying one; int
-    # and Fraction entries are kept, anything else becomes a Fraction.
-    coeffs = getattr(q, "coefficients", q)
-    out = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
+def _coefficients_of(coefficients) -> tuple[Rational | int, ...]:
+    # int and Fraction entries are kept, anything else becomes a Fraction.
+    out = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coefficients)
     if not out:
         raise ValueError("a diagonal form needs at least one coefficient")
     if any(c == 0 for c in out):
@@ -170,7 +176,6 @@ def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
     if len(coeffs) == 1:
         return 1
     if place.kind == "odd_prime":
-        _require_odd_place(place.prime)
         return _odd_pair_product([_odd_parts(c, place.prime) for c in coeffs], place.prime)
     if place.kind == "dyadic":
         parts = [_dyadic_parts(c) for c in coeffs]
@@ -185,36 +190,3 @@ def discriminant_class(coefficients: Sequence[Rational]) -> int:
     for c in coeffs:
         product *= c
     return squarefree_part(product)
-
-
-def _same_square_class_locally(d1: int, d2: int, place: Place) -> bool:
-    # d1, d2 are square-free nonzero integers.
-    if place.kind == "real":
-        return (d1 > 0) == (d2 > 0)
-    # The valuation parities are compared before the units, so a hand-built
-    # Place("odd_prime", 2) raises only when the parities agree.
-    p = 2 if place.kind == "dyadic" else place.prime
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m1, u1, _ = _strip_prime(d1, 1, p)
-    m2, u2, _ = _strip_prime(d2, 1, p)
-    if m1 % 2 != m2 % 2:
-        return False
-    if place.kind == "dyadic":
-        return u1 % 8 == u2 % 8
-    return legendre_symbol(u1, p) == legendre_symbol(u2, p)
-
-
-def locally_equivalent(q1, q2, place: Place) -> bool:
-    """Whether the local invariant triples of two diagonal forms over Q agree.
-
-    Compares rank, the discriminant square class in the completion, and the
-    Hasse-Witt invariant at the given place.  Inputs may be coefficient
-    sequences or objects with a `coefficients` attribute.
-    """
-    c1, c2 = _coefficients_of(q1), _coefficients_of(q2)
-    if len(c1) != len(c2):
-        return False
-    if not _same_square_class_locally(discriminant_class(c1), discriminant_class(c2), place):
-        return False
-    return hasse_witt(c1, place) == hasse_witt(c2, place)

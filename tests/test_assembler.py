@@ -24,6 +24,7 @@ from volcount.assembler import (
     descriptor_to_json,
     descriptors_for_index,
     emit_descriptors,
+    slots_for_kind,
     trace_word,
     volume_bound,
     with_block_volumes,
@@ -93,7 +94,7 @@ class TestParcels:
                     assert (entry is None) == (i == j)
 
     def test_slot_counts(self, parcel):
-        assert [b.boundary_slots for b in parcel.blocks] == [4, 4, 2, 2, 2, 2]
+        assert [slots_for_kind(b.kind) for b in parcel.blocks] == [4, 4, 2, 2, 2, 2]
 
     def test_volume_override(self, parcel):
         bumped = with_block_volumes(parcel, (1, 1, 1, 1, 1, 2))

@@ -179,6 +179,25 @@ class TestAssemble:
         code, _, err = run(["assemble", str(path)], capsys)
         assert code == 2
 
+    def test_non_ascii_file(self, capsys, tmp_path, monkeypatch):
+        # A byte outside ASCII is an unreadable graph file, not an internal
+        # error, whether the graph comes from a file or from stdin.
+        path = tmp_path / "accent.graph"
+        path.write_bytes("1\n0\n0\n0 \u00e9\n".encode("utf-8"))
+        code, out, err = run(["assemble", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: cannot read graph file: 'ascii' codec")
+        assert err.count("\n") == 1
+        code, out, err = run(["assemble", str(path), "--json"], capsys)
+        assert code == 2 and err == ""
+        document = json.loads(out)
+        assert document["status"] == "error"
+        assert document["payload"]["error"].startswith("cannot read graph file: ")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1\n0\n\xff\n"), "utf-8"))
+        code, out, err = run(["assemble"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: cannot read graph file: 'utf-8' codec")
+
     def test_repeated_colored_vertex(self, capsys, tmp_path):
         path = tmp_path / "repeat.graph"
         path.write_text("2\n1 0\n0 1\n0 0\n")

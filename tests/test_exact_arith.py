@@ -4,12 +4,10 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from volcount import exact_arith
 from volcount.exact_arith import (
     PrimalityRangeError,
     QSqrt2,
     SQRT2,
-    _lifted_valuation,
     factor_int,
     is_prime,
     is_square_rational,
@@ -288,10 +286,9 @@ class TestSplitPrimeEmbedding:
         assert exponent == 1
         assert unit % 17 != 0
         # The vanishing factor itself: 5 + 2*sqrt2 maps to 5 + 12 = 0 mod 17,
-        # so the unit embedding refuses it and the valuation is positive.
+        # so the unit embedding refuses it.
         with pytest.raises(ValueError):
             embed_sqrt2_mod_p(QSqrt2.of(5, 2), 17, 6)
-        assert split_prime_valuation(QSqrt2.of(5, 2), 17, 6)[0] == 1
 
     def test_unit_valuation_zero(self):
         exponent, unit = split_prime_valuation(SQRT2, 17, 6)
@@ -299,35 +296,26 @@ class TestSplitPrimeEmbedding:
 
     @given(pure_split_inputs())
     def test_pure_elements_match_lifting(self, case):
-        # c and d * sqrt(2) are decomposed exactly, with no lifting; the
-        # result must be the lifting path's, and the unit's residue the
-        # oracle's embedding of x / p^m.
+        # c and d * sqrt(2) are decomposed exactly: the unit's residue must
+        # be the oracle's embedding of x / p^m.
         x, p, root = case
         exponent, unit = split_prime_valuation(x, p, root)
-        assert (exponent, unit) == _lifted_valuation(x, p, root)
         assert unit == embed_sqrt2_mod_p(x / Fraction(p) ** exponent, p, root)
 
-    def test_only_mixed_elements_lift(self, monkeypatch):
-        lifted = []
-
-        def counting(x, p, root):
-            lifted.append(x)
-            return _lifted_valuation(x, p, root)
-
-        monkeypatch.setattr(exact_arith, "_lifted_valuation", counting)
+    def test_mixed_elements_refused(self):
         assert split_prime_valuation(QSqrt2.of(Fraction(34, 3), 0), 17, 6) == (1, 2 * pow(3, -1, 17) % 17)
         assert split_prime_valuation(QSqrt2.of(0, -17), 17, 11) == (1, -11 % 17)
-        assert lifted == []
-        assert split_prime_valuation(QSqrt2.of(5, 2), 17, 6)[0] == 1
-        assert lifted == [QSqrt2.of(5, 2)]
+        for x in (QSqrt2.of(5, 2), QSqrt2.of(1, 1), QSqrt2.of(Fraction(1, 17), -3)):
+            with pytest.raises(ValueError, match="neither rational nor"):
+                split_prime_valuation(x, 17, 6)
 
     @given(
         st.integers(min_value=-3, max_value=3),
         st.integers(min_value=1, max_value=50),
-        st.integers(min_value=0, max_value=50),
+        st.booleans(),
     )
-    def test_valuation_additive_in_prime_powers(self, e, c, d):
-        x = QSqrt2.of(c, d)
+    def test_valuation_additive_in_prime_powers(self, e, c, rational):
+        x = QSqrt2.of(c, 0) if rational else QSqrt2.of(0, c)
         scaled = x * QSqrt2.of(Fraction(17) ** e, 0)
         base_exponent, base_unit = split_prime_valuation(x, 17, 6)
         exponent, unit = split_prime_valuation(scaled, 17, 6)

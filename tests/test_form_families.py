@@ -15,7 +15,6 @@ from volcount.form_families import (
     epsilon_q_at,
     epsilon_r_at,
     gauss_representation,
-    isotropy_witness_q,
     make_q,
     make_r,
     noncommensurability_certificate,
@@ -31,16 +30,12 @@ class TestFormConstruction:
         form = make_q(5, 4)
         assert form.rank == 5
         assert form.coefficients == (5, 1, 1, 1, -2)
-        assert form.signature() == (4, 1)
 
     def test_r_shape(self):
         form = make_r(17, 4)
         assert form.rank == 5
         assert form.coefficients[0] == QSqrt2.of(17, 0)
         assert form.coefficients[-1] == QSqrt2.of(0, -1)
-        # Indefinite at the given embedding, definite at the conjugate one.
-        assert form.signature() == (4, 1)
-        assert form.conjugate_signature() == (5, 0)
 
     def test_shared_boundary_restriction(self):
         restrictions = {restrict_to_hyperplane(make_q(a, 4)) for a in (5, 13, 29)}
@@ -52,23 +47,6 @@ class TestFormConstruction:
             make_q(5, 2)
         with pytest.raises(ValueError):
             make_q(0, 4)
-
-    def test_evaluate(self):
-        form = make_q(5, 4)
-        assert form.evaluate((1, 0, 0, 0, 0)) == 5
-        assert form.evaluate((0, 0, 0, 0, 1)) == -2
-
-
-class TestIsotropy:
-    def test_frozen_witnesses(self):
-        assert isotropy_witness_q(1, 4) == (0, 1, 1, 0, 1)
-        assert isotropy_witness_q(5, 3) == (0, 1, 1, 1)
-
-    @given(st.sampled_from(REFERENCE_ISOTROPIC_PRIMES), st.sampled_from((3, 4, 5, 6)))
-    def test_witness_is_isotropic_vector(self, a, n):
-        witness = isotropy_witness_q(a, n)
-        assert any(witness)
-        assert make_q(a, n).evaluate(witness) == 0
 
 
 class TestEpsilonInvariants:

@@ -14,7 +14,6 @@ from volcount.local_invariants import (
     hilbert_dyadic,
     hilbert_odd_p,
     hilbert_real,
-    locally_equivalent,
     odd_place,
 )
 
@@ -90,16 +89,21 @@ class TestPlaces:
         assert DYADIC.prime == 2
 
     def test_hand_built_place_is_validated_on_use(self):
-        # A Place built without odd_place is checked when a symbol uses it,
-        # including symbols whose arguments both have odd valuation.
-        nine = Place("odd_prime", 9)
+        # A Place built without odd_place is checked when it is built, so the
+        # symbols never see a bad one; hilbert_odd_p takes a raw prime and
+        # checks it on every call, also when both valuations are odd.
+        for prime in (9, 2, None):
+            with pytest.raises(ValueError, match=f"{prime} is not an odd prime"):
+                Place("odd_prime", prime)
         for a, b in ((1, 2), (9, 3)):
             with pytest.raises(ValueError, match="9 is not an odd prime"):
-                hilbert(a, b, nine)
-            with pytest.raises(ValueError, match="9 is not an odd prime"):
                 hilbert_odd_p(a, b, 9)
-        with pytest.raises(ValueError, match="9 is not an odd prime"):
-            hasse_witt([1, 2, 3], nine)
+        for prime in (3, None):
+            with pytest.raises(ValueError, match="the dyadic place has prime 2"):
+                Place("dyadic", prime)
+        with pytest.raises(ValueError, match="unknown place kind 'archimedean'"):
+            Place("archimedean")
+        assert Place("odd_prime", 7) == odd_place(7)
 
     def test_integer_coefficients_kept(self):
         # int and Fraction coefficients give the same invariants.
@@ -284,25 +288,11 @@ class TestLocalEquivalence:
         with pytest.raises(ValueError):
             discriminant_class([2**89 - 1])
 
-    def test_family_members_differ_at_witness(self):
-        q5 = (Fraction(5), 1, 1, 1, Fraction(-2))
-        q13 = (Fraction(13), 1, 1, 1, Fraction(-2))
-        assert not locally_equivalent(q5, q13, odd_place(5))
-        assert locally_equivalent(q5, q5, odd_place(5))
-
     def test_scaled_discriminant_same_class(self):
+        # Scaling every coefficient by the square 4 keeps the discriminant
+        # class and, pair by pair, every Hilbert symbol.
         q = (Fraction(3), Fraction(5))
-        scaled = (Fraction(12), Fraction(20))  # multiplied by 4
+        scaled = (Fraction(12), Fraction(20))
+        assert discriminant_class(q) == discriminant_class(scaled) == 15
         for place in (REAL, DYADIC, odd_place(3), odd_place(5)):
-            assert locally_equivalent(q, scaled, place)
-
-    def test_hand_built_place_checks_parity_before_the_prime(self):
-        # Discriminant classes 1 and 2 differ in 2-adic valuation parity, so
-        # an odd_prime place built around 2 answers False before the unit
-        # comparison would reject p = 2; classes 1 and 3 reach that check.
-        two = Place("odd_prime", 2)
-        assert not locally_equivalent([1], [2], two)
-        with pytest.raises(ValueError, match="p = 2 is not an odd prime"):
-            locally_equivalent([1], [3], two)
-        with pytest.raises(ValueError, match="9 is not prime"):
-            locally_equivalent([1], [2], Place("odd_prime", 9))
+            assert hasse_witt(q, place) == hasse_witt(scaled, place)
