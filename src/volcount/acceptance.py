@@ -45,7 +45,7 @@ from .form_families import (
     search_primes_isotropic,
     two_is_fourth_power,
 )
-from .free_groups import distinguishing_word, enumerate_subgroups, hall_count
+from .free_groups import SubgroupTable, distinguishing_word, enumerate_subgroups, hall_count
 from .local_invariants import DYADIC, REAL, hasse_witt, hilbert, odd_place
 
 
@@ -224,7 +224,12 @@ def _criterion_subgroup_counts() -> str:
     expected = (1, 3, 13, 71, 461, 3447)
     for k, value in enumerate(expected, start=1):
         assert hall_count(k) == value
-        assert len(enumerate_subgroups(k)) == value
+        tables = enumerate_subgroups(k)
+        assert len(tables) == value
+        # Enumerated tables are built unchecked; each must pass the checks.
+        for t in tables:
+            SubgroupTable(t.degree, t.perm_a, t.perm_b)
+            assert t.canonical_key() == (k, t.perm_a, t.perm_b), t
     for k in range(1, 41):
         assert hall_count(k) ** 2 >= k**k, k
     return f"a_1..a_6 = {expected} by both routes; a_k^2 >= k^k up to k = 40"

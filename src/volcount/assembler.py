@@ -351,15 +351,18 @@ def _check_closed(instances, gluings) -> None:
         )
 
 
-def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
+def _volume_numerator(graph: DecoratedGraph, parcel: Parcel) -> int:
     # One V0 block per plain vertex, one V1 per colored vertex, and one block
     # of each edge kind per vertex, summed over the parcel's common
     # denominator so the Fraction is normalised once.
     k = graph.vertex_count
     colored = len(graph.colored)
     plain_volume, colored_volume, *edge_volumes = parcel._scaled_volumes
-    numerator = (k - colored) * plain_volume + colored * colored_volume + k * sum(edge_volumes)
-    return Fraction(numerator, parcel._common_denominator)
+    return (k - colored) * plain_volume + colored * colored_volume + k * sum(edge_volumes)
+
+
+def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
+    return Fraction(_volume_numerator(graph, parcel), parcel._common_denominator)
 
 
 def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
@@ -378,11 +381,12 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
-    """Exact sum of instance volumes; asserts the 5k * max_volume cap."""
-    total = _total_volume(descriptor.source_graph, parcel)
-    cap = 5 * descriptor.source_graph.vertex_count * parcel.max_volume
-    if total > cap:
-        raise RuntimeError(f"volume {total} exceeds the cap {cap}")
+    """Exact sum of instance volumes; asserts the 5k * max_volume cap on integer numerators."""
+    k = descriptor.source_graph.vertex_count
+    numerator = _volume_numerator(descriptor.source_graph, parcel)
+    total = Fraction(numerator, parcel._common_denominator)
+    if numerator > 5 * k * max(parcel._scaled_volumes):
+        raise RuntimeError(f"volume {total} exceeds the cap {5 * k * parcel.max_volume}")
     return total
 
 

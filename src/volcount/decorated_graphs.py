@@ -53,10 +53,13 @@ class DecoratedGraph:
     def __post_init__(self):
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
         object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        object.__setattr__(self, "colored", frozenset(self.colored))
         _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
-        if not self.colored <= set(range(self.vertex_count)):
+        self._set_colored(frozenset(self.colored))
+
+    def _set_colored(self, colored: frozenset[int]) -> None:
+        if not colored <= set(range(self.vertex_count)):
             raise ValueError("colored vertices must be vertices")
+        object.__setattr__(self, "colored", colored)
         object.__setattr__(self, "_canonical_key", None)
 
     def steps(self):
@@ -66,7 +69,8 @@ class DecoratedGraph:
         return [tuple(sorted(order)) for order, _ in _orbits(self.steps(), self.vertex_count)]
 
     def is_connected(self) -> bool:
-        return _is_connected(self.steps(), self.vertex_count)
+        # Forward steps suffice: a and b generate a finite group.
+        return len(_bfs((self.perm_a, self.perm_b), 0)[0]) == self.vertex_count
 
     def canonical_key(self) -> tuple:
         """Equal for two graphs exactly when they are isomorphic (module docstring)."""
@@ -90,13 +94,17 @@ def _orbits(steps, vertex_count: int):
         yield order, label
 
 
-def _is_connected(steps, vertex_count: int) -> bool:
-    return len(_bfs(steps, 0)[0]) == vertex_count
-
-
 def from_subgroup(table: SubgroupTable, colored: Iterable[int]) -> DecoratedGraph:
-    """The Schreier graph of the subgroup with the given vertices colored."""
-    return DecoratedGraph(table.degree, table.perm_a, table.perm_b, frozenset(colored))
+    """The Schreier graph of the subgroup with the given vertices colored.
+
+    The table has validated its permutation pair; only `colored` is checked.
+    """
+    graph = object.__new__(DecoratedGraph)
+    object.__setattr__(graph, "vertex_count", table.degree)
+    object.__setattr__(graph, "perm_a", table.perm_a)
+    object.__setattr__(graph, "perm_b", table.perm_b)
+    graph._set_colored(frozenset(colored))
+    return graph
 
 
 def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int, int]):
@@ -200,9 +208,9 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     relabeled in increasing encoded order: the first consistent component of
     fiber_product(g1, g2).components, colored by pulling back g1's coloring.
     """
-    steps1, steps2 = g1.steps(), g2.steps()
-    if not (_is_connected(steps1, g1.vertex_count) and _is_connected(steps2, g2.vertex_count)):
+    if not (g1.is_connected() and g2.is_connected()):
         raise ValueError("the common-cover decision takes connected graphs")
+    steps1, steps2 = g1.steps(), g2.steps()
     colored1, colored2 = g1.colored, g2.colored
     if bool(colored1) != bool(colored2):
         return CommonCoverDecision(False)

@@ -9,7 +9,10 @@ labeling per subgroup.
 enumerate_subgroups generates every index-k subgroup exactly once by
 backtracking over partially defined tables: slots are filled in the scan
 order above and a fresh coset always receives the smallest unused label, so
-completed tables are canonical by construction.  hall_count evaluates
+completed tables are canonical by construction, and they skip the public
+constructor's permutation and transitivity checks; the test
+test_enumerated_tables_are_valid_and_canonical (indices 1..7) and selftest
+criterion 6 (indices 1..6) run both on every table.  hall_count evaluates
 Marshall Hall's recursion
 
     a_k = k * k! - sum_{i=1}^{k-1} (k - i)! * a_i
@@ -20,7 +23,7 @@ which the enumeration must reproduce.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
@@ -85,13 +88,14 @@ def _relabel(
     return tuple([label[perm_a[v]] for v in order]), tuple([label[perm_b[v]] for v in order])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SubgroupTable:
     """Coset table of a finite-index subgroup; equality is subgroup equality."""
 
     degree: int
     perm_a: tuple[int, ...]
     perm_b: tuple[int, ...]
+    _canonical_key: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
@@ -102,7 +106,16 @@ class SubgroupTable:
         orbit, _ = _bfs((self.perm_a, self.perm_b), BASEPOINT)
         if len(orbit) != self.degree:
             raise ValueError("the permutation pair does not act transitively")
-        object.__setattr__(self, "_canonical_key", None)
+
+    @classmethod
+    def _canonical(cls, degree: int, perm_a: tuple[int, ...], perm_b: tuple[int, ...]):
+        """A table enumerate_subgroups completed: canonical and transitive, so unchecked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "degree", degree)
+        object.__setattr__(table, "perm_a", perm_a)
+        object.__setattr__(table, "perm_b", perm_b)
+        object.__setattr__(table, "_canonical_key", None)
+        return table
 
     @property
     def basepoint(self) -> int:
@@ -155,7 +168,7 @@ def enumerate_subgroups(k: int) -> list[SubgroupTable]:
         if slot == 4 * used:
             # Table closed on `used` cosets; only exact index k is kept.
             if used == k:
-                tables.append(SubgroupTable(k, tuple(forward_a), tuple(forward_b)))
+                tables.append(SubgroupTable._canonical(k, tuple(forward_a), tuple(forward_b)))
             return
         vertex, column = slot // 4, slot % 4
         col, partner = columns[column], partners[column]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from volcount import assembler
 from volcount.assembler import (
     BLOCK_KINDS,
     BuildingBlock,
@@ -439,6 +440,15 @@ class TestWriter:
             (count * block.volume for count, block in zip(counts, priced.blocks)), Fraction(0)
         )
         assert _total_volume(graph, priced) == plain
+        assert volume_bound(assemble(graph, priced), priced) == plain
+
+    def test_volume_over_the_cap_raises(self, parcel, monkeypatch):
+        priced = with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1])
+        descriptor = assemble(TWO, priced)
+        # Real volumes never exceed the cap 5 * 2 * 2 = 120/6; one sixth over it must raise.
+        monkeypatch.setattr(assembler, "_volume_numerator", lambda graph, parcel: 121)
+        with pytest.raises(RuntimeError, match=r"^volume 121/6 exceeds the cap 20$"):
+            volume_bound(descriptor, priced)
 
 
 class TestParcelVolumeTerms:

@@ -57,6 +57,33 @@ class TestConstruction:
         assert not disconnected.is_connected()
         assert len(disconnected.components()) == 2
 
+    def test_from_subgroup_matches_the_validating_constructor(self):
+        for k in range(1, 6):
+            for table in enumerate_subgroups(k):
+                for colored in (frozenset({table.basepoint}), frozenset(range(1, k, 2))):
+                    graph = from_subgroup(table, colored)
+                    checked = DecoratedGraph(table.degree, table.perm_a, table.perm_b, colored)
+                    assert graph == checked
+                    assert graph.canonical_key() == checked.canonical_key()
+        table = enumerate_subgroups(3)[0]
+        for colored in ({3}, {-1}, {0, 5}):
+            with pytest.raises(ValueError, match="colored vertices must be vertices"):
+                from_subgroup(table, colored)
+
+    @given(
+        st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        )
+    )
+    @example(((0, 1, 2), (1, 2, 0)))  # connected through b alone
+    @example(((1, 2, 0), (0, 1, 2)))  # connected through a alone
+    @example(((1, 0, 2), (0, 1, 2)))  # intransitive
+    @settings(max_examples=300, deadline=None)
+    def test_connectivity_counts_one_component(self, pair):
+        perm_a, perm_b = pair
+        graph = DecoratedGraph(len(perm_a), perm_a, perm_b, frozenset())
+        assert graph.is_connected() == (len(graph.components()) == 1)
+
 
 class TestIsomorphism:
     def test_color_placement_matters(self):

@@ -58,9 +58,16 @@ class TestCounts:
     def test_enumeration_matches_recursion(self, k):
         assert len(enumerate_subgroups(k)) == hall_count(k)
 
-    def test_enumeration_has_no_duplicates(self):
-        tables = enumerate_subgroups(5)
-        assert len(set(tables)) == len(tables)
+    @pytest.mark.parametrize("k", range(1, MAX_INDEX + 1))
+    def test_enumerated_tables_are_valid_and_canonical(self, k):
+        # The enumerator builds its tables without the constructor's checks.
+        tables = enumerate_subgroups(k)
+        assert len(tables) == hall_count(k)
+        for t in tables:
+            SubgroupTable(t.degree, t.perm_a, t.perm_b)
+            assert t.canonical_key() == (k, t.perm_a, t.perm_b)
+            assert not hasattr(t, "__dict__")
+        assert len({t.canonical_key() for t in tables}) == len(tables)
 
     def test_growth_floor(self):
         for k in range(1, 13):
