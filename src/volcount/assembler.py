@@ -18,9 +18,10 @@ source -> minus -> plus -> target.  The result is a closed descriptor: every
 slot is glued exactly once.  The graph alone fixes these instances and
 gluings, so a descriptor stores only the graph, the parcel id and the
 volume; the lists are derived when a document is written, and a document
-read back must list exactly the ones its graph derives.  Tracing a word through a descriptor crosses
-three block boundaries per letter, and the kind of the terminal vertex block
-(V1 against V0) is the observable that separates descriptors.
+reads back only if its text is exactly what the writer emits.  Tracing a
+word through a descriptor crosses three block boundaries per letter, and
+the kind of the terminal vertex block (V1 against V0) is the observable
+that separates descriptors.
 
 count_lower_bound turns a volume budget v into k = floor(v / (5 * V)) with V
 the largest block volume, reports the number of index-k subgroups, and
@@ -191,7 +192,8 @@ class ManifoldDescriptor:
     """A closed gluing pattern of block instances over a decorated graph.
 
     The graph fixes the pattern: one block instance per vertex and two per
-    edge, glued in the scan order that _gluing_pattern spells out.
+    edge, glued in the scan order that _pick spells out.  Its document is
+    the text descriptor_to_json writes, the only text that reads back.
     """
 
     source_graph: DecoratedGraph
@@ -220,47 +222,52 @@ class _Memo(dict):
         return value
 
 
-def _letter_rows(vertex_ids: list[str], slot: int, x: str):
-    """The x-edge rows of _pattern_rows, whose out slot at each vertex is `slot`."""
-    k = len(vertex_ids)
+# Row templates of the indent=2 layout.  Instance ids, kinds, "serves" texts
+# and slots are digits, letters, '-', '+', '>' and spaces, none of which
+# JSON escapes.
+_INSTANCE_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
+_GLUING_ROW = (
+    '    [\n      [\n        "%s",\n        %d\n      ],'
+    '\n      [\n        "%s",\n        %d\n      ]\n    ]'
+)
+
+
+def _letter_rows(k: int, slot: int, x: str):
+    """The x-edge rows of _pattern_text, whose out slot at each vertex is `slot`."""
     minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
     minus_kind, plus_kind = x.upper() + "_minus", x.upper() + "_plus"
-    in_ends = [[vertex_ids[v], slot + 1] for v in range(k)]
-    plus_ends = [[plus[u], 1] for u in range(k)]
 
     def edge_rows(key):
         v, w = divmod(key, k)
         serves = "%s-edge %d->%d" % (x, v, w)
-        return [minus[v], minus_kind, serves], [plus[v], plus_kind, serves]
+        return (
+            _INSTANCE_ROW % (minus[v], minus_kind, serves),
+            _INSTANCE_ROW % (plus[v], plus_kind, serves),
+        )
 
     def in_gluing(key):
         v, u = divmod(key, k)
-        return [in_ends[v], plus_ends[u]]
+        return _GLUING_ROW % ("v%d" % v, slot + 1, plus[u], 1)
 
     return (
         _Memo(edge_rows),
-        tuple([[vertex_ids[v], slot], [minus[v], 0]] for v in range(k)),
+        [_GLUING_ROW % ("v%d" % v, slot, minus[v], 0) for v in range(k)],
         _Memo(in_gluing),
-        tuple([[minus[v], 1], [plus[v], 0]] for v in range(k)),
+        [_GLUING_ROW % (minus[v], 1, plus[v], 0) for v in range(k)],
     )
 
 
 # Patterns are written and read for graphs of a handful of sizes at a time
-# (index <= 7 in the pipeline), so a few entries keep every row and text
-# table hot.  A table holds up to k rows per vertex, so only sizes up to
-# _CACHED_SIZE are kept; a larger graph, which only a single graph file or
-# document brings, builds its tables for the one pattern.
+# (index <= 7 in the pipeline), so a few entries keep every text table hot.
+# A table holds up to k rows per vertex, so only sizes up to _CACHED_SIZE are
+# kept; a larger graph, which only a single graph file or document brings,
+# builds its table for the one pattern.
 _CACHED_SIZE = 16
 
 
-def _sized(table, k: int):
-    """table(k), kept in table's cache only for k up to _CACHED_SIZE."""
-    return table(k) if k <= _CACHED_SIZE else table.__wrapped__(k)
-
-
 @lru_cache(maxsize=8)
-def _pattern_rows(k: int):
-    """The rows of k-vertex patterns, kept per k (see _gluing_pattern).
+def _pattern_text(k: int):
+    """The rows of k-vertex patterns in the document layout, kept per k.
 
     Returns (vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings):
     vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
@@ -268,22 +275,22 @@ def _pattern_rows(k: int):
     (x = 0 for a, 1 for b); out_gluings[x][v] and in_gluings[x][v * k + u]
     glue vertex v's x-out slot and, for the x-edge u -> v, its x-in slot;
     edge_gluings lists the minus-to-plus gluings of every edge.  Rows of one
-    vertex are built at once, rows of an edge when a pattern first has it
-    (_Memo).  The patterns hold these rows themselves, so they are shared
-    and read-only.
+    vertex are rendered at once, rows of an edge when a pattern first has it
+    (_Memo), so a graph past _CACHED_SIZE, whose table serves one document,
+    renders only the rows it has.
     """
-    vertex_ids = ["v%d" % v for v in range(k)]
     vertex_rows = tuple(
-        tuple([vertex_ids[v], kind, "vertex %d" % v] for v in range(k)) for kind in VERTEX_KINDS
+        [_INSTANCE_ROW % ("v%d" % v, kind, "vertex %d" % v) for v in range(k)]
+        for kind in VERTEX_KINDS
     )
     edge_rows, out_gluings, in_gluings, (a_gluings, b_gluings) = zip(
-        _letter_rows(vertex_ids, 0, "a"), _letter_rows(vertex_ids, 2, "b")
+        _letter_rows(k, 0, "a"), _letter_rows(k, 2, "b")
     )
     return vertex_rows, edge_rows, out_gluings, in_gluings, a_gluings + b_gluings
 
 
-def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
-    """The instance and gluing lists of the graph, as its document spells them.
+def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
+    """The instance and gluing rows of the graph's document, in pattern order.
 
     Instances [id, kind, serves]: vertex v -> ["v{v}", V1 or V0,
     "vertex {v}"] for every v; then the a-edge leaving v -> ["a{v}-",
@@ -293,21 +300,11 @@ def _gluing_pattern(graph: DecoratedGraph) -> tuple[list, list]:
     slot 1 (a-in) to slot 1 of "a{u}+" for the a-edge u -> v, slots 2 and 3
     likewise for b; then per edge, a-edges before b-edges, slot 1 of its
     minus block to slot 0 of its plus block.  An x-self-loop at v consumes
-    both x-slots of v.
-
-    The rows in both lists are _pattern_rows' shared rows: read them, never
-    change them.
-    """
-    return _pick(_sized(_pattern_rows, graph.vertex_count), graph)
-
-
-def _pick(table, graph: DecoratedGraph) -> tuple[list, list]:
-    """The entries of table that the graph's pattern lists, in pattern order.
-
-    table is shaped as _pattern_rows(k) returns, so this gives the rows of
-    _gluing_pattern from _pattern_rows and their text from _pattern_text.
+    both x-slots of v.  Each row is its text in the document, from
+    _pattern_text(k).
     """
     k = graph.vertex_count
+    table = _pattern_text(k) if k <= _CACHED_SIZE else _pattern_text.__wrapped__(k)
     (plain, colored), (a_edges, b_edges), (a_out, b_out), (a_in, b_in), edge_gluings = table
     perm_a, perm_b = graph.perm_a, graph.perm_b
     instances = [colored[v] if v in graph.colored else plain[v] for v in range(k)]
@@ -368,8 +365,9 @@ def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
 def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
     """Instantiate and glue parcel blocks along a connected decorated graph.
 
-    The 5k instances and 6k gluings follow from the graph (see
-    _gluing_pattern); the descriptor keeps the graph and the exact volume.
+    The 5k instances and 6k gluings follow from the graph (see _pick), so
+    the descriptor keeps only the graph, the parcel id and the exact volume;
+    the lists appear only in the document descriptor_to_json writes.
     """
     if not graph.is_connected():
         raise ValueError("assembly requires a connected graph")
@@ -525,58 +523,6 @@ def commensurability_verdict(
     return CommensurabilityVerdict(same, tuple(checked), assumed)
 
 
-# Row templates of the indent=2 layout.  Instance ids, kinds, "serves" texts
-# and slots come from _pattern_rows: digits, letters, '-', '+', '>' and
-# spaces, none of which JSON escapes.
-_INSTANCE_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
-_GLUING_ROW = (
-    '    [\n      [\n        "%s",\n        %d\n      ],'
-    '\n      [\n        "%s",\n        %d\n      ]\n    ]'
-)
-
-
-def _instance_text(row) -> str:
-    return _INSTANCE_ROW % tuple(row)
-
-
-def _gluing_text(gluing) -> str:
-    (id1, slot1), (id2, slot2) = gluing
-    return _GLUING_ROW % (id1, slot1, id2, slot2)
-
-
-def _edge_text(rows) -> tuple[str, str]:
-    minus, plus = rows
-    return _INSTANCE_ROW % tuple(minus), _INSTANCE_ROW % tuple(plus)
-
-
-def _rendered(render, rows: _Memo) -> _Memo:
-    """render(row) for each row of rows, on first use.
-
-    The row comes from rows' own make, so rows is not filled as well.
-    """
-    make = rows.make
-    return _Memo(lambda key: render(make(key)))
-
-
-@lru_cache(maxsize=8)
-def _pattern_text(k: int):
-    """_pattern_rows(k) with every row rendered in the document layout, kept per k.
-
-    The five tables keep their shape, so _pick reads both.  Edge rows and
-    x-in gluings are rendered on first use, as their rows are made, so a
-    graph past _CACHED_SIZE, whose table serves one document, renders only
-    the rows it has.
-    """
-    vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings = _sized(_pattern_rows, k)
-    return (
-        tuple(list(map(_instance_text, rows)) for rows in vertex_rows),
-        tuple(_rendered(_edge_text, rows) for rows in edge_rows),
-        tuple(list(map(_gluing_text, rows)) for rows in out_gluings),
-        tuple(_rendered(_gluing_text, rows) for rows in in_gluings),
-        list(map(_gluing_text, edge_gluings)),
-    )
-
-
 def _int_list(values) -> str:
     # A list of ints under a "graph" key, at the document's third level.
     if not values:
@@ -589,14 +535,14 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
-    run the pure-Python one token by token, so this writer joins the rows of
-    _gluing_pattern as _pattern_text renders them, once per graph size (up
-    to _CACHED_SIZE vertices), writes the keys in sorted order by hand, and
+    run the pure-Python one token by token, so this writer joins the rows
+    _pick takes from _pattern_text, rendered once per graph size (up to
+    _CACHED_SIZE vertices), writes the keys in sorted order by hand, and
     escapes the caller's strings with the same encode_basestring_ascii that
-    json.dumps applies.
+    json.dumps applies.  descriptor_from_json accepts exactly this text.
     """
     graph = descriptor.source_graph
-    instances, gluings = _pick(_sized(_pattern_text, graph.vertex_count), graph)
+    instances, gluings = _pick(graph)
     gluing_rows, instance_rows = ",\n".join(gluings), ",\n".join(instances)
     return (
         f'{{\n  "gluings": [\n{gluing_rows}\n  ],\n'
@@ -613,54 +559,34 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     )
 
 
-_DOCUMENT_KEYS = {"gluings", "graph", "instances", "parcel_id", "volume_bound"}
-_GRAPH_KEYS = {"colored", "perm_a", "perm_b", "vertices"}
-
-
 def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDescriptor:
     """Read a descriptor document back.
 
-    Raises ValueError, and only ValueError, unless the document is one that
-    descriptor_to_json writes: it must be JSON with exactly the writer's
-    keys and value types, integer graph entries, colored vertices listed
-    once each in increasing order, a positive volume_bound in lowest terms,
-    and the instances and gluings its graph derives.  So writing the result
-    reproduces the document up to layout.  Given the parcel the document
-    was assembled from, it must also name that parcel and carry the volume
-    the parcel's blocks give its graph.
+    Raises ValueError, and only ValueError, unless text is exactly what
+    descriptor_to_json writes for the graph, parcel_id and positive
+    volume_bound it names, so writing the result reproduces the text.
+    Given the parcel the document was assembled from, it must also name
+    that parcel and carry the volume the parcel's blocks give its graph.
     """
     try:
         document = json.loads(text)
         spec = document["graph"]
-        vertices, perm_a, perm_b = spec["vertices"], tuple(spec["perm_a"]), tuple(spec["perm_b"])
-        listed_colored = spec["colored"]
-        colored = frozenset(listed_colored)
-        if any(type(v) is not int for v in (vertices, *perm_a, *perm_b, *colored)):
-            raise ValueError("graph entries must be integers")
-        graph = DecoratedGraph(vertices, perm_a, perm_b, colored)
-        parcel_id, volume_text = document["parcel_id"], document["volume_bound"]
-        if not isinstance(parcel_id, str) or not isinstance(volume_text, str):
-            raise ValueError("parcel_id and volume_bound must be strings")
-        volume = Fraction(volume_text)
-    except (KeyError, TypeError, ZeroDivisionError, RecursionError) as error:
+        graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
+        parcel_id, volume = document["parcel_id"], Fraction(document["volume_bound"])
+        descriptor = ManifoldDescriptor(graph, parcel_id, volume)
+        written = descriptor_to_json(descriptor)
+    except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:
         raise ValueError(f"malformed descriptor document: {error!r}") from error
-    if document.keys() != _DOCUMENT_KEYS or spec.keys() != _GRAPH_KEYS:
-        raise ValueError("document keys differ from the descriptor layout")
-    if sorted(colored) != listed_colored:
-        raise ValueError("colored vertices must be listed once each, in increasing order")
-    if volume <= 0 or str(volume) != volume_text:
-        raise ValueError(f"volume_bound {volume_text!r} is not a positive fraction in lowest terms")
-    instances, gluings = _gluing_pattern(graph)
-    if document["instances"] != instances:
-        raise ValueError("document instances differ from those its graph derives")
-    if document["gluings"] != gluings:
-        raise ValueError("document gluings differ from those its graph derives")
+    if written != text:
+        raise ValueError("document differs from the text the writer gives its descriptor")
+    if volume <= 0:
+        raise ValueError(f"volume_bound {str(volume)!r} is not positive")
     if parcel is not None:
         if parcel_id != parcel.parcel_id:
             raise ValueError(f"document names parcel {parcel_id!r}, not {parcel.parcel_id!r}")
         if volume != _total_volume(graph, parcel):
-            raise ValueError(f"volume_bound {volume_text!r} is not the volume the parcel gives")
-    return ManifoldDescriptor(source_graph=graph, parcel_id=parcel_id, volume_bound=volume)
+            raise ValueError(f"volume_bound {str(volume)!r} is not the volume the parcel gives")
+    return descriptor
 
 
 __all__ = [

@@ -210,7 +210,8 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     """
     if not (g1.is_connected() and g2.is_connected()):
         raise ValueError("the common-cover decision takes connected graphs")
-    steps1, steps2 = g1.steps(), g2.steps()
+    # Forward steps suffice, as in is_connected: a and b generate a finite group.
+    steps1, steps2 = (g1.perm_a, g1.perm_b), (g2.perm_a, g2.perm_b)
     colored1, colored2 = g1.colored, g2.colored
     if bool(colored1) != bool(colored2):
         return CommonCoverDecision(False)

@@ -129,10 +129,6 @@ class SubgroupTable:
             object.__setattr__(self, "_canonical_key", key)
         return key
 
-    def canonical(self) -> "SubgroupTable":
-        degree, new_a, new_b = self.canonical_key()
-        return SubgroupTable(degree, new_a, new_b)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgroupTable):
             return NotImplemented

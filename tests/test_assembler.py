@@ -13,9 +13,8 @@ from volcount.assembler import (
     Parcel,
     _CACHED_SIZE,
     _check_closed,
-    _gluing_pattern,
-    _pattern_rows,
     _pattern_text,
+    _pick,
     _total_volume,
     assemble,
     commensurability_verdict,
@@ -53,11 +52,16 @@ def _document(graph, parcel):
     return json.loads(descriptor_to_json(assemble(graph, parcel)))
 
 
+def _dumps(document):
+    """The document in the writer's layout, so the reader refuses it only for its content."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def _assert_rejected(document):
     with pytest.raises(ValueError):
         _check_closed(document["instances"], document["gluings"])
     with pytest.raises(ValueError):
-        descriptor_from_json(json.dumps(document))
+        descriptor_from_json(_dumps(document))
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +183,7 @@ class TestAssembly:
         for document in (reordered, relabeled):
             _check_closed(document["instances"], document["gluings"])
             with pytest.raises(ValueError):
-                descriptor_from_json(json.dumps(document))
+                descriptor_from_json(_dumps(document))
 
 
 class TestVolumeBound:
@@ -302,7 +306,7 @@ class TestParcelAwareRead:
         document = _document(LOOP, parcel)
         assert document["volume_bound"] == "5"
         document["volume_bound"] = "7/3"
-        text = json.dumps(document)
+        text = _dumps(document)
         with pytest.raises(ValueError, match="volume_bound '7/3'"):
             descriptor_from_json(text, parcel)
         assert descriptor_from_json(text).volume_bound == Fraction(7, 3)
@@ -324,7 +328,7 @@ class TestParcelAwareRead:
 def _dumps_document(descriptor):
     """The document as json.dumps writes it: the oracle for the fixed writer."""
     graph = descriptor.source_graph
-    instances, gluings = _gluing_pattern(graph)
+    instances, gluings = _pattern_as_documented(graph)
     document = {
         "graph": {
             "vertices": graph.vertex_count,
@@ -337,7 +341,7 @@ def _dumps_document(descriptor):
         "gluings": gluings,
         "volume_bound": str(descriptor.volume_bound),
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return _dumps(document)
 
 
 @st.composite
@@ -356,7 +360,7 @@ parcel_ids = st.one_of(st.text(), st.sampled_from(["isotropic-n4", "anisotropic-
 
 
 def _pattern_as_documented(graph):
-    """_gluing_pattern's lists spelled out from its docstring, one row at a time."""
+    """_pick's rows, as JSON values, spelled out from its docstring one row at a time."""
     k = graph.vertex_count
     instances = [[f"v{v}", "V1" if v in graph.colored else "V0", f"vertex {v}"] for v in range(k)]
     for x, perm in (("a", graph.perm_a), ("b", graph.perm_b)):
@@ -378,32 +382,37 @@ def _pattern_as_documented(graph):
     return instances, gluings
 
 
+def _parsed_pick(graph):
+    instances, gluings = _pick(graph)
+    return [json.loads(row) for row in instances], [json.loads(row) for row in gluings]
+
+
 class TestGluingPattern:
-    # Degrees past the enumeration cap and past the id-list cache's size,
+    # Degrees past the enumeration cap and past _pattern_text's cache size,
     # so sizes evict one another between examples.
     @given(connected_graphs(max_degree=12))
     @example(LOOP)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_documented_pattern(self, graph):
-        assert _gluing_pattern(graph) == _pattern_as_documented(graph)
+        assert _parsed_pick(graph) == _pattern_as_documented(graph)
 
 
 class TestPatternRows:
     def test_large_graph_round_trip(self, parcel):
         graph = _cycle_graph(3000, 7, {0, 5})
-        cached = _pattern_rows.cache_info(), _pattern_text.cache_info()
+        cached = _pattern_text.cache_info()
         descriptor = assemble(graph, parcel)
         assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
-        assert _gluing_pattern(graph) == _pattern_as_documented(graph)
-        assert (_pattern_rows.cache_info(), _pattern_text.cache_info()) == cached
+        assert _parsed_pick(graph) == _pattern_as_documented(graph)
+        assert _pattern_text.cache_info() == cached
 
     @pytest.mark.parametrize("graph", [SEVENTEEN, FORTY], ids=["17", "40"])
     def test_writer_examples_stay_uncached(self, parcel, graph):
         # TestWriter's examples of these sizes cover the uncached tables.
         assert graph.vertex_count > _CACHED_SIZE
-        cached = _pattern_rows.cache_info(), _pattern_text.cache_info()
+        cached = _pattern_text.cache_info()
         descriptor_to_json(assemble(graph, parcel))
-        assert (_pattern_rows.cache_info(), _pattern_text.cache_info()) == cached
+        assert _pattern_text.cache_info() == cached
 
 
 class TestWriter:
@@ -487,19 +496,23 @@ def _malformed_documents(parcel):
                 document[outer][inner] = value
             else:
                 document[key] = value
-        return json.dumps(document)
+        return _dumps(document)
 
+    # Each edit below is the only difference from a document that reads back.
+    assert descriptor_from_json(edited()) == assemble(LOOP, parcel)
     missing_graph = {key: value for key, value in valid.items() if key != "graph"}
     return [
         ("not json", "{"),
-        ("a list", json.dumps([valid])),
-        ("a string", json.dumps("graph")),
-        ("missing graph", json.dumps(missing_graph)),
+        ("a list", _dumps([valid])),
+        ("a string", _dumps("graph")),
+        ("missing graph", _dumps(missing_graph)),
+        ("the compact layout", json.dumps(valid)),
         ("graph a list", edited(graph=[1])),
         ("zero denominator", edited(volume_bound="1/0")),
         ("negative volume", edited(volume_bound="-5")),
         ("zero volume", edited(volume_bound="0")),
         ("float volume", edited(volume_bound=5.5)),
+        ("infinite volume", edited(volume_bound=float("inf"))),
         ("integer volume", edited(volume_bound=5)),
         ("volume not a number", edited(volume_bound="five")),
         ("integer parcel_id", edited(parcel_id=3)),
@@ -549,11 +562,12 @@ class TestMalformedDocuments:
             del holder[name]
         else:
             holder[name] = value
+        text = _dumps(document)
         try:
-            descriptor = descriptor_from_json(json.dumps(document))
+            descriptor = descriptor_from_json(text)
         except ValueError:
             return
-        assert json.loads(descriptor_to_json(descriptor)) == document
+        assert descriptor_to_json(descriptor) == text
 
 
 # sha256 over the concatenated index-5 documents (isotropic parcel, n = 4) in
