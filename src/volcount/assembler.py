@@ -409,16 +409,16 @@ def trace_word(descriptor: ManifoldDescriptor, word: Word) -> TraceResult:
     colored = sorted(graph.colored)
     if len(colored) != 1:
         raise ValueError("tracing requires exactly one colored vertex")
-    steps = graph.steps()
     v = colored[0]
     kinds = [_vertex_kind(graph, v)]
     for letter in word.letters:
-        block = "A" if letter < 2 else "B"
+        block, perm = ("A", graph.perm_a) if letter < 2 else ("B", graph.perm_b)
         if letter % 2 == 0:  # forward letter: minus side first
             kinds.extend((f"{block}_minus", f"{block}_plus"))
-        else:  # inverse letter: enter through the plus side
+            v = perm[v]
+        else:  # inverse letter: enter through the plus side, step back along perm
             kinds.extend((f"{block}_plus", f"{block}_minus"))
-        v = steps[letter][v]
+            v = perm.index(v)
         kinds.append(_vertex_kind(graph, v))
     return TraceResult(tuple(kinds), kinds[-1], len(kinds) - 1)
 

@@ -3,7 +3,8 @@
 Verbs
 -----
 primes     family prime lists with their verified conditions
-forms      pairwise non-commensurability certificate matrix for a family
+forms      pairwise non-commensurability certificate matrix for a family,
+           for 3 <= n <= MAX_FORMS_DIMENSION
 subgroups  enumeration against the recursion, with the growth floor
 graphs     canonical tables, common-cover matrix, distinguishing words
 assemble   read a decorated graph, print its closed descriptor document
@@ -14,8 +15,8 @@ Default output is a human table; --json switches to the structured document
 {"status": ..., "payload": ...}.  Identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure (a failed release
 check or internal self-check) or internal error, 2 usage error (bad
-arguments or input, or an --emit-descriptors directory that cannot be
-written), 141 (128 + SIGPIPE) when the reader closes stdout
+arguments or input, a value past a cap, or an --emit-descriptors directory
+that cannot be written), 141 (128 + SIGPIPE) when the reader closes stdout
 early, as in `volcount ... | head`; that case prints no traceback.
 """
 
@@ -53,6 +54,10 @@ from .free_groups import MAX_INDEX, distinguishing_word, enumerate_subgroups, ha
 # pairwise cap sits below the enumeration cap.
 MAX_PAIRWISE_INDEX = 4
 MAX_EMIT_INDEX = 5
+# An odd-rank forms certificate multiplies the Hilbert symbols of every pair
+# of the n + 1 coefficients, so a forms run grows as n^2: about 0.2 s at
+# n = 100 and 10 s at n = 800.
+MAX_FORMS_DIMENSION = 100
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -169,6 +174,8 @@ def _cmd_primes(args):
 
 
 def _cmd_forms(args):
+    if args.n > MAX_FORMS_DIMENSION:
+        raise UsageError(f"forms is capped at dimension {MAX_FORMS_DIMENSION} (got {args.n})")
     primes, forms = family_members(args.family, args.count, args.n)
     matrix = []
     for f1 in forms:

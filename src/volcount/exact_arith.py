@@ -1,9 +1,11 @@
 """Exact arithmetic over Q and Q(sqrt(2)).
 
 Deterministic primality, Legendre symbols, Tonelli-Shanks modular square
-roots, integer factorization, p-adic valuations, and valuations with unit
-residues of c and d * sqrt(2) in Q(sqrt(2)) at rational primes where 2 is a
-quadratic residue.
+roots, integer factorization below 10**12 by trial division, p-adic
+valuations, and valuations with unit residues of c and d * sqrt(2) in
+Q(sqrt(2)) at rational primes where 2 is a quadratic residue.  Elements of
+Q(sqrt(2)) are plain values: the family coefficients are built, compared and
+printed, never multiplied.
 Everything is arbitrary-precision integer or fraction arithmetic; no
 floating point is used anywhere in this package.
 """
@@ -13,31 +15,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 # Rationals are stdlib fractions: always in lowest terms, denominator > 0.
 Rational = Fraction
 
 # The twelve prime Miller-Rabin bases 2..37 are deterministic below
 # psi_12 = 318665857834031151167461 (about 3.2 * 10**23), the least strong
-# pseudoprime to all of them, and the thirteen bases 2..41 below psi_13 =
-# 3317044064679887385961981 (about 3.3 * 10**24), the least strong
-# pseudoprime to those (Sorenson and Webster, "Strong pseudoprimes to
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
 # twelve prime bases", Math. Comp. 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_BOUND = 318665857834031151167461
-_THIRTEEN_BASES = _MILLER_RABIN_BASES + (41,)
-_THIRTEEN_BASE_BOUND = 3317044064679887385961981
-_RHO_BATCH = 128
-_HART_ROUNDS = 256
+# Trial division up to sqrt(n) stays below 10**6 divisors.
+_FACTOR_BOUND = 10**12
 
 
 class PrimalityRangeError(ValueError):
     """An input past the certified range.
 
     is_prime raises it at or above psi_12, where the twelve bases certify
-    nothing; factor_int raises it for a cofactor at or above psi_13 that
-    passes all thirteen bases and that it cannot split.
+    nothing; factor_int raises it at or above 10**12, past the trial
+    division it is built on.
     """
 
 
@@ -58,17 +56,12 @@ def is_prime(n: int) -> bool:
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    return _strong_probable_prime(n, _MILLER_RABIN_BASES)
-
-
-def _strong_probable_prime(n: int, bases) -> bool:
-    """False when some base is a Miller-Rabin witness that odd n > max(bases) is composite."""
-    d = n - 1
-    s = 0
+    # Odd n > 37 here: each base a must pass the strong test for n - 1 = d * 2^s.
+    d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -115,7 +108,7 @@ def sqrt_mod(u: int, p: int) -> int | None:
     u %= p
     if u == 0:
         return 0
-    if legendre_symbol(u, p) == -1:
+    if _euler_criterion(u, p) == -1:
         return None
     if p % 4 == 3:
         r = pow(u, (p + 1) // 4, p)
@@ -126,7 +119,7 @@ def sqrt_mod(u: int, p: int) -> int | None:
             q //= 2
             s += 1
         z = 2
-        while legendre_symbol(z, p) != -1:
+        while _euler_criterion(z, p) != -1:
             z += 1
         c = pow(z, q, p)
         r = pow(u, (q + 1) // 2, p)
@@ -149,14 +142,17 @@ def sqrt_mod(u: int, p: int) -> int | None:
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: multiplicity}; n must be nonzero.
+    """Prime factorization of |n| as {prime: multiplicity}, for 0 < |n| < 10**12.
 
-    Trial division up to 10**4 followed by Brent's variant of Pollard rho for
-    any remaining composite cofactor.
+    Wheel trial division up to sqrt(|n|).  The pipeline factors family
+    parameters, criterion 3's fractions and coefficient products, none past a
+    few million; at or above _FACTOR_BOUND it raises PrimalityRangeError.
     """
     if n == 0:
         raise ValueError("0 has no factorization")
     n = abs(n)
+    if n >= _FACTOR_BOUND:
+        raise PrimalityRangeError(f"factorization is certified only below 10**12, got {n}")
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -165,94 +161,15 @@ def factor_int(n: int) -> dict[int, int]:
     f = 7
     increments = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
     i = 0
-    while f * f <= n and f < 10_000:
+    while f * f <= n:
         while n % f == 0:
             factors[f] = factors.get(f, 0) + 1
             n //= f
         f += increments[i]
         i = (i + 1) % 8
     if n > 1:
-        for p in _factor_large(n):
-            factors[p] = factors.get(p, 0) + 1
+        factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def _factor_large(n: int) -> list[int]:
-    # n has no prime factor below 10**4 here.  At or above psi_12 a witness
-    # among the bases 2..41 still proves n composite, and passing all
-    # thirteen proves n prime below psi_13.  At or above psi_13 a cofactor
-    # passing all thirteen is split if Hart's method finds a factor (psi_13
-    # itself is p * (2p - 1)) and is otherwise left uncertified.
-    if n == 1:
-        return []
-    if n < _PRIMALITY_BOUND:
-        if is_prime(n):
-            return [n]
-        d = _pollard_brent(n)
-    elif not _strong_probable_prime(n, _THIRTEEN_BASES):
-        d = _hart_one_line(n, _HART_ROUNDS) or _pollard_brent(n)
-    elif n < _THIRTEEN_BASE_BOUND:
-        return [n]
-    else:
-        d = _hart_one_line(n, _HART_ROUNDS)
-        if d is None:
-            raise PrimalityRangeError(
-                f"cofactor {n} is at least psi_13 = {_THIRTEEN_BASE_BOUND} and passes the "
-                "Miller-Rabin bases 2..41, so its primality is not certified"
-            )
-    return _factor_large(d) + _factor_large(n // d)
-
-
-def _hart_one_line(n: int, rounds: int) -> int | None:
-    """A proper factor of composite n by Hart's one-line method, or None.
-
-    It splits n = p * q within a few rounds when q / p is near a ratio of
-    small integers.  Composites that pass many Miller-Rabin bases, psi_12 =
-    p * (2p - 1) among them, are built with that shape.
-    """
-    for i in range(1, rounds + 1):
-        s = isqrt(n * i - 1) + 1
-        m = s * s % n
-        t = isqrt(m)
-        if t * t == m:
-            d = gcd(s - t, n)
-            if 1 < d < n:
-                return d
-    return None
-
-
-def _pollard_brent(n: int) -> int:
-    """A proper factor of composite n by Brent's rho (BIT 1980).
-
-    One gcd per batch of _RHO_BATCH steps, taken of the product of the
-    differences; a batch that overshoots to n is replayed step by step.
-    """
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        y, r, q, d = 2, 1, 1, 1
-        while d == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and d == 1:
-                saved = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                d = gcd(q, n)
-                k += _RHO_BATCH
-            r *= 2
-        if d == n:
-            d = 1
-            while d == 1:
-                saved = (saved * saved + c) % n
-                d = gcd(abs(x - saved), n)
-        if d != n:
-            return d
-        c += 1
 
 
 def squarefree_part(x: Rational | int) -> int:
@@ -322,7 +239,7 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class QSqrt2:
-    """Element rational_part + sqrt2_part * sqrt(2) of the field Q(sqrt(2))."""
+    """Element rational_part + sqrt2_part * sqrt(2) of Q(sqrt(2)), as a plain value."""
 
     rational_part: Rational
     sqrt2_part: Rational
@@ -337,82 +254,6 @@ class QSqrt2:
 
     def __bool__(self) -> bool:
         return bool(self.rational_part or self.sqrt2_part)
-
-    def _coerce(self, other) -> "QSqrt2 | None":
-        if isinstance(other, QSqrt2):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QSqrt2(Fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(self.rational_part + o.rational_part, self.sqrt2_part + o.sqrt2_part)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSqrt2(-self.rational_part, -self.sqrt2_part)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c, d = self.rational_part, self.sqrt2_part
-        e, f = o.rational_part, o.sqrt2_part
-        return QSqrt2(c * e + 2 * d * f, c * f + d * e)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt2":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return QSqrt2(self.rational_part / n, -self.sqrt2_part / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def conjugate(self) -> "QSqrt2":
-        """Image under the field automorphism sqrt(2) -> -sqrt(2)."""
-        return QSqrt2(self.rational_part, -self.sqrt2_part)
-
-    def norm(self) -> Rational:
-        """Field norm to Q: rational_part^2 - 2 * sqrt2_part^2."""
-        return self.rational_part**2 - 2 * self.sqrt2_part**2
-
-    def sign(self) -> int:
-        """Sign of the real number rational_part + sqrt2_part * 1.414..., exactly."""
-        c, d = self.rational_part, self.sqrt2_part
-        if d == 0:
-            return (c > 0) - (c < 0)
-        if c == 0:
-            return 1 if d > 0 else -1
-        if (c > 0) == (d > 0):
-            return 1 if c > 0 else -1
-        # Opposite signs: the term with larger square dominates (c^2 = 2 d^2
-        # is impossible for nonzero rationals since sqrt(2) is irrational).
-        if c * c == 2 * d * d:
-            raise RuntimeError("irrationality violated")
-        dominant = c if c * c > 2 * d * d else d
-        return 1 if dominant > 0 else -1
 
     def __str__(self) -> str:
         c, d = self.rational_part, self.sqrt2_part

@@ -32,7 +32,6 @@ from math import isqrt
 
 from .exact_arith import (
     QSqrt2,
-    SQRT2,
     _euler_criterion,
     _strip_prime,
     factor_int,
@@ -54,7 +53,7 @@ REFERENCE_ISOTROPIC_PRIMES = (5, 13, 29, 37, 53, 61)
 REFERENCE_ANISOTROPIC_PRIMES = (17, 41, 97, 137, 193, 241)
 
 _ONE = QSqrt2.of(1)
-_MINUS_SQRT2 = -SQRT2
+_MINUS_SQRT2 = QSqrt2.of(0, -1)
 
 
 @dataclass(frozen=True)

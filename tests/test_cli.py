@@ -78,6 +78,26 @@ class TestForms:
         assert code == 0
         assert out == (GOLDEN / f"forms_{family}_n5.json").read_text()
 
+    def test_dimension_cap_checked_before_certifying(self, capsys, monkeypatch):
+        # An odd-rank certificate costs n^2 symbols; --n 100000 never returned.
+        cap = cli.MAX_FORMS_DIMENSION
+        code, out, _ = run(["forms", "isotropic", "--n", str(cap), "--count", "2"], capsys)
+        assert code == 0 and out.startswith(f"family=isotropic n={cap} ")
+
+        def no_members(*args):
+            raise AssertionError("family_members ran")
+
+        monkeypatch.setattr(cli, "family_members", no_members)
+        for n in (cap + 1, 100_000):
+            code, out, err = run(["forms", "anisotropic", "--n", str(n)], capsys)
+            assert code == 2 and out == ""
+            assert err == f"usage error: forms is capped at dimension {cap} (got {n})\n"
+            code, out, err = run(["forms", "isotropic", "--n", str(n), "--json"], capsys)
+            assert code == 2 and err == ""
+            document = json.loads(out)
+            assert document["status"] == "error"
+            assert document["payload"]["error"].startswith("forms is capped at dimension")
+
 
 class TestSubgroups:
     def test_golden(self, capsys):

@@ -137,11 +137,18 @@ class TestCertificates:
         st.integers(min_value=3, max_value=8),
     )
     def test_discriminant_description_is_coefficient_product(self, family, a, n):
-        # The oracle multiplies the coefficients of the built form.
+        # The oracle multiplies the coefficients of the built form, in
+        # Q(sqrt(2)) on (rational, sqrt2) parts: (c + d r)(e + f r) with r^2 = 2.
         form = make_q(a, n) if family == "q" else make_r(a, n)
         product = form.coefficients[0]
         for c in form.coefficients[1:]:
-            product = product * c
+            if family == "q":
+                product = product * c
+            else:
+                product = QSqrt2.of(
+                    product.rational_part * c.rational_part + 2 * product.sqrt2_part * c.sqrt2_part,
+                    product.rational_part * c.sqrt2_part + product.sqrt2_part * c.rational_part,
+                )
         expected = str(squarefree_part(product)) if family == "q" else str(product)
         assert _discriminant_description(family, a) == expected
 
@@ -152,11 +159,11 @@ class TestCertificates:
             (RATIONAL_FIELD, (5, 1, 1, 2)),
             (RATIONAL_FIELD, (Fraction(5, 2), 1, 1, -2)),
             (RATIONAL_FIELD, (-5, 1, 1, -2)),
-            (SQRT2_FIELD, (QSqrt2.of(17, 1), QSqrt2.of(1), QSqrt2.of(1), -SQRT2)),
-            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1, 1), QSqrt2.of(1), -SQRT2)),
+            (SQRT2_FIELD, (QSqrt2.of(17, 1), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(0, -1))),
+            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1, 1), QSqrt2.of(1), QSqrt2.of(0, -1))),
             (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1), QSqrt2.of(1), SQRT2)),
             (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(-1, -1))),
-            (SQRT2_FIELD, (QSqrt2.of(Fraction(1, 3)), QSqrt2.of(1), QSqrt2.of(1), -SQRT2)),
+            (SQRT2_FIELD, (QSqrt2.of(Fraction(1, 3)), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(0, -1))),
         ],
     )
     def test_other_forms_rejected(self, field, coefficients):

@@ -1,9 +1,16 @@
 from fractions import Fraction
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from volcount.exact_arith import factor_int, legendre_symbol, padic_valuation
+from volcount.exact_arith import (
+    _PRIMALITY_BOUND as PSI_12,
+    PrimalityRangeError,
+    is_prime,
+    legendre_symbol,
+    padic_valuation,
+)
 from volcount.local_invariants import (
     DYADIC,
     REAL,
@@ -18,6 +25,85 @@ from volcount.local_invariants import (
 )
 
 nonzero_fractions = st.fractions(max_denominator=60).filter(lambda x: x != 0)
+
+
+def _hart_one_line(n: int, rounds: int = 256) -> int | None:
+    """A proper factor of composite n by Hart's one-line method, or None.
+
+    It splits n = p * q within a few rounds when q / p is near a ratio of
+    small integers.  Composites that pass many Miller-Rabin bases, psi_12 =
+    p * (2p - 1) among them, are built with that shape.
+    """
+    for i in range(1, rounds + 1):
+        s = isqrt(n * i - 1) + 1
+        m = s * s % n
+        t = isqrt(m)
+        if t * t == m:
+            d = gcd(s - t, n)
+            if 1 < d < n:
+                return d
+    return None
+
+
+def _pollard_brent(n: int, batch: int = 128) -> int:
+    """A proper factor of composite n by Brent's rho (BIT 1980).
+
+    One gcd per batch of steps, taken of the product of the differences; a
+    batch that overshoots to n is replayed step by step.
+    """
+    if n % 2 == 0:
+        return 2
+    c = 1
+    while True:
+        y, r, q, d = 2, 1, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = gcd(q, n)
+                k += batch
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = gcd(abs(x - saved), n)
+        if d != n:
+            return d
+        c += 1
+
+
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, independently of factor_int.
+
+    The product formula's oracle: its fractions have unbounded numerators,
+    past factor_int's 10**12.  Composites are split by Hart's method, then
+    Brent's rho.  A cofactor at or above psi_12, where is_prime certifies
+    nothing, that Hart's method cannot split must show a Fermat witness to
+    base 41, the first prime past the twelve bases, before rho runs on it,
+    so that rho is never left looping on a prime.
+    """
+    factors, pending = [], [n]
+    while pending:
+        m = pending.pop()
+        if m == 1:
+            continue
+        if m < PSI_12 and is_prime(m):
+            factors.append(m)
+            continue
+        d = _hart_one_line(m)
+        if d is None:
+            assert m < PSI_12 or pow(41, m - 1, m) != 1, f"{m} is past psi_12 and may be prime"
+            d = _pollard_brent(m)
+        pending += [d, m // d]
+    assert all(is_prime(p) for p in factors) and prod(factors) == n
+    return factors
 
 ALL_SQUARES_MOD_64 = {z * z % 64 for z in range(64)}
 ODD_SQUARES_MOD_64 = {z * z % 64 for z in range(1, 64, 2)}
@@ -134,12 +220,16 @@ class TestHilbertProperties:
                 assert hilbert_dyadic(a, b) == dyadic_solvability_oracle(a, b), (a, b)
 
     @given(nonzero_fractions, nonzero_fractions)
+    # psi_12 and psi_12 // 2 once failed this test: as an uncertified prime,
+    # and by overrunning the deadline while being factored.
+    @example(Fraction(PSI_12), Fraction(-(PSI_12 - 1)))
+    @example(Fraction(PSI_12 // 2), Fraction(-3, 7))
     @settings(max_examples=60)
     def test_product_formula(self, a, b):
         support = {
             p
             for value in (a, b)
-            for p in factor_int(value.numerator * value.denominator)
+            for p in prime_factors(abs(value.numerator * value.denominator))
             if p != 2
         }
         product = hilbert(a, b, REAL) * hilbert(a, b, DYADIC)
@@ -281,12 +371,12 @@ class TestHasseWitt:
 class TestLocalEquivalence:
     def test_discriminant_class(self):
         assert discriminant_class((Fraction(5), 1, 1, 1, Fraction(-2))) == -10
-        # The product, about 1.0 * 10**24, lies past psi_12, where a
-        # Miller-Rabin witness still proves it composite and rho splits it.
-        assert discriminant_class([10007**3, 10009**3]) == 10007 * 10009
-        # A prime past psi_12 passes every base, so it stays uncertified.
-        with pytest.raises(ValueError):
-            discriminant_class([2**89 - 1])
+        # The product, about 6.4 * 10**11, is factored just below 10**12.
+        assert discriminant_class([97**3, 89**3]) == 97 * 89
+        # Products of 10**12 and above are refused, composite or prime.
+        for coefficients in ([10007**3, 10009**3], [2**89 - 1]):
+            with pytest.raises(PrimalityRangeError):
+                discriminant_class(coefficients)
 
     def test_scaled_discriminant_same_class(self):
         # Scaling every coefficient by the square 4 keeps the discriminant
