@@ -559,6 +559,21 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     )
 
 
+# The two top-level lines the reader decodes from.  Inside a JSON string a
+# newline is always escaped, so in the writer's text each marker occurs once,
+# at the start of its key's line.
+_GRAPH_LINE = '\n  "graph": '
+_PARCEL_LINE = '\n  "parcel_id": '
+_decode_value = json.JSONDecoder().raw_decode
+
+
+def _line_start(text: str, marker: str) -> int:
+    start = text.find(marker)
+    if start < 0:
+        raise ValueError(f"document has no top-level {marker.strip()} line")
+    return start
+
+
 def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDescriptor:
     """Read a descriptor document back.
 
@@ -567,12 +582,22 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     volume_bound it names, so writing the result reproduces the text.
     Given the parcel the document was assembled from, it must also name
     that parcel and carry the volume the parcel's blocks give its graph.
+
+    Only what the descriptor is rebuilt from is decoded: the graph object
+    at the first top-level "graph" line, and parcel_id and volume_bound
+    from the first top-level "parcel_id" line to the end of the text; the
+    instances and gluings rows are never parsed.  The byte check makes this
+    partial decode safe: any text it accepts is the writer's output for the
+    rebuilt descriptor, so a marker found in the wrong place (a repeated
+    key, another layout) yields other bytes and a ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a descriptor document is text, not {type(text).__name__}")
     try:
-        document = json.loads(text)
-        spec = document["graph"]
+        spec = _decode_value(text, _line_start(text, _GRAPH_LINE) + len(_GRAPH_LINE))[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
-        parcel_id, volume = document["parcel_id"], Fraction(document["volume_bound"])
+        tail = _decode_value("{" + text[_line_start(text, _PARCEL_LINE) :])[0]
+        parcel_id, volume = tail["parcel_id"], Fraction(tail["volume_bound"])
         descriptor = ManifoldDescriptor(graph, parcel_id, volume)
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:

@@ -3,13 +3,15 @@
 Verbs
 -----
 primes     family prime lists with their verified conditions
-forms      pairwise non-commensurability certificate matrix for a family,
-           for 3 <= n <= MAX_FORMS_DIMENSION
+forms      pairwise non-commensurability certificate matrix for a family
 subgroups  enumeration against the recursion, with the growth floor
 graphs     canonical tables, common-cover matrix, distinguishing words
 assemble   read a decorated graph, print its closed descriptor document
 count      volume-budget report, optionally emitting every descriptor
 selftest   run all release criteria
+
+forms, assemble and count take the form dimension --n, with
+3 <= n <= MAX_FORMS_DIMENSION.
 
 Default output is a human table; --json switches to the structured document
 {"status": ..., "payload": ...}.  Identical inputs produce byte-identical
@@ -54,9 +56,10 @@ from .free_groups import MAX_INDEX, distinguishing_word, enumerate_subgroups, ha
 # pairwise cap sits below the enumeration cap.
 MAX_PAIRWISE_INDEX = 4
 MAX_EMIT_INDEX = 5
-# An odd-rank forms certificate multiplies the Hilbert symbols of every pair
-# of the n + 1 coefficients, so a forms run grows as n^2: about 0.2 s at
-# n = 100 and 10 s at n = 800.
+# An odd-rank certificate multiplies the Hilbert symbols of every pair of the
+# n + 1 coefficients, so a forms run grows as n^2: about 0.2 s at n = 100 and
+# 10 s at n = 800.  assemble and count certify the same pairs when they build
+# their parcel, so the cap holds for every verb that takes --n.
 MAX_FORMS_DIMENSION = 100
 
 USAGE_ERROR = 2
@@ -173,9 +176,15 @@ def _cmd_primes(args):
     return payload, lines
 
 
-def _cmd_forms(args):
+def _require_dimension(args) -> None:
     if args.n > MAX_FORMS_DIMENSION:
-        raise UsageError(f"forms is capped at dimension {MAX_FORMS_DIMENSION} (got {args.n})")
+        raise UsageError(
+            f"{args.verb} is capped at dimension {MAX_FORMS_DIMENSION} (got {args.n})"
+        )
+
+
+def _cmd_forms(args):
+    _require_dimension(args)
     primes, forms = family_members(args.family, args.count, args.n)
     matrix = []
     for f1 in forms:
@@ -303,6 +312,7 @@ def _cmd_graphs(args):
 
 
 def _cmd_assemble(args):
+    _require_dimension(args)
     # A byte outside ASCII raises UnicodeDecodeError, a ValueError, not an OSError.
     try:
         if args.graph == "-":
@@ -327,6 +337,7 @@ def _cmd_assemble(args):
 
 
 def _cmd_count(args):
+    _require_dimension(args)
     parcel = default_parcel(args.n, args.compact)
     try:
         report = count_lower_bound(args.v, parcel)

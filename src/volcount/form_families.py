@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .exact_arith import (
@@ -236,7 +237,7 @@ def noncommensurability_certificate(
 
     n = f1.rank - 1
     # The odd prime divisors of a1 in order, then those of a2 not yet seen.
-    candidates = dict.fromkeys(p for a in (a1, a2) for p in sorted(factor_int(a)) if p != 2)
+    candidates = dict.fromkeys(p for a in (a1, a2) for p in _odd_prime_divisors(a))
     for p in candidates:
         if family1 == "q":
             if p % 4 != 1:
@@ -256,6 +257,14 @@ def noncommensurability_certificate(
     return None
 
 
+# Certificates compare the members of a few families, so a few hundred
+# parameters cover every pair a run certifies.
+@lru_cache(maxsize=256)
+def _odd_prime_divisors(a: int) -> tuple[int, ...]:
+    return tuple(sorted(p for p in factor_int(a) if p != 2))
+
+
+@lru_cache(maxsize=256)
 def _discriminant_description(family: str, a: int) -> str:
     # The coefficient product of a family member, at any rank: -2a for q_a
     # (given as its square-free class) and -a * sqrt(2) for r_a.

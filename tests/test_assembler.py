@@ -570,6 +570,46 @@ class TestMalformedDocuments:
         assert descriptor_to_json(descriptor) == text
 
 
+def _graph_line(text):
+    """The document's top-level "graph" entry, from its line break to its comma."""
+    return text[text.index('\n  "graph": ') : text.index('\n  "instances": ')]
+
+
+class TestPartialDecode:
+    """The reader decodes only the graph and the parcel_id line onwards."""
+
+    def test_texts_around_the_decoded_lines_are_refused(self, parcel):
+        text = descriptor_to_json(assemble(LOOP, parcel))
+        other = descriptor_to_json(assemble(TWO, parcel))
+        line = '\n  "parcel_id": '
+        refused = {
+            "its graph repeated first": "{" + _graph_line(text) + text[1:],
+            "another graph first": "{" + _graph_line(other) + text[1:],
+            "parcel_id repeated": text.replace(line, line + '"isotropic-n4",' + line),
+            "another parcel_id first": text.replace(line, line + '"x",' + line),
+            "an extra final newline": text + "\n",
+            "no final newline": text[:-1],
+        }
+        for what, edited in refused.items():
+            # Every edit leaves JSON that json.loads reads as the LOOP document.
+            assert json.loads(edited) == json.loads(text), what
+            with pytest.raises(ValueError):
+                descriptor_from_json(edited)
+        assert descriptor_from_json(text) == assemble(LOOP, parcel)
+
+    def test_only_text_is_read(self, parcel):
+        text = descriptor_to_json(assemble(LOOP, parcel))
+        for value in (None, text.encode("ascii")):
+            with pytest.raises(ValueError, match="is text"):
+                descriptor_from_json(value)
+
+    def test_markers_inside_parcel_id_round_trip(self, parcel):
+        parcel_id = 'p\n  "graph": {"vertices": 2},\n  "parcel_id": "q"'
+        descriptor = ManifoldDescriptor(TWO, parcel_id, 10)
+        text = descriptor_to_json(descriptor)
+        assert descriptor_from_json(text) == descriptor
+
+
 # sha256 over the concatenated index-5 documents (isotropic parcel, n = 4) in
 # enumeration order.
 INDEX5_DOCUMENTS_SHA256 = "ce884cbc08f96e307afefc543383b7e9d559e85f60732432bb3b815e6875eba3"

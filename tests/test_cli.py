@@ -370,6 +370,34 @@ class TestUsage:
         assert code == 2 and out == ""
         assert "--n: must be at least 3" in err
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["assemble", "-"], '"parcel_id": "isotropic-n100"'),
+            (["count", "--v", "30"], "descriptors = 3447"),
+        ],
+        ids=["assemble", "count"],
+    )
+    def test_dimension_cap_checked_before_the_parcel(self, capsys, monkeypatch, argv, shown):
+        # default_parcel certifies as forms does, in n^2 symbols:
+        # count --v 30 --n 400 took 2.4 s.
+        cap, verb = cli.MAX_FORMS_DIMENSION, argv[0]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0\n0\n0\n"))
+        code, out, _ = run(argv + ["--n", str(cap)], capsys)
+        assert code == 0 and shown in out
+
+        def no_parcel(*args):
+            raise AssertionError("default_parcel ran")
+
+        monkeypatch.setattr(cli, "default_parcel", no_parcel)
+        message = f"{verb} is capped at dimension {cap} (got {cap + 1})"
+        code, out, err = run(argv + ["--n", str(cap + 1)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+        code, out, err = run(argv + ["--n", str(cap + 1), "--json"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": message}}
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volcount import form_families
-from volcount.exact_arith import QSqrt2, SQRT2, is_square_rational, squarefree_part
+from volcount import exact_arith, form_families
+from volcount.exact_arith import QSqrt2, SQRT2, factor_int, is_square_rational, squarefree_part
 from volcount.form_families import (
     RATIONAL_FIELD,
     REFERENCE_ANISOTROPIC_PRIMES,
@@ -130,6 +130,29 @@ class TestCertificates:
                 for j, f2 in enumerate(forms):
                     certificate = noncommensurability_certificate(f1, f2)
                     assert (certificate is None) == (i == j)
+
+    def test_each_parameter_is_factored_once(self, monkeypatch):
+        # Every pair at every rank reuses a parameter's factoring.
+        factored = []
+
+        def counting(n):
+            factored.append(n)
+            return factor_int(n)
+
+        monkeypatch.setattr(form_families, "factor_int", counting)
+        monkeypatch.setattr(exact_arith, "factor_int", counting)
+        form_families._odd_prime_divisors.cache_clear()
+        form_families._discriminant_description.cache_clear()
+        for make, primes in (
+            (make_q, REFERENCE_ISOTROPIC_PRIMES),
+            (make_r, REFERENCE_ANISOTROPIC_PRIMES),
+        ):
+            for n in (3, 4, 5, 6):
+                forms = [make(p, n) for p in primes]
+                for f1 in forms:
+                    for f2 in forms:
+                        noncommensurability_certificate(f1, f2)
+        assert factored and len(factored) == len(set(factored))
 
     @given(
         st.sampled_from(("q", "r")),
