@@ -1,7 +1,8 @@
 """Certified counting of closed manifolds assembled from glued blocks.
 
-The pipeline: exact arithmetic over Q and Q(sqrt(2)), local invariants of
-diagonal quadratic forms, six-member form families with pairwise
+The pipeline: exact arithmetic over Q, local invariants of diagonal
+quadratic forms, two one-parameter form families (over Q and Q(sqrt(2)))
+whose members are FamilyForm(family, a, n) values with pairwise
 non-commensurability certificates, index-k subgroup enumeration in the rank-2
 free group, decorated Schreier graphs with a common-cover decision, and
 graph-of-spaces assembly with a volume-budget counting bound.
@@ -35,8 +36,6 @@ from .decorated_graphs import (
 )
 from .exact_arith import (
     PrimalityRangeError,
-    QSqrt2,
-    SQRT2,
     factor_int,
     is_prime,
     legendre_symbol,
@@ -45,8 +44,8 @@ from .exact_arith import (
     squarefree_part,
 )
 from .form_families import (
+    FamilyForm,
     NonCommensurabilityCertificate,
-    QuadraticForm,
     make_q,
     make_r,
     noncommensurability_certificate,

@@ -38,11 +38,11 @@ from .exact_arith import factor_int, is_prime, padic_valuation
 from .form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
+    certificate_matrix,
     epsilon_q_at,
     gauss_representation,
     make_q,
     make_r,
-    noncommensurability_certificate,
     search_primes_anisotropic,
     search_primes_isotropic,
     two_is_fourth_power,
@@ -197,9 +197,8 @@ def _criterion_scaling_invariance() -> str:
 
 
 def _certified_matrix(forms, expected_method: str) -> None:
-    for i, f1 in enumerate(forms):
-        for j, f2 in enumerate(forms):
-            certificate = noncommensurability_certificate(f1, f2)
+    for i, row in enumerate(certificate_matrix(forms)):
+        for j, certificate in enumerate(row):
             if i == j:
                 assert certificate is None
             else:

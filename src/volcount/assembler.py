@@ -6,9 +6,9 @@ A parcel is a matched set of six building blocks, one per kind:
     A-, A+     the ordered pair of edge blocks for a-edges, 2 slots each
     B-, B+     the ordered pair for b-edges
 
-All six carry quadratic forms from one family whose restrictions to the
-x_1 = 0 hyperplane coincide, and the parcel records a pairwise
-non-commensurability certificate for every pair of distinct blocks.
+All six carry quadratic forms from one family and dimension, so their
+restrictions to the x_1 = 0 hyperplane coincide, and the parcel records a
+pairwise non-commensurability certificate for every pair of distinct blocks.
 
 Assembling a connected decorated graph with k vertices instantiates one
 vertex block per vertex (V1 when colored) and one minus/plus block pair per
@@ -39,13 +39,7 @@ from json.encoder import encode_basestring_ascii
 from math import floor, isqrt, lcm
 
 from .decorated_graphs import DecoratedGraph, from_subgroup, is_isomorphic
-from .form_families import (
-    NonCommensurabilityCertificate,
-    QuadraticForm,
-    family_members,
-    noncommensurability_certificate,
-    restrict_to_hyperplane,
-)
+from .form_families import NonCommensurabilityCertificate, certificate_matrix, family_members
 from .free_groups import Word, enumerate_subgroups, hall_count
 
 VERTEX_KINDS = ("V0", "V1")
@@ -84,8 +78,10 @@ class Parcel:
 
     certificates[i][j] holds the non-commensurability certificate between the
     forms of blocks i and j (indices in BLOCK_KINDS order), None on the
-    diagonal.  boundary_form is the common restriction of all six forms; its
-    equality across the parcel is what licenses mixed gluings.  The
+    diagonal.  The six forms are members of one family in one dimension and
+    differ only in their parameter a, the coefficient of x_1, so their
+    restriction to x_1 = 0 depends only on (family, dimension): it is the
+    same for all six, which is what licenses mixed gluings.  The
     construction of the block spaces themselves (choosing torsion-free
     finite-level subgroups) is assumed, not computed, and listed in every
     CommensurabilityVerdict.
@@ -95,7 +91,6 @@ class Parcel:
     dimension: int
     blocks: tuple[BuildingBlock, ...]
     certificates: tuple
-    boundary_form: QuadraticForm
 
     def __post_init__(self):
         if len(self.blocks) != 6:
@@ -138,35 +133,18 @@ def default_parcel(n: int, compact: bool) -> Parcel:
     Non-compact: the isotropic family over Q at the first six primes
     p = 5 (mod 8).  Compact: the anisotropic family over Q(sqrt(2)) at the
     first six primes p = 1 (mod 8) with 2 not a fourth power.  Either way
-    the six restrictions to x_1 = 0 agree, every pair gets a certificate,
-    and all volumes default to 1.
+    every pair gets a certificate, and all volumes default to 1.
     """
     tag = "anisotropic" if compact else "isotropic"
-    primes, forms = family_members(tag, 6, n)
-    boundary = restrict_to_hyperplane(forms[0])
-    for form in forms[1:]:
-        if restrict_to_hyperplane(form) != boundary:
-            raise RuntimeError("family members stopped sharing their boundary form")
-    certificates = tuple(
-        tuple(
-            None if i == j else _required_certificate(forms[i], forms[j])
-            for j in range(6)
-        )
-        for i in range(6)
-    )
-    family = "r" if compact else "q"
-    blocks = tuple(
-        BuildingBlock(kind, Fraction(1), f"{family}_{primes[i]}", compact)
-        for i, kind in enumerate(BLOCK_KINDS)
-    )
-    return Parcel(f"{tag}-n{n}", n, blocks, certificates, boundary)
-
-
-def _required_certificate(f1: QuadraticForm, f2: QuadraticForm):
-    certificate = noncommensurability_certificate(f1, f2)
-    if certificate is None:
+    _, forms = family_members(tag, 6, n)
+    certificates = certificate_matrix(forms)
+    if any(certificates[i][j] is None for i in range(6) for j in range(6) if i != j):
         raise RuntimeError("parcel construction requires certified block pairs")
-    return certificate
+    blocks = tuple(
+        BuildingBlock(kind, Fraction(1), f"{form.family}_{form.a}", compact)
+        for kind, form in zip(BLOCK_KINDS, forms)
+    )
+    return Parcel(f"{tag}-n{n}", n, blocks, certificates)
 
 
 def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
@@ -178,13 +156,7 @@ def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
         BuildingBlock(block.kind, volume, block.form_id, block.compact)
         for block, volume in zip(parcel.blocks, volumes)
     )
-    return Parcel(
-        parcel.parcel_id,
-        parcel.dimension,
-        blocks,
-        parcel.certificates,
-        parcel.boundary_form,
-    )
+    return Parcel(parcel.parcel_id, parcel.dimension, blocks, parcel.certificates)
 
 
 @dataclass(frozen=True)

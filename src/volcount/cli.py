@@ -43,8 +43,8 @@ from .decorated_graphs import from_subgroup, graph_from_text, has_common_decorat
 from .form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
+    certificate_matrix,
     family_members,
-    noncommensurability_certificate,
     search_primes_anisotropic,
     search_primes_isotropic,
 )
@@ -186,12 +186,7 @@ def _require_dimension(args) -> None:
 def _cmd_forms(args):
     _require_dimension(args)
     primes, forms = family_members(args.family, args.count, args.n)
-    matrix = []
-    for f1 in forms:
-        row = []
-        for f2 in forms:
-            row.append(noncommensurability_certificate(f1, f2))
-        matrix.append(row)
+    matrix = certificate_matrix(forms)
     inconclusive = [
         (i, j)
         for i in range(len(forms))

@@ -282,13 +282,12 @@ def graph_from_text(text: str) -> DecoratedGraph:
         raise ValueError("graph text needs four lines")
     if any(line.strip() for line in lines[4:]):
         raise ValueError("graph text has more than four lines")
-    try:
-        n = int(lines[0])
-        perm_a = tuple(int(v) for v in lines[1].split())
-        perm_b = tuple(int(v) for v in lines[2].split())
-        colored = [int(v) for v in lines[3].split()]
-    except ValueError:
+    rows = [line.split() for line in lines[:4]]
+    # Only runs of ASCII digits: int() also takes "1_0", "+2" and non-ASCII
+    # digits, none of which graph_to_text writes.
+    if len(rows[0]) != 1 or not all(v.isascii() and v.isdigit() for row in rows for v in row):
         raise ValueError("malformed graph text")
+    (n,), perm_a, perm_b, colored = ([int(v) for v in row] for row in rows)
     if len(set(colored)) != len(colored):
         raise ValueError("colored list repeats a vertex")
-    return DecoratedGraph(n, perm_a, perm_b, frozenset(colored))
+    return DecoratedGraph(n, tuple(perm_a), tuple(perm_b), frozenset(colored))

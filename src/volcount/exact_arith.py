@@ -1,13 +1,9 @@
-"""Exact arithmetic over Q and Q(sqrt(2)).
+"""Exact arithmetic over Q.
 
 Deterministic primality, Legendre symbols, Tonelli-Shanks modular square
-roots, integer factorization below 10**12 by trial division, p-adic
-valuations, and valuations with unit residues of c and d * sqrt(2) in
-Q(sqrt(2)) at rational primes where 2 is a quadratic residue.  Elements of
-Q(sqrt(2)) are plain values: the family coefficients are built, compared and
-printed, never multiplied.
-Everything is arbitrary-precision integer or fraction arithmetic; no
-floating point is used anywhere in this package.
+roots, integer factorization below 10**12 by trial division, and p-adic
+valuations.  Everything is arbitrary-precision integer or fraction
+arithmetic; no floating point is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -227,72 +223,3 @@ def _strip_prime(num: int, den: int, p: int) -> tuple[int, int, int]:
         den //= p
         m -= 1
     return m, num, den
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class QSqrt2:
-    """Element rational_part + sqrt2_part * sqrt(2) of Q(sqrt(2)), as a plain value."""
-
-    rational_part: Rational
-    sqrt2_part: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "rational_part", _as_fraction(self.rational_part))
-        object.__setattr__(self, "sqrt2_part", _as_fraction(self.sqrt2_part))
-
-    @classmethod
-    def of(cls, rational_part=0, sqrt2_part=0) -> "QSqrt2":
-        return cls(Fraction(rational_part), Fraction(sqrt2_part))
-
-    def __bool__(self) -> bool:
-        return bool(self.rational_part or self.sqrt2_part)
-
-    def __str__(self) -> str:
-        c, d = self.rational_part, self.sqrt2_part
-        if d == 0:
-            return str(c)
-        if d == 1:
-            s2 = "sqrt2"
-        elif d == -1:
-            s2 = "-sqrt2"
-        else:
-            s2 = f"{d}*sqrt2"
-        if c == 0:
-            return s2
-        return f"{c}{'+' if not s2.startswith('-') else ''}{s2}"
-
-
-SQRT2 = QSqrt2.of(0, 1)
-
-
-def split_prime_valuation(x: QSqrt2, p: int, root: int) -> tuple[int, int]:
-    """Valuation and unit residue of x at the place of Q(sqrt(2)) chosen by root.
-
-    The prime p must split, i.e. root^2 = 2 (mod p).  Returns (m, u) with
-    x = p^m * (unit) and u the unit's residue in F_p.  x must be c or
-    d * sqrt(2), the only shapes the family coefficients take: p is stripped
-    from c or d, and for d * sqrt(2) the unit is multiplied by root, because
-    sqrt(2) is a unit at a split odd prime (its square 2 is prime to p) with
-    residue root.  A mixed element c + d * sqrt(2) raises ValueError.
-    """
-    _require_odd_prime(p)
-    if not 0 < root < p or (root * root - 2) % p != 0:
-        raise ValueError(f"{root} is not a square root of 2 modulo {p}")
-    if not x:
-        raise ValueError("the zero element has no finite valuation")
-    c, d = x.rational_part, x.sqrt2_part
-    if not d:
-        m, num, den = _strip_prime(c.numerator, c.denominator, p)
-        return m, num * pow(den, -1, p) % p
-    if not c:
-        m, num, den = _strip_prime(d.numerator, d.denominator, p)
-        return m, num * pow(den, -1, p) * root % p
-    raise ValueError(f"{x} is neither rational nor a rational multiple of sqrt2")

@@ -8,13 +8,15 @@ and the anisotropic family over Q(sqrt(2)):
 
     r_a = a x_1^2 + x_2^2 + ... + x_n^2 - sqrt(2) x_{n+1}^2.
 
-Both families share the restriction to the hyperplane x_1 = 0, which is what
-makes mixed gluings of the assembled pieces possible.  This module computes
-the Hasse-Witt invariant of family members at chosen primes (with a closed
-form cross-checked against the generic pairwise product), decides
-non-commensurability of two family members by a discriminant-ratio or
-epsilon-mismatch certificate, and searches for the primes that parametrize
-the two families:
+A family member is represented by what defines it, a FamilyForm(family, a,
+n); no coefficient tuple is built.  Members of one family and dimension
+differ only in a, so they share the restriction to the hyperplane x_1 = 0,
+which is what makes mixed gluings of the assembled pieces possible.  This
+module computes the Hasse-Witt invariant of family members at chosen primes
+(with a closed form cross-checked against the generic pairwise product),
+decides non-commensurability of two family members by a discriminant-ratio
+or epsilon-mismatch certificate, builds the certificate matrix of a list of
+members, and searches for the primes that parametrize the two families:
 
 * isotropic family: primes p = 5 (mod 8), so (-1|p) = 1 and (2|p) = -1;
 * anisotropic family: primes p = 1 (mod 8) such that 2 is *not* a fourth
@@ -32,86 +34,61 @@ from functools import lru_cache
 from math import isqrt
 
 from .exact_arith import (
-    QSqrt2,
     _euler_criterion,
     _strip_prime,
     factor_int,
     is_prime,
     is_square_rational,
     legendre_symbol,
-    split_prime_valuation,
     sqrt_mod,
     squarefree_part,
 )
 from .local_invariants import _odd_pair_product, hasse_witt, odd_place
-
-RATIONAL_FIELD = "rational"
-SQRT2_FIELD = "q_sqrt2"
 
 # First six members of each prime family; the searches below regenerate them
 # and the selftest verifies the match.
 REFERENCE_ISOTROPIC_PRIMES = (5, 13, 29, 37, 53, 61)
 REFERENCE_ANISOTROPIC_PRIMES = (17, 41, 97, 137, 193, 241)
 
-_ONE = QSqrt2.of(1)
-_MINUS_SQRT2 = QSqrt2.of(0, -1)
+
+def _check_member_parameters(a: int, n: int) -> None:
+    if not isinstance(a, int) or a < 1:
+        raise ValueError(f"the family parameter must be a positive integer, got {a!r}")
+    if not isinstance(n, int) or n < 3:
+        raise ValueError(f"the dimension parameter must be an integer at least 3, got {n!r}")
 
 
 @dataclass(frozen=True)
-class QuadraticForm:
-    """A diagonal form, stored as its coefficient tuple over the named field."""
+class FamilyForm:
+    """The member of family "q" or "r" with parameter a in dimension n.
 
-    field_tag: str  # RATIONAL_FIELD or SQRT2_FIELD
-    coefficients: tuple
+    family "q" is q_a = (a, 1, ..., 1, -2) over Q and family "r" is
+    r_a = (a, 1, ..., 1, -sqrt(2)) over Q(sqrt(2)), each of rank n + 1.
+    The fields are checked once, when the value is built.
+    """
+
+    family: str
+    a: int
+    n: int
 
     def __post_init__(self):
-        if self.field_tag not in (RATIONAL_FIELD, SQRT2_FIELD):
-            raise ValueError(f"unknown field tag {self.field_tag!r}")
-        wanted = Fraction if self.field_tag == RATIONAL_FIELD else QSqrt2
-        coeffs = []
-        for c in self.coefficients:
-            if self.field_tag == RATIONAL_FIELD and isinstance(c, int):
-                c = Fraction(c)
-            if not isinstance(c, wanted):
-                raise ValueError(f"coefficient {c!r} does not live in {self.field_tag}")
-            if not c:
-                raise ValueError("diagonal coefficients must be nonzero")
-            coeffs.append(c)
-        if not coeffs:
-            raise ValueError("a form needs at least one coefficient")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        if self.family not in ("q", "r"):
+            raise ValueError(f"unknown form family {self.family!r}")
+        _check_member_parameters(self.a, self.n)
 
     @property
     def rank(self) -> int:
-        return len(self.coefficients)
+        return self.n + 1
 
 
-def _check_family_parameters(a: int, n: int) -> None:
-    if not isinstance(a, int) or a < 1:
-        raise ValueError(f"the family parameter must be a positive integer, got {a!r}")
-    if n < 3:
-        raise ValueError(f"the dimension parameter must be at least 3, got {n}")
-
-
-def make_q(a: int, n: int) -> QuadraticForm:
+def make_q(a: int, n: int) -> FamilyForm:
     """The isotropic family member (a, 1, ..., 1, -2) of rank n + 1 over Q."""
-    _check_family_parameters(a, n)
-    coeffs = (Fraction(a),) + (Fraction(1),) * (n - 1) + (Fraction(-2),)
-    return QuadraticForm(RATIONAL_FIELD, coeffs)
+    return FamilyForm("q", a, n)
 
 
-def make_r(a: int, n: int) -> QuadraticForm:
+def make_r(a: int, n: int) -> FamilyForm:
     """The anisotropic family member (a, 1, ..., 1, -sqrt(2)) over Q(sqrt(2))."""
-    _check_family_parameters(a, n)
-    coeffs = (QSqrt2.of(a),) + (_ONE,) * (n - 1) + (_MINUS_SQRT2,)
-    return QuadraticForm(SQRT2_FIELD, coeffs)
-
-
-def restrict_to_hyperplane(form: QuadraticForm) -> QuadraticForm:
-    """The form on x_1 = 0: drop the leading coefficient."""
-    if form.rank < 2:
-        raise ValueError("cannot restrict a rank-1 form")
-    return QuadraticForm(form.field_tag, form.coefficients[1:])
+    return FamilyForm("r", a, n)
 
 
 def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
@@ -122,7 +99,7 @@ def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
     the two must agree whenever the closed form applies.  With detail=True
     returns (value, method) where method names the route taken.
     """
-    _check_family_parameters(a, n)
+    _check_member_parameters(a, n)
     generic = hasse_witt((a,) + (1,) * (n - 1) + (-2,), odd_place(p))
     closed_form_applies = _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1
     if closed_form_applies:
@@ -139,20 +116,24 @@ def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
 def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
     """Hasse-Witt invariant of r_a over the p-adics at a split prime p = 1 mod 8.
 
-    The embedding of Q(sqrt(2)) is the one sending sqrt(2) to root.  Computed
-    as the pairwise product over embedded coefficients and cross-checked
-    against the closed form (sqrt(2)|p)^(v_p(a)); the result does not depend
-    on which of the two roots is chosen, because (-1|p) = 1.
+    The embedding of Q(sqrt(2)) is the one sending sqrt(2) to root, which
+    must satisfy 0 < root < p and root^2 = 2 (mod p).  Computed as the
+    pairwise product over embedded coefficients and cross-checked against
+    the closed form (sqrt(2)|p)^(v_p(a)); the result does not depend on
+    which of the two roots is chosen, because (-1|p) = 1.
     """
     if p % 8 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 8")
-    _check_family_parameters(a, n)
-    # The n - 1 middle coefficients are all 1, so one decomposition serves them.
-    distinct = (QSqrt2.of(a), _ONE, _MINUS_SQRT2)
-    lead, one, last = (split_prime_valuation(c, p, root) for c in distinct)
-    parts = [(m, _euler_criterion(u, p)) for m, u in (lead, *[one] * (n - 1), last)]
-    generic = _odd_pair_product(parts, p)
-    closed = _euler_criterion(root, p) if _strip_prime(a, 1, p)[0] % 2 else 1
+    if not 0 < root < p or (root * root - 2) % p != 0:
+        raise ValueError(f"{root} is not a square root of 2 modulo {p}")
+    _check_member_parameters(a, n)
+    # sqrt(2) is a unit at a split odd prime (its square 2 is prime to p)
+    # with residue root, so -sqrt(2) embeds as the unit -root; the n - 1
+    # middle coefficients are the unit 1.
+    m, unit, _ = _strip_prime(a, 1, p)
+    lead, last = (m, _euler_criterion(unit, p)), (0, _euler_criterion(-root, p))
+    generic = _odd_pair_product([lead, *[(0, 1)] * (n - 1), last], p)
+    closed = _euler_criterion(root, p) if m % 2 else 1
     if closed != generic:
         raise RuntimeError(
             f"closed form {closed} disagrees with the embedded product {generic} "
@@ -177,26 +158,6 @@ class NonCommensurabilityCertificate:
     detail: tuple[str, str]
 
 
-def _family_parameter(form: QuadraticForm) -> tuple[str, int]:
-    # Compared against ints, which Fraction answers without building anything.
-    coeffs = form.coefficients
-    if form.field_tag == RATIONAL_FIELD:
-        family, lead = "q", coeffs[0]
-        shape_ok = all(c == 1 for c in coeffs[1:-1]) and coeffs[-1] == -2
-    else:
-        family, lead = "r", coeffs[0].rational_part
-        last = coeffs[-1]
-        shape_ok = (
-            coeffs[0].sqrt2_part == 0
-            and all(c.rational_part == 1 and c.sqrt2_part == 0 for c in coeffs[1:-1])
-            and last.rational_part == 0
-            and last.sqrt2_part == -1
-        )
-    if shape_ok and lead.denominator == 1 and lead.numerator >= 1:
-        return family, lead.numerator
-    raise ValueError("certificates are defined for members of the q and r families only")
-
-
 def _square_in_sqrt2_field(x: Fraction) -> bool:
     # A positive rational is a square in Q(sqrt(2)) iff x or x/2 is a square
     # in Q: (c + d sqrt2)^2 is rational only when c*d = 0.
@@ -204,7 +165,7 @@ def _square_in_sqrt2_field(x: Fraction) -> bool:
 
 
 def noncommensurability_certificate(
-    f1: QuadraticForm, f2: QuadraticForm
+    f1: FamilyForm, f2: FamilyForm
 ) -> NonCommensurabilityCertificate | None:
     """Certify that no scalar multiple of f2 is equivalent to f1, if possible.
 
@@ -216,30 +177,28 @@ def noncommensurability_certificate(
     certify.  Returns None when no scanned invariant separates the forms;
     the check is one-sided and never proves commensurability.
     """
-    family1, a1 = _family_parameter(f1)
-    family2, a2 = _family_parameter(f2)
-    if family1 != family2:
+    if f1.family != f2.family:
         raise ValueError("cannot compare forms from different families")
-    if f1.rank != f2.rank:
+    if f1.n != f2.n:
         raise ValueError("cannot compare forms of different ranks")
+    family, a1, a2, n = f1.family, f1.a, f2.a, f1.n
 
     if f1.rank % 2 == 0:
         ratio = Fraction(a1, a2)
-        if family1 == "q":
+        if family == "q":
             separated = not is_square_rational(ratio)
         else:
             separated = not _square_in_sqrt2_field(ratio)
         if not separated:
             return None
-        d1 = _discriminant_description(family1, a1)
-        d2 = _discriminant_description(family2, a2)
+        d1 = _discriminant_description(family, a1)
+        d2 = _discriminant_description(family, a2)
         return NonCommensurabilityCertificate("discriminant_ratio", None, (d1, d2))
 
-    n = f1.rank - 1
     # The odd prime divisors of a1 in order, then those of a2 not yet seen.
     candidates = dict.fromkeys(p for a in (a1, a2) for p in _odd_prime_divisors(a))
     for p in candidates:
-        if family1 == "q":
+        if family == "q":
             if p % 4 != 1:
                 continue
             e1 = epsilon_q_at(a1, n, p)
@@ -270,7 +229,17 @@ def _discriminant_description(family: str, a: int) -> str:
     # (given as its square-free class) and -a * sqrt(2) for r_a.
     if family == "q":
         return str(squarefree_part(-2 * a))
-    return str(QSqrt2.of(0, -a))
+    return "-sqrt2" if a == 1 else f"-{a}*sqrt2"
+
+
+def certificate_matrix(forms) -> tuple[tuple[NonCommensurabilityCertificate | None, ...], ...]:
+    """Entry [i][j] is noncommensurability_certificate(forms[i], forms[j]).
+
+    Every entry is computed, the diagonal too, where a form never separates
+    from itself; an off-diagonal None is a pair no scanned invariant
+    separates.
+    """
+    return tuple(tuple(noncommensurability_certificate(f1, f2) for f2 in forms) for f1 in forms)
 
 
 @dataclass(frozen=True)
@@ -357,7 +326,7 @@ def search_primes_anisotropic(count: int) -> list[PrimeSearchReport]:
     return reports
 
 
-def family_members(family: str, count: int, n: int) -> tuple[list[int], list[QuadraticForm]]:
+def family_members(family: str, count: int, n: int) -> tuple[list[int], list[FamilyForm]]:
     """The first `count` primes of a family and its members of dimension n at them.
 
     family is "isotropic" (q_p over Q) or "anisotropic" (r_p over Q(sqrt(2))).

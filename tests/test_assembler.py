@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from volcount import assembler
+from volcount import assembler, form_families
 from volcount.assembler import (
     BLOCK_KINDS,
     BuildingBlock,
@@ -108,12 +108,25 @@ class TestParcels:
 
     def test_parcel_validation(self, parcel):
         with pytest.raises(ValueError):
-            Parcel("x", 4, parcel.blocks[:5], parcel.certificates, parcel.boundary_form)
+            Parcel("x", 4, parcel.blocks[:5], parcel.certificates)
         broken = tuple(
             tuple(None for _ in range(6)) for _ in range(6)
         )
         with pytest.raises(ValueError):
-            Parcel("x", 4, parcel.blocks, broken, parcel.boundary_form)
+            Parcel("x", 4, parcel.blocks, broken)
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_uncertified_pair_refused(self, monkeypatch, compact):
+        # One off-diagonal pair left uncertified, the second block against the fifth.
+        certify = form_families.noncommensurability_certificate
+        _, forms = form_families.family_members("anisotropic" if compact else "isotropic", 6, 4)
+
+        def one_gap(f1, f2):
+            return None if (f1, f2) == (forms[1], forms[4]) else certify(f1, f2)
+
+        monkeypatch.setattr(form_families, "noncommensurability_certificate", one_gap)
+        with pytest.raises(RuntimeError, match="requires certified block pairs"):
+            default_parcel(4, compact)
 
     def test_block_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from volcount import assembler, cli
+from volcount import assembler, cli, form_families
 from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -77,6 +77,23 @@ class TestForms:
         code, out, _ = run(["forms", family, "--n", "5", "--json"], capsys)
         assert code == 0
         assert out == (GOLDEN / f"forms_{family}_n5.json").read_text()
+
+    def test_uncertified_pair_fails(self, capsys, monkeypatch):
+        # One off-diagonal pair left uncertified: q_13 against q_37.
+        certify = form_families.noncommensurability_certificate
+
+        def one_gap(f1, f2):
+            return None if (f1.a, f2.a) == (13, 37) else certify(f1, f2)
+
+        monkeypatch.setattr(form_families, "noncommensurability_certificate", one_gap)
+        code, out, err = run(["forms", "isotropic"], capsys)
+        assert code == VERIFICATION_FAILURE and out == ""
+        assert err == "verification failure: inconclusive pairs: [(1, 3)]\n"
+        code, out, err = run(["forms", "isotropic", "--json"], capsys)
+        assert code == VERIFICATION_FAILURE and err == ""
+        document = json.loads(out)
+        assert document["status"] == "error"
+        assert document["payload"]["error"] == "inconclusive pairs: [(1, 3)]"
 
     def test_dimension_cap_checked_before_certifying(self, capsys, monkeypatch):
         # An odd-rank certificate costs n^2 symbols; --n 100000 never returned.
@@ -217,6 +234,14 @@ class TestAssemble:
         code, out, err = run(["assemble"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error: cannot read graph file: 'utf-8' codec")
+
+    def test_number_tokens_are_ascii_digit_runs(self, capsys, tmp_path):
+        # int() reads "1_0" as 10; graph_to_text never writes it.
+        path = tmp_path / "underscore.graph"
+        path.write_text("1_0\n1 2 3 4 5 6 7 8 9 0\n0 1 2 3 4 5 6 7 8 9\n0\n")
+        code, out, err = run(["assemble", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "usage error: malformed graph text\n"
 
     def test_repeated_colored_vertex(self, capsys, tmp_path):
         path = tmp_path / "repeat.graph"

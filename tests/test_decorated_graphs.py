@@ -462,6 +462,30 @@ class TestSerialization:
         with pytest.raises(ValueError):
             graph_from_text("2\n1 x\n0 1\n\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0\n1 2 3 4 5 6 7 8 9 0\n0 1 2 3 4 5 6 7 8 9\n\n",
+            "2\n1 0\n0 1_0\n0\n",
+            "+2\n1 0\n0 1\n0\n",
+            "2\n1 +0\n0 1\n\n",
+            "2\n1 0\n0 1\n\u0660\n",
+            "\u0662\n1 0\n0 1\n0\n",
+        ],
+        ids=[
+            "underscore-count",
+            "underscore-row",
+            "plus-count",
+            "plus-row",
+            "arabic-indic-colored",
+            "arabic-indic-count",
+        ],
+    )
+    def test_only_ascii_digit_runs_parse(self, text):
+        # int() takes every one of these tokens; graph_to_text writes none.
+        with pytest.raises(ValueError, match="malformed graph text"):
+            graph_from_text(text)
+
     @given(colored_graphs(max_degree=8, connected=False))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, graph):

@@ -6,57 +6,16 @@ from hypothesis import given, strategies as st
 
 from volcount.exact_arith import (
     PrimalityRangeError,
-    QSqrt2,
-    SQRT2,
     factor_int,
     is_prime,
     is_square_rational,
     legendre_symbol,
     padic_valuation,
-    split_prime_valuation,
     sqrt_mod,
     squarefree_part,
 )
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 97, 193)
-# Odd primes at which 2 is a square, so Q(sqrt(2)) has two places over p.
-SPLIT_PRIMES = (7, 17, 23, 31, 41)
-
-
-def embed_sqrt2_mod_p(x: QSqrt2, p: int, root: int) -> int:
-    """Residue of x in F_p under the embedding sending sqrt(2) to root.
-
-    The unit-residue oracle for split_prime_valuation.  It maps each part on
-    its own and rejects x whose denominators meet p, and x of positive
-    valuation (residue zero): the valuation must be taken out first.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if not 0 < root < p or (root * root - 2) % p != 0:
-        raise ValueError(f"{root} is not a square root of 2 modulo {p}")
-    c, d = x.rational_part, x.sqrt2_part
-    if c.denominator % p == 0 or d.denominator % p == 0:
-        raise ValueError(f"denominator of {x} is divisible by {p}")
-    residue = (
-        c.numerator * pow(c.denominator, -1, p) + d.numerator * pow(d.denominator, -1, p) * root
-    ) % p
-    if residue == 0:
-        raise ValueError(f"{x} has positive valuation at {p}; decompose before embedding")
-    return residue
-
-
-@st.composite
-def pure_split_inputs(draw):
-    """(x, p, root) with x = c or x = d * sqrt(2), scaled by p^e, e in [-3, 3]."""
-    p = draw(st.sampled_from(SPLIT_PRIMES))
-    smaller = sqrt_mod(2, p)
-    root = draw(st.sampled_from((smaller, p - smaller)))
-    part = draw(st.fractions(max_denominator=60).filter(bool))
-    part *= Fraction(p) ** draw(st.integers(min_value=-3, max_value=3))
-    x = QSqrt2.of(part, 0) if draw(st.booleans()) else QSqrt2.of(0, part)
-    return x, p, root
-
-
 class TestPrimality:
     def test_small_values(self):
         primes_below_40 = [n for n in range(40) if is_prime(n)]
@@ -204,59 +163,3 @@ class TestPadicValuation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             padic_valuation(Fraction(0), 5)
-
-
-class TestSplitPrimeEmbedding:
-    def test_frozen_embedding(self):
-        assert embed_sqrt2_mod_p(QSqrt2.of(1, 1), 17, 6) == 7
-
-    def test_rejects_bad_root(self):
-        with pytest.raises(ValueError):
-            embed_sqrt2_mod_p(QSqrt2.of(1, 1), 17, 5)
-
-    def test_rational_prime_splits(self):
-        # 17 = (5 + 2 sqrt2)(5 - 2 sqrt2); the factor vanishing at root 6
-        # carries the whole valuation.
-        exponent, unit = split_prime_valuation(QSqrt2.of(17, 0), 17, 6)
-        assert exponent == 1
-        assert unit % 17 != 0
-        # The vanishing factor itself: 5 + 2*sqrt2 maps to 5 + 12 = 0 mod 17,
-        # so the unit embedding refuses it.
-        with pytest.raises(ValueError):
-            embed_sqrt2_mod_p(QSqrt2.of(5, 2), 17, 6)
-
-    def test_unit_valuation_zero(self):
-        exponent, unit = split_prime_valuation(SQRT2, 17, 6)
-        assert exponent == 0 and unit == 6
-
-    @given(pure_split_inputs())
-    def test_pure_elements_match_lifting(self, case):
-        # c and d * sqrt(2) are decomposed exactly: the unit's residue must
-        # be the oracle's embedding of x / p^m.
-        x, p, root = case
-        exponent, unit = split_prime_valuation(x, p, root)
-        scale = Fraction(p) ** -exponent
-        unit_part = QSqrt2.of(x.rational_part * scale, x.sqrt2_part * scale)
-        assert unit == embed_sqrt2_mod_p(unit_part, p, root)
-
-    def test_mixed_elements_refused(self):
-        assert split_prime_valuation(QSqrt2.of(Fraction(34, 3), 0), 17, 6) == (1, 2 * pow(3, -1, 17) % 17)
-        assert split_prime_valuation(QSqrt2.of(0, -17), 17, 11) == (1, -11 % 17)
-        for x in (QSqrt2.of(5, 2), QSqrt2.of(1, 1), QSqrt2.of(Fraction(1, 17), -3)):
-            with pytest.raises(ValueError, match="neither rational nor"):
-                split_prime_valuation(x, 17, 6)
-
-    @given(
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=1, max_value=50),
-        st.booleans(),
-    )
-    def test_valuation_additive_in_prime_powers(self, e, c, rational):
-        x = QSqrt2.of(c, 0) if rational else QSqrt2.of(0, c)
-        scaled = QSqrt2.of(x.rational_part * Fraction(17) ** e, x.sqrt2_part * Fraction(17) ** e)
-        base_exponent, base_unit = split_prime_valuation(x, 17, 6)
-        exponent, unit = split_prime_valuation(scaled, 17, 6)
-        # 17 factors as two conjugate primes; the tracked one sees v(17) = 1
-        # and the conjugate factor is a local unit there.
-        assert exponent == base_exponent + e
-        assert unit == base_unit

@@ -1,16 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volcount import exact_arith, form_families
-from volcount.exact_arith import QSqrt2, SQRT2, factor_int, is_square_rational, squarefree_part
+from volcount.exact_arith import factor_int, is_square_rational, sqrt_mod, squarefree_part
 from volcount.form_families import (
-    RATIONAL_FIELD,
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
-    SQRT2_FIELD,
-    QuadraticForm,
+    FamilyForm,
     _discriminant_description,
     epsilon_q_at,
     epsilon_r_at,
@@ -18,35 +16,56 @@ from volcount.form_families import (
     make_q,
     make_r,
     noncommensurability_certificate,
-    restrict_to_hyperplane,
     search_primes_anisotropic,
     search_primes_isotropic,
     two_is_fourth_power,
 )
+from volcount.local_invariants import hasse_witt, odd_place
 
 
 class TestFormConstruction:
     def test_q_shape(self):
         form = make_q(5, 4)
-        assert form.rank == 5
-        assert form.coefficients == (5, 1, 1, 1, -2)
+        assert (form.family, form.a, form.n, form.rank) == ("q", 5, 4, 5)
+        assert form == FamilyForm("q", 5, 4)
 
     def test_r_shape(self):
         form = make_r(17, 4)
-        assert form.rank == 5
-        assert form.coefficients[0] == QSqrt2.of(17, 0)
-        assert form.coefficients[-1] == QSqrt2.of(0, -1)
-
-    def test_shared_boundary_restriction(self):
-        restrictions = {restrict_to_hyperplane(make_q(a, 4)) for a in (5, 13, 29)}
-        assert len(restrictions) == 1
-        assert restrict_to_hyperplane(make_q(5, 4)).coefficients == (1, 1, 1, -2)
+        assert (form.family, form.a, form.n, form.rank) == ("r", 17, 4, 5)
+        assert form != make_q(17, 4)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             make_q(5, 2)
         with pytest.raises(ValueError):
             make_q(0, 4)
+
+    @pytest.mark.parametrize(
+        "family, a, n",
+        [
+            ("Q", 5, 4),
+            ("s", 5, 4),
+            ("q", 0, 4),
+            ("q", -5, 4),
+            ("q", Fraction(5, 2), 4),
+            ("r", Fraction(1, 3), 4),
+            ("q", 5, 2),
+            ("r", 17, 2),
+        ],
+        ids=[
+            "family-Q",
+            "family-s",
+            "a-zero",
+            "a-negative",
+            "a-five-halves",
+            "a-one-third",
+            "q-n-two",
+            "r-n-two",
+        ],
+    )
+    def test_construction_refused(self, family, a, n):
+        with pytest.raises(ValueError):
+            FamilyForm(family, a, n)
 
 
 class TestEpsilonInvariants:
@@ -70,6 +89,32 @@ class TestEpsilonInvariants:
     def test_r_requires_split_prime(self):
         with pytest.raises(ValueError):
             epsilon_r_at(17, 4, 5, 3)
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from(REFERENCE_ANISOTROPIC_PRIMES),
+        st.booleans(),
+        st.integers(min_value=3, max_value=8),
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_r_matches_hasse_witt_of_embedded_coefficients(self, p, larger, n, k, e):
+        # The independent route: embed -sqrt(2) as -root and take the
+        # generic Hasse-Witt product of the rational coefficients.
+        root = sqrt_mod(2, p)
+        if larger:
+            root = p - root
+        a = k * p**e
+        expected = hasse_witt((a,) + (1,) * (n - 1) + (-root,), odd_place(p))
+        assert epsilon_r_at(a, n, p, root) == expected
+
+    @pytest.mark.parametrize("p", REFERENCE_ANISOTROPIC_PRIMES)
+    def test_r_refuses_a_non_root(self, p):
+        roots = {sqrt_mod(2, p), p - sqrt_mod(2, p)}
+        for candidate in (-min(roots), 0, 1, min(roots) + 1, max(roots) + p, p):
+            assert candidate not in roots
+            with pytest.raises(ValueError, match="not a square root of 2"):
+                epsilon_r_at(p, 3, p, candidate)
 
     def test_q_closed_form_cross_check_runs(self, monkeypatch):
         # epsilon(q_5) at 5 is -1; a generic product forced to 1 must be caught.
@@ -159,40 +204,21 @@ class TestCertificates:
         st.integers(min_value=1, max_value=10**6),
         st.integers(min_value=3, max_value=8),
     )
+    @example("r", 1, 3)
     def test_discriminant_description_is_coefficient_product(self, family, a, n):
-        # The oracle multiplies the coefficients of the built form, in
-        # Q(sqrt(2)) on (rational, sqrt2) parts: (c + d r)(e + f r) with r^2 = 2.
-        form = make_q(a, n) if family == "q" else make_r(a, n)
-        product = form.coefficients[0]
-        for c in form.coefficients[1:]:
-            if family == "q":
-                product = product * c
-            else:
-                product = QSqrt2.of(
-                    product.rational_part * c.rational_part + 2 * product.sqrt2_part * c.sqrt2_part,
-                    product.rational_part * c.sqrt2_part + product.sqrt2_part * c.rational_part,
-                )
-        expected = str(squarefree_part(product)) if family == "q" else str(product)
+        # The oracle multiplies the family member's coefficients as
+        # (rational, sqrt2) pairs: (c + d r)(e + f r) with r^2 = 2.
+        last = (-2, 0) if family == "q" else (0, -1)
+        c, d = Fraction(a), Fraction(0)
+        for e, f in [(1, 0)] * (n - 1) + [last]:
+            c, d = c * e + 2 * d * f, c * f + d * e
+        if family == "q":
+            assert d == 0
+            expected = str(squarefree_part(c))
+        else:
+            assert c == 0
+            expected = {1: "sqrt2", -1: "-sqrt2"}.get(d, f"{d}*sqrt2")
         assert _discriminant_description(family, a) == expected
-
-    @pytest.mark.parametrize(
-        "field, coefficients",
-        [
-            (RATIONAL_FIELD, (5, 1, 2, -2)),
-            (RATIONAL_FIELD, (5, 1, 1, 2)),
-            (RATIONAL_FIELD, (Fraction(5, 2), 1, 1, -2)),
-            (RATIONAL_FIELD, (-5, 1, 1, -2)),
-            (SQRT2_FIELD, (QSqrt2.of(17, 1), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(0, -1))),
-            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1, 1), QSqrt2.of(1), QSqrt2.of(0, -1))),
-            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1), QSqrt2.of(1), SQRT2)),
-            (SQRT2_FIELD, (QSqrt2.of(17), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(-1, -1))),
-            (SQRT2_FIELD, (QSqrt2.of(Fraction(1, 3)), QSqrt2.of(1), QSqrt2.of(1), QSqrt2.of(0, -1))),
-        ],
-    )
-    def test_other_forms_rejected(self, field, coefficients):
-        form = QuadraticForm(field, coefficients)
-        with pytest.raises(ValueError, match="q and r families"):
-            noncommensurability_certificate(form, form)
 
     def test_discriminant_ratio_is_nonsquare(self):
         # The even-rank certificate is meaningful: the ratio of the recorded
@@ -228,13 +254,3 @@ class TestPrimeSearches:
         # Longer searches extend shorter ones without reordering.
         primes = [r.prime for r in search_primes_isotropic(count)]
         assert primes == [r.prime for r in search_primes_isotropic(12)][:count]
-
-
-class TestQuadraticFormValidation:
-    def test_zero_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticForm("Q", (Fraction(1), Fraction(0)))
-
-    def test_field_tag_coupled_to_coefficient_type(self):
-        with pytest.raises(ValueError):
-            QuadraticForm("Q", (QSqrt2.of(1, 1),))

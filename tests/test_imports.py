@@ -1,9 +1,11 @@
-"""Every name a volcount module imports is used in that module.
+"""Every name a volcount module imports is used in that module, and every
+__all__ entry names something the module binds.
 
-No linter ships with the project, so this stdlib check keeps a deletion from
-leaving an orphaned import behind.  volcount/__init__.py is exempt: it
-imports names only to re-export them.  A name that appears only in __all__
-counts as unused, so re-exports stay in __init__.py.
+No linter ships with the project, so these stdlib checks keep a deletion from
+leaving an orphaned import or a stale export behind.  volcount/__init__.py
+is exempt from the import check: it imports names only to re-export them.
+A name that appears only in __all__ counts as unused, so re-exports stay in
+__init__.py.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "volcount"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [path for path in ALL_MODULES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +29,24 @@ def unused_imports(source: str) -> list[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def stale_exports(source: str) -> list[str]:
+    """The __all__ entries that name nothing the module binds at top level."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = [ast.literal_eval(element) for element in node.value.elts]
+    return sorted(set(exported) - bound)
 
 
 def test_checker_flags_orphans_only():
@@ -49,3 +70,24 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_export_checker_flags_stale_names_only():
+    source = (
+        "import os.path\n"
+        "from math import isqrt as root\n"
+        "from .x import f\n"
+        "LIMIT: int = 3\n"
+        "A, B = 1, 2\n"
+        "def g():\n"
+        "    inner = 1\n"
+        "class K:\n"
+        "    pass\n"
+        "__all__ = ['A', 'B', 'K', 'LIMIT', 'f', 'g', 'gone', 'inner', 'isqrt', 'os', 'root']\n"
+    )
+    assert stale_exports(source) == ["gone", "inner", "isqrt"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.stem)
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []
