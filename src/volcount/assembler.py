@@ -24,8 +24,11 @@ the kind of the terminal vertex block (V1 against V0) is the observable
 that separates descriptors.
 
 count_lower_bound turns a volume budget v into k = floor(v / (5 * V)) with V
-the largest block volume, reports the number of index-k subgroups, and
-checks it against the ceil(k^(k/2)) growth floor.
+the largest block volume, reports the number a_k of index-k subgroups, and
+checks k! <= a_k <= k * k! and the ceil(k^(k/2)) growth floor.  By Hall,
+a_k = t_k / (k - 1)! with t_k the transitive pairs (sigma, tau) on k points;
+t_k >= (k - 1)! k! as every pair with sigma a k-cycle is transitive, and
+t_k <= (k!)^2.  The floor follows: (k!)^2 = prod_i i (k + 1 - i) >= k^k.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import floor, isqrt, lcm
+from math import factorial, floor, isqrt, lcm
 
 from .decorated_graphs import DecoratedGraph, from_subgroup, is_isomorphic
 from .form_families import NonCommensurabilityCertificate, certificate_matrix, family_members
@@ -145,18 +148,6 @@ def default_parcel(n: int, compact: bool) -> Parcel:
         for kind, form in zip(BLOCK_KINDS, forms)
     )
     return Parcel(f"{tag}-n{n}", n, blocks, certificates)
-
-
-def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
-    """Copy of the parcel with the six block volumes replaced."""
-    volumes = tuple(Fraction(v) for v in volumes)
-    if len(volumes) != 6:
-        raise ValueError("expected six volumes")
-    blocks = tuple(
-        BuildingBlock(block.kind, volume, block.form_id, block.compact)
-        for block, volume in zip(parcel.blocks, volumes)
-    )
-    return Parcel(parcel.parcel_id, parcel.dimension, blocks, parcel.certificates)
 
 
 @dataclass(frozen=True)
@@ -421,9 +412,9 @@ def growth_floor(k: int) -> int:
 def count_lower_bound(v, parcel: Parcel) -> CountReport:
     """Descriptors affordable within volume v: k = floor(v / (5 V)) vertices.
 
-    Reports the exact index-k subgroup count and the growth floor
-    ceil(k^(k/2)), verified to be dominated by the count.  A k above
-    MAX_COUNT_INDEX raises ValueError before any count is computed.
+    Reports the exact index-k subgroup count a_k and the floor ceil(k^(k/2));
+    raises RuntimeError unless k! <= a_k <= k * k! and a_k >= the floor.  A k
+    above MAX_COUNT_INDEX raises ValueError before any count is computed.
     """
     v = Fraction(v)
     unit = 5 * parcel.max_volume
@@ -433,6 +424,8 @@ def count_lower_bound(v, parcel: Parcel) -> CountReport:
     if k > MAX_COUNT_INDEX:
         raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {k})")
     count = hall_count(k)
+    if not factorial(k) <= count <= k * factorial(k):
+        raise RuntimeError(f"subgroup count at index {k} is outside [k!, k * k!]")
     bound = growth_floor(k)
     if count < bound:
         raise RuntimeError(f"subgroup count {count} fell below the floor {bound}")
@@ -605,5 +598,4 @@ __all__ = [
     "growth_floor",
     "trace_word",
     "volume_bound",
-    "with_block_volumes",
 ]

@@ -276,18 +276,21 @@ def graph_to_text(graph: DecoratedGraph) -> str:
 
 
 def graph_from_text(text: str) -> DecoratedGraph:
-    """Inverse of graph_to_text; blank lines may follow the fourth line."""
+    """Inverse of graph_to_text: exactly its four lines, then only blank lines."""
     lines = text.split("\n")
     if len(lines) < 4:
         raise ValueError("graph text needs four lines")
     if any(line.strip() for line in lines[4:]):
         raise ValueError("graph text has more than four lines")
-    rows = [line.split() for line in lines[:4]]
-    # Only runs of ASCII digits: int() also takes "1_0", "+2" and non-ASCII
-    # digits, none of which graph_to_text writes.
+    rows = [line.split(" ") if line else [] for line in lines[:4]]
+    # int() also takes "1_0", "+2", non-ASCII digits and padding whitespace.
     if len(rows[0]) != 1 or not all(v.isascii() and v.isdigit() for row in rows for v in row):
         raise ValueError("malformed graph text")
     (n,), perm_a, perm_b, colored = ([int(v) for v in row] for row in rows)
     if len(set(colored)) != len(colored):
         raise ValueError("colored list repeats a vertex")
-    return DecoratedGraph(n, tuple(perm_a), tuple(perm_b), frozenset(colored))
+    graph = DecoratedGraph(n, tuple(perm_a), tuple(perm_b), frozenset(colored))
+    # What still parses but differs: leading zeros, an unsorted colored list.
+    if graph_to_text(graph) != "\n".join(lines[:4]) + "\n":
+        raise ValueError("graph text differs from the text the writer gives its graph")
+    return graph

@@ -13,7 +13,7 @@ n); no coefficient tuple is built.  Members of one family and dimension
 differ only in a, so they share the restriction to the hyperplane x_1 = 0,
 which is what makes mixed gluings of the assembled pieces possible.  This
 module computes the Hasse-Witt invariant of family members at chosen primes
-(with a closed form cross-checked against the generic pairwise product),
+(from square-class counts at a cost independent of n, checked by a closed form),
 decides non-commensurability of two family members by a discriminant-ratio
 or epsilon-mismatch certificate, builds the certificate matrix of a list of
 members, and searches for the primes that parametrize the two families:
@@ -43,7 +43,7 @@ from .exact_arith import (
     sqrt_mod,
     squarefree_part,
 )
-from .local_invariants import _odd_pair_product, hasse_witt, odd_place
+from .local_invariants import Place, _class_product, odd_place
 
 # First six members of each prime family; the searches below regenerate them
 # and the selftest verifies the match.
@@ -91,19 +91,30 @@ def make_r(a: int, n: int) -> FamilyForm:
     return FamilyForm("r", a, n)
 
 
+def _member_epsilon(a: int, n: int, place: Place, last: int) -> tuple[int, int]:
+    # v_p(a) and the Hasse-Witt invariant of (a, 1, ..., 1, last), last a unit at
+    # the odd place, from its class counts: the unit class (0, 1) n - 1 times.
+    p = place.prime
+    m, unit, _ = _strip_prime(a, 1, p)
+    counts = {(0, 1): n - 1}
+    for c in ((m % 2, _euler_criterion(unit, p)), (0, _euler_criterion(last, p))):
+        counts[c] = counts.get(c, 0) + 1
+    return m, _class_product(counts, place)
+
+
 def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
     """Hasse-Witt invariant of q_a over the p-adics, p an odd prime.
 
     When (-1|p) = 1 and (2|p) = -1 the value has the closed form
-    (-1)^(v_p(a)); the generic pairwise product is computed in every case and
-    the two must agree whenever the closed form applies.  With detail=True
-    returns (value, method) where method names the route taken.
+    (-1)^(v_p(a)); the generic class-count product is computed in every case
+    and the two must agree whenever the closed form applies.  With
+    detail=True returns (value, method) where method names the route taken.
     """
     _check_member_parameters(a, n)
-    generic = hasse_witt((a,) + (1,) * (n - 1) + (-2,), odd_place(p))
+    m, generic = _member_epsilon(a, n, odd_place(p), -2)
     closed_form_applies = _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1
     if closed_form_applies:
-        closed = -1 if _strip_prime(a, 1, p)[0] % 2 else 1
+        closed = -1 if m % 2 else 1
         if closed != generic:
             raise RuntimeError(
                 f"closed form {closed} disagrees with the generic product {generic} "
@@ -117,10 +128,10 @@ def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
     """Hasse-Witt invariant of r_a over the p-adics at a split prime p = 1 mod 8.
 
     The embedding of Q(sqrt(2)) is the one sending sqrt(2) to root, which
-    must satisfy 0 < root < p and root^2 = 2 (mod p).  Computed as the
-    pairwise product over embedded coefficients and cross-checked against
-    the closed form (sqrt(2)|p)^(v_p(a)); the result does not depend on
-    which of the two roots is chosen, because (-1|p) = 1.
+    must satisfy 0 < root < p and root^2 = 2 (mod p).  Computed from the
+    class counts of the embedded coefficients and cross-checked against the
+    closed form (sqrt(2)|p)^(v_p(a)); the result does not depend on which of
+    the two roots is chosen, because (-1|p) = 1.
     """
     if p % 8 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 8")
@@ -128,11 +139,8 @@ def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
         raise ValueError(f"{root} is not a square root of 2 modulo {p}")
     _check_member_parameters(a, n)
     # sqrt(2) is a unit at a split odd prime (its square 2 is prime to p)
-    # with residue root, so -sqrt(2) embeds as the unit -root; the n - 1
-    # middle coefficients are the unit 1.
-    m, unit, _ = _strip_prime(a, 1, p)
-    lead, last = (m, _euler_criterion(unit, p)), (0, _euler_criterion(-root, p))
-    generic = _odd_pair_product([lead, *[(0, 1)] * (n - 1), last], p)
+    # with residue root, so -sqrt(2) embeds as the unit -root.
+    m, generic = _member_epsilon(a, n, odd_place(p), -root)
     closed = _euler_criterion(root, p) if m % 2 else 1
     if closed != generic:
         raise RuntimeError(

@@ -230,21 +230,10 @@ class Word:
         return len(self.letters)
 
 
-def trace_vertex(table: SubgroupTable, word: Word, start: int | None = None) -> int:
-    """Endpoint of the path reading `word` from `start` (default: basepoint)."""
-    v = table.basepoint if start is None else start
-    return _trace(step_tables(table.perm_a, table.perm_b), v, word.letters)
-
-
 def _trace(steps, v: int, letters) -> int:
     for letter in letters:
         v = steps[letter][v]
     return v
-
-
-def word_membership(table: SubgroupTable, word: Word) -> bool:
-    """Whether the word lies in the subgroup: its path returns to the basepoint."""
-    return trace_vertex(table, word) == table.basepoint
 
 
 def distinguishing_word(h1: SubgroupTable, h2: SubgroupTable) -> Word | None:

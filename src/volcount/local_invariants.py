@@ -19,15 +19,25 @@ Symbols are computed on the integer numerator and denominator of each
 argument, with no unit Fraction built: for a unit u = r/s, (u|p) is the
 Legendre symbol of r * s mod p, and u mod 8 is r * s mod 8, because an odd s
 is its own inverse mod 8.
+
+A symbol depends only on the square classes of its arguments and is
+bimultiplicative (Serre, A Course in Arithmetic, III.1.2).  So with m_c
+coefficients in class c, the Hasse-Witt invariant is a product over the
+classes, at a cost that does not grow with the rank:
+
+    prod_{i<j} (a_i, a_j) = prod_c (c, c)^C(m_c, 2) * prod_{c<d} (c, d)^(m_c m_d).
+
+A class is (v mod 2, (u|p)) at an odd prime, (v mod 2, u mod 8) at 2, and
+the sign at the real place.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import prod
-from typing import Sequence
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 from .exact_arith import (
     Rational,
@@ -72,6 +82,8 @@ REAL = Place("real")
 DYADIC = Place("dyadic", 2)
 
 
+# Certificates revisit the few primes that divide their family parameters.
+@lru_cache(maxsize=256, typed=True)
 def odd_place(p: int) -> Place:
     return Place("odd_prime", p)
 
@@ -93,23 +105,17 @@ def hilbert_real(a: Rational, b: Rational) -> int:
     return -1 if a_num < 0 and b_num < 0 else 1
 
 
-def _odd_parts(x: Rational, p: int) -> tuple[int, int]:
-    # (v_p(x), (u|p)) for x = p^v * u with u a p-adic unit; p is an odd prime
-    # validated by the caller (or by its Place).
+def _odd_class(x: Rational, p: int) -> tuple[int, int]:
+    # The square class (v_p(x) mod 2, (u|p)) of x = p^v * u with u a p-adic
+    # unit; p is an odd prime validated by the caller (or by its Place).
     m, num, den = _strip_prime(*_nonzero_terms(x), p)
-    return m, _euler_criterion(num * den, p)
-
-
-def _odd_pair_product(parts: Sequence[tuple[int, int]], p: int) -> int:
-    # Product of the odd-place symbols over index pairs i < j of decomposed
-    # coefficients: one decomposition per coefficient, not one per pair.
-    return prod(hilbert_odd_from_parts(*x, *y, p) for x, y in combinations(parts, 2))
+    return m % 2, _euler_criterion(num * den, p)
 
 
 def hilbert_odd_p(a: Rational, b: Rational, p: int) -> int:
     """(a, b) at an odd prime p via the valuation/Legendre formula."""
     _require_odd_place(p)
-    return hilbert_odd_from_parts(*_odd_parts(a, p), *_odd_parts(b, p), p)
+    return hilbert_odd_from_parts(*_odd_class(a, p), *_odd_class(b, p), p)
 
 
 def hilbert_odd_from_parts(n: int, legendre_u: int, m: int, legendre_v: int, p: int) -> int:
@@ -125,10 +131,10 @@ def hilbert_odd_from_parts(n: int, legendre_u: int, m: int, legendre_v: int, p: 
     return result
 
 
-def _dyadic_parts(x: Rational) -> tuple[int, int]:
-    # (v_2(x), u mod 8) for x = 2^v * u with u a 2-adic unit.
+def _dyadic_class(x: Rational) -> tuple[int, int]:
+    # The square class (v_2(x) mod 2, u mod 8) of x = 2^v * u with u a 2-adic unit.
     m, num, den = _strip_prime(*_nonzero_terms(x), 2)
-    return m, num * den % 8
+    return m % 2, num * den % 8
 
 
 def _dyadic_from_parts(x: tuple[int, int], y: tuple[int, int]) -> int:
@@ -141,7 +147,7 @@ def _dyadic_from_parts(x: tuple[int, int], y: tuple[int, int]) -> int:
 
 def hilbert_dyadic(a: Rational, b: Rational) -> int:
     """(a, b) at the dyadic place via the eps/omega unit formula."""
-    return _dyadic_from_parts(_dyadic_parts(a), _dyadic_parts(b))
+    return _dyadic_from_parts(_dyadic_class(a), _dyadic_class(b))
 
 
 def hilbert(a: Rational, b: Rational, place: Place) -> int:
@@ -151,7 +157,7 @@ def hilbert(a: Rational, b: Rational, place: Place) -> int:
     if place.kind == "dyadic":
         return hilbert_dyadic(a, b)
     p = place.prime
-    return hilbert_odd_from_parts(*_odd_parts(a, p), *_odd_parts(b, p), p)
+    return hilbert_odd_from_parts(*_odd_class(a, p), *_odd_class(b, p), p)
 
 
 def _coefficients_of(coefficients) -> tuple[Rational | int, ...]:
@@ -164,23 +170,39 @@ def _coefficients_of(coefficients) -> tuple[Rational | int, ...]:
     return out
 
 
-def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
-    """Product of hilbert(a_i, a_j, place) over index pairs i < j.
+def _class_product(counts: Mapping, place: Place) -> int:
+    """The module docstring's class-count product over {class: m_c}, each class once.
 
-    The empty product (rank-1 forms) is 1 at any place.  Invariant under
-    permutation of the coefficients since each symbol is symmetric.  At a
-    finite place each coefficient is decomposed once, and the pairwise
-    symbols are formed from the decompositions.
+    Only symbols with an odd exponent are evaluated: (c, c) when m_c = 2 or 3
+    (mod 4), and (c, d) when m_c and m_d are both odd.
     """
-    coeffs = _coefficients_of(coefficients)
-    if len(coeffs) == 1:
-        return 1
     if place.kind == "odd_prime":
-        return _odd_pair_product([_odd_parts(c, place.prime) for c in coeffs], place.prime)
-    if place.kind == "dyadic":
-        parts = [_dyadic_parts(c) for c in coeffs]
-        return prod(_dyadic_from_parts(x, y) for x, y in combinations(parts, 2))
-    return prod(hilbert(x, y, place) for x, y in combinations(coeffs, 2))
+        p = place.prime
+        symbol = lambda c, d: hilbert_odd_from_parts(*c, *d, p)  # noqa: E731
+    else:
+        symbol = _dyadic_from_parts if place.kind == "dyadic" else hilbert_real
+    result, odd_classes = 1, []
+    for c, m in counts.items():
+        if m & 2:
+            result *= symbol(c, c)
+        if m & 1:
+            for d in odd_classes:
+                result *= symbol(d, c)
+            odd_classes.append(c)
+    return result
+
+
+def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
+    """Product of hilbert(a_i, a_j, place) over index pairs i < j, 1 at rank 1,
+    taken over the counts of the coefficients' square classes."""
+    coeffs = _coefficients_of(coefficients)
+    if place.kind == "odd_prime":
+        classes = Counter(_odd_class(c, place.prime) for c in coeffs)
+    elif place.kind == "dyadic":
+        classes = Counter(map(_dyadic_class, coeffs))
+    else:
+        classes = Counter(1 if c > 0 else -1 for c in coeffs)
+    return _class_product(classes, place)
 
 
 def discriminant_class(coefficients: Sequence[Rational]) -> int:

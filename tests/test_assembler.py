@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -27,10 +28,21 @@ from volcount.assembler import (
     slots_for_kind,
     trace_word,
     volume_bound,
-    with_block_volumes,
 )
 from volcount.decorated_graphs import DecoratedGraph, from_subgroup
-from volcount.free_groups import Word, distinguishing_word, enumerate_subgroups
+from volcount.free_groups import Word, distinguishing_word, enumerate_subgroups, hall_count
+
+
+def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
+    """Copy of the parcel with the six block volumes replaced."""
+    volumes = tuple(Fraction(v) for v in volumes)
+    assert len(volumes) == 6
+    blocks = tuple(
+        BuildingBlock(block.kind, volume, block.form_id, block.compact)
+        for block, volume in zip(parcel.blocks, volumes)
+    )
+    return Parcel(parcel.parcel_id, parcel.dimension, blocks, parcel.certificates)
+
 
 LOOP = DecoratedGraph(1, (0,), (0,), frozenset({0}))
 TWO = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
@@ -284,6 +296,23 @@ class TestCounting:
 
     def test_descriptor_stream_matches_count(self, parcel):
         assert sum(1 for _ in descriptors_for_index(3, parcel)) == 13
+
+    def test_bracket_holds_against_the_recursion(self):
+        # k! <= a_k <= k * k!, proved in the assembler docstring.
+        for k in range(1, 401):
+            assert factorial(k) <= hall_count(k) <= k * factorial(k), k
+
+    def test_bracket_holds_against_enumeration(self):
+        for k in range(1, 8):
+            assert factorial(k) <= len(enumerate_subgroups(k)) <= k * factorial(k), k
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["below-k!", "above-k*k!"])
+    def test_count_outside_the_bracket_raises(self, parcel, monkeypatch, shift):
+        # At k = 6, k! = 720 and k * k! = 4320 bracket a_6 = 3447.
+        wrong = 720 - 1 if shift < 0 else 4320 + 1
+        monkeypatch.setattr(assembler, "hall_count", lambda k: wrong)
+        with pytest.raises(RuntimeError, match=r"outside \[k!, k \* k!\]"):
+            count_lower_bound(Fraction(30), parcel)
 
 
 class TestSerialization:

@@ -486,6 +486,48 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed graph text"):
             graph_from_text(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n1\x1c0\n0\t1\n\x0b0\r\n",
+            "2\n1\x1c0\n0 1\n0\n",
+            "2\n1 0\n0\t1\n0\n",
+            "2\n1 0\n0 1\n\x0b0\n",
+            "2\r\n1 0\r\n0 1\r\n0\r\n",
+            "2\n1  0\n0 1\n0\n",
+            "2\n1 0\n0  1\n0\n",
+            " 2\n1 0\n0 1\n0\n",
+            "2\n1 0 \n0 1\n0\n",
+            "2\n1 0\n0 1\n \n",
+        ],
+        ids=[
+            "mixed-separators",
+            "file-separator",
+            "tab",
+            "vertical-tab",
+            "crlf",
+            "double-space-a",
+            "double-space-b",
+            "leading-space",
+            "trailing-space",
+            "space-only-colored",
+        ],
+    )
+    def test_only_single_spaces_separate_tokens(self, text):
+        # str.split() once took any whitespace; graph_to_text writes single
+        # spaces between tokens and none around them.
+        with pytest.raises(ValueError, match="malformed graph text"):
+            graph_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["02\n1 0\n0 1\n0\n", "2\n01 0\n0 1\n0\n", "2\n1 0\n0 1\n1 0\n"],
+        ids=["leading-zero-count", "leading-zero-row", "unsorted-colored"],
+    )
+    def test_only_the_writers_lines_parse(self, text):
+        with pytest.raises(ValueError, match="differs from the text the writer gives"):
+            graph_from_text(text)
+
     @given(colored_graphs(max_degree=8, connected=False))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, graph):

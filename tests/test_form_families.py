@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from volcount import exact_arith, form_families
+from volcount import exact_arith, form_families, local_invariants
 from volcount.exact_arith import factor_int, is_square_rational, sqrt_mod, squarefree_part
 from volcount.form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
@@ -94,7 +94,7 @@ class TestEpsilonInvariants:
     @given(
         st.sampled_from(REFERENCE_ANISOTROPIC_PRIMES),
         st.booleans(),
-        st.integers(min_value=3, max_value=8),
+        st.integers(min_value=3, max_value=30),
         st.integers(min_value=1, max_value=10**4),
         st.integers(min_value=0, max_value=3),
     )
@@ -117,13 +117,14 @@ class TestEpsilonInvariants:
                 epsilon_r_at(p, 3, p, candidate)
 
     def test_q_closed_form_cross_check_runs(self, monkeypatch):
-        # epsilon(q_5) at 5 is -1; a generic product forced to 1 must be caught.
-        monkeypatch.setattr(form_families, "hasse_witt", lambda coefficients, place: 1)
+        # epsilon(q_5) at 5 is -1; a class-count product forced to 1 must be caught.
+        monkeypatch.setattr(form_families, "_class_product", lambda counts, place: 1)
         with pytest.raises(RuntimeError, match="generic product"):
             epsilon_q_at(5, 4, 5)
 
     def test_r_embedded_cross_check_runs(self, monkeypatch):
-        monkeypatch.setattr(form_families, "_odd_pair_product", lambda parts, p: 1)
+        # epsilon(r_17) at 17 is -1 for the root 6.
+        monkeypatch.setattr(form_families, "_class_product", lambda counts, place: 1)
         with pytest.raises(RuntimeError, match="embedded product"):
             epsilon_r_at(17, 4, 17, 6)
 
@@ -175,6 +176,30 @@ class TestCertificates:
                 for j, f2 in enumerate(forms):
                     certificate = noncommensurability_certificate(f1, f2)
                     assert (certificate is None) == (i == j)
+
+    def test_symbol_evaluations_do_not_grow_with_n(self, monkeypatch):
+        # n - 1 coefficients share the unit class, so a certificate at
+        # n = 10**6 evaluates exactly the symbols it evaluates at n = 4: the
+        # two agree mod 4, so every exponent C(m, 2) and m * k of the class
+        # counts has the same parity at both.
+        evaluated = []
+        symbol = local_invariants.hilbert_odd_from_parts
+
+        def counting(*args):
+            evaluated.append(args)
+            return symbol(*args)
+
+        monkeypatch.setattr(local_invariants, "hilbert_odd_from_parts", counting)
+        runs = {}
+        for n in (4, 10**6):
+            for make, (a1, a2) in ((make_q, (5, 13)), (make_r, (17, 41))):
+                evaluated.clear()
+                certificate = noncommensurability_certificate(make(a1, n), make(a2, n))
+                runs[make, n] = (certificate, list(evaluated))
+        for make in (make_q, make_r):
+            certificate, symbols = runs[make, 4]
+            assert certificate.method == "epsilon_at_prime" and 0 < len(symbols) <= 8
+            assert runs[make, 10**6] == (certificate, symbols)
 
     def test_each_parameter_is_factored_once(self, monkeypatch):
         # Every pair at every rank reuses a parameter's factoring.

@@ -13,11 +13,27 @@ from volcount.free_groups import (
     hall_count,
     _bfs,
     step_tables,
-    trace_vertex,
-    word_membership,
 )
 
 HALL_VALUES = (1, 3, 13, 71, 461, 3447, 29093)
+
+
+def trace_vertex(table: SubgroupTable, word: Word) -> int:
+    """Endpoint of the path reading the word from the basepoint.
+
+    Steps through the permutations themselves, an inverse letter by a
+    search, so it shares nothing with the production step tables.
+    """
+    v = table.basepoint
+    for letter in word.letters:
+        perm = table.perm_a if letter < 2 else table.perm_b
+        v = perm[v] if letter % 2 == 0 else perm.index(v)
+    return v
+
+
+def word_membership(table: SubgroupTable, word: Word) -> bool:
+    """Whether the word lies in the subgroup: its path returns to the basepoint."""
+    return trace_vertex(table, word) == table.basepoint
 
 
 def brute_force_tables(k):

@@ -15,6 +15,7 @@ from volcount.local_invariants import (
     DYADIC,
     REAL,
     Place,
+    _class_product,
     discriminant_class,
     hasse_witt,
     hilbert,
@@ -278,6 +279,15 @@ def reference_hilbert(a, b, place: Place) -> int:
     return minus_one ** (n * m % 2) * u ** (m % 2) * v ** (n % 2)
 
 
+def pairwise_hasse_witt(coefficients, place: Place) -> int:
+    """The Hasse-Witt oracle: hilbert over every index pair i < j."""
+    result = 1
+    for i in range(len(coefficients)):
+        for j in range(i + 1, len(coefficients)):
+            result *= hilbert(coefficients[i], coefficients[j], place)
+    return result
+
+
 @st.composite
 def scaled_rationals(draw, p: int):
     """A nonzero int or Fraction, either sign, times p^e for e in [-2, 2]."""
@@ -306,11 +316,7 @@ class TestHilbertAgainstReference:
     @settings(max_examples=100, deadline=None)
     def test_hasse_witt_is_pairwise_product(self, place, data):
         coefficients = data.draw(st.lists(scaled_rationals(place.prime), min_size=1, max_size=6))
-        pairwise = 1
-        for i in range(len(coefficients)):
-            for j in range(i + 1, len(coefficients)):
-                pairwise *= hilbert(coefficients[i], coefficients[j], place)
-        assert hasse_witt(coefficients, place) == pairwise
+        assert hasse_witt(coefficients, place) == pairwise_hasse_witt(coefficients, place)
 
     @pytest.mark.parametrize("place", SYMBOL_PLACES, ids=str)
     @pytest.mark.parametrize("zero", (0, Fraction(0)))
@@ -361,11 +367,84 @@ class TestHasseWitt:
         # the other places see the same coefficients.
         coefficients = tuple(c * Fraction(p) ** e for c, e in scaled)
         for place in (odd_place(p), odd_place(7), odd_place(10007), DYADIC, REAL):
-            pairwise = 1
-            for i in range(len(coefficients)):
-                for j in range(i + 1, len(coefficients)):
-                    pairwise *= hilbert(coefficients[i], coefficients[j], place)
-            assert hasse_witt(coefficients, place) == pairwise
+            assert hasse_witt(coefficients, place) == pairwise_hasse_witt(coefficients, place)
+
+
+def class_representative(place: Place, c) -> Fraction:
+    """A rational in the square class c of the place, as the kernel names it."""
+    if place.kind == "real":
+        return Fraction(c)
+    v, unit = c
+    p = place.prime
+    if place.kind == "odd_prime":
+        # The least positive residue, or non-residue, mod p.
+        unit = next(u for u in range(1, p) if legendre_symbol(u, p) == unit)
+    return Fraction(p) ** v * unit
+
+
+def place_classes(place: Place) -> list:
+    if place.kind == "real":
+        return [1, -1]
+    units = (1, -1) if place.kind == "odd_prime" else (1, 3, 5, 7)
+    return [(v, u) for v in (0, 1) for u in units]
+
+
+CLASS_PLACES = (REAL, DYADIC, odd_place(3), odd_place(5), odd_place(13), odd_place(17))
+
+
+class TestClassCounts:
+    """hasse_witt works on square-class counts; the pairwise product is its oracle."""
+
+    @given(st.sampled_from(CLASS_PLACES), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hasse_witt_matches_pairwise_on_repeated_classes(self, place, data):
+        # Ranks 1..30 drawn from eight values, so classes repeat, and scaled
+        # by squares, so equal classes come from unequal coefficients.
+        p = place.prime or 3
+        pool = data.draw(st.lists(scaled_rationals(p), min_size=1, max_size=8))
+        coefficients = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(pool), st.sampled_from((1, 4, Fraction(1, 9), p * p))),
+                min_size=1,
+                max_size=30,
+            )
+        )
+        coefficients = [c * square for c, square in coefficients]
+        assert hasse_witt(coefficients, place) == pairwise_hasse_witt(coefficients, place)
+
+    @pytest.mark.parametrize("place", CLASS_PLACES, ids=str)
+    def test_every_pair_of_classes_at_every_multiplicity_parity(self, place):
+        # Multiplicities 1..4 cover every parity of m and of C(m, 2).
+        classes = place_classes(place)
+        for c in classes:
+            for d in classes:
+                for m in range(1, 5):
+                    for k in range(0 if c == d else 1, 5):
+                        counts = {c: m} if c == d else {c: m, d: k}
+                        coefficients = [class_representative(place, c)] * m
+                        if c != d:
+                            coefficients += [class_representative(place, d)] * k
+                        expected = pairwise_hasse_witt(coefficients, place)
+                        assert _class_product(counts, place) == expected, (counts, place)
+                        assert hasse_witt(coefficients, place) == expected
+
+    @given(st.sampled_from(CLASS_PLACES), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_pairwise_on_random_counts(self, place, data):
+        classes = place_classes(place)
+        size = len(classes)
+        multiplicities = data.draw(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=size, max_size=size)
+        )
+        counts = {c: m for c, m in zip(classes, multiplicities) if m}
+        coefficients = [class_representative(place, c) for c, m in counts.items() for _ in range(m)]
+        assert _class_product(counts, place) == pairwise_hasse_witt(coefficients, place)
+
+    def test_real_place_counts_the_negatives(self):
+        for negatives in range(8):
+            coefficients = [-1] * negatives + [3] * (7 - negatives)
+            expected = -1 if negatives * (negatives - 1) // 2 % 2 else 1
+            assert hasse_witt(coefficients, REAL) == expected
 
 
 class TestLocalEquivalence:
