@@ -167,10 +167,6 @@ class ManifoldDescriptor:
         object.__setattr__(self, "volume_bound", Fraction(self.volume_bound))
 
 
-def _vertex_kind(graph: DecoratedGraph, vertex: int) -> str:
-    return "V1" if vertex in graph.colored else "V0"
-
-
 class _Memo(dict):
     """Values keyed by the argument of make, each made by make(key) on first use."""
 
@@ -269,16 +265,12 @@ def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
     k = graph.vertex_count
     table = _pattern_text(k) if k <= _CACHED_SIZE else _pattern_text.__wrapped__(k)
     (plain, colored), (a_edges, b_edges), (a_out, b_out), (a_in, b_in), edge_gluings = table
-    perm_a, perm_b = graph.perm_a, graph.perm_b
+    perm_a, inverse_a, perm_b, inverse_b = graph.steps()
     instances = [colored[v] if v in graph.colored else plain[v] for v in range(k)]
     for v in range(k):
         instances += a_edges[v * k + perm_a[v]]
     for v in range(k):
         instances += b_edges[v * k + perm_b[v]]
-    inverse_a, inverse_b = [0] * k, [0] * k
-    for v in range(k):
-        inverse_a[perm_a[v]] = v
-        inverse_b[perm_b[v]] = v
     gluings = []
     for v in range(k):
         gluings += (a_out[v], a_in[v * k + inverse_a[v]], b_out[v], b_in[v * k + inverse_b[v]])
@@ -360,29 +352,40 @@ class TraceResult:
     crossings: int
 
 
+# The kinds a letter crosses, by letter (a, a^-1, b, b^-1) and then by the
+# color of the vertex it ends at: its two edge blocks, the minus block first
+# for a generator and the plus block first for an inverse, then that vertex.
+_LETTER_KINDS = tuple(
+    tuple(edges + (vertex,) for vertex in VERTEX_KINDS)
+    for edges in (
+        ("A_minus", "A_plus"),
+        ("A_plus", "A_minus"),
+        ("B_minus", "B_plus"),
+        ("B_plus", "B_minus"),
+    )
+)
+
+
 def trace_word(descriptor: ManifoldDescriptor, word: Word) -> TraceResult:
     """Follow a word through the assembled blocks.
 
     Needs exactly one colored vertex (the basepoint block, kind V1).  Each
     letter crosses three boundaries: vertex block -> minus -> plus -> vertex
-    block, traversed plus-first when the letter is an inverse.  The terminal
-    vertex kind records whether the word closed up at the colored vertex.
+    block, traversed plus-first when the letter is an inverse.  The vertex
+    reached is read off the graph's step tables, so an inverse letter costs
+    what a generator does.  The terminal vertex kind records whether the word
+    closed up at the colored vertex.
     """
     graph = descriptor.source_graph
-    colored = sorted(graph.colored)
+    colored = graph.colored
     if len(colored) != 1:
         raise ValueError("tracing requires exactly one colored vertex")
-    v = colored[0]
-    kinds = [_vertex_kind(graph, v)]
+    (v,) = colored
+    steps = graph.steps()
+    kinds = ["V1"]
     for letter in word.letters:
-        block, perm = ("A", graph.perm_a) if letter < 2 else ("B", graph.perm_b)
-        if letter % 2 == 0:  # forward letter: minus side first
-            kinds.extend((f"{block}_minus", f"{block}_plus"))
-            v = perm[v]
-        else:  # inverse letter: enter through the plus side, step back along perm
-            kinds.extend((f"{block}_plus", f"{block}_minus"))
-            v = perm.index(v)
-        kinds.append(_vertex_kind(graph, v))
+        v = steps[letter][v]
+        kinds += _LETTER_KINDS[letter][v in colored]
     return TraceResult(tuple(kinds), kinds[-1], len(kinds) - 1)
 
 
@@ -544,9 +547,12 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
 
     Raises ValueError, and only ValueError, unless text is exactly what
     descriptor_to_json writes for the graph, parcel_id and positive
-    volume_bound it names, so writing the result reproduces the text.
-    Given the parcel the document was assembled from, it must also name
-    that parcel and carry the volume the parcel's blocks give its graph.
+    volume_bound it names, so writing the result reproduces the text, and
+    the graph is connected, as assemble requires.  The connectivity answer
+    is stored on the graph, so the cover decisions on the result run no
+    search of their own.  Given the parcel the document was assembled
+    from, it must also name that parcel and carry the volume the parcel's
+    blocks give its graph.
 
     Only what the descriptor is rebuilt from is decoded: the graph object
     at the first top-level "graph" line, and parcel_id and volume_bound
@@ -569,6 +575,8 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         raise ValueError(f"malformed descriptor document: {error!r}") from error
     if written != text:
         raise ValueError("document differs from the text the writer gives its descriptor")
+    if not graph.is_connected():
+        raise ValueError("document graph is not connected")
     if volume <= 0:
         raise ValueError(f"volume_bound {str(volume)!r} is not positive")
     if parcel is not None:

@@ -50,8 +50,8 @@ from .form_families import (
 from .free_groups import MAX_INDEX, distinguishing_word, enumerate_subgroups, hall_count
 
 # Pairwise subcommands (covers, distinguish) scan a_k^2 pairs.  a_5^2 is
-# about 2.1 * 10^5 pairs at 10-13 us per pair for either a cover decision or
-# a distinguishing word (Python 3.11, 2-vCPU VM), 2-3 s a run, so the
+# about 2.1 * 10^5 pairs at 6-8 us per pair for a cover decision and 9-10 us
+# for a distinguishing word (Python 3.11, 2-vCPU VM), 1.5-2 s a run, so the
 # pairwise cap sits below the enumeration cap.
 MAX_PAIRWISE_INDEX = 4
 MAX_EMIT_INDEX = 5

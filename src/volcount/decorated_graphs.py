@@ -11,8 +11,14 @@ automaton, so breadth-first relabeling from an anchor vertex encodes a
 component up to isomorphisms fixing the anchor.  A component's key is the
 least such encoding over the anchors of its smaller non-empty color class
 (the colored class on a tie), an invariant because isomorphisms preserve
-colors; a graph's key is the sorted tuple of its components' keys, computed
-once per graph.
+colors; a graph's key is the sorted tuple of its components' keys.
+
+Connectivity and the key are computed once per graph and stored on it.  A
+Schreier graph from from_subgroup is connected without a search, because a
+coset table acts transitively.  A connected graph is its own only component,
+so its key costs one breadth-first search per anchor and no orbit pass: a
+single search from the colored vertex of a Schreier graph colored at one
+vertex.
 
 Covering maps in the permutation encoding are color-preserving vertex maps
 commuting with both permutations; local bijectivity on edge stars is
@@ -37,6 +43,7 @@ two color bits differ.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,56 +61,63 @@ class DecoratedGraph:
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
         object.__setattr__(self, "perm_b", tuple(self.perm_b))
         _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
-        self._set_colored(frozenset(self.colored))
+        self._set_facts(frozenset(self.colored), None)
 
-    def _set_colored(self, colored: frozenset[int]) -> None:
+    def _set_facts(self, colored: frozenset[int], connected: bool | None) -> None:
+        # The coloring, and the stored facts: None until first asked for.
         if not colored <= set(range(self.vertex_count)):
             raise ValueError("colored vertices must be vertices")
         object.__setattr__(self, "colored", colored)
+        object.__setattr__(self, "_connected", connected)
         object.__setattr__(self, "_canonical_key", None)
 
     def steps(self):
         return step_tables(self.perm_a, self.perm_b)
 
     def components(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(order)) for order, _ in _orbits(self.steps(), self.vertex_count)]
+        """Vertex sets of the components, each sorted, by least vertex."""
+        steps, remaining, components = self.steps(), set(range(self.vertex_count)), []
+        while remaining:
+            order, _ = _bfs(steps, min(remaining))
+            remaining.difference_update(order)
+            components.append(tuple(sorted(order)))
+        return components
 
     def is_connected(self) -> bool:
-        # Forward steps suffice: a and b generate a finite group.
-        return len(_bfs((self.perm_a, self.perm_b), 0)[0]) == self.vertex_count
+        connected = self._connected
+        if connected is None:
+            # Forward steps suffice: a and b generate a finite group.
+            connected = len(_bfs((self.perm_a, self.perm_b), 0)[0]) == self.vertex_count
+            object.__setattr__(self, "_connected", connected)
+        return connected
 
     def canonical_key(self) -> tuple:
         """Equal for two graphs exactly when they are isomorphic (module docstring)."""
         key = self._canonical_key
         if key is None:
             steps = self.steps()
-            key = tuple(sorted(
-                _component_key(self, steps, order, label)
-                for order, label in _orbits(steps, self.vertex_count)
-            ))
+            if self.is_connected():
+                key = (_component_key(self, steps, range(self.vertex_count), self.colored),)
+            else:
+                key = tuple(sorted(
+                    _component_key(self, steps, c, [v for v in c if v in self.colored])
+                    for c in self.components()
+                ))
             object.__setattr__(self, "_canonical_key", key)
         return key
-
-
-def _orbits(steps, vertex_count: int):
-    """_bfs of each component in turn, from its least vertex."""
-    remaining = set(range(vertex_count))
-    while remaining:
-        order, label = _bfs(steps, min(remaining))
-        remaining.difference_update(order)
-        yield order, label
 
 
 def from_subgroup(table: SubgroupTable, colored: Iterable[int]) -> DecoratedGraph:
     """The Schreier graph of the subgroup with the given vertices colored.
 
-    The table has validated its permutation pair; only `colored` is checked.
+    The table has validated its permutation pair and a coset table acts
+    transitively, so the graph is connected; only `colored` is checked.
     """
     graph = object.__new__(DecoratedGraph)
     object.__setattr__(graph, "vertex_count", table.degree)
     object.__setattr__(graph, "perm_a", table.perm_a)
     object.__setattr__(graph, "perm_b", table.perm_b)
-    graph._set_colored(frozenset(colored))
+    graph._set_facts(frozenset(colored), True)
     return graph
 
 
@@ -112,20 +126,22 @@ def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int,
     # discovery order; it determines the component up to the unique
     # label-respecting isomorphism fixing the anchor.
     perm_a, perm_b = _relabel(graph.perm_a, graph.perm_b, order, label)
-    colored = tuple([new for new, v in enumerate(order) if v in graph.colored])
-    return (len(order), perm_a, perm_b, colored)
+    colored = graph.colored
+    marks = tuple([new for new, v in enumerate(order) if v in colored])
+    return (len(order), perm_a, perm_b, marks)
 
 
-def _component_key(graph: DecoratedGraph, steps, order: list[int], label: dict[int, int]):
-    """Least anchored encoding over the smaller non-empty color class of a component."""
-    colored = [v for v in order if v in graph.colored]
-    plain = [v for v in order if v not in graph.colored]
-    anchors = min(colored, plain, key=len) if colored and plain else colored or plain
-    return min(
-        _anchored_encoding(graph, order, label) if v == order[0]
-        else _anchored_encoding(graph, *_bfs(steps, v))
-        for v in anchors
-    )
+def _component_key(graph: DecoratedGraph, steps, vertices, colored):
+    """Least anchored encoding over the smaller non-empty color class of a component.
+
+    colored holds the component's colored vertices.
+    """
+    plain = len(vertices) - len(colored)
+    if not colored or plain and len(colored) > plain:
+        anchors = [v for v in vertices if v not in graph.colored]
+    else:
+        anchors = colored
+    return min([_anchored_encoding(graph, *_bfs(steps, v)) for v in anchors])
 
 
 def is_isomorphic(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
@@ -211,18 +227,18 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     if not (g1.is_connected() and g2.is_connected()):
         raise ValueError("the common-cover decision takes connected graphs")
     # Forward steps suffice, as in is_connected: a and b generate a finite group.
-    steps1, steps2 = (g1.perm_a, g1.perm_b), (g2.perm_a, g2.perm_b)
+    steps = ((g1.perm_a, g2.perm_a), (g1.perm_b, g2.perm_b))
     colored1, colored2 = g1.colored, g2.colored
     if bool(colored1) != bool(colored2):
         return CommonCoverDecision(False)
     # Pairs (i, j) in lexicographic order, which is the encoded order.
-    seeds = sorted((i, j) for i in colored1 for j in colored2) or [(0, 0)]
+    seeds = sorted(itertools.product(colored1, colored2)) or [(0, 0)]
     owner: dict[tuple[int, int], tuple[int, int]] = {}
     best = None
     for seed in seeds:
         if seed in owner:
             continue
-        component = _consistent_component(steps1, steps2, colored1, colored2, seed, owner)
+        component = _consistent_component(steps, colored1, colored2, seed, owner)
         if component is not None and (best is None or min(component) < min(best)):
             best = component
     if best is None:
@@ -241,9 +257,10 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     return CommonCoverDecision(True, witness, map1, map2)
 
 
-def _consistent_component(steps1, steps2, colored1, colored2, seed, owner: dict):
+def _consistent_component(steps, colored1, colored2, seed, owner: dict):
     """The pairs of the fiber-product component of seed, or None at a color clash.
 
+    steps pairs each forward step of the first graph with the second's.
     owner maps every pair reached so far to the seed it was reached from.  A
     pair owned by an earlier seed lies in a component already found
     inconsistent, since a consistent one is explored in full; meeting it is
@@ -252,7 +269,7 @@ def _consistent_component(steps1, steps2, colored1, colored2, seed, owner: dict)
     owner[seed] = seed
     component = [seed]
     for i, j in component:
-        for step1, step2 in zip(steps1, steps2):
+        for step1, step2 in steps:
             pair = (step1[i], step2[j])
             reached_from = owner.get(pair)
             if reached_from == seed:

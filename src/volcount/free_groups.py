@@ -22,9 +22,8 @@ which the enumeration must reproduce.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 
 # Letter codes; the integer order is the lexicographic order used throughout.
@@ -36,6 +35,9 @@ MAX_INDEX = 7  # desk-scale cap for enumeration
 BASEPOINT = 0
 
 
+# Looked up by value: there are k! permutations of degree k, 5,040 at
+# MAX_INDEX, so step tables cost two lookups and no graph stores its own.
+@lru_cache(maxsize=factorial(MAX_INDEX))
 def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(perm)
     for i, image in enumerate(perm):
@@ -44,11 +46,20 @@ def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _validate_permutations(degree: int, perm_a, perm_b) -> None:
-    """Raise ValueError unless degree >= 1 and both rows permute 0..degree-1."""
+    """Raise ValueError unless degree >= 1 and both rows permute 0..degree-1.
+
+    Entries must be ints, not merely equal to them: 1.0 == 1, and
+    _inverse_permutation, looked up by value, would answer (1.0, 0) with the
+    inverse of (1, 0).
+    """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
     for name, perm in (("perm_a", perm_a), ("perm_b", perm_b)):
-        if len(perm) != degree or sorted(perm) != list(range(degree)):
+        if (
+            len(perm) != degree
+            or set(map(type, perm)) != {int}
+            or sorted(perm) != list(range(degree))
+        ):
             raise ValueError(f"{name}={perm!r} is not a permutation of 0..{degree - 1}")
 
 
@@ -246,25 +257,26 @@ def distinguishing_word(h1: SubgroupTable, h2: SubgroupTable) -> Word | None:
     """
     steps1 = step_tables(h1.perm_a, h1.perm_b)
     steps2 = step_tables(h2.perm_a, h2.perm_b)
-    start = (h1.basepoint, h2.basepoint)
+    base1, base2 = h1.basepoint, h2.basepoint
+    start = (base1, base2)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    queue = [start]
+    for state in queue:
+        i, j = state
         for letter in range(4):
-            image = (steps1[letter][state[0]], steps2[letter][state[1]])
+            image = (steps1[letter][i], steps2[letter][j])
             if image in parents:
                 continue
             parents[image] = (state, letter)
-            if (image[0] == h1.basepoint) != (image[1] == h2.basepoint):
+            if (image[0] == base1) != (image[1] == base2):
                 letters: list[int] = []
                 cursor = image
                 while parents[cursor] is not None:
                     cursor, step = parents[cursor]
                     letters.append(step)
                 word = Word(tuple(reversed(letters)))
-                in_h1 = _trace(steps1, h1.basepoint, word.letters) == h1.basepoint
-                in_h2 = _trace(steps2, h2.basepoint, word.letters) == h2.basepoint
+                in_h1 = _trace(steps1, base1, word.letters) == base1
+                in_h2 = _trace(steps2, base2, word.letters) == base2
                 if in_h1 == in_h2:
                     raise RuntimeError(f"separator {word} failed its membership check")
                 return word

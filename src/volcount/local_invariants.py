@@ -174,15 +174,20 @@ def _class_product(counts: Mapping, place: Place) -> int:
     """The module docstring's class-count product over {class: m_c}, each class once.
 
     Only symbols with an odd exponent are evaluated: (c, c) when m_c = 2 or 3
-    (mod 4), and (c, d) when m_c and m_d are both odd.
+    (mod 4), and (c, d) when m_c and m_d are both odd.  The class of squares,
+    (0, 1) at a prime and +1 at the real place, is skipped: every symbol
+    against it is 1.
     """
     if place.kind == "odd_prime":
         p = place.prime
         symbol = lambda c, d: hilbert_odd_from_parts(*c, *d, p)  # noqa: E731
     else:
         symbol = _dyadic_from_parts if place.kind == "dyadic" else hilbert_real
+    squares = 1 if place.kind == "real" else (0, 1)
     result, odd_classes = 1, []
     for c, m in counts.items():
+        if c == squares:
+            continue
         if m & 2:
             result *= symbol(c, c)
         if m & 1:

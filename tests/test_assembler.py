@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -243,6 +244,26 @@ class TestTracing:
         descriptor = assemble(TWO, parcel)
         result = trace_word(descriptor, Word.from_string("A"))
         assert result.kinds == ("V1", "A_plus", "A_minus", "V0")
+
+    def test_matches_a_trace_through_the_permutations(self, parcel):
+        # The reference steps back along a permutation by search and names
+        # each edge block from the letter; the traced kinds must agree for
+        # every word of length <= 3 on every graph of index 3 and 4.
+        words = [Word(letters) for n in range(4) for letters in product(range(4), repeat=n)]
+        for table in enumerate_subgroups(3) + enumerate_subgroups(4):
+            graph = from_subgroup(table, frozenset({0}))
+            descriptor = assemble(graph, parcel)
+            for word in words:
+                v, kinds = 0, ["V1"]
+                for letter in word.letters:
+                    perm, block = (graph.perm_a, "A") if letter < 2 else (graph.perm_b, "B")
+                    if letter % 2 == 0:
+                        v, sides = perm[v], ("minus", "plus")
+                    else:
+                        v, sides = perm.index(v), ("plus", "minus")
+                    kinds += [f"{block}_{side}" for side in sides]
+                    kinds.append("V1" if v == 0 else "V0")
+                assert trace_word(descriptor, word).kinds == tuple(kinds)
 
     def test_crossing_count(self, parcel):
         descriptor = assemble(TWO, parcel)
@@ -582,6 +603,15 @@ json_values = st.recursive(
 
 
 class TestMalformedDocuments:
+    def test_disconnected_graph_refused(self, parcel):
+        # The writer's own bytes, over a graph that assemble refuses: the
+        # cover decision on it would raise.
+        graph = DecoratedGraph(2, (0, 1), (0, 1), frozenset({0}))
+        text = descriptor_to_json(ManifoldDescriptor(graph, parcel.parcel_id, 10))
+        for given_parcel in (None, parcel):
+            with pytest.raises(ValueError, match="document graph is not connected"):
+                descriptor_from_json(text, given_parcel)
+
     def test_each_is_a_value_error(self, parcel):
         for what, text in _malformed_documents(parcel):
             try:

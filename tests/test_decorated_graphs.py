@@ -1,8 +1,10 @@
+from functools import cache
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from volcount import decorated_graphs
 from volcount.decorated_graphs import (
     CommonCoverDecision,
     DecoratedGraph,
@@ -14,7 +16,13 @@ from volcount.decorated_graphs import (
     has_common_decorated_cover,
     is_isomorphic,
 )
-from volcount.free_groups import _bfs, enumerate_subgroups, step_tables
+from volcount.free_groups import (
+    SubgroupTable,
+    _bfs,
+    distinguishing_word,
+    enumerate_subgroups,
+    step_tables,
+)
 
 # Small fixed graphs used throughout: the three 2-vertex Schreier graphs.
 SWAP_A = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
@@ -44,6 +52,8 @@ class TestConstruction:
         # Rejected by the permutation-pair check it shares with SubgroupTable.
         with pytest.raises(ValueError, match="degree must be at least 1"):
             DecoratedGraph(0, (), (), frozenset())
+        with pytest.raises(ValueError, match="is not a permutation"):
+            DecoratedGraph(2, (1, 0), (0.0, 1), frozenset())
 
     def test_from_subgroup(self):
         table = enumerate_subgroups(2)[0]
@@ -111,6 +121,9 @@ class TestIsomorphism:
         assert not is_isomorphic(SWAP_A, LOOP)
 
 
+# Cached so that an exhaustive pairwise comparison does each search once per
+# graph; a frozen graph hashes and compares by its fields.
+@cache
 def _anchored_encoding(graph, start):
     order, label = _bfs(step_tables(graph.perm_a, graph.perm_b), start)
     perm_a = tuple(label[graph.perm_a[v]] for v in order)
@@ -119,6 +132,7 @@ def _anchored_encoding(graph, start):
     return (len(order), perm_a, perm_b, colored)
 
 
+@cache
 def _vertex_sets_of_components(graph):
     steps = step_tables(graph.perm_a, graph.perm_b)
     return {frozenset(_bfs(steps, v)[0]) for v in range(graph.vertex_count)}
@@ -202,6 +216,34 @@ def relabeling_classes(n):
     return list(classes.values())
 
 
+def _searches_refused(monkeypatch):
+    def refuse(steps, start):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(decorated_graphs, "_bfs", refuse)
+
+
+class TestStoredConnectivity:
+    def test_schreier_graphs_are_connected_without_a_search(self):
+        for k in range(1, 7):
+            for table in enumerate_subgroups(k):
+                graph = from_subgroup(table, frozenset({table.basepoint}))
+                fresh = DecoratedGraph(k, table.perm_a, table.perm_b, frozenset())
+                expected = fresh.is_connected()
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    _searches_refused(monkeypatch)
+                    assert graph.is_connected() == expected
+
+    @given(st.integers(min_value=1, max_value=7).flatmap(any_graphs))
+    @settings(max_examples=200, deadline=None)
+    def test_a_second_answer_agrees_with_the_first(self, graph):
+        first = graph.is_connected()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _searches_refused(monkeypatch)
+            assert graph.is_connected() == first
+        assert first == (len(graph.components()) == 1)
+
+
 class TestCanonicalKey:
     @given(isomorphism_pairs())
     @settings(max_examples=500, deadline=None)
@@ -234,6 +276,20 @@ class TestCanonicalKey:
                 ((size, perm_a, perm_b, colored),) = graph.canonical_key()
                 assert (size, perm_a, perm_b, colored) == (k, table.perm_a, table.perm_b, (0,))
                 assert perm_a is graph.perm_a and perm_b is graph.perm_b
+
+    def test_matches_the_oracle_on_every_small_graph_colored_at_one_vertex(self):
+        # 330 graphs: each table of index <= 4 colored at each of its vertices.
+        graphs = [
+            from_subgroup(table, frozenset({v}))
+            for k in range(1, 5)
+            for table in enumerate_subgroups(k)
+            for v in range(k)
+        ]
+        assert len(graphs) == 330
+        for g1 in graphs:
+            for g2 in graphs:
+                same_key = g1.canonical_key() == g2.canonical_key()
+                assert same_key == anchored_map_isomorphic(g1, g2)
 
     def test_component_order_does_not_matter(self):
         # LOOP's one-vertex component next to a colored SWAP_B, either way round.
@@ -419,6 +475,23 @@ class TestCommonCoverDecision:
         disconnected = DecoratedGraph(2, (0, 1), (0, 1), frozenset())
         with pytest.raises(ValueError):
             has_common_decorated_cover(disconnected, SWAP_A)
+
+    def test_decisions_never_consult_canonical_keys(self, monkeypatch):
+        # The cover decision and the separating word decide every pair of
+        # index <= 4 on their own, so agreement with the key-based verdict is
+        # a check from two sources.
+        tables = [table for k in range(1, 5) for table in enumerate_subgroups(k)]
+        graphs = [from_subgroup(table, frozenset({table.basepoint})) for table in tables]
+
+        def refuse(self):
+            raise AssertionError("canonical key consulted")
+
+        monkeypatch.setattr(DecoratedGraph, "canonical_key", refuse)
+        monkeypatch.setattr(SubgroupTable, "canonical_key", refuse)
+        for i, (t1, g1) in enumerate(zip(tables, graphs)):
+            for j, (t2, g2) in enumerate(zip(tables, graphs)):
+                assert has_common_decorated_cover(g1, g2).has_cover == (i == j)
+                assert (distinguishing_word(t1, t2) is None) == (i == j)
 
     def test_cross_index_pairs(self):
         small = from_subgroup(enumerate_subgroups(2)[0], frozenset({0}))

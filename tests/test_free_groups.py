@@ -12,6 +12,7 @@ from volcount.free_groups import (
     enumerate_subgroups,
     hall_count,
     _bfs,
+    _inverse_permutation,
     step_tables,
 )
 
@@ -134,6 +135,22 @@ class TestSubgroupTable:
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             SubgroupTable(0, (), ())
+
+    @pytest.mark.parametrize(
+        "perm_a", [(1.0, 0), (True, False), (1, 0.0)], ids=["float", "bool", "float-zero"]
+    )
+    def test_entries_equal_to_ints_rejected(self, perm_a):
+        # Each row equals (1, 0), whose inverse a lookup by value would return.
+        with pytest.raises(ValueError, match="is not a permutation"):
+            SubgroupTable(2, perm_a, (0, 1))
+
+    def test_inverse_permutation_inverts(self):
+        for k in range(1, 7):
+            identity = tuple(range(k))
+            for perm in permutations(identity):
+                inverse = _inverse_permutation(perm)
+                assert tuple(perm[inverse[v]] for v in identity) == identity
+                assert tuple(inverse[perm[v]] for v in identity) == identity
 
     def test_hashable_and_distinct(self):
         tables = enumerate_subgroups(3)

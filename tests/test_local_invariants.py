@@ -4,6 +4,7 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from volcount import local_invariants
 from volcount.exact_arith import (
     _PRIMALITY_BOUND as PSI_12,
     PrimalityRangeError,
@@ -439,6 +440,29 @@ class TestClassCounts:
         counts = {c: m for c, m in zip(classes, multiplicities) if m}
         coefficients = [class_representative(place, c) for c, m in counts.items() for _ in range(m)]
         assert _class_product(counts, place) == pairwise_hasse_witt(coefficients, place)
+
+    @pytest.mark.parametrize("place", CLASS_PLACES, ids=str)
+    def test_squares_are_padding(self, place, monkeypatch):
+        # Every symbol against a square is 1: padding a list with the squares
+        # 1, 4 and 9/4 keeps its invariant, and the kernel evaluates no
+        # symbol for them.
+        squares = 1 if place.kind == "real" else (0, 1)
+        base = [class_representative(place, c) for c in place_classes(place) if c != squares] * 3
+        paddings = [[], [1], [4, Fraction(9, 4)], [1, 4, Fraction(9, 4)] * 3]
+        expected = [pairwise_hasse_witt(base + padding, place) for padding in paddings]
+        symbol = {"real": "hilbert_real", "dyadic": "_dyadic_from_parts"}.get(
+            place.kind, "hilbert_odd_from_parts"
+        )
+        original, calls = getattr(local_invariants, symbol), []
+        monkeypatch.setattr(
+            local_invariants, symbol, lambda *args: calls.append(args) or original(*args)
+        )
+        evaluated = []
+        for padding, value in zip(paddings, expected):
+            calls.clear()
+            assert hasse_witt(base + padding, place) == value
+            evaluated.append(len(calls))
+        assert evaluated[0] > 0 and set(evaluated) == {evaluated[0]}
 
     def test_real_place_counts_the_negatives(self):
         for negatives in range(8):
