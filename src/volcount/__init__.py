@@ -53,11 +53,11 @@ from .form_families import (
     search_primes_isotropic,
 )
 from .free_groups import (
-    SubgroupTable,
     Word,
     distinguishing_word,
     enumerate_subgroups,
     hall_count,
+    subgroup_table,
 )
 from .local_invariants import (
     DYADIC,

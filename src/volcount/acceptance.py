@@ -33,7 +33,7 @@ from .assembler import (
     trace_word,
     volume_bound,
 )
-from .decorated_graphs import from_subgroup, has_common_decorated_cover
+from .decorated_graphs import has_common_decorated_cover
 from .exact_arith import factor_int, is_prime, padic_valuation
 from .form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
@@ -47,7 +47,7 @@ from .form_families import (
     search_primes_isotropic,
     two_is_fourth_power,
 )
-from .free_groups import SubgroupTable, distinguishing_word, enumerate_subgroups, hall_count
+from .free_groups import distinguishing_word, enumerate_subgroups, hall_count, subgroup_table
 from .local_invariants import DYADIC, REAL, hasse_witt, hilbert, odd_place
 
 
@@ -229,8 +229,8 @@ def _criterion_subgroup_counts() -> str:
         assert len(tables) == value
         # Enumerated tables are built unchecked; each must pass the checks.
         for t in tables:
-            SubgroupTable(t.degree, t.perm_a, t.perm_b)
-            assert t.canonical_key() == (k, t.perm_a, t.perm_b), t
+            subgroup_table(t.vertex_count, t.perm_a, t.perm_b)
+            assert t.canonical_key() == ((k, t.perm_a, t.perm_b, (0,)),), t
     for k in range(1, 41):
         assert hall_count(k) ** 2 >= k**k, k
     return f"a_1..a_6 = {expected} by both routes; a_k^2 >= k^k up to k = 40"
@@ -246,13 +246,12 @@ def _tables_up_to_4():
 def _criterion_cover_exhaustive() -> str:
     tables = _tables_up_to_4()
     assert len(tables) == 88
-    graphs = [from_subgroup(t, frozenset({t.basepoint})) for t in tables]
     pairs = 0
-    for i in range(len(graphs)):
-        decision = has_common_decorated_cover(graphs[i], graphs[i])
+    for i in range(len(tables)):
+        decision = has_common_decorated_cover(tables[i], tables[i])
         assert decision.has_cover and decision.witness is not None
-        for j in range(i + 1, len(graphs)):
-            assert not has_common_decorated_cover(graphs[i], graphs[j]).has_cover, (i, j)
+        for j in range(i + 1, len(tables)):
+            assert not has_common_decorated_cover(tables[i], tables[j]).has_cover, (i, j)
             pairs += 1
     assert pairs == 88 * 87 // 2
     return f"{pairs} distinct pairs share no decorated cover; 88 self-pairs do"
@@ -261,9 +260,7 @@ def _criterion_cover_exhaustive() -> str:
 def _criterion_trace_separates() -> str:
     parcel = default_parcel(4, compact=False)
     tables = _tables_up_to_4()
-    descriptors = [
-        assemble(from_subgroup(t, frozenset({t.basepoint})), parcel) for t in tables
-    ]
+    descriptors = [assemble(t, parcel) for t in tables]
     pairs = 0
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):

@@ -41,7 +41,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import factorial, floor, isqrt, lcm
 
-from .decorated_graphs import DecoratedGraph, from_subgroup, is_isomorphic
+from .decorated_graphs import DecoratedGraph, is_isomorphic
 from .form_families import NonCommensurabilityCertificate, certificate_matrix, family_members
 from .free_groups import Word, enumerate_subgroups, hall_count
 
@@ -369,7 +369,7 @@ _LETTER_KINDS = tuple(
 def trace_word(descriptor: ManifoldDescriptor, word: Word) -> TraceResult:
     """Follow a word through the assembled blocks.
 
-    Needs exactly one colored vertex (the basepoint block, kind V1).  Each
+    Starts at the graph's basepoint, its one colored vertex (block kind V1).  Each
     letter crosses three boundaries: vertex block -> minus -> plus -> vertex
     block, traversed plus-first when the letter is an inverse.  The vertex
     reached is read off the graph's step tables, so an inverse letter costs
@@ -377,15 +377,12 @@ def trace_word(descriptor: ManifoldDescriptor, word: Word) -> TraceResult:
     closed up at the colored vertex.
     """
     graph = descriptor.source_graph
-    colored = graph.colored
-    if len(colored) != 1:
-        raise ValueError("tracing requires exactly one colored vertex")
-    (v,) = colored
+    v = base = graph.basepoint
     steps = graph.steps()
     kinds = ["V1"]
     for letter in word.letters:
         v = steps[letter][v]
-        kinds += _LETTER_KINDS[letter][v in colored]
+        kinds += _LETTER_KINDS[letter][v == base]
     return TraceResult(tuple(kinds), kinds[-1], len(kinds) - 1)
 
 
@@ -442,8 +439,7 @@ def descriptors_for_index(k: int, parcel: Parcel):
     yield an identical sequence.
     """
     for table in enumerate_subgroups(k):
-        graph = from_subgroup(table, frozenset({table.basepoint}))
-        yield assemble(graph, parcel)
+        yield assemble(table, parcel)
 
 
 def emit_descriptors(k: int, parcel: Parcel, directory) -> int:
@@ -568,8 +564,9 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         spec = _decode_value(text, _line_start(text, _GRAPH_LINE) + len(_GRAPH_LINE))[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
         tail = _decode_value("{" + text[_line_start(text, _PARCEL_LINE) :])[0]
-        parcel_id, volume = tail["parcel_id"], Fraction(tail["volume_bound"])
-        descriptor = ManifoldDescriptor(graph, parcel_id, volume)
+        # The descriptor's own coercion parses the volume, once.
+        descriptor = ManifoldDescriptor(graph, tail["parcel_id"], tail["volume_bound"])
+        parcel_id, volume = descriptor.parcel_id, descriptor.volume_bound
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:
         raise ValueError(f"malformed descriptor document: {error!r}") from error

@@ -38,7 +38,7 @@ from .assembler import (
     emit_descriptors,
     growth_floor,
 )
-from .decorated_graphs import from_subgroup, graph_from_text, has_common_decorated_cover
+from .decorated_graphs import graph_from_text, has_common_decorated_cover
 from .form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
@@ -256,25 +256,24 @@ def _cmd_graphs(args):
         return payload, lines
 
     _require_index(args.k, MAX_PAIRWISE_INDEX, "pairwise subcommands")
-    graphs = [from_subgroup(t, frozenset({t.basepoint})) for t in tables]
     if args.subcommand == "covers":
         matrix = []
         shared = 0
-        for i, g1 in enumerate(graphs):
+        for i, g1 in enumerate(tables):
             row = []
-            for j, g2 in enumerate(graphs):
+            for j, g2 in enumerate(tables):
                 has = has_common_decorated_cover(g1, g2).has_cover
                 row.append(has)
                 if i != j and has:
                     shared += 1
             matrix.append(row)
-        lines = [f"k={args.k} graphs={len(graphs)} off_diagonal_with_cover={shared}"]
+        lines = [f"k={args.k} graphs={len(tables)} off_diagonal_with_cover={shared}"]
         for row in matrix:
             lines.append(" ".join("T" if value else "." for value in row))
         payload = {"k": args.k, "matrix": matrix, "off_diagonal_with_cover": shared}
         if shared:
             raise VerificationFailure(f"{shared} distinct pairs share a cover")
-        if not all(matrix[i][i] for i in range(len(graphs))):
+        if not all(matrix[i][i] for i in range(len(tables))):
             raise VerificationFailure("some graph has no cover in common with itself")
         return payload, lines
 

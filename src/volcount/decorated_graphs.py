@@ -1,24 +1,11 @@
-"""Edge-labeled 4-regular graphs with a two-coloring of the vertex set.
+"""Covers, fiber products and the common-cover decision for decorated graphs.
 
-A decorated graph is a pair of vertex permutations (the a-edges and b-edges)
-together with the set of colored vertices.  Schreier graphs of finite-index
-subgroups are the motivating source; the extra coloring is what obstructs
-common covers.
-
-Isomorphism is equality of canonical keys.  Once an image is chosen for one
-vertex, a label-respecting isomorphism is forced, as in a deterministic
-automaton, so breadth-first relabeling from an anchor vertex encodes a
-component up to isomorphisms fixing the anchor.  A component's key is the
-least such encoding over the anchors of its smaller non-empty color class
-(the colored class on a tie), an invariant because isomorphisms preserve
-colors; a graph's key is the sorted tuple of its components' keys.
-
-Connectivity and the key are computed once per graph and stored on it.  A
-Schreier graph from from_subgroup is connected without a search, because a
-coset table acts transitively.  A connected graph is its own only component,
-so its key costs one breadth-first search per anchor and no orbit pass: a
-single search from the colored vertex of a Schreier graph colored at one
-vertex.
+DecoratedGraph, the permutation pair with its coloring, lives in
+free_groups together with its canonical key and the argument that the key
+decides isomorphism.  A subgroup table there is already the Schreier graph
+colored at its basepoint; from_subgroup recolors one, and returns the table
+itself for its own coloring.  A recolored graph keeps the table's stored
+connectivity, since a coset table acts transitively.
 
 Covering maps in the permutation encoding are color-preserving vertex maps
 commuting with both permutations; local bijectivity on edge stars is
@@ -47,101 +34,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .free_groups import SubgroupTable, _bfs, _relabel, _validate_permutations, step_tables
+from .free_groups import DecoratedGraph
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
-    vertex_count: int
-    perm_a: tuple[int, ...]
-    perm_b: tuple[int, ...]
-    colored: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm_a", tuple(self.perm_a))
-        object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
-        self._set_facts(frozenset(self.colored), None)
-
-    def _set_facts(self, colored: frozenset[int], connected: bool | None) -> None:
-        # The coloring, and the stored facts: None until first asked for.
-        if not colored <= set(range(self.vertex_count)):
-            raise ValueError("colored vertices must be vertices")
-        object.__setattr__(self, "colored", colored)
-        object.__setattr__(self, "_connected", connected)
-        object.__setattr__(self, "_canonical_key", None)
-
-    def steps(self):
-        return step_tables(self.perm_a, self.perm_b)
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Vertex sets of the components, each sorted, by least vertex."""
-        steps, remaining, components = self.steps(), set(range(self.vertex_count)), []
-        while remaining:
-            order, _ = _bfs(steps, min(remaining))
-            remaining.difference_update(order)
-            components.append(tuple(sorted(order)))
-        return components
-
-    def is_connected(self) -> bool:
-        connected = self._connected
-        if connected is None:
-            # Forward steps suffice: a and b generate a finite group.
-            connected = len(_bfs((self.perm_a, self.perm_b), 0)[0]) == self.vertex_count
-            object.__setattr__(self, "_connected", connected)
-        return connected
-
-    def canonical_key(self) -> tuple:
-        """Equal for two graphs exactly when they are isomorphic (module docstring)."""
-        key = self._canonical_key
-        if key is None:
-            steps = self.steps()
-            if self.is_connected():
-                key = (_component_key(self, steps, range(self.vertex_count), self.colored),)
-            else:
-                key = tuple(sorted(
-                    _component_key(self, steps, c, [v for v in c if v in self.colored])
-                    for c in self.components()
-                ))
-            object.__setattr__(self, "_canonical_key", key)
-        return key
-
-
-def from_subgroup(table: SubgroupTable, colored: Iterable[int]) -> DecoratedGraph:
+def from_subgroup(table: DecoratedGraph, colored: Iterable[int]) -> DecoratedGraph:
     """The Schreier graph of the subgroup with the given vertices colored.
 
-    The table has validated its permutation pair and a coset table acts
-    transitively, so the graph is connected; only `colored` is checked.
+    The table is returned itself when `colored` is its own coloring;
+    otherwise only `colored` is checked.
     """
-    graph = object.__new__(DecoratedGraph)
-    object.__setattr__(graph, "vertex_count", table.degree)
-    object.__setattr__(graph, "perm_a", table.perm_a)
-    object.__setattr__(graph, "perm_b", table.perm_b)
-    graph._set_facts(frozenset(colored), True)
-    return graph
-
-
-def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int, int]):
-    # The component found by _bfs from its anchor order[0], relabeled by
-    # discovery order; it determines the component up to the unique
-    # label-respecting isomorphism fixing the anchor.
-    perm_a, perm_b = _relabel(graph.perm_a, graph.perm_b, order, label)
-    colored = graph.colored
-    marks = tuple([new for new, v in enumerate(order) if v in colored])
-    return (len(order), perm_a, perm_b, marks)
-
-
-def _component_key(graph: DecoratedGraph, steps, vertices, colored):
-    """Least anchored encoding over the smaller non-empty color class of a component.
-
-    colored holds the component's colored vertices.
-    """
-    plain = len(vertices) - len(colored)
-    if not colored or plain and len(colored) > plain:
-        anchors = [v for v in vertices if v not in graph.colored]
-    else:
-        anchors = colored
-    return min([_anchored_encoding(graph, *_bfs(steps, v)) for v in anchors])
+    colored = frozenset(colored)
+    return table if colored == table.colored else table.recolored(colored)
 
 
 def is_isomorphic(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:

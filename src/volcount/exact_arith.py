@@ -71,10 +71,9 @@ def is_prime(n: int) -> bool:
 
 
 def _require_odd_prime(p: int) -> None:
-    if p == 2:
-        raise ValueError("p = 2 is not an odd prime; use the dyadic routines")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    # An int first: a float would pass is_prime and fail later inside pow.
+    if not isinstance(p, int) or p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
 
 
 def legendre_symbol(u: int, p: int) -> int:

@@ -1,19 +1,34 @@
-"""Finite-index subgroups of the rank-2 free group as permutation pairs.
+"""Finite-index subgroups of the rank-2 free group as decorated graphs.
 
-A subgroup of index k is stored as the pair of permutations that its
+A decorated graph is a pair of vertex permutations (the a-edges and b-edges)
+together with the set of colored vertices; DecoratedGraph is the one type
+that stores, validates and keys such a pair.  A subgroup of index k is its
+Schreier coset graph colored at the basepoint alone: the permutations its
 generators induce on the k cosets, with the subgroup itself the stabilizer
-of coset 0.  Tables are compared after breadth-first relabeling from the
-basepoint with letter order a, a^-1, b, b^-1, which picks one canonical
-labeling per subgroup.
+of coset 0.  Two subgroups are equal exactly when their graphs are
+isomorphic.
+
+Isomorphism is equality of canonical keys.  Once an image is chosen for one
+vertex, a label-respecting isomorphism is forced, as in a deterministic
+automaton, so breadth-first relabeling from an anchor vertex, letters in the
+order a, a^-1, b, b^-1, encodes a component up to isomorphisms fixing the
+anchor.  A component's key is the least such encoding over the anchors of
+its smaller non-empty color class (the colored class on a tie), an
+invariant because isomorphisms preserve colors; a graph's key is the sorted
+tuple of its components' keys.  Connectivity and the key are computed once
+per graph and stored on it.  A connected graph is its own only component,
+so its key costs one breadth-first search per anchor and no orbit pass: a
+single search from the basepoint of a subgroup's graph, whose key is its
+own table when that table is canonical.
 
 enumerate_subgroups generates every index-k subgroup exactly once by
-backtracking over partially defined tables: slots are filled in the scan
-order above and a fresh coset always receives the smallest unused label, so
-completed tables are canonical by construction, and they skip the public
-constructor's permutation and transitivity checks; the test
-test_enumerated_tables_are_valid_and_canonical (indices 1..7) and selftest
-criterion 6 (indices 1..6) run both on every table.  hall_count evaluates
-Marshall Hall's recursion
+backtracking over partially defined tables: slots are filled coset by coset
+in that letter order and a fresh coset always receives the smallest unused label, so
+completed tables are canonical by construction.  They skip the checked
+constructor's permutation and transitivity checks and share one coloring
+set; the test test_enumerated_tables_are_valid_and_canonical (indices 1..7)
+and selftest criterion 6 (indices 1..6) re-check every table through
+subgroup_table.  hall_count evaluates Marshall Hall's recursion
 
     a_k = k * k! - sum_{i=1}^{k-1} (k - i)! * a_i
 
@@ -25,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import factorial
+from typing import Iterable
 
 # Letter codes; the integer order is the lexicographic order used throughout.
 LETTER_A, LETTER_A_INV, LETTER_B, LETTER_B_INV = range(4)
@@ -33,6 +49,7 @@ _LETTER_CHARS = "aAbB"  # uppercase marks the inverse of a generator
 MAX_INDEX = 7  # desk-scale cap for enumeration
 
 BASEPOINT = 0
+_BASEPOINT_ONLY = frozenset({BASEPOINT})  # shared by every enumerated table
 
 
 # Looked up by value: there are k! permutations of degree k, 5,040 at
@@ -61,11 +78,6 @@ def _validate_permutations(degree: int, perm_a, perm_b) -> None:
             or sorted(perm) != list(range(degree))
         ):
             raise ValueError(f"{name}={perm!r} is not a permutation of 0..{degree - 1}")
-
-
-def step_tables(perm_a: tuple[int, ...], perm_b: tuple[int, ...]):
-    """Images of every vertex under the four letters, in letter order."""
-    return (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
 
 
 def _bfs(steps, start: int) -> tuple[list[int], dict[int, int]]:
@@ -99,57 +111,134 @@ def _relabel(
     return tuple([label[perm_a[v]] for v in order]), tuple([label[perm_b[v]] for v in order])
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SubgroupTable:
-    """Coset table of a finite-index subgroup; equality is subgroup equality."""
+def _coloring(vertex_count: int, colored: Iterable[int]) -> frozenset[int]:
+    colored = frozenset(colored)
+    if not colored <= set(range(vertex_count)):
+        raise ValueError("colored vertices must be vertices")
+    return colored
 
-    degree: int
+
+@dataclass(frozen=True, slots=True)
+class DecoratedGraph:
+    """Edge-labeled 4-regular graph with a set of colored vertices.
+
+    Equality and hashing see only the four fields; the stored facts, None
+    until first asked for, take no part.
+    """
+
+    vertex_count: int
     perm_a: tuple[int, ...]
     perm_b: tuple[int, ...]
-    _canonical_key: tuple | None = field(default=None, init=False, repr=False)
+    colored: frozenset[int]
+    _connected: bool | None = field(default=None, init=False, compare=False, repr=False)
+    _canonical_key: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
         object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        _validate_permutations(self.degree, self.perm_a, self.perm_b)
-        # a and b generate a finite group, so the orbit of the basepoint
-        # under the forward steps alone is already its whole orbit.
-        orbit, _ = _bfs((self.perm_a, self.perm_b), BASEPOINT)
-        if len(orbit) != self.degree:
-            raise ValueError("the permutation pair does not act transitively")
+        _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
+        object.__setattr__(self, "colored", _coloring(self.vertex_count, self.colored))
 
     @classmethod
-    def _canonical(cls, degree: int, perm_a: tuple[int, ...], perm_b: tuple[int, ...]):
-        """A table enumerate_subgroups completed: canonical and transitive, so unchecked."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "degree", degree)
-        object.__setattr__(table, "perm_a", perm_a)
-        object.__setattr__(table, "perm_b", perm_b)
-        object.__setattr__(table, "_canonical_key", None)
-        return table
+    def _trusted(cls, vertex_count, perm_a, perm_b, colored, connected):
+        """A graph whose fields the caller vouches for; nothing is checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertex_count", vertex_count)
+        object.__setattr__(graph, "perm_a", perm_a)
+        object.__setattr__(graph, "perm_b", perm_b)
+        object.__setattr__(graph, "colored", colored)
+        object.__setattr__(graph, "_connected", connected)
+        object.__setattr__(graph, "_canonical_key", None)
+        return graph
+
+    def recolored(self, colored: Iterable[int]) -> DecoratedGraph:
+        """The same permutation pair with `colored` colored; connectivity carries over."""
+        colored = _coloring(self.vertex_count, colored)
+        return DecoratedGraph._trusted(
+            self.vertex_count, self.perm_a, self.perm_b, colored, self._connected
+        )
 
     @property
     def basepoint(self) -> int:
-        return BASEPOINT
+        """The colored vertex; ValueError unless exactly one vertex is colored."""
+        if len(self.colored) != 1:
+            raise ValueError(f"a basepoint needs one colored vertex, not {len(self.colored)}")
+        (vertex,) = self.colored
+        return vertex
+
+    def steps(self):
+        """Images of every vertex under the four letters, in letter order."""
+        perm_a, perm_b = self.perm_a, self.perm_b
+        return (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
+
+    def components(self) -> list[tuple[int, ...]]:
+        """Vertex sets of the components, each sorted, by least vertex."""
+        steps, remaining, components = self.steps(), set(range(self.vertex_count)), []
+        while remaining:
+            order, _ = _bfs(steps, min(remaining))
+            remaining.difference_update(order)
+            components.append(tuple(sorted(order)))
+        return components
+
+    def is_connected(self) -> bool:
+        connected = self._connected
+        if connected is None:
+            # Forward steps suffice: a and b generate a finite group.
+            connected = len(_bfs((self.perm_a, self.perm_b), 0)[0]) == self.vertex_count
+            object.__setattr__(self, "_connected", connected)
+        return connected
 
     def canonical_key(self) -> tuple:
+        """Equal for two graphs exactly when they are isomorphic (module docstring)."""
         key = self._canonical_key
         if key is None:
-            order, label = _bfs(step_tables(self.perm_a, self.perm_b), BASEPOINT)
-            key = (self.degree, *_relabel(self.perm_a, self.perm_b, order, label))
+            steps = self.steps()
+            if self.is_connected():
+                key = (_component_key(self, steps, range(self.vertex_count), self.colored),)
+            else:
+                key = tuple(sorted(
+                    _component_key(self, steps, c, [v for v in c if v in self.colored])
+                    for c in self.components()
+                ))
             object.__setattr__(self, "_canonical_key", key)
         return key
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubgroupTable):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
 
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
+def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int, int]):
+    # The component found by _bfs from its anchor order[0], relabeled by
+    # discovery order; it determines the component up to the unique
+    # label-respecting isomorphism fixing the anchor.
+    perm_a, perm_b = _relabel(graph.perm_a, graph.perm_b, order, label)
+    colored = graph.colored
+    marks = tuple([new for new, v in enumerate(order) if v in colored])
+    return (len(order), perm_a, perm_b, marks)
 
 
-def enumerate_subgroups(k: int) -> list[SubgroupTable]:
+def _component_key(graph: DecoratedGraph, steps, vertices, colored):
+    """Least anchored encoding over the smaller non-empty color class of a component.
+
+    colored holds the component's colored vertices.
+    """
+    plain = len(vertices) - len(colored)
+    if not colored or plain and len(colored) > plain:
+        anchors = [v for v in vertices if v not in graph.colored]
+    else:
+        anchors = colored
+    return min([_anchored_encoding(graph, *_bfs(steps, v)) for v in anchors])
+
+
+def subgroup_table(degree: int, perm_a, perm_b) -> DecoratedGraph:
+    """The coset table of a subgroup: its Schreier graph colored at the basepoint.
+
+    Raises ValueError unless the pair permutes 0..degree-1 and acts transitively.
+    """
+    table = DecoratedGraph(degree, perm_a, perm_b, _BASEPOINT_ONLY)
+    if not table.is_connected():
+        raise ValueError("the permutation pair does not act transitively")
+    return table
+
+
+def enumerate_subgroups(k: int) -> list[DecoratedGraph]:
     """All index-k subgroups, each as its canonical table, in search order.
 
     Backtracking over coset tables: the next undefined slot in scan order
@@ -167,7 +256,7 @@ def enumerate_subgroups(k: int) -> list[SubgroupTable]:
     # Column order realizes the letter order a, a^-1, b, b^-1.
     columns = (forward_a, backward_a, forward_b, backward_b)
     partners = (backward_a, forward_a, backward_b, forward_b)
-    tables: list[SubgroupTable] = []
+    tables: list[DecoratedGraph] = []
 
     def fill(slot: int, used: int) -> None:
         while slot < 4 * used and columns[slot % 4][slot // 4] != -1:
@@ -175,7 +264,9 @@ def enumerate_subgroups(k: int) -> list[SubgroupTable]:
         if slot == 4 * used:
             # Table closed on `used` cosets; only exact index k is kept.
             if used == k:
-                tables.append(SubgroupTable._canonical(k, tuple(forward_a), tuple(forward_b)))
+                tables.append(DecoratedGraph._trusted(
+                    k, tuple(forward_a), tuple(forward_b), _BASEPOINT_ONLY, True
+                ))
             return
         vertex, column = slot // 4, slot % 4
         col, partner = columns[column], partners[column]
@@ -247,17 +338,19 @@ def _trace(steps, v: int, letters) -> int:
     return v
 
 
-def distinguishing_word(h1: SubgroupTable, h2: SubgroupTable) -> Word | None:
-    """Shortest word lying in exactly one of the two subgroups; None iff equal.
+def distinguishing_word(h1: DecoratedGraph, h2: DecoratedGraph) -> Word | None:
+    """Shortest word lying in exactly one of the two subgroups; None iff the
+    subgroups are equal, i.e. the graphs are isomorphic.
 
+    Each graph is colored at one vertex, its basepoint, and stands for the
+    subgroup of the words whose path from the basepoint returns there.
     Breadth-first search on the product of the two coset actions from the
     basepoint pair, expanding letters in the order a, a^-1, b, b^-1, so the
     first hit is the lexicographically least among shortest separators.  The
     membership asymmetry of the result is asserted before returning.
     """
-    steps1 = step_tables(h1.perm_a, h1.perm_b)
-    steps2 = step_tables(h2.perm_a, h2.perm_b)
     base1, base2 = h1.basepoint, h2.basepoint
+    steps1, steps2 = h1.steps(), h2.steps()
     start = (base1, base2)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = [start]

@@ -42,8 +42,8 @@ from typing import Mapping, Sequence
 from .exact_arith import (
     Rational,
     _euler_criterion,
+    _require_odd_prime,
     _strip_prime,
-    is_prime,
     squarefree_part,
 )
 
@@ -60,7 +60,7 @@ class Place:
 
     def __post_init__(self):
         if self.kind == "odd_prime":
-            _require_odd_place(self.prime)
+            _require_odd_prime(self.prime)
         elif self.kind == "dyadic":
             if self.prime != 2:
                 raise ValueError(f"the dyadic place has prime 2, not {self.prime}")
@@ -71,11 +71,6 @@ class Place:
         if self.kind == "odd_prime":
             return f"p={self.prime}"
         return self.kind
-
-
-def _require_odd_place(p: int) -> None:
-    if not isinstance(p, int) or p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
 
 
 REAL = Place("real")
@@ -114,7 +109,7 @@ def _odd_class(x: Rational, p: int) -> tuple[int, int]:
 
 def hilbert_odd_p(a: Rational, b: Rational, p: int) -> int:
     """(a, b) at an odd prime p via the valuation/Legendre formula."""
-    _require_odd_place(p)
+    _require_odd_prime(p)
     return hilbert_odd_from_parts(*_odd_class(a, p), *_odd_class(b, p), p)
 
 

@@ -675,6 +675,25 @@ class TestPartialDecode:
             with pytest.raises(ValueError, match="is text"):
                 descriptor_from_json(value)
 
+    def test_volume_is_parsed_once(self, parcel, monkeypatch):
+        text = descriptor_to_json(assemble(TWO, parcel))
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        descriptor = descriptor_from_json(text)
+        monkeypatch.undo()
+        assert built == [(str(descriptor.volume_bound),)]
+        # What the one parse refuses is still a ValueError.
+        written = json.dumps(str(descriptor.volume_bound))
+        for volume in ("null", "[1]", '"1/x"', '"1/0"'):
+            with pytest.raises(ValueError):
+                descriptor_from_json(text.replace(written, volume))
+
     def test_markers_inside_parcel_id_round_trip(self, parcel):
         parcel_id = 'p\n  "graph": {"vertices": 2},\n  "parcel_id": "q"'
         descriptor = ManifoldDescriptor(TWO, parcel_id, 10)

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from volcount import decorated_graphs
+from volcount import free_groups
 from volcount.decorated_graphs import (
     CommonCoverDecision,
     DecoratedGraph,
@@ -16,13 +16,7 @@ from volcount.decorated_graphs import (
     has_common_decorated_cover,
     is_isomorphic,
 )
-from volcount.free_groups import (
-    SubgroupTable,
-    _bfs,
-    distinguishing_word,
-    enumerate_subgroups,
-    step_tables,
-)
+from volcount.free_groups import _bfs, distinguishing_word, enumerate_subgroups
 
 # Small fixed graphs used throughout: the three 2-vertex Schreier graphs.
 SWAP_A = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
@@ -49,7 +43,7 @@ class TestConstruction:
             DecoratedGraph(2, (0, 0), (0, 1), frozenset())
         with pytest.raises(ValueError):
             DecoratedGraph(2, (1, 0), (0, 1), frozenset({2}))
-        # Rejected by the permutation-pair check it shares with SubgroupTable.
+        # Rejected by the permutation-pair check subgroup tables go through too.
         with pytest.raises(ValueError, match="degree must be at least 1"):
             DecoratedGraph(0, (), (), frozenset())
         with pytest.raises(ValueError, match="is not a permutation"):
@@ -72,7 +66,7 @@ class TestConstruction:
             for table in enumerate_subgroups(k):
                 for colored in (frozenset({table.basepoint}), frozenset(range(1, k, 2))):
                     graph = from_subgroup(table, colored)
-                    checked = DecoratedGraph(table.degree, table.perm_a, table.perm_b, colored)
+                    checked = DecoratedGraph(k, table.perm_a, table.perm_b, colored)
                     assert graph == checked
                     assert graph.canonical_key() == checked.canonical_key()
         table = enumerate_subgroups(3)[0]
@@ -125,7 +119,7 @@ class TestIsomorphism:
 # graph; a frozen graph hashes and compares by its fields.
 @cache
 def _anchored_encoding(graph, start):
-    order, label = _bfs(step_tables(graph.perm_a, graph.perm_b), start)
+    order, label = _bfs(graph.steps(), start)
     perm_a = tuple(label[graph.perm_a[v]] for v in order)
     perm_b = tuple(label[graph.perm_b[v]] for v in order)
     colored = tuple(new for new, v in enumerate(order) if v in graph.colored)
@@ -134,7 +128,7 @@ def _anchored_encoding(graph, start):
 
 @cache
 def _vertex_sets_of_components(graph):
-    steps = step_tables(graph.perm_a, graph.perm_b)
+    steps = graph.steps()
     return {frozenset(_bfs(steps, v)[0]) for v in range(graph.vertex_count)}
 
 
@@ -220,7 +214,7 @@ def _searches_refused(monkeypatch):
     def refuse(steps, start):
         raise AssertionError("searched again")
 
-    monkeypatch.setattr(decorated_graphs, "_bfs", refuse)
+    monkeypatch.setattr(free_groups, "_bfs", refuse)
 
 
 class TestStoredConnectivity:
@@ -487,7 +481,6 @@ class TestCommonCoverDecision:
             raise AssertionError("canonical key consulted")
 
         monkeypatch.setattr(DecoratedGraph, "canonical_key", refuse)
-        monkeypatch.setattr(SubgroupTable, "canonical_key", refuse)
         for i, (t1, g1) in enumerate(zip(tables, graphs)):
             for j, (t2, g2) in enumerate(zip(tables, graphs)):
                 assert has_common_decorated_cover(g1, g2).has_cover == (i == j)

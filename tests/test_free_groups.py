@@ -4,22 +4,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volcount import free_groups
+from volcount.assembler import (
+    assemble,
+    default_parcel,
+    descriptor_from_json,
+    descriptor_to_json,
+    trace_word,
+)
+from volcount.decorated_graphs import is_isomorphic
 from volcount.free_groups import (
     MAX_INDEX,
-    SubgroupTable,
+    DecoratedGraph,
     Word,
     distinguishing_word,
     enumerate_subgroups,
     hall_count,
+    subgroup_table,
     _bfs,
     _inverse_permutation,
-    step_tables,
 )
 
 HALL_VALUES = (1, 3, 13, 71, 461, 3447, 29093)
 
 
-def trace_vertex(table: SubgroupTable, word: Word) -> int:
+def trace_vertex(table: DecoratedGraph, word: Word) -> int:
     """Endpoint of the path reading the word from the basepoint.
 
     Steps through the permutations themselves, an inverse letter by a
@@ -32,7 +40,7 @@ def trace_vertex(table: SubgroupTable, word: Word) -> int:
     return v
 
 
-def word_membership(table: SubgroupTable, word: Word) -> bool:
+def word_membership(table: DecoratedGraph, word: Word) -> bool:
     """Whether the word lies in the subgroup: its path returns to the basepoint."""
     return trace_vertex(table, word) == table.basepoint
 
@@ -53,7 +61,7 @@ def brute_force_tables(k):
                         frontier.append(image)
             if len(reached) != k:
                 continue
-            table = SubgroupTable(k, perm_a, perm_b)
+            table = subgroup_table(k, perm_a, perm_b)
             seen[table.canonical_key()] = table
     return list(seen.values())
 
@@ -81,10 +89,20 @@ class TestCounts:
         tables = enumerate_subgroups(k)
         assert len(tables) == hall_count(k)
         for t in tables:
-            SubgroupTable(t.degree, t.perm_a, t.perm_b)
-            assert t.canonical_key() == (k, t.perm_a, t.perm_b)
+            assert subgroup_table(t.vertex_count, t.perm_a, t.perm_b) == t
+            assert t.canonical_key() == ((k, t.perm_a, t.perm_b, (0,)),)
             assert not hasattr(t, "__dict__")
+            # One coloring set serves the whole enumeration.
+            assert t.colored is tables[0].colored
         assert len({t.canonical_key() for t in tables}) == len(tables)
+        # The stored facts take no part in equality or hashing: a table whose
+        # key and connectivity are stored equals a fresh copy.
+        fresh = DecoratedGraph(k, t.perm_a, t.perm_b, frozenset({0}))
+        assert t == fresh and hash(t) == hash(fresh)
+        parcel = default_parcel(4, compact=False)
+        read_back = descriptor_from_json(descriptor_to_json(assemble(t, parcel))).source_graph
+        for graph in (fresh, read_back):
+            assert not hasattr(graph, "__dict__")
 
     def test_growth_floor(self):
         for k in range(1, 13):
@@ -100,7 +118,7 @@ class TestCounts:
 class TestSubgroupTable:
     def test_canonical_invariance_under_relabeling(self):
         table = enumerate_subgroups(4)[17]
-        k = table.degree
+        k = table.vertex_count
         for relabel in permutations(range(k)):
             if relabel[0] != 0:
                 continue  # basepoint must stay put
@@ -109,11 +127,11 @@ class TestSubgroupTable:
                 inverse[image] = i
             perm_a = tuple(relabel[table.perm_a[inverse[v]]] for v in range(k))
             perm_b = tuple(relabel[table.perm_b[inverse[v]]] for v in range(k))
-            assert SubgroupTable(k, perm_a, perm_b) == table
+            assert is_isomorphic(subgroup_table(k, perm_a, perm_b), table)
 
     def test_intransitive_rejected(self):
-        with pytest.raises(ValueError):
-            SubgroupTable(2, (0, 1), (0, 1)).canonical_key()
+        with pytest.raises(ValueError, match="does not act transitively"):
+            subgroup_table(2, (0, 1), (0, 1))
 
     @given(
         st.integers(min_value=1, max_value=7).flatmap(
@@ -124,17 +142,18 @@ class TestSubgroupTable:
     def test_accepts_exactly_the_transitive_pairs(self, pair):
         perm_a, perm_b = pair
         n = len(perm_a)
-        orbit, _ = _bfs(step_tables(tuple(perm_a), tuple(perm_b)), 0)
+        orbit, _ = _bfs(DecoratedGraph(n, perm_a, perm_b, frozenset()).steps(), 0)
         if len(orbit) == n:
-            table = SubgroupTable(n, perm_a, perm_b)
+            table = subgroup_table(n, perm_a, perm_b)
             assert (table.perm_a, table.perm_b) == (tuple(perm_a), tuple(perm_b))
+            assert table.basepoint == 0
         else:
             with pytest.raises(ValueError, match="does not act transitively"):
-                SubgroupTable(n, perm_a, perm_b)
+                subgroup_table(n, perm_a, perm_b)
 
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be at least 1"):
-            SubgroupTable(0, (), ())
+            subgroup_table(0, (), ())
 
     @pytest.mark.parametrize(
         "perm_a", [(1.0, 0), (True, False), (1, 0.0)], ids=["float", "bool", "float-zero"]
@@ -142,7 +161,7 @@ class TestSubgroupTable:
     def test_entries_equal_to_ints_rejected(self, perm_a):
         # Each row equals (1, 0), whose inverse a lookup by value would return.
         with pytest.raises(ValueError, match="is not a permutation"):
-            SubgroupTable(2, perm_a, (0, 1))
+            subgroup_table(2, perm_a, (0, 1))
 
     def test_inverse_permutation_inverts(self):
         for k in range(1, 7):
@@ -169,7 +188,7 @@ class TestWords:
 
     def test_tracing(self):
         # Index-2 subgroup where a swaps the cosets and b fixes them.
-        table = SubgroupTable(2, (1, 0), (0, 1))
+        table = subgroup_table(2, (1, 0), (0, 1))
         assert trace_vertex(table, Word.from_string("a")) == 1
         assert trace_vertex(table, Word.from_string("aa")) == 0
         assert trace_vertex(table, Word.from_string("b")) == 0
@@ -211,6 +230,35 @@ class TestDistinguishingWords:
                         assert word_membership(tables[i], w) == word_membership(
                             tables[j], w
                         )
+
+    def test_basepoint_is_the_one_colored_vertex(self):
+        table = enumerate_subgroups(2)[0]
+        parcel = default_parcel(4, compact=False)
+        for colored in (frozenset(), frozenset({0, 1})):
+            graph = DecoratedGraph(2, table.perm_a, table.perm_b, colored)
+            for call in (
+                lambda: graph.basepoint,
+                lambda: distinguishing_word(graph, table),
+                lambda: distinguishing_word(table, graph),
+                lambda: trace_word(assemble(graph, parcel), Word.from_string("a")),
+            ):
+                with pytest.raises(ValueError, match="needs one colored vertex"):
+                    call()
+        assert DecoratedGraph(2, table.perm_a, table.perm_b, frozenset({1})).basepoint == 1
+
+    def test_read_back_graphs_give_the_same_words(self):
+        # Every pair of index <= 4: the graphs that descriptor documents read
+        # back as separate exactly as the enumerated tables do.
+        parcel = default_parcel(4, compact=False)
+        tables = [t for k in range(1, 5) for t in enumerate_subgroups(k)]
+        graphs = [
+            descriptor_from_json(descriptor_to_json(assemble(t, parcel))).source_graph
+            for t in tables
+        ]
+        assert all(g is not t and g == t for g, t in zip(graphs, tables))
+        for t1, g1 in zip(tables, graphs):
+            for t2, g2 in zip(tables, graphs):
+                assert distinguishing_word(g1, g2) == distinguishing_word(t1, t2)
 
     def test_failed_membership_check_raises(self, monkeypatch):
         # A trace that never leaves the basepoint puts every word in both.

@@ -5,7 +5,8 @@ No linter ships with the project, so these stdlib checks keep a deletion from
 leaving an orphaned import or a stale export behind.  volcount/__init__.py
 is exempt from the import check: it imports names only to re-export them.
 A name that appears only in __all__ counts as unused, so re-exports stay in
-__init__.py.
+__init__.py.  No module reaches into free_groups' private names, so the
+permutation-pair representation stays behind that one module.
 """
 
 import ast
@@ -91,3 +92,31 @@ def test_export_checker_flags_stale_names_only():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.stem)
 def test_no_stale_exports(path):
     assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str, module: str) -> list[str]:
+    """The underscore-prefixed names the source imports from the sibling `module`."""
+    tree = ast.parse(source)
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in ((module, 1), (f"volcount.{module}", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_import_checker_flags_only_that_module():
+    source = (
+        "from .free_groups import DecoratedGraph, _bfs\n"
+        "from volcount.free_groups import _relabel\n"
+        "from .exact_arith import _strip_prime\n"
+        "from free_groups import _trace\n"
+    )
+    assert private_imports(source, "free_groups") == ["_bfs", "_relabel"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_private_names_from_free_groups(path):
+    assert private_imports(path.read_text(encoding="utf-8"), "free_groups") == []

@@ -11,6 +11,7 @@ from volcount.exact_arith import (
     is_prime,
     legendre_symbol,
     padic_valuation,
+    sqrt_mod,
 )
 from volcount.local_invariants import (
     DYADIC,
@@ -171,6 +172,18 @@ class TestPlaces:
         with pytest.raises(ValueError):
             odd_place(9)
         assert odd_place(7) == Place("odd_prime", 7)
+
+    def test_a_float_prime_is_a_value_error(self):
+        # One check serves exact_arith and the places: 5.0 equals a prime
+        # but is refused before any modular arithmetic sees it.
+        for call in (
+            lambda: legendre_symbol(2, 5.0),
+            lambda: sqrt_mod(2, 17.0),
+            lambda: odd_place(5.0),
+            lambda: hilbert_odd_p(2, 3, 5.0),
+        ):
+            with pytest.raises(ValueError, match="is not an odd prime"):
+                call()
 
     def test_place_identity(self):
         assert REAL.kind == "real"
