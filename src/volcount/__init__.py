@@ -27,7 +27,6 @@ from .assembler import (
 from .decorated_graphs import (
     DecoratedGraph,
     check_cover,
-    fiber_product,
     from_subgroup,
     graph_from_text,
     graph_to_text,

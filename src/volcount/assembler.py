@@ -324,8 +324,6 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
     the descriptor keeps only the graph, the parcel id and the exact volume;
     the lists appear only in the document descriptor_to_json writes.
     """
-    if not graph.is_connected():
-        raise ValueError("assembly requires a connected graph")
     return ManifoldDescriptor(
         source_graph=graph,
         parcel_id=parcel.parcel_id,
@@ -543,12 +541,10 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
 
     Raises ValueError, and only ValueError, unless text is exactly what
     descriptor_to_json writes for the graph, parcel_id and positive
-    volume_bound it names, so writing the result reproduces the text, and
-    the graph is connected, as assemble requires.  The connectivity answer
-    is stored on the graph, so the cover decisions on the result run no
-    search of their own.  Given the parcel the document was assembled
-    from, it must also name that parcel and carry the volume the parcel's
-    blocks give its graph.
+    volume_bound it names, so writing the result reproduces the text; a
+    graph that is not connected is refused when it is built.  Given the
+    parcel the document was assembled from, it must also name that parcel
+    and carry the volume the parcel's blocks give its graph.
 
     Only what the descriptor is rebuilt from is decoded: the graph object
     at the first top-level "graph" line, and parcel_id and volume_bound
@@ -572,8 +568,6 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         raise ValueError(f"malformed descriptor document: {error!r}") from error
     if written != text:
         raise ValueError("document differs from the text the writer gives its descriptor")
-    if not graph.is_connected():
-        raise ValueError("document graph is not connected")
     if volume <= 0:
         raise ValueError(f"volume_bound {str(volume)!r} is not positive")
     if parcel is not None:

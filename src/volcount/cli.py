@@ -306,12 +306,7 @@ def _cmd_assemble(args):
         graph = graph_from_text(text)
     except ValueError as error:
         raise UsageError(str(error)) from error
-    parcel = default_parcel(args.n, args.compact)
-    try:
-        descriptor = assemble(graph, parcel)
-    except ValueError as error:
-        raise UsageError(str(error)) from error
-    document = descriptor_to_json(descriptor)
+    document = descriptor_to_json(assemble(graph, default_parcel(args.n, args.compact)))
     payload = json.loads(document)
     return payload, [document.rstrip("\n")]
 

@@ -1,11 +1,10 @@
-"""Covers, fiber products and the common-cover decision for decorated graphs.
+"""Covers and the common-cover decision for decorated graphs.
 
 DecoratedGraph, the permutation pair with its coloring, lives in
 free_groups together with its canonical key and the argument that the key
-decides isomorphism.  A subgroup table there is already the Schreier graph
-colored at its basepoint; from_subgroup recolors one, and returns the table
-itself for its own coloring.  A recolored graph keeps the table's stored
-connectivity, since a coset table acts transitively.
+decides isomorphism; every such graph is connected.  A subgroup table there
+is already the Schreier graph colored at its basepoint; from_subgroup
+recolors one, and returns the table itself for its own coloring.
 
 Covering maps in the permutation encoding are color-preserving vertex maps
 commuting with both permutations; local bijectivity on edge stars is
@@ -14,18 +13,19 @@ connected component of the fiber product, which is decisive: any common
 decorated cover maps onto such a component, and conversely a consistent
 component is itself a common decorated cover.
 
-The decision never builds the whole product.  Projection lemma: a component
-of the fiber product of two connected graphs is closed under both
-coordinatewise permutations, so it projects onto each factor and meets
-(c1, y) for every vertex c1 of the first graph and (x, c2) for every vertex
-c2 of the second.  Hence if exactly one graph has colored vertices no
-component is consistent, if neither has any every component is, and
-otherwise only components through a colored pair (c1, c2) can be.  The
-component through the basepoint pair of two Schreier graphs is the graph of
-the intersection of the two subgroups (Stallings, "Topology of finite
-graphs", Invent. Math. 1983).  Each candidate component is explored
-breadth-first from its colored pair and abandoned at the first pair whose
-two color bits differ.
+The fiber product has vertex set V1 x V2 with both permutations acting
+coordinatewise; it is in general disconnected, and the decision never
+builds it.  Projection lemma: a component of it is closed under both
+coordinatewise permutations, so, both graphs being connected, it projects
+onto each factor and meets (c1, y) for every vertex c1 of the first graph
+and (x, c2) for every vertex c2 of the second.  Hence if exactly one graph
+has colored vertices no component is consistent, if neither has any every
+component is, and otherwise only components through a colored pair
+(c1, c2) can be.  The component through the basepoint pair of two
+Schreier graphs is the graph of the intersection of the two subgroups
+(Stallings, "Topology of finite graphs", Invent. Math. 1983).  Each
+candidate component is explored breadth-first from its colored pair and
+abandoned at the first pair whose two color bits differ.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def from_subgroup(table: DecoratedGraph, colored: Iterable[int]) -> DecoratedGra
     """The Schreier graph of the subgroup with the given vertices colored.
 
     The table is returned itself when `colored` is its own coloring;
-    otherwise only `colored` is checked.
+    otherwise only `colored` is checked, since the table is connected.
     """
     colored = frozenset(colored)
     return table if colored == table.colored else table.recolored(colored)
@@ -55,9 +55,10 @@ def is_isomorphic(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
 def check_cover(cover: DecoratedGraph, base: DecoratedGraph, vertex_map: Sequence[int]) -> bool:
     """Verify that vertex_map is a decorated covering of base by cover.
 
-    Requires commuting with both permutations, color preservation in both
-    directions on every fiber element, and surjectivity onto every component
-    of the base.  Local bijectivity is automatic in the permutation encoding.
+    Requires commuting with both permutations and color preservation in
+    both directions on every fiber element.  Local bijectivity is automatic
+    in the permutation encoding, and so is surjectivity: the image is closed
+    under both permutations, and the base is connected.
     """
     m = tuple(vertex_map)
     if len(m) != cover.vertex_count:
@@ -71,32 +72,7 @@ def check_cover(cover: DecoratedGraph, base: DecoratedGraph, vertex_map: Sequenc
             return False
         if (x in cover.colored) != (m[x] in base.colored):
             return False
-    return len(set(m)) == base.vertex_count
-
-
-@dataclass(frozen=True)
-class FiberProduct:
-    """Product graph (uncolored), its components, and the two projections."""
-
-    product: DecoratedGraph
-    components: tuple[tuple[int, ...], ...]
-    projection1: tuple[int, ...]
-    projection2: tuple[int, ...]
-
-
-def fiber_product(g1: DecoratedGraph, g2: DecoratedGraph) -> FiberProduct:
-    """Vertex set V1 x V2 with both permutations acting coordinatewise.
-
-    Vertex (i, j) is encoded as i * |V2| + j.  Coloring is deferred to the
-    consumer: components are colored by pulling back along a projection.
-    """
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    perm_a = tuple(g1.perm_a[i] * n2 + g2.perm_a[j] for i in range(n1) for j in range(n2))
-    perm_b = tuple(g1.perm_b[i] * n2 + g2.perm_b[j] for i in range(n1) for j in range(n2))
-    product = DecoratedGraph(n1 * n2, perm_a, perm_b, frozenset())
-    projection1 = tuple(i for i in range(n1) for _ in range(n2))
-    projection2 = tuple(j for _ in range(n1) for j in range(n2))
-    return FiberProduct(product, tuple(product.components()), projection1, projection2)
+    return True
 
 
 @dataclass(frozen=True)
@@ -110,7 +86,7 @@ class CommonCoverDecision:
 
 
 def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> CommonCoverDecision:
-    """Decide whether two connected decorated graphs share a decorated cover.
+    """Decide whether two decorated graphs share a decorated cover.
 
     A component C of the fiber product is color-consistent when the two
     pullback colorings agree on C; such a C, so colored, covers both inputs.
@@ -124,12 +100,10 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     colored.  Candidates are explored from their colored pairs in encoded
     order i * |V2| + j, each abandoned at its first color clash.  The
     witness is the consistent component with the smallest encoded vertex,
-    relabeled in increasing encoded order: the first consistent component of
-    fiber_product(g1, g2).components, colored by pulling back g1's coloring.
+    relabeled in increasing encoded order and colored by pulling back g1's
+    coloring: the first consistent component of the whole product.
     """
-    if not (g1.is_connected() and g2.is_connected()):
-        raise ValueError("the common-cover decision takes connected graphs")
-    # Forward steps suffice, as in is_connected: a and b generate a finite group.
+    # Forward steps suffice: a and b generate a finite group.
     steps = ((g1.perm_a, g2.perm_a), (g1.perm_b, g2.perm_b))
     colored1, colored2 = g1.colored, g2.colored
     if bool(colored1) != bool(colored2):

@@ -102,26 +102,23 @@ def _member_epsilon(a: int, n: int, place: Place, last: int) -> tuple[int, int]:
     return m, _class_product(counts, place)
 
 
-def epsilon_q_at(a: int, n: int, p: int, detail: bool = False):
+def epsilon_q_at(a: int, n: int, p: int) -> int:
     """Hasse-Witt invariant of q_a over the p-adics, p an odd prime.
 
     When (-1|p) = 1 and (2|p) = -1 the value has the closed form
     (-1)^(v_p(a)); the generic class-count product is computed in every case
-    and the two must agree whenever the closed form applies.  With
-    detail=True returns (value, method) where method names the route taken.
+    and the two must agree whenever the closed form applies.
     """
     _check_member_parameters(a, n)
     m, generic = _member_epsilon(a, n, odd_place(p), -2)
-    closed_form_applies = _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1
-    if closed_form_applies:
+    if _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1:
         closed = -1 if m % 2 else 1
         if closed != generic:
             raise RuntimeError(
                 f"closed form {closed} disagrees with the generic product {generic} "
                 f"for (a={a}, n={n}, p={p})"
             )
-    method = "closed_form" if closed_form_applies else "generic"
-    return (generic, method) if detail else generic
+    return generic
 
 
 def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:

@@ -8,18 +8,17 @@ generators induce on the k cosets, with the subgroup itself the stabilizer
 of coset 0.  Two subgroups are equal exactly when their graphs are
 isomorphic.
 
-Isomorphism is equality of canonical keys.  Once an image is chosen for one
-vertex, a label-respecting isomorphism is forced, as in a deterministic
-automaton, so breadth-first relabeling from an anchor vertex, letters in the
-order a, a^-1, b, b^-1, encodes a component up to isomorphisms fixing the
-anchor.  A component's key is the least such encoding over the anchors of
-its smaller non-empty color class (the colored class on a tie), an
-invariant because isomorphisms preserve colors; a graph's key is the sorted
-tuple of its components' keys.  Connectivity and the key are computed once
-per graph and stored on it.  A connected graph is its own only component,
-so its key costs one breadth-first search per anchor and no orbit pass: a
-single search from the basepoint of a subgroup's graph, whose key is its
-own table when that table is canonical.
+Every decorated graph is connected: the constructor refuses a pair that
+does not act transitively, as a manifold glued along the graph must be
+connected.  Isomorphism is equality of canonical keys.  Once an image is
+chosen for one vertex, a label-respecting isomorphism is forced, as in a
+deterministic automaton, so breadth-first relabeling from an anchor vertex,
+letters in the order a, a^-1, b, b^-1, encodes the graph up to isomorphisms
+fixing the anchor.  The key is the least such encoding over the anchors of
+the smaller non-empty color class (the colored class on a tie), an
+invariant because isomorphisms preserve colors.  It is computed once per
+graph and stored on it: a single search from the basepoint of a subgroup's
+graph, whose key is its own table when that table is canonical.
 
 enumerate_subgroups generates every index-k subgroup exactly once by
 backtracking over partially defined tables: slots are filled coset by coset
@@ -112,51 +111,51 @@ def _relabel(
 
 
 def _coloring(vertex_count: int, colored: Iterable[int]) -> frozenset[int]:
+    # Ints only, as in _validate_permutations: 1.0 and True equal vertices.
     colored = frozenset(colored)
-    if not colored <= set(range(vertex_count)):
+    if not colored <= set(range(vertex_count)) or any(type(v) is not int for v in colored):
         raise ValueError("colored vertices must be vertices")
     return colored
 
 
 @dataclass(frozen=True, slots=True)
 class DecoratedGraph:
-    """Edge-labeled 4-regular graph with a set of colored vertices.
+    """Connected edge-labeled 4-regular graph with a set of colored vertices.
 
-    Equality and hashing see only the four fields; the stored facts, None
-    until first asked for, take no part.
+    Equality and hashing see only the four fields; the stored key, None
+    until first asked for, takes no part.
     """
 
     vertex_count: int
     perm_a: tuple[int, ...]
     perm_b: tuple[int, ...]
     colored: frozenset[int]
-    _connected: bool | None = field(default=None, init=False, compare=False, repr=False)
     _canonical_key: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "perm_a", tuple(self.perm_a))
         object.__setattr__(self, "perm_b", tuple(self.perm_b))
         _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
+        # Forward steps suffice: a and b generate a finite group.
+        if len(_bfs((self.perm_a, self.perm_b), 0)[0]) != self.vertex_count:
+            raise ValueError("the permutation pair does not act transitively")
         object.__setattr__(self, "colored", _coloring(self.vertex_count, self.colored))
 
     @classmethod
-    def _trusted(cls, vertex_count, perm_a, perm_b, colored, connected):
+    def _trusted(cls, vertex_count, perm_a, perm_b, colored):
         """A graph whose fields the caller vouches for; nothing is checked."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "vertex_count", vertex_count)
         object.__setattr__(graph, "perm_a", perm_a)
         object.__setattr__(graph, "perm_b", perm_b)
         object.__setattr__(graph, "colored", colored)
-        object.__setattr__(graph, "_connected", connected)
         object.__setattr__(graph, "_canonical_key", None)
         return graph
 
     def recolored(self, colored: Iterable[int]) -> DecoratedGraph:
-        """The same permutation pair with `colored` colored; connectivity carries over."""
+        """The same permutation pair with `colored` colored; only `colored` is checked."""
         colored = _coloring(self.vertex_count, colored)
-        return DecoratedGraph._trusted(
-            self.vertex_count, self.perm_a, self.perm_b, colored, self._connected
-        )
+        return DecoratedGraph._trusted(self.vertex_count, self.perm_a, self.perm_b, colored)
 
     @property
     def basepoint(self) -> int:
@@ -171,42 +170,18 @@ class DecoratedGraph:
         perm_a, perm_b = self.perm_a, self.perm_b
         return (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Vertex sets of the components, each sorted, by least vertex."""
-        steps, remaining, components = self.steps(), set(range(self.vertex_count)), []
-        while remaining:
-            order, _ = _bfs(steps, min(remaining))
-            remaining.difference_update(order)
-            components.append(tuple(sorted(order)))
-        return components
-
-    def is_connected(self) -> bool:
-        connected = self._connected
-        if connected is None:
-            # Forward steps suffice: a and b generate a finite group.
-            connected = len(_bfs((self.perm_a, self.perm_b), 0)[0]) == self.vertex_count
-            object.__setattr__(self, "_connected", connected)
-        return connected
-
     def canonical_key(self) -> tuple:
         """Equal for two graphs exactly when they are isomorphic (module docstring)."""
         key = self._canonical_key
         if key is None:
-            steps = self.steps()
-            if self.is_connected():
-                key = (_component_key(self, steps, range(self.vertex_count), self.colored),)
-            else:
-                key = tuple(sorted(
-                    _component_key(self, steps, c, [v for v in c if v in self.colored])
-                    for c in self.components()
-                ))
+            key = (_component_key(self),)
             object.__setattr__(self, "_canonical_key", key)
         return key
 
 
 def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int, int]):
-    # The component found by _bfs from its anchor order[0], relabeled by
-    # discovery order; it determines the component up to the unique
+    # The graph as _bfs from the anchor order[0] finds it, relabeled by
+    # discovery order; it determines the graph up to the unique
     # label-respecting isomorphism fixing the anchor.
     perm_a, perm_b = _relabel(graph.perm_a, graph.perm_b, order, label)
     colored = graph.colored
@@ -214,16 +189,15 @@ def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int,
     return (len(order), perm_a, perm_b, marks)
 
 
-def _component_key(graph: DecoratedGraph, steps, vertices, colored):
-    """Least anchored encoding over the smaller non-empty color class of a component.
-
-    colored holds the component's colored vertices.
-    """
-    plain = len(vertices) - len(colored)
+def _component_key(graph: DecoratedGraph):
+    """Least anchored encoding over the smaller non-empty color class."""
+    colored = graph.colored
+    plain = graph.vertex_count - len(colored)
     if not colored or plain and len(colored) > plain:
-        anchors = [v for v in vertices if v not in graph.colored]
+        anchors = [v for v in range(graph.vertex_count) if v not in colored]
     else:
         anchors = colored
+    steps = graph.steps()
     return min([_anchored_encoding(graph, *_bfs(steps, v)) for v in anchors])
 
 
@@ -232,10 +206,7 @@ def subgroup_table(degree: int, perm_a, perm_b) -> DecoratedGraph:
 
     Raises ValueError unless the pair permutes 0..degree-1 and acts transitively.
     """
-    table = DecoratedGraph(degree, perm_a, perm_b, _BASEPOINT_ONLY)
-    if not table.is_connected():
-        raise ValueError("the permutation pair does not act transitively")
-    return table
+    return DecoratedGraph(degree, perm_a, perm_b, _BASEPOINT_ONLY)
 
 
 def enumerate_subgroups(k: int) -> list[DecoratedGraph]:
@@ -265,7 +236,7 @@ def enumerate_subgroups(k: int) -> list[DecoratedGraph]:
             # Table closed on `used` cosets; only exact index k is kept.
             if used == k:
                 tables.append(DecoratedGraph._trusted(
-                    k, tuple(forward_a), tuple(forward_b), _BASEPOINT_ONLY, True
+                    k, tuple(forward_a), tuple(forward_b), _BASEPOINT_ONLY
                 ))
             return
         vertex, column = slot // 4, slot % 4

@@ -31,7 +31,13 @@ from volcount.assembler import (
     volume_bound,
 )
 from volcount.decorated_graphs import DecoratedGraph, from_subgroup
-from volcount.free_groups import Word, distinguishing_word, enumerate_subgroups, hall_count
+from volcount.free_groups import (
+    Word,
+    _bfs,
+    distinguishing_word,
+    enumerate_subgroups,
+    hall_count,
+)
 
 
 def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
@@ -181,9 +187,9 @@ class TestAssembly:
                     assert volume_bound(assemble(graph, parcel), parcel) == 5 * k
 
     def test_disconnected_rejected(self, parcel):
-        disconnected = DecoratedGraph(2, (0, 1), (0, 1), frozenset())
-        with pytest.raises(ValueError):
-            assemble(disconnected, parcel)
+        # assemble takes connected graphs, and no other graph can be built.
+        with pytest.raises(ValueError, match="does not act transitively"):
+            DecoratedGraph(2, (0, 1), (0, 1), frozenset())
 
     def test_unglued_slot_rejected(self, parcel):
         document = _document(LOOP, parcel)
@@ -413,9 +419,8 @@ def connected_graphs(draw, max_degree=7):
     perm_a = draw(st.permutations(range(n)))
     perm_b = draw(st.permutations(range(n)))
     colored = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    graph = DecoratedGraph(n, perm_a, perm_b, colored)
-    assume(graph.is_connected())
-    return graph
+    assume(len(_bfs((perm_a, perm_b), 0)[0]) == n)
+    return DecoratedGraph(n, perm_a, perm_b, colored)
 
 
 positive_volumes = st.fractions(min_value=Fraction(1, 720), max_value=1000, max_denominator=720)
@@ -604,13 +609,24 @@ json_values = st.recursive(
 
 class TestMalformedDocuments:
     def test_disconnected_graph_refused(self, parcel):
-        # The writer's own bytes, over a graph that assemble refuses: the
-        # cover decision on it would raise.
-        graph = DecoratedGraph(2, (0, 1), (0, 1), frozenset({0}))
-        text = descriptor_to_json(ManifoldDescriptor(graph, parcel.parcel_id, 10))
+        # TWO's document with b's row as its a-row: both rows fix every
+        # vertex, so the graph has two components and cannot be built.
+        text = descriptor_to_json(assemble(TWO, parcel))
+        row = '"perm_a": [\n      {},\n      {}\n    ]'
+        edited = text.replace(row.format(1, 0), row.format(0, 1))
+        assert edited != text
         for given_parcel in (None, parcel):
-            with pytest.raises(ValueError, match="document graph is not connected"):
-                descriptor_from_json(text, given_parcel)
+            with pytest.raises(ValueError, match="does not act transitively"):
+                descriptor_from_json(edited, given_parcel)
+
+    @pytest.mark.parametrize("vertex", [1.0, True], ids=["float", "bool"])
+    def test_colored_vertices_are_ints(self, parcel, vertex):
+        # Equal to the vertex 1; the writer would spell them 1.0 and true.
+        document = _document(DecoratedGraph(2, (1, 0), (0, 1), {1}), parcel)
+        document["graph"]["colored"] = [vertex]
+        for given_parcel in (None, parcel):
+            with pytest.raises(ValueError, match="colored vertices must be vertices"):
+                descriptor_from_json(_dumps(document), given_parcel)
 
     def test_each_is_a_value_error(self, parcel):
         for what, text in _malformed_documents(parcel):

@@ -269,6 +269,18 @@ class TestAssemble:
         assert code == 2 and err == ""
         assert json.loads(out) == {"status": "error", "payload": {"error": message}}
 
+    def test_disconnected_graph(self, capsys, tmp_path):
+        # Both rows fix both vertices: two components, which no graph has.
+        message = "the permutation pair does not act transitively"
+        path = tmp_path / "apart.graph"
+        path.write_text("2\n0 1\n0 1\n0\n")
+        code, out, err = run(["assemble", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+        code, out, err = run(["assemble", str(path), "--json"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": message}}
+
     def test_repeated_colored_vertex(self, capsys, tmp_path):
         path = tmp_path / "repeat.graph"
         path.write_text("2\n1 0\n0 1\n0 0\n")

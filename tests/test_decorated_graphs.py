@@ -1,5 +1,5 @@
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -9,7 +9,6 @@ from volcount.decorated_graphs import (
     CommonCoverDecision,
     DecoratedGraph,
     check_cover,
-    fiber_product,
     from_subgroup,
     graph_from_text,
     graph_to_text,
@@ -23,6 +22,16 @@ SWAP_A = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
 SWAP_B = DecoratedGraph(2, (0, 1), (1, 0), frozenset({0}))
 SWAP_BOTH = DecoratedGraph(2, (1, 0), (1, 0), frozenset({0}))
 LOOP = DecoratedGraph(1, (0,), (0,), frozenset({0}))
+
+
+def _orbits(perm_a, perm_b):
+    """Orbits of a raw permutation pair, each sorted, by least vertex."""
+    remaining, orbits = set(range(len(perm_a))), []
+    while remaining:
+        order, _ = _bfs((perm_a, perm_b), min(remaining))
+        remaining.difference_update(order)
+        orbits.append(tuple(sorted(order)))
+    return orbits
 
 
 def relabeled(graph, relabel):
@@ -56,10 +65,23 @@ class TestConstruction:
         assert (graph.perm_a, graph.perm_b) == (table.perm_a, table.perm_b)
 
     def test_connectivity(self):
-        assert SWAP_A.is_connected()
-        disconnected = DecoratedGraph(2, (0, 1), (0, 1), frozenset())
-        assert not disconnected.is_connected()
-        assert len(disconnected.components()) == 2
+        # Connected through b alone, and through a alone.
+        DecoratedGraph(3, (0, 1, 2), (1, 2, 0), frozenset())
+        DecoratedGraph(3, (1, 2, 0), (0, 1, 2), frozenset())
+        with pytest.raises(ValueError, match="does not act transitively"):
+            DecoratedGraph(2, (0, 1), (0, 1), frozenset())
+        with pytest.raises(ValueError, match="does not act transitively"):
+            DecoratedGraph(3, (1, 0, 2), (0, 1, 2), frozenset({2}))
+
+    @pytest.mark.parametrize("vertex", [1.0, True], ids=["float", "bool"])
+    def test_colored_vertices_are_ints(self, vertex):
+        # Equal to the vertex 1, yet the writers would spell them 1.0 and True.
+        with pytest.raises(ValueError, match="colored vertices must be vertices"):
+            DecoratedGraph(2, (1, 0), (0, 1), {vertex})
+        with pytest.raises(ValueError, match="colored vertices must be vertices"):
+            SWAP_A.recolored({vertex})
+        with pytest.raises(ValueError, match="colored vertices must be vertices"):
+            from_subgroup(enumerate_subgroups(2)[0], {0, vertex})
 
     def test_from_subgroup_matches_the_validating_constructor(self):
         for k in range(1, 6):
@@ -84,9 +106,14 @@ class TestConstruction:
     @example(((1, 0, 2), (0, 1, 2)))  # intransitive
     @settings(max_examples=300, deadline=None)
     def test_connectivity_counts_one_component(self, pair):
+        # The constructor searches from vertex 0 alone; the oracle counts
+        # the orbits through every vertex.
         perm_a, perm_b = pair
-        graph = DecoratedGraph(len(perm_a), perm_a, perm_b, frozenset())
-        assert graph.is_connected() == (len(graph.components()) == 1)
+        if len(_orbits(perm_a, perm_b)) == 1:
+            assert DecoratedGraph(len(perm_a), perm_a, perm_b, frozenset()).perm_a == tuple(perm_a)
+        else:
+            with pytest.raises(ValueError, match="does not act transitively"):
+                DecoratedGraph(len(perm_a), perm_a, perm_b, frozenset())
 
 
 class TestIsomorphism:
@@ -126,49 +153,27 @@ def _anchored_encoding(graph, start):
     return (len(order), perm_a, perm_b, colored)
 
 
-@cache
-def _vertex_sets_of_components(graph):
-    steps = graph.steps()
-    return {frozenset(_bfs(steps, v)[0]) for v in range(graph.vertex_count)}
-
-
 def anchored_map_isomorphic(g1, g2):
     """The anchored-map isomorphism search: the oracle for canonical keys.
 
-    Connected case: anchor vertex 0 of g1 and try each same-colored vertex of
-    g2 as its image; the extension is unique, so equality of the two anchored
-    encodings decides.  Otherwise the sorted lists of per-component least
-    encodings, over every vertex of the component, are compared.
+    Anchor vertex 0 of g1 and try each same-colored vertex of g2 as its
+    image; the extension is unique, so equality of the two anchored
+    encodings decides.
     """
     if g1.vertex_count != g2.vertex_count:
         return False
-    components1, components2 = _vertex_sets_of_components(g1), _vertex_sets_of_components(g2)
-    if len(components1) == len(components2) == 1:
-        target = _anchored_encoding(g1, 0)
-        return any(
-            (v in g2.colored) == (0 in g1.colored) and _anchored_encoding(g2, v) == target
-            for v in range(g2.vertex_count)
-        )
-
-    def certificate(graph, components):
-        return sorted(min(_anchored_encoding(graph, v) for v in c) for c in components)
-
-    return certificate(g1, components1) == certificate(g2, components2)
+    target = _anchored_encoding(g1, 0)
+    return any(
+        (v in g2.colored) == (0 in g1.colored) and _anchored_encoding(g2, v) == target
+        for v in range(g2.vertex_count)
+    )
 
 
 @st.composite
 def any_graphs(draw, n):
-    """An n-vertex graph with an empty, partial or full coloring.
-
-    In about half the draws the vertices split into two blocks, 0..cut-1 and
-    cut..n-1, that no edge joins, so the graph is disconnected.
-    """
-    cut = draw(st.integers(min_value=1, max_value=n - 1)) if n > 1 and draw(st.booleans()) else 0
-
-    def permutation():
-        return tuple(draw(st.permutations(range(cut)))) + tuple(draw(st.permutations(range(cut, n))))
-
-    perm_a, perm_b = permutation(), permutation()
+    """An n-vertex graph with an empty, partial or full coloring."""
+    perm_a, perm_b = (tuple(draw(st.permutations(range(n)))) for _ in "ab")
+    assume(len(_orbits(perm_a, perm_b)) == 1)
     coloring = draw(st.sampled_from(("empty", "partial", "full")))
     if coloring == "partial":
         colored = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=max(1, n - 1)))
@@ -196,10 +201,15 @@ def isomorphism_pairs(draw):
 
 
 def relabeling_classes(n):
-    """Every n-vertex decorated graph, grouped into its classes under relabeling."""
+    """Every n-vertex decorated graph, grouped into its classes under relabeling.
+
+    The pairs that do not act transitively are not decorated graphs.
+    """
     classes = {}
     for perm_a in permutations(range(n)):
         for perm_b in permutations(range(n)):
+            if len(_orbits(perm_a, perm_b)) > 1:
+                continue
             for mask in range(2**n):
                 graph = DecoratedGraph(n, perm_a, perm_b, {v for v in range(n) if mask >> v & 1})
                 orbit = frozenset(
@@ -208,34 +218,6 @@ def relabeling_classes(n):
                 )
                 classes.setdefault(orbit, []).append(graph)
     return list(classes.values())
-
-
-def _searches_refused(monkeypatch):
-    def refuse(steps, start):
-        raise AssertionError("searched again")
-
-    monkeypatch.setattr(free_groups, "_bfs", refuse)
-
-
-class TestStoredConnectivity:
-    def test_schreier_graphs_are_connected_without_a_search(self):
-        for k in range(1, 7):
-            for table in enumerate_subgroups(k):
-                graph = from_subgroup(table, frozenset({table.basepoint}))
-                fresh = DecoratedGraph(k, table.perm_a, table.perm_b, frozenset())
-                expected = fresh.is_connected()
-                with pytest.MonkeyPatch.context() as monkeypatch:
-                    _searches_refused(monkeypatch)
-                    assert graph.is_connected() == expected
-
-    @given(st.integers(min_value=1, max_value=7).flatmap(any_graphs))
-    @settings(max_examples=200, deadline=None)
-    def test_a_second_answer_agrees_with_the_first(self, graph):
-        first = graph.is_connected()
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _searches_refused(monkeypatch)
-            assert graph.is_connected() == first
-        assert first == (len(graph.components()) == 1)
 
 
 class TestCanonicalKey:
@@ -285,15 +267,6 @@ class TestCanonicalKey:
                 same_key = g1.canonical_key() == g2.canonical_key()
                 assert same_key == anchored_map_isomorphic(g1, g2)
 
-    def test_component_order_does_not_matter(self):
-        # LOOP's one-vertex component next to a colored SWAP_B, either way round.
-        loop_first = DecoratedGraph(3, (0, 1, 2), (0, 2, 1), frozenset({0, 1}))
-        loop_last = relabeled(loop_first, (2, 0, 1))
-        assert loop_first.components() == [(0,), (1, 2)]
-        assert loop_last.components() == [(0, 1), (2,)]
-        assert loop_first.canonical_key() == loop_last.canonical_key()
-        assert len(loop_first.canonical_key()) == 2
-
     def test_computed_once(self):
         graph = DecoratedGraph(3, (1, 2, 0), (0, 2, 1), frozenset({1}))
         assert graph.canonical_key() is graph.canonical_key()
@@ -320,75 +293,55 @@ class TestCovers:
         assert not check_cover(cover, base, (1, 0, 1, 0))
 
     def test_surjectivity_required(self):
-        base = DecoratedGraph(2, (0, 1), (0, 1), frozenset())
-        cover = DecoratedGraph(1, (0,), (0,), frozenset())
-        assert not check_cover(cover, base, (0,))
-
-
-class TestFiberProduct:
-    def test_product_shape(self):
-        result = fiber_product(SWAP_A, SWAP_B)
-        assert result.product.vertex_count == 4
-        assert len(result.projection1) == 4
-        # Componentwise steps: (i, j) under a goes to (a(i), a(j)).
-        for index in range(4):
-            i, j = result.projection1[index], result.projection2[index]
-            image = result.product.perm_a[index]
-            assert result.projection1[image] == SWAP_A.perm_a[i]
-            assert result.projection2[image] == SWAP_B.perm_a[j]
-
-    def test_diagonal_component(self):
-        result = fiber_product(SWAP_A, SWAP_A)
-        diagonal = [
-            index
-            for index in range(4)
-            if result.projection1[index] == result.projection2[index]
+        # A map commuting with both permutations has an image closed under
+        # them, so every map the check accepts is onto the connected base.
+        graphs = [
+            from_subgroup(table, colored)
+            for k in range(1, 4)
+            for table in enumerate_subgroups(k)
+            for colored in (frozenset(), frozenset({0}))
         ]
-        components = result.product.components()
-        assert tuple(sorted(diagonal)) in {tuple(sorted(c)) for c in components}
+        accepted = 0
+        for cover in graphs:
+            for base in graphs:
+                for m in product(range(base.vertex_count), repeat=cover.vertex_count):
+                    if check_cover(cover, base, m):
+                        accepted += 1
+                        assert set(m) == set(range(base.vertex_count))
+        assert accepted > len(graphs)
+
+
+def _fiber_product(g1, g2):
+    """Pairs (i, j) in encoded order i * |V2| + j, and the coordinatewise a- and b-rows."""
+    n2 = g2.vertex_count
+    pairs = [(i, j) for i in range(g1.vertex_count) for j in range(n2)]
+    perm_a = tuple(g1.perm_a[i] * n2 + g2.perm_a[j] for i, j in pairs)
+    perm_b = tuple(g1.perm_b[i] * n2 + g2.perm_b[j] for i, j in pairs)
+    return pairs, perm_a, perm_b
 
 
 def _reference_decision(g1, g2):
     """The decision read off the whole fiber product: its first consistent component."""
-    fp = fiber_product(g1, g2)
-    for component in fp.components:
-        if not all(
-            (fp.projection1[x] in g1.colored) == (fp.projection2[x] in g2.colored)
-            for x in component
-        ):
+    pairs, perm_a, perm_b = _fiber_product(g1, g2)
+    for component in _orbits(perm_a, perm_b):
+        if not all((pairs[x][0] in g1.colored) == (pairs[x][1] in g2.colored) for x in component):
             continue
         index = {old: new for new, old in enumerate(component)}
         witness = DecoratedGraph(
             len(component),
-            tuple(index[fp.product.perm_a[old]] for old in component),
-            tuple(index[fp.product.perm_b[old]] for old in component),
-            frozenset(index[old] for old in component if fp.projection1[old] in g1.colored),
+            tuple(index[perm_a[old]] for old in component),
+            tuple(index[perm_b[old]] for old in component),
+            frozenset(index[old] for old in component if pairs[old][0] in g1.colored),
         )
-        map1 = tuple(fp.projection1[old] for old in component)
-        map2 = tuple(fp.projection2[old] for old in component)
+        map1 = tuple(pairs[old][0] for old in component)
+        map2 = tuple(pairs[old][1] for old in component)
         return CommonCoverDecision(True, witness, map1, map2)
     return CommonCoverDecision(False)
 
 
-@st.composite
-def colored_graphs(draw, max_degree=6, connected=True):
-    """A permutation pair with no, some, or all vertices colored.
-
-    Connected unless connected=False is passed.
-    """
-    n = draw(st.integers(min_value=1, max_value=max_degree))
-    perm_a = draw(st.permutations(range(n)))
-    perm_b = draw(st.permutations(range(n)))
-    colored = draw(
-        st.one_of(
-            st.just(frozenset()),
-            st.frozensets(st.integers(min_value=0, max_value=n - 1)),
-            st.just(frozenset(range(n))),
-        )
-    )
-    graph = DecoratedGraph(n, perm_a, perm_b, colored)
-    assume(not connected or graph.is_connected())
-    return graph
+def colored_graphs(max_degree=6):
+    """A graph of degree 1..max_degree with an empty, partial or full coloring."""
+    return st.integers(min_value=1, max_value=max_degree).flatmap(any_graphs)
 
 
 @st.composite
@@ -437,7 +390,8 @@ class TestCommonCoverDecision:
     def test_uncolored_pair_takes_the_origin_component(self):
         uncolored = DecoratedGraph(2, (1, 0), (0, 1), frozenset())
         # The product's a-steps pair (0, 0) with (1, 1) and (0, 1) with (1, 0).
-        assert fiber_product(uncolored, uncolored).components == ((0, 3), (1, 2))
+        _, perm_a, perm_b = _fiber_product(uncolored, uncolored)
+        assert _orbits(perm_a, perm_b) == [(0, 3), (1, 2)]
         decision = has_common_decorated_cover(uncolored, uncolored)
         assert decision.witness == uncolored
         assert (decision.witness_map1, decision.witness_map2) == ((0, 1), (0, 1))
@@ -466,9 +420,9 @@ class TestCommonCoverDecision:
         assert has_common_decorated_cover(g1, g2).has_cover
 
     def test_disconnected_input_rejected(self):
-        disconnected = DecoratedGraph(2, (0, 1), (0, 1), frozenset())
-        with pytest.raises(ValueError):
-            has_common_decorated_cover(disconnected, SWAP_A)
+        # The decision takes connected graphs, and no other graph can be built.
+        with pytest.raises(ValueError, match="does not act transitively"):
+            DecoratedGraph(2, (0, 1), (0, 1), frozenset())
 
     def test_decisions_never_consult_canonical_keys(self, monkeypatch):
         # The cover decision and the separating word decide every pair of
@@ -594,7 +548,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="differs from the text the writer gives"):
             graph_from_text(text)
 
-    @given(colored_graphs(max_degree=8, connected=False))
+    @given(colored_graphs(max_degree=8))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, graph):
         assert graph_from_text(graph_to_text(graph)) == graph

@@ -74,12 +74,16 @@ class TestEpsilonInvariants:
         assert epsilon_q_at(13, 4, 5) == 1
         assert epsilon_q_at(25, 4, 5) == 1  # even valuation cancels
 
-    def test_q_closed_form_usage(self):
-        value, method = epsilon_q_at(5, 4, 5, detail=True)
-        assert value == -1 and method == "closed_form"
-        # At p = 3 the closed form's congruence conditions fail.
-        value, method = epsilon_q_at(5, 4, 3, detail=True)
-        assert method == "generic"
+    def test_q_closed_form_usage(self, monkeypatch):
+        # A class-count product forced to the wrong value is caught where the
+        # closed form applies (p = 5) and returned unchecked where its
+        # congruence conditions fail (p = 3, where (-1|3) = -1).
+        true_value = epsilon_q_at(5, 4, 3)
+        product = form_families._class_product
+        monkeypatch.setattr(form_families, "_class_product", lambda c, place: -product(c, place))
+        with pytest.raises(RuntimeError, match="generic product"):
+            epsilon_q_at(5, 4, 5)
+        assert epsilon_q_at(5, 4, 3) == -true_value
 
     def test_r_values_and_root_independence(self):
         assert epsilon_r_at(17, 4, 17, 6) == -1

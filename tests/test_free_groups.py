@@ -142,7 +142,9 @@ class TestSubgroupTable:
     def test_accepts_exactly_the_transitive_pairs(self, pair):
         perm_a, perm_b = pair
         n = len(perm_a)
-        orbit, _ = _bfs(DecoratedGraph(n, perm_a, perm_b, frozenset()).steps(), 0)
+        # All four letters, where the constructor steps forward only.
+        inverse_a, inverse_b = (tuple(sorted(range(n), key=p.__getitem__)) for p in pair)
+        orbit, _ = _bfs((perm_a, inverse_a, perm_b, inverse_b), 0)
         if len(orbit) == n:
             table = subgroup_table(n, perm_a, perm_b)
             assert (table.perm_a, table.perm_b) == (tuple(perm_a), tuple(perm_b))
