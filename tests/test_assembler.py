@@ -628,6 +628,15 @@ class TestMalformedDocuments:
             with pytest.raises(ValueError, match="colored vertices must be vertices"):
                 descriptor_from_json(_dumps(document), given_parcel)
 
+    @pytest.mark.parametrize("count", [True, 1.0], ids=["bool", "float"])
+    def test_vertex_count_is_an_int(self, parcel, count):
+        # Equal to the vertex count 1; the writer would spell them True and 1.0.
+        document = _document(DecoratedGraph(1, (0,), (0,), {0}), parcel)
+        document["graph"]["vertices"] = count
+        for given_parcel in (None, parcel):
+            with pytest.raises(ValueError, match="degree must be an int"):
+                descriptor_from_json(_dumps(document), given_parcel)
+
     def test_each_is_a_value_error(self, parcel):
         for what, text in _malformed_documents(parcel):
             try:

@@ -73,6 +73,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="does not act transitively"):
             DecoratedGraph(3, (1, 0, 2), (0, 1, 2), frozenset({2}))
 
+    @pytest.mark.parametrize(
+        "args",
+        [(True, (0,), (0,), {0}), (2.0, (1, 0), (0, 1), {0})],
+        ids=["bool", "float"],
+    )
+    def test_vertex_count_is_an_int(self, args):
+        # True == 1 and 2.0 == 2, yet graph_to_text and descriptor_to_json
+        # would write them as True and 2.0, neither of them JSON.
+        with pytest.raises(ValueError, match="degree must be an int"):
+            DecoratedGraph(*args)
+
     @pytest.mark.parametrize("vertex", [1.0, True], ids=["float", "bool"])
     def test_colored_vertices_are_ints(self, vertex):
         # Equal to the vertex 1, yet the writers would spell them 1.0 and True.

@@ -1,3 +1,4 @@
+import gc
 from itertools import permutations, product
 
 import pytest
@@ -95,8 +96,8 @@ class TestCounts:
             # One coloring set serves the whole enumeration.
             assert t.colored is tables[0].colored
         assert len({t.canonical_key() for t in tables}) == len(tables)
-        # The stored facts take no part in equality or hashing: a table whose
-        # key and connectivity are stored equals a fresh copy.
+        # The stored key takes no part in equality or hashing: a table whose
+        # key is stored equals a fresh copy.
         fresh = DecoratedGraph(k, t.perm_a, t.perm_b, frozenset({0}))
         assert t == fresh and hash(t) == hash(fresh)
         parcel = default_parcel(4, compact=False)
@@ -113,6 +114,37 @@ class TestCounts:
             enumerate_subgroups(MAX_INDEX + 1)
         with pytest.raises(ValueError):
             enumerate_subgroups(0)
+
+    @pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
+    def test_index_is_an_int(self, k):
+        # True would give a table whose vertex count is written out as True.
+        with pytest.raises(ValueError, match="index must be an int"):
+            enumerate_subgroups(k)
+
+    @pytest.mark.parametrize("k", range(1, MAX_INDEX + 1))
+    def test_rows_are_shared(self, k):
+        tables = enumerate_subgroups(k)
+        rows = [row for t in tables for row in (t.perm_a, t.perm_b)]
+        # One object per distinct value, a-rows and b-rows alike.
+        assert len({id(row) for row in rows}) == len(set(rows))
+        for t in tables:
+            key = t.canonical_key()
+            assert key[0][1] is t.perm_a and key[0][2] is t.perm_b
+        if k == MAX_INDEX:
+            assert len({t.perm_a for t in tables}) == 354
+            assert len({t.perm_b for t in tables}) == 1180
+            assert len(set(rows)) == 1216
+
+    def test_tables_leave_no_cyclic_garbage(self):
+        # Freed by reference counting alone once the caller drops them.
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(1, MAX_INDEX + 1):
+                assert len(enumerate_subgroups(k)) == hall_count(k)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSubgroupTable:

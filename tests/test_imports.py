@@ -6,7 +6,9 @@ leaving an orphaned import or a stale export behind.  volcount/__init__.py
 is exempt from the import check: it imports names only to re-export them.
 A name that appears only in __all__ counts as unused, so re-exports stay in
 __init__.py.  No module reaches into free_groups' private names, so the
-permutation-pair representation stays behind that one module.
+permutation-pair representation stays behind that one module.  No nested
+function calls itself: a recursive closure is a reference cycle, so what it
+reaches outlives its call until the cyclic collector runs.
 """
 
 import ast
@@ -120,3 +122,52 @@ def test_private_import_checker_flags_only_that_module():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_private_names_from_free_groups(path):
     assert private_imports(path.read_text(encoding="utf-8"), "free_groups") == []
+
+
+def recursive_closures(source: str) -> list[str]:
+    """The functions nested in a function that refer to their own name, as
+    dotted paths from the module, in sorted order."""
+    found = []
+    # An explicit stack of (node, dotted path, inside a function), so the
+    # walk is no recursive closure itself.
+    stack = [(ast.parse(source), "", False)]
+    while stack:
+        node, path, nested = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                child_path = f"{path}.{child.name}".lstrip(".")
+                is_class = isinstance(child, ast.ClassDef)
+                if nested and not is_class and any(
+                    isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)
+                ):
+                    found.append(child_path)
+                stack.append((child, child_path, nested or not is_class))
+            else:
+                stack.append((child, path, nested))
+    return sorted(found)
+
+
+def test_recursive_closure_checker_flags_only_nested_self_references():
+    source = (
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else 0\n"
+        "def outer(xs):\n"
+        "    def fill(i):\n"
+        "        if i:\n"
+        "            fill(i - 1)\n"
+        "    def helper(i):\n"
+        "        return walk(i)\n"
+        "    fill(3)\n"
+        "    return helper\n"
+        "class K:\n"
+        "    def method(self):\n"
+        "        def visit(node):\n"
+        "            return [visit(c) for c in node]\n"
+        "        return visit([])\n"
+    )
+    assert recursive_closures(source) == ["K.method.visit", "outer.fill"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.stem)
+def test_no_recursive_closures(path):
+    assert recursive_closures(path.read_text(encoding="utf-8")) == []
