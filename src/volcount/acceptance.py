@@ -147,7 +147,7 @@ _HILBERT_PLACES = (REAL, DYADIC, odd_place(3), odd_place(5), odd_place(7), odd_p
 def _criterion_hilbert_suite() -> str:
     rng = random.Random(1003)
     for place in _HILBERT_PLACES:
-        scale = place.prime if place.kind != "real" else None
+        scale = place.prime  # None at the real place
         for _ in range(1000):
             a = _random_nonzero_fraction(rng, scale)
             a2 = _random_nonzero_fraction(rng, scale)
@@ -230,7 +230,7 @@ def _criterion_subgroup_counts() -> str:
         # Enumerated tables are built unchecked; each must pass the checks.
         for t in tables:
             subgroup_table(t.vertex_count, t.perm_a, t.perm_b)
-            assert t.canonical_key() == ((k, t.perm_a, t.perm_b, (0,)),), t
+            assert t.canonical_key() == (k, t.perm_a, t.perm_b, (0,)), t
     for k in range(1, 41):
         assert hall_count(k) ** 2 >= k**k, k
     return f"a_1..a_6 = {expected} by both routes; a_k^2 >= k^k up to k = 40"

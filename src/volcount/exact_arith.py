@@ -35,14 +35,21 @@ class PrimalityRangeError(ValueError):
     """
 
 
+def _require_int(x) -> None:
+    # The one check of every int argument: True and 7.0 equal ints but are refused.
+    if type(x) is not int:
+        raise ValueError(f"expected an int, got {x!r}")
+
+
 # Legendre symbols and valuations re-test the same few primes over and over,
 # while a prime search tests each candidate once: a small bounded memo keeps
-# the former and lets the latter pass through.  typed=True keeps a float from
-# being answered from an int's entry; an error is never cached, so an input
-# outside the certified range raises on every call.
+# the former and lets the latter pass through.  typed=True keeps True and 7.0
+# from being answered from an int's entry, so they reach the int check; an
+# error is never cached, so a refused input raises on every call.
 @lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < psi_12 (about 3.2 * 10**23)."""
+    _require_int(n)
     if n >= _PRIMALITY_BOUND:
         raise PrimalityRangeError(
             f"primality test is certified only below psi_12 = {_PRIMALITY_BOUND}, got {n}"
@@ -71,8 +78,9 @@ def is_prime(n: int) -> bool:
 
 
 def _require_odd_prime(p: int) -> None:
-    # An int first: a float would pass is_prime and fail later inside pow.
-    if not isinstance(p, int) or p == 2 or not is_prime(p):
+    # An int first, so that is_prime never sees a look-alike and the message
+    # names the prime.
+    if type(p) is not int or p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 
 
@@ -82,6 +90,7 @@ def legendre_symbol(u: int, p: int) -> int:
     Requires an odd prime p; returns 0 exactly when p divides u.
     """
     _require_odd_prime(p)
+    _require_int(u)
     return _euler_criterion(u, p)
 
 
@@ -100,6 +109,7 @@ def sqrt_mod(u: int, p: int) -> int | None:
     0 when p divides u.  Every result is re-multiplied as a self-check.
     """
     _require_odd_prime(p)
+    _require_int(u)
     u %= p
     if u == 0:
         return 0
@@ -143,6 +153,7 @@ def factor_int(n: int) -> dict[int, int]:
     parameters, criterion 3's fractions and coefficient products, none past a
     few million; at or above _FACTOR_BOUND it raises PrimalityRangeError.
     """
+    _require_int(n)
     if n == 0:
         raise ValueError("0 has no factorization")
     n = abs(n)

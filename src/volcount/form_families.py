@@ -35,7 +35,6 @@ from math import isqrt
 
 from .exact_arith import (
     _euler_criterion,
-    _strip_prime,
     factor_int,
     is_prime,
     is_square_rational,
@@ -43,7 +42,7 @@ from .exact_arith import (
     sqrt_mod,
     squarefree_part,
 )
-from .local_invariants import Place, _class_product, odd_place
+from .local_invariants import Place, _class_product, _odd_class, odd_place
 
 # First six members of each prime family; the searches below regenerate them
 # and the selftest verifies the match.
@@ -92,14 +91,14 @@ def make_r(a: int, n: int) -> FamilyForm:
 
 
 def _member_epsilon(a: int, n: int, place: Place, last: int) -> tuple[int, int]:
-    # v_p(a) and the Hasse-Witt invariant of (a, 1, ..., 1, last), last a unit at
-    # the odd place, from its class counts: the unit class (0, 1) n - 1 times.
+    # v_p(a) mod 2 and the Hasse-Witt invariant of (a, 1, ..., 1, last) at the
+    # odd place, from its class counts: the unit class (0, 1) n - 1 times.
     p = place.prime
-    m, unit, _ = _strip_prime(a, 1, p)
+    a_class = _odd_class(a, p)
     counts = {(0, 1): n - 1}
-    for c in ((m % 2, _euler_criterion(unit, p)), (0, _euler_criterion(last, p))):
+    for c in (a_class, _odd_class(last, p)):
         counts[c] = counts.get(c, 0) + 1
-    return m, _class_product(counts, place)
+    return a_class[0], _class_product(counts, place)
 
 
 def epsilon_q_at(a: int, n: int, p: int) -> int:
@@ -110,9 +109,9 @@ def epsilon_q_at(a: int, n: int, p: int) -> int:
     and the two must agree whenever the closed form applies.
     """
     _check_member_parameters(a, n)
-    m, generic = _member_epsilon(a, n, odd_place(p), -2)
+    parity, generic = _member_epsilon(a, n, odd_place(p), -2)
     if _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1:
-        closed = -1 if m % 2 else 1
+        closed = -1 if parity else 1
         if closed != generic:
             raise RuntimeError(
                 f"closed form {closed} disagrees with the generic product {generic} "
@@ -137,8 +136,8 @@ def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
     _check_member_parameters(a, n)
     # sqrt(2) is a unit at a split odd prime (its square 2 is prime to p)
     # with residue root, so -sqrt(2) embeds as the unit -root.
-    m, generic = _member_epsilon(a, n, odd_place(p), -root)
-    closed = _euler_criterion(root, p) if m % 2 else 1
+    parity, generic = _member_epsilon(a, n, odd_place(p), -root)
+    closed = _euler_criterion(root, p) if parity else 1
     if closed != generic:
         raise RuntimeError(
             f"closed form {closed} disagrees with the embedded product {generic} "

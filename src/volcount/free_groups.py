@@ -179,7 +179,15 @@ class DecoratedGraph:
         """Equal for two graphs exactly when they are isomorphic (module docstring)."""
         key = self._canonical_key
         if key is None:
-            key = (_component_key(self),)
+            # Anchored at the smaller non-empty color class.
+            colored = self.colored
+            plain = self.vertex_count - len(colored)
+            if not colored or plain and len(colored) > plain:
+                anchors = [v for v in range(self.vertex_count) if v not in colored]
+            else:
+                anchors = colored
+            steps = self.steps()
+            key = min([_anchored_encoding(self, *_bfs(steps, v)) for v in anchors])
             object.__setattr__(self, "_canonical_key", key)
         return key
 
@@ -192,18 +200,6 @@ def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int,
     colored = graph.colored
     marks = tuple([new for new, v in enumerate(order) if v in colored])
     return (len(order), perm_a, perm_b, marks)
-
-
-def _component_key(graph: DecoratedGraph):
-    """Least anchored encoding over the smaller non-empty color class."""
-    colored = graph.colored
-    plain = graph.vertex_count - len(colored)
-    if not colored or plain and len(colored) > plain:
-        anchors = [v for v in range(graph.vertex_count) if v not in colored]
-    else:
-        anchors = colored
-    steps = graph.steps()
-    return min([_anchored_encoding(graph, *_bfs(steps, v)) for v in anchors])
 
 
 def subgroup_table(degree: int, perm_a, perm_b) -> DecoratedGraph:
@@ -292,7 +288,8 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        if any(letter not in (0, 1, 2, 3) for letter in self.letters):
+        # Ints only: 1.0 and True equal letter codes.
+        if any(type(letter) is not int or not 0 <= letter <= 3 for letter in self.letters):
             raise ValueError(f"invalid letter codes in {self.letters!r}")
 
     @classmethod

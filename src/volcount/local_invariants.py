@@ -29,6 +29,11 @@ classes, at a cost that does not grow with the rank:
 
 A class is (v mod 2, (u|p)) at an odd prime, (v mod 2, u mod 8) at 2, and
 the sign at the real place.
+
+Each kind of place has one kernel: its square-class function, its symbol on
+two classes, and its class of squares, against which every symbol is 1.
+hilbert and hasse_witt look the kernel up once, by the place's kind, and
+pass it the place's prime.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exact_arith import (
     Rational,
@@ -93,11 +98,13 @@ def _nonzero_terms(x) -> tuple[int, int]:
     return num, x.denominator
 
 
-def hilbert_real(a: Rational, b: Rational) -> int:
-    """(a, b) at the real place: -1 iff both arguments are negative."""
-    a_num, _ = _nonzero_terms(a)
-    b_num, _ = _nonzero_terms(b)
-    return -1 if a_num < 0 and b_num < 0 else 1
+def _real_class(x: Rational, _prime: None) -> int:
+    # The sign of x.
+    return -1 if _nonzero_terms(x)[0] < 0 else 1
+
+
+def _real_symbol(c: int, d: int, _prime: None) -> int:
+    return -1 if c < 0 and d < 0 else 1
 
 
 def _odd_class(x: Rational, p: int) -> tuple[int, int]:
@@ -107,52 +114,45 @@ def _odd_class(x: Rational, p: int) -> tuple[int, int]:
     return m % 2, _euler_criterion(num * den, p)
 
 
-def hilbert_odd_p(a: Rational, b: Rational, p: int) -> int:
-    """(a, b) at an odd prime p via the valuation/Legendre formula."""
-    _require_odd_prime(p)
-    return hilbert_odd_from_parts(*_odd_class(a, p), *_odd_class(b, p), p)
+def _odd_symbol(c: tuple[int, int], d: tuple[int, int], p: int) -> int:
+    # (p^n u, p^m v)_p from the classes (n, (u|p)) and (m, (v|p)).
+    (n, legendre_u), (m, legendre_v) = c, d
+    return (_euler_criterion(-1, p) if n and m else 1) * legendre_u**m * legendre_v**n
 
 
-def hilbert_odd_from_parts(n: int, legendre_u: int, m: int, legendre_v: int, p: int) -> int:
-    """(p^n u, p^m v)_p from the valuations and the units' Legendre symbols,
-    at an odd prime p the caller has validated."""
-    result = 1
-    if n % 2 and m % 2:
-        result *= _euler_criterion(-1, p)
-    if m % 2:
-        result *= legendre_u
-    if n % 2:
-        result *= legendre_v
-    return result
-
-
-def _dyadic_class(x: Rational) -> tuple[int, int]:
-    # The square class (v_2(x) mod 2, u mod 8) of x = 2^v * u with u a 2-adic unit.
-    m, num, den = _strip_prime(*_nonzero_terms(x), 2)
+def _dyadic_class(x: Rational, p: int) -> tuple[int, int]:
+    # The square class (v_2(x) mod 2, u mod 8) of x = 2^v * u with u a 2-adic
+    # unit; p is the dyadic place's prime 2.
+    m, num, den = _strip_prime(*_nonzero_terms(x), p)
     return m % 2, num * den % 8
 
 
-def _dyadic_from_parts(x: tuple[int, int], y: tuple[int, int]) -> int:
-    (n, u), (m, v) = x, y
+def _dyadic_symbol(c: tuple[int, int], d: tuple[int, int], _prime: int) -> int:
+    (n, u), (m, v) = c, d
     eps_u, eps_v = (u % 4 == 3), (v % 4 == 3)
     omega_u, omega_v = (u in (3, 5)), (v in (3, 5))
     exponent = (eps_u and eps_v) + n * omega_v + m * omega_u
     return -1 if exponent % 2 else 1
 
 
-def hilbert_dyadic(a: Rational, b: Rational) -> int:
-    """(a, b) at the dyadic place via the eps/omega unit formula."""
-    return _dyadic_from_parts(_dyadic_class(a), _dyadic_class(b))
+class _Kernel(NamedTuple):
+    square_class: Callable  # (x, prime) -> the square class of a nonzero rational x
+    symbol: Callable  # (class, class, prime) -> the Hilbert symbol of two classes
+    squares: object  # the class of squares
+
+
+_KERNELS = {
+    "real": _Kernel(_real_class, _real_symbol, 1),
+    "dyadic": _Kernel(_dyadic_class, _dyadic_symbol, (0, 1)),
+    "odd_prime": _Kernel(_odd_class, _odd_symbol, (0, 1)),
+}
 
 
 def hilbert(a: Rational, b: Rational, place: Place) -> int:
     """Hilbert symbol (a, b) at the given place of Q."""
-    if place.kind == "real":
-        return hilbert_real(a, b)
-    if place.kind == "dyadic":
-        return hilbert_dyadic(a, b)
+    square_class, symbol, _ = _KERNELS[place.kind]
     p = place.prime
-    return hilbert_odd_from_parts(*_odd_class(a, p), *_odd_class(b, p), p)
+    return symbol(square_class(a, p), square_class(b, p), p)
 
 
 def _coefficients_of(coefficients) -> tuple[Rational | int, ...]:
@@ -169,25 +169,20 @@ def _class_product(counts: Mapping, place: Place) -> int:
     """The module docstring's class-count product over {class: m_c}, each class once.
 
     Only symbols with an odd exponent are evaluated: (c, c) when m_c = 2 or 3
-    (mod 4), and (c, d) when m_c and m_d are both odd.  The class of squares,
-    (0, 1) at a prime and +1 at the real place, is skipped: every symbol
-    against it is 1.
+    (mod 4), and (c, d) when m_c and m_d are both odd.  The class of squares
+    is skipped: every symbol against it is 1.
     """
-    if place.kind == "odd_prime":
-        p = place.prime
-        symbol = lambda c, d: hilbert_odd_from_parts(*c, *d, p)  # noqa: E731
-    else:
-        symbol = _dyadic_from_parts if place.kind == "dyadic" else hilbert_real
-    squares = 1 if place.kind == "real" else (0, 1)
+    _, symbol, squares = _KERNELS[place.kind]
+    p = place.prime
     result, odd_classes = 1, []
     for c, m in counts.items():
         if c == squares:
             continue
         if m & 2:
-            result *= symbol(c, c)
+            result *= symbol(c, c, p)
         if m & 1:
             for d in odd_classes:
-                result *= symbol(d, c)
+                result *= symbol(d, c, p)
             odd_classes.append(c)
     return result
 
@@ -195,14 +190,9 @@ def _class_product(counts: Mapping, place: Place) -> int:
 def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
     """Product of hilbert(a_i, a_j, place) over index pairs i < j, 1 at rank 1,
     taken over the counts of the coefficients' square classes."""
+    square_class, p = _KERNELS[place.kind].square_class, place.prime
     coeffs = _coefficients_of(coefficients)
-    if place.kind == "odd_prime":
-        classes = Counter(_odd_class(c, place.prime) for c in coeffs)
-    elif place.kind == "dyadic":
-        classes = Counter(map(_dyadic_class, coeffs))
-    else:
-        classes = Counter(1 if c > 0 else -1 for c in coeffs)
-    return _class_product(classes, place)
+    return _class_product(Counter([square_class(c, p) for c in coeffs]), place)
 
 
 def discriminant_class(coefficients: Sequence[Rational]) -> int:

@@ -248,19 +248,19 @@ class TestCanonicalKey:
 
     def test_tie_anchors_on_the_colored_class(self):
         # One colored and one plain vertex: the key is anchored at vertex 0.
-        assert SWAP_A.canonical_key() == ((2, (1, 0), (0, 1), (0,)),)
+        assert SWAP_A.canonical_key() == (2, (1, 0), (0, 1), (0,))
         assert relabeled(SWAP_A, (1, 0)).canonical_key() == SWAP_A.canonical_key()
         # A 4-cycle under a, colored at 0 and 1.  Discovery from 0 runs
         # 0, 1, 3, 2 and from 1 runs 1, 2, 0, 3, so the colored labels are
         # (0, 1) and (0, 2); from a plain anchor label 0 is never colored.
         cycle = DecoratedGraph(4, (1, 2, 3, 0), (0, 1, 2, 3), frozenset({0, 1}))
-        assert cycle.canonical_key() == ((4, (1, 3, 0, 2), (0, 1, 2, 3), (0, 1)),)
+        assert cycle.canonical_key() == (4, (1, 3, 0, 2), (0, 1, 2, 3), (0, 1))
 
     def test_basepoint_colored_schreier_graphs_share_the_table(self):
         for k in range(1, 6):
             for table in enumerate_subgroups(k):
                 graph = from_subgroup(table, frozenset({0}))
-                ((size, perm_a, perm_b, colored),) = graph.canonical_key()
+                size, perm_a, perm_b, colored = graph.canonical_key()
                 assert (size, perm_a, perm_b, colored) == (k, table.perm_a, table.perm_b, (0,))
                 assert perm_a is graph.perm_a and perm_b is graph.perm_b
 

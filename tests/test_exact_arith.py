@@ -52,16 +52,43 @@ class TestPrimality:
 
     def test_memo_is_bounded_and_typed(self):
         assert is_prime.cache_info().maxsize is not None
-        # A float is never answered from an int's entry: 41.0 still reaches
-        # the modular exponentiation, which rejects it, as it did unmemoized.
+        # A float is never answered from an int's entry: 41.0 reaches the
+        # int check and is refused.
         assert is_prime(41)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="expected an int, got 41.0"):
             is_prime(41.0)
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_matches_trial_division(self, n):
         by_trial = all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_prime(n) == by_trial
+
+
+# Each int argument of each entry point, given a bool or a float equal to an int.
+INT_LOOK_ALIKES = [
+    (is_prime, (7.0,)),
+    (is_prime, (True,)),
+    (factor_int, (12.0,)),
+    (factor_int, (True,)),
+    (legendre_symbol, (True, 7)),
+    (legendre_symbol, (2.0, 7)),
+    (legendre_symbol, (2, 7.0)),
+    (sqrt_mod, (2.0, 7)),
+    (sqrt_mod, (True, 7)),
+    (sqrt_mod, (2, True)),
+    (padic_valuation, (12, 3.0)),
+    (padic_valuation, (12, True)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args", INT_LOOK_ALIKES, ids=lambda x: getattr(x, "__name__", None) or repr(x)
+)
+def test_int_arguments_refuse_look_alikes(function, args):
+    # Twice, so a refusal is seen not to be cached.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"expected an int, got|is not an odd prime"):
+            function(*args)
 
 
 class TestLegendreAndSqrt:

@@ -186,14 +186,9 @@ class TestCertificates:
         # n = 10**6 evaluates exactly the symbols it evaluates at n = 4: the
         # two agree mod 4, so every exponent C(m, 2) and m * k of the class
         # counts has the same parity at both.
-        evaluated = []
-        symbol = local_invariants.hilbert_odd_from_parts
-
-        def counting(*args):
-            evaluated.append(args)
-            return symbol(*args)
-
-        monkeypatch.setattr(local_invariants, "hilbert_odd_from_parts", counting)
+        kernel, evaluated = local_invariants._KERNELS["odd_prime"], []
+        counting = kernel._replace(symbol=lambda *args: evaluated.append(args) or kernel.symbol(*args))
+        monkeypatch.setitem(local_invariants._KERNELS, "odd_prime", counting)
         runs = {}
         for n in (4, 10**6):
             for make, (a1, a2) in ((make_q, (5, 13)), (make_r, (17, 41))):

@@ -91,7 +91,7 @@ class TestCounts:
         assert len(tables) == hall_count(k)
         for t in tables:
             assert subgroup_table(t.vertex_count, t.perm_a, t.perm_b) == t
-            assert t.canonical_key() == ((k, t.perm_a, t.perm_b, (0,)),)
+            assert t.canonical_key() == (k, t.perm_a, t.perm_b, (0,))
             assert not hasattr(t, "__dict__")
             # One coloring set serves the whole enumeration.
             assert t.colored is tables[0].colored
@@ -129,7 +129,7 @@ class TestCounts:
         assert len({id(row) for row in rows}) == len(set(rows))
         for t in tables:
             key = t.canonical_key()
-            assert key[0][1] is t.perm_a and key[0][2] is t.perm_b
+            assert key[1] is t.perm_a and key[2] is t.perm_b
         if k == MAX_INDEX:
             assert len({t.perm_a for t in tables}) == 354
             assert len({t.perm_b for t in tables}) == 1180
@@ -219,6 +219,13 @@ class TestWords:
     def test_invalid_letters_rejected(self):
         with pytest.raises(ValueError):
             Word.from_string("ax")
+
+    def test_letters_that_only_equal_codes_are_refused(self):
+        # 1.0 once built a word that str() could not print, and True one
+        # equal to Word((1,)).
+        for letters in ((1.0,), (True,), (0, 2.0)):
+            with pytest.raises(ValueError, match="invalid letter codes"):
+                Word(letters)
 
     def test_tracing(self):
         # Index-2 subgroup where a swaps the cosets and b fixes them.

@@ -21,9 +21,6 @@ from volcount.local_invariants import (
     discriminant_class,
     hasse_witt,
     hilbert,
-    hilbert_dyadic,
-    hilbert_odd_p,
-    hilbert_real,
     odd_place,
 )
 
@@ -140,20 +137,20 @@ def dyadic_solvability_oracle(a: Fraction, b: Fraction) -> int:
 
 class TestHilbertFrozenValues:
     def test_real(self):
-        assert hilbert_real(Fraction(-1), Fraction(-1)) == -1
-        assert hilbert_real(Fraction(-1), Fraction(2)) == 1
-        assert hilbert_real(Fraction(3), Fraction(5)) == 1
+        assert hilbert(Fraction(-1), Fraction(-1), REAL) == -1
+        assert hilbert(Fraction(-1), Fraction(2), REAL) == 1
+        assert hilbert(Fraction(3), Fraction(5), REAL) == 1
 
     def test_dyadic(self):
-        assert hilbert_dyadic(Fraction(-1), Fraction(-1)) == -1
-        assert hilbert_dyadic(Fraction(2), Fraction(7)) == 1
-        assert hilbert_dyadic(Fraction(2), Fraction(5)) == -1
-        assert hilbert_dyadic(Fraction(1, 2), Fraction(1, 2)) == 1
+        assert hilbert(Fraction(-1), Fraction(-1), DYADIC) == -1
+        assert hilbert(Fraction(2), Fraction(7), DYADIC) == 1
+        assert hilbert(Fraction(2), Fraction(5), DYADIC) == -1
+        assert hilbert(Fraction(1, 2), Fraction(1, 2), DYADIC) == 1
 
     def test_odd(self):
-        assert hilbert_odd_p(Fraction(5), Fraction(-2), 5) == -1
-        assert hilbert_odd_p(Fraction(13), Fraction(-2), 5) == 1
-        assert hilbert_odd_p(Fraction(2), Fraction(3), 7) == 1
+        assert hilbert(Fraction(5), Fraction(-2), odd_place(5)) == -1
+        assert hilbert(Fraction(13), Fraction(-2), odd_place(5)) == 1
+        assert hilbert(Fraction(2), Fraction(3), odd_place(7)) == 1
 
     def test_dispatch(self):
         assert hilbert(Fraction(-1), Fraction(-1), REAL) == -1
@@ -180,7 +177,6 @@ class TestPlaces:
             lambda: legendre_symbol(2, 5.0),
             lambda: sqrt_mod(2, 17.0),
             lambda: odd_place(5.0),
-            lambda: hilbert_odd_p(2, 3, 5.0),
         ):
             with pytest.raises(ValueError, match="is not an odd prime"):
                 call()
@@ -191,14 +187,10 @@ class TestPlaces:
 
     def test_hand_built_place_is_validated_on_use(self):
         # A Place built without odd_place is checked when it is built, so the
-        # symbols never see a bad one; hilbert_odd_p takes a raw prime and
-        # checks it on every call, also when both valuations are odd.
-        for prime in (9, 2, None):
+        # symbols never see a bad one.
+        for prime in (9, 2, None, True):
             with pytest.raises(ValueError, match=f"{prime} is not an odd prime"):
                 Place("odd_prime", prime)
-        for a, b in ((1, 2), (9, 3)):
-            with pytest.raises(ValueError, match="9 is not an odd prime"):
-                hilbert_odd_p(a, b, 9)
         for prime in (3, None):
             with pytest.raises(ValueError, match="the dyadic place has prime 2"):
                 Place("dyadic", prime)
@@ -223,7 +215,7 @@ class TestHilbertProperties:
 
     @given(nonzero_fractions, nonzero_fractions)
     def test_dyadic_against_solvability(self, a, b):
-        assert hilbert_dyadic(a, b) == dyadic_solvability_oracle(a, b)
+        assert hilbert(a, b, DYADIC) == dyadic_solvability_oracle(a, b)
 
     def test_dyadic_oracle_on_unit_grid(self):
         # Exhaustive over odd units and their doubles, covering all valuation
@@ -232,7 +224,7 @@ class TestHilbertProperties:
         values += [2 * v for v in values[:8]]
         for a in values:
             for b in values:
-                assert hilbert_dyadic(a, b) == dyadic_solvability_oracle(a, b), (a, b)
+                assert hilbert(a, b, DYADIC) == dyadic_solvability_oracle(a, b), (a, b)
 
     @given(nonzero_fractions, nonzero_fractions)
     # psi_12 and psi_12 // 2 once failed this test: as an uncertified prime,
@@ -258,7 +250,7 @@ class TestHilbertProperties:
         a = Fraction(p - 1)
         if b.numerator % p == 0 or b.denominator % p == 0:
             return
-        assert hilbert_odd_p(a, b, p) == 1
+        assert hilbert(a, b, odd_place(p)) == 1
 
 
 ODD_PLACES = tuple(odd_place(p) for p in (3, 5, 7, 11, 13))
@@ -341,8 +333,9 @@ class TestHilbertAgainstReference:
 
     @pytest.mark.parametrize("p", (2, 9))
     def test_odd_symbol_rejects_non_odd_prime(self, p):
+        # The odd-prime symbol is reached only through a validated place.
         with pytest.raises(ValueError, match="not an odd prime"):
-            hilbert_odd_p(Fraction(3), 5, p)
+            hilbert(Fraction(3), 5, odd_place(p))
 
 
 class TestHasseWitt:
@@ -463,13 +456,9 @@ class TestClassCounts:
         base = [class_representative(place, c) for c in place_classes(place) if c != squares] * 3
         paddings = [[], [1], [4, Fraction(9, 4)], [1, 4, Fraction(9, 4)] * 3]
         expected = [pairwise_hasse_witt(base + padding, place) for padding in paddings]
-        symbol = {"real": "hilbert_real", "dyadic": "_dyadic_from_parts"}.get(
-            place.kind, "hilbert_odd_from_parts"
-        )
-        original, calls = getattr(local_invariants, symbol), []
-        monkeypatch.setattr(
-            local_invariants, symbol, lambda *args: calls.append(args) or original(*args)
-        )
+        kernel, calls = local_invariants._KERNELS[place.kind], []
+        counting = kernel._replace(symbol=lambda *args: calls.append(args) or kernel.symbol(*args))
+        monkeypatch.setitem(local_invariants._KERNELS, place.kind, counting)
         evaluated = []
         for padding, value in zip(paddings, expected):
             calls.clear()
