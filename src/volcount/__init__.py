@@ -9,7 +9,6 @@ graph-of-spaces assembly with a volume-budget counting bound.
 """
 
 from .assembler import (
-    BuildingBlock,
     CountReport,
     ManifoldDescriptor,
     Parcel,

@@ -1,14 +1,15 @@
 """Assembly of closed-manifold descriptors from decorated graphs.
 
-A parcel is a matched set of six building blocks, one per kind:
+A parcel is six pairwise non-commensurable members of one form family, the
+forms of its six block kinds:
 
     V1, V0     vertex blocks with 4 boundary slots (colored / plain vertices)
     A-, A+     the ordered pair of edge blocks for a-edges, 2 slots each
     B-, B+     the ordered pair for b-edges
 
-All six carry quadratic forms from one family and dimension, so their
-restrictions to the x_1 = 0 hyperplane coincide, and the parcel records a
-pairwise non-commensurability certificate for every pair of distinct blocks.
+One family and dimension means the restrictions to the x_1 = 0 hyperplane
+coincide, and the parcel computes a non-commensurability certificate for
+every pair of distinct blocks.
 
 Assembling a connected decorated graph with k vertices instantiates one
 vertex block per vertex (V1 when colored) and one minus/plus block pair per
@@ -35,14 +36,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import factorial, floor, isqrt, lcm
 
 from .decorated_graphs import DecoratedGraph, is_isomorphic
-from .form_families import NonCommensurabilityCertificate, certificate_matrix, family_members
+from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import Word, enumerate_subgroups, hall_count
 
 VERTEX_KINDS = ("V0", "V1")
@@ -59,95 +60,66 @@ def slots_for_kind(kind: str) -> int:
 
 
 @dataclass(frozen=True)
-class BuildingBlock:
-    """One block kind of a parcel: its form reference, volume, and compactness."""
-
-    kind: str
-    volume: Fraction
-    form_id: str
-    compact: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "volume", Fraction(self.volume))
-        if self.kind not in BLOCK_KINDS:
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.volume <= 0:
-            raise ValueError("block volumes must be positive")
-
-
-@dataclass(frozen=True)
 class Parcel:
-    """Six blocks (one per kind), their pairwise certificates, and shared data.
+    """Six pairwise non-commensurable members of one form family, one per block kind.
 
-    certificates[i][j] holds the non-commensurability certificate between the
-    forms of blocks i and j (indices in BLOCK_KINDS order), None on the
-    diagonal.  The six forms are members of one family in one dimension and
-    differ only in their parameter a, the coefficient of x_1, so their
-    restriction to x_1 = 0 depends only on (family, dimension): it is the
-    same for all six, which is what licenses mixed gluings.  The
-    construction of the block spaces themselves (choosing torsion-free
-    finite-level subgroups) is assumed, not computed, and listed in every
-    CommensurabilityVerdict.
+    forms[i] and volumes[i] belong to the block of kind BLOCK_KINDS[i].  The
+    forms share the family and dimension that compact and dimension report,
+    and differ only in the coefficient a of x_1, so their restriction to
+    x_1 = 0 is the same for all six: that licenses mixed gluings.  certificates[i][j]
+    is noncommensurability_certificate(forms[i], forms[j]), computed here; an
+    uncertified pair of distinct blocks is refused.  The block spaces
+    themselves (torsion-free finite-level subgroups) are assumed, not
+    computed, and listed in every CommensurabilityVerdict.
     """
 
     parcel_id: str
-    dimension: int
-    blocks: tuple[BuildingBlock, ...]
-    certificates: tuple
+    forms: tuple[FamilyForm, ...]
+    volumes: tuple[Fraction, ...] = (Fraction(1),) * 6
+    certificates: tuple = field(init=False, repr=False, compare=False)
+    max_volume: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.blocks) != 6:
-            raise ValueError("a parcel needs exactly six blocks")
-        kinds = tuple(block.kind for block in self.blocks)
-        if kinds != BLOCK_KINDS:
-            raise ValueError(f"blocks must come in kind order {BLOCK_KINDS}, got {kinds}")
-        if len({block.compact for block in self.blocks}) != 1:
-            raise ValueError("all blocks of a parcel must agree on compactness")
-        for i in range(6):
-            for j in range(6):
-                entry = self.certificates[i][j]
-                if i == j and entry is not None:
-                    raise ValueError("diagonal certificate entries must be None")
-                if i != j and not isinstance(entry, NonCommensurabilityCertificate):
-                    raise ValueError(
-                        f"missing certificate between blocks {i} and {j}"
-                    )
+        forms, volumes = tuple(self.forms), tuple(Fraction(v) for v in self.volumes)
+        if len(forms) != 6 or len(volumes) != 6:
+            raise ValueError("a parcel needs exactly six forms and six volumes")
+        if not all(isinstance(form, FamilyForm) for form in forms):
+            raise ValueError("the forms of a parcel must be FamilyForm values")
+        if min(volumes) <= 0:
+            raise ValueError("block volumes must be positive")
+        # Refuses mixed families and mixed dimensions with a ValueError.
+        certificates = certificate_matrix(forms)
+        if any(certificates[i][j] is None for i in range(6) for j in range(6) if i != j):
+            raise RuntimeError("parcel construction requires certified block pairs")
         # The volume terms every _total_volume and max_volume call reads:
         # the six block volumes as numerators over their common denominator.
-        volumes = [block.volume for block in self.blocks]
         common = lcm(*[volume.denominator for volume in volumes])
         scaled = tuple(volume.numerator * (common // volume.denominator) for volume in volumes)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "volumes", volumes)
+        object.__setattr__(self, "certificates", certificates)
         object.__setattr__(self, "_common_denominator", common)
         object.__setattr__(self, "_scaled_volumes", scaled)
-        object.__setattr__(self, "_max_volume", max(volumes))
+        object.__setattr__(self, "max_volume", max(volumes))
 
     @property
-    def max_volume(self) -> Fraction:
-        return self._max_volume
+    def dimension(self) -> int:
+        return self.forms[0].n
 
     @property
     def compact(self) -> bool:
-        return self.blocks[0].compact
+        return self.forms[0].compact
 
 
 def default_parcel(n: int, compact: bool) -> Parcel:
-    """Parcel of six certified blocks in dimension n.
+    """Parcel of a family's first six members in dimension n, all volumes 1.
 
     Non-compact: the isotropic family over Q at the first six primes
     p = 5 (mod 8).  Compact: the anisotropic family over Q(sqrt(2)) at the
-    first six primes p = 1 (mod 8) with 2 not a fourth power.  Either way
-    every pair gets a certificate, and all volumes default to 1.
+    first six primes p = 1 (mod 8) with 2 not a fourth power.
     """
-    tag = "anisotropic" if compact else "isotropic"
-    _, forms = family_members(tag, 6, n)
-    certificates = certificate_matrix(forms)
-    if any(certificates[i][j] is None for i in range(6) for j in range(6) if i != j):
-        raise RuntimeError("parcel construction requires certified block pairs")
-    blocks = tuple(
-        BuildingBlock(kind, Fraction(1), f"{form.family}_{form.a}", compact)
-        for kind, form in zip(BLOCK_KINDS, forms)
-    )
-    return Parcel(f"{tag}-n{n}", n, blocks, certificates)
+    family = family_name(compact)
+    return Parcel(f"{family}-n{n}", family_members(family, 6, n)[1])
 
 
 @dataclass(frozen=True)
@@ -482,6 +454,8 @@ def commensurability_verdict(
         "blocks glue along the shared boundary form",
         "torsion-free finite levels chosen for all blocks",
     )
+    if parcel.dimension < 4:
+        assumed += (f"dimension {parcel.dimension} lies below the paper's four and higher",)
     return CommensurabilityVerdict(same, tuple(checked), assumed)
 
 
@@ -580,7 +554,6 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
 
 __all__ = [
     "BLOCK_KINDS",
-    "BuildingBlock",
     "CommensurabilityVerdict",
     "CountReport",
     "ManifoldDescriptor",

@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .acceptance import run_all
@@ -40,12 +41,11 @@ from .assembler import (
 )
 from .decorated_graphs import graph_from_text, has_common_decorated_cover
 from .form_families import (
-    REFERENCE_ANISOTROPIC_PRIMES,
-    REFERENCE_ISOTROPIC_PRIMES,
+    FAMILY_NAMES,
     certificate_matrix,
     family_members,
-    search_primes_anisotropic,
-    search_primes_isotropic,
+    reference_primes,
+    search_primes,
 )
 from .free_groups import MAX_INDEX, distinguishing_word, enumerate_subgroups, hall_count
 
@@ -102,13 +102,13 @@ def _parser() -> argparse.ArgumentParser:
     verbs = parser.add_subparsers(dest="verb", required=True)
 
     primes = verbs.add_parser("primes", help="list family primes with conditions")
-    primes.add_argument("family", choices=("isotropic", "anisotropic"))
+    primes.add_argument("family", choices=FAMILY_NAMES)
     primes.add_argument("count", type=_positive_int)
     primes.add_argument("--verify", action="store_true", help="assert the frozen reference lists")
     primes.add_argument("--json", action="store_true")
 
     forms = verbs.add_parser("forms", help="certificate matrix for a form family")
-    forms.add_argument("family", choices=("isotropic", "anisotropic"))
+    forms.add_argument("family", choices=FAMILY_NAMES)
     forms.add_argument("--n", type=_dimension, default=4, help="dimension (rank n+1)")
     forms.add_argument("--count", type=_positive_int, default=6)
     forms.add_argument("--json", action="store_true")
@@ -142,43 +142,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_primes(args):
-    search = search_primes_isotropic if args.family == "isotropic" else search_primes_anisotropic
-    reference = (
-        REFERENCE_ISOTROPIC_PRIMES
-        if args.family == "isotropic"
-        else REFERENCE_ANISOTROPIC_PRIMES
-    )
-    reports = search(args.count)
+    reports = search_primes(args.family, args.count)
     if args.verify:
-        primes = tuple(r.prime for r in reports)
-        expected = reference[: min(args.count, len(reference))]
-        if primes[: len(expected)] != expected:
-            raise VerificationFailure(
-                f"prime list {primes[:len(expected)]} differs from reference {expected}"
-            )
+        expected = reference_primes(args.family)[: args.count]
+        primes = tuple(r.prime for r in reports[: len(expected)])
+        if primes != expected:
+            raise VerificationFailure(f"prime list {primes} differs from reference {expected}")
     lines = []
     for report in reports:
         conditions = " ".join(f"{k}={v}" for k, v in sorted(report.conditions.items()))
         lines.append(f"{report.prime:6d}  {conditions}")
-    payload = {
-        "family": args.family,
-        "reports": [
-            {"prime": r.prime, "conditions": dict(sorted(r.conditions.items()))}
-            for r in reports
-        ],
-    }
-    return payload, lines
+    # json.dumps sorts the keys, so a dataclass's fields are the document's.
+    return {"family": args.family, "reports": [asdict(r) for r in reports]}, lines
 
 
 def _cmd_forms(args):
     primes, forms = family_members(args.family, args.count, args.n)
     matrix = certificate_matrix(forms)
-    inconclusive = [
-        (i, j)
-        for i in range(len(forms))
-        for j in range(len(forms))
-        if i != j and matrix[i][j] is None
-    ]
+    inconclusive = []
     lines = [f"family={args.family} n={args.n} parameters={' '.join(map(str, primes))}"]
     for i, row in enumerate(matrix):
         cells = []
@@ -187,6 +168,7 @@ def _cmd_forms(args):
                 cells.append("-")
             elif certificate is None:
                 cells.append("??")
+                inconclusive.append((i, j))
             elif certificate.method == "epsilon_at_prime":
                 cells.append(f"eps@{certificate.witness_prime}")
             else:
@@ -197,16 +179,7 @@ def _cmd_forms(args):
         "n": args.n,
         "parameters": primes,
         "certificates": [
-            [
-                None
-                if certificate is None
-                else {
-                    "method": certificate.method,
-                    "witness_prime": certificate.witness_prime,
-                    "detail": list(certificate.detail),
-                }
-                for certificate in row
-            ]
+            [None if certificate is None else asdict(certificate) for certificate in row]
             for row in matrix
         ],
     }

@@ -11,50 +11,48 @@ and the anisotropic family over Q(sqrt(2)):
 A family member is represented by what defines it, a FamilyForm(family, a,
 n); no coefficient tuple is built.  Members of one family and dimension
 differ only in a, so they share the restriction to the hyperplane x_1 = 0,
-which is what makes mixed gluings of the assembled pieces possible.  This
-module computes the Hasse-Witt invariant of family members at chosen primes
-(from square-class counts at a cost independent of n, checked by a closed form),
-decides non-commensurability of two family members by a discriminant-ratio
-or epsilon-mismatch certificate, builds the certificate matrix of a list of
-members, and searches for the primes that parametrize the two families:
+which is what makes mixed gluings of the assembled pieces possible.
 
-* isotropic family: primes p = 5 (mod 8), so (-1|p) = 1 and (2|p) = -1;
-* anisotropic family: primes p = 1 (mod 8) such that 2 is *not* a fourth
-  power mod p, decided independently by Euler's criterion 2^((p-1)/4) != 1
-  and by Gauss's biquadratic criterion (absence of p = x^2 + 64 y^2).  The
-  two criteria must agree on every candidate; disagreement is a fatal
-  internal error.
+One record per family, found by its name ("isotropic", "anisotropic") or
+its letter ("q", "r"), holds everything that tells the two apart; no other
+code branches on the family.  It says whether blocks are compact (r_a is
+anisotropic), and which primes parametrize the family: p = 5 (mod 8) for q,
+so (-1|p) = 1 and (2|p) = -1; p = 1 (mod 8) for r with 2 *not* a fourth power
+mod p, decided by Euler's criterion 2^((p-1)/4) != 1 and independently by
+Gauss's (no p = x^2 + 64 y^2), which must agree on every candidate.  For the
+certificates it holds the square scales s such that a positive rational x is
+a square of the field exactly when some s x is a rational square, (1,) over
+Q and (1, 2) over Q(sqrt(2)); the modulus, 4 or 8, of the odd-rank witness
+primes p = 1 (mod m); and the last coefficient l over Q_p at such a prime,
+-2, or the unit -root for a square root of 2 mod p.
+
+At an odd prime p not dividing l, the Hasse-Witt invariant of
+(a, 1, ..., 1, l) is (l|p)^(v_p(a)): (a, l) is the only pair of coefficients
+whose symbol can be -1.  Every epsilon is computed from square-class counts,
+at a cost independent of n, and checked against this closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import Callable, NamedTuple
 
 from .exact_arith import (
-    _euler_criterion,
+    _require_int,
     factor_int,
     is_prime,
-    is_square_rational,
     legendre_symbol,
     sqrt_mod,
     squarefree_part,
 )
-from .local_invariants import Place, _class_product, _odd_class, odd_place
+from .local_invariants import _class_product, _odd_class, odd_place
 
 # First six members of each prime family; the searches below regenerate them
 # and the selftest verifies the match.
 REFERENCE_ISOTROPIC_PRIMES = (5, 13, 29, 37, 53, 61)
 REFERENCE_ANISOTROPIC_PRIMES = (17, 41, 97, 137, 193, 241)
-
-
-def _check_member_parameters(a: int, n: int) -> None:
-    if not isinstance(a, int) or a < 1:
-        raise ValueError(f"the family parameter must be a positive integer, got {a!r}")
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"the dimension parameter must be an integer at least 3, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,22 @@ class FamilyForm:
     n: int
 
     def __post_init__(self):
-        if self.family not in ("q", "r"):
-            raise ValueError(f"unknown form family {self.family!r}")
-        _check_member_parameters(self.a, self.n)
+        _lookup(_BY_LETTER, self.family)
+        _require_int(self.a)
+        _require_int(self.n)
+        if self.a < 1:
+            raise ValueError(f"the family parameter must be positive, got {self.a}")
+        if self.n < 3:
+            raise ValueError(f"the dimension parameter must be at least 3, got {self.n}")
 
     @property
     def rank(self) -> int:
         return self.n + 1
+
+    @property
+    def compact(self) -> bool:
+        """Whether blocks built from this member are compact, as r_a's are."""
+        return _BY_LETTER[self.family].compact
 
 
 def make_q(a: int, n: int) -> FamilyForm:
@@ -90,60 +97,44 @@ def make_r(a: int, n: int) -> FamilyForm:
     return FamilyForm("r", a, n)
 
 
-def _member_epsilon(a: int, n: int, place: Place, last: int) -> tuple[int, int]:
-    # v_p(a) mod 2 and the Hasse-Witt invariant of (a, 1, ..., 1, last) at the
-    # odd place, from its class counts: the unit class (0, 1) n - 1 times.
-    p = place.prime
+def _member_epsilon(a: int, n: int, p: int, last: tuple[int, int]) -> int:
+    # Hasse-Witt invariant of (a, 1, ..., 1, l) at an odd prime p not dividing
+    # l, whose square class (0, (l|p)) is last: the class-count product, which
+    # must equal the closed form (l|p)^(v_p(a)).  The caller checks a, n, p.
     a_class = _odd_class(a, p)
     counts = {(0, 1): n - 1}
-    for c in (a_class, _odd_class(last, p)):
+    for c in (a_class, last):
         counts[c] = counts.get(c, 0) + 1
-    return a_class[0], _class_product(counts, place)
+    product = _class_product(counts, odd_place(p))
+    closed = last[1] if a_class[0] else 1
+    if closed != product:
+        raise RuntimeError(
+            f"closed form {closed} disagrees with the class-count product {product} "
+            f"for (a={a}, n={n}, p={p}, last class {last})"
+        )
+    return product
 
 
 def epsilon_q_at(a: int, n: int, p: int) -> int:
-    """Hasse-Witt invariant of q_a over the p-adics, p an odd prime.
-
-    When (-1|p) = 1 and (2|p) = -1 the value has the closed form
-    (-1)^(v_p(a)); the generic class-count product is computed in every case
-    and the two must agree whenever the closed form applies.
-    """
-    _check_member_parameters(a, n)
-    parity, generic = _member_epsilon(a, n, odd_place(p), -2)
-    if _euler_criterion(-1, p) == 1 and _euler_criterion(2, p) == -1:
-        closed = -1 if parity else 1
-        if closed != generic:
-            raise RuntimeError(
-                f"closed form {closed} disagrees with the generic product {generic} "
-                f"for (a={a}, n={n}, p={p})"
-            )
-    return generic
+    """Hasse-Witt invariant of q_a over the p-adics, p an odd prime: (-2|p)^(v_p(a))."""
+    make_q(a, n)  # checks a and n
+    return _member_epsilon(a, n, p, (0, legendre_symbol(-2, p)))
 
 
 def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
     """Hasse-Witt invariant of r_a over the p-adics at a split prime p = 1 mod 8.
 
-    The embedding of Q(sqrt(2)) is the one sending sqrt(2) to root, which
-    must satisfy 0 < root < p and root^2 = 2 (mod p).  Computed from the
-    class counts of the embedded coefficients and cross-checked against the
-    closed form (sqrt(2)|p)^(v_p(a)); the result does not depend on which of
-    the two roots is chosen, because (-1|p) = 1.
+    sqrt(2) embeds as root, which must satisfy 0 < root < p and root^2 = 2
+    (mod p), so -sqrt(2) is the unit -root.  The value (root|p)^(v_p(a)) does
+    not depend on the root chosen, because (-1|p) = 1.
     """
     if p % 8 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 8")
+    _require_int(root)
     if not 0 < root < p or (root * root - 2) % p != 0:
         raise ValueError(f"{root} is not a square root of 2 modulo {p}")
-    _check_member_parameters(a, n)
-    # sqrt(2) is a unit at a split odd prime (its square 2 is prime to p)
-    # with residue root, so -sqrt(2) embeds as the unit -root.
-    parity, generic = _member_epsilon(a, n, odd_place(p), -root)
-    closed = _euler_criterion(root, p) if parity else 1
-    if closed != generic:
-        raise RuntimeError(
-            f"closed form {closed} disagrees with the embedded product {generic} "
-            f"for (a={a}, n={n}, p={p}, root={root})"
-        )
-    return generic
+    make_r(a, n)  # checks a and n
+    return _member_epsilon(a, n, p, _odd_class(-root, p))
 
 
 @dataclass(frozen=True)
@@ -162,57 +153,42 @@ class NonCommensurabilityCertificate:
     detail: tuple[str, str]
 
 
-def _square_in_sqrt2_field(x: Fraction) -> bool:
-    # A positive rational is a square in Q(sqrt(2)) iff x or x/2 is a square
-    # in Q: (c + d sqrt2)^2 is rational only when c*d = 0.
-    return is_square_rational(x) or is_square_rational(2 * x)
-
-
 def noncommensurability_certificate(
     f1: FamilyForm, f2: FamilyForm
 ) -> NonCommensurabilityCertificate | None:
     """Certify that no scalar multiple of f2 is equivalent to f1, if possible.
 
-    Even rank: the discriminant class is invariant under scaling, and for the
-    two families the ratio of discriminants is the ratio of parameters, so a
-    non-square ratio certifies.  Odd rank: scan primes p = 1 (mod 4) (= 1 mod
-    8 for the sqrt(2) family) dividing either parameter; at such p every
-    scalar satisfies (lambda, lambda)_p = 1, so differing epsilon values
-    certify.  Returns None when no scanned invariant separates the forms;
-    the check is one-sided and never proves commensurability.
+    Even rank: the discriminant class is invariant under scaling, and the
+    ratio of discriminants is the ratio of parameters, so a ratio that is no
+    square of the family's field certifies.  Odd rank: scan the family's
+    witness primes dividing either parameter; at such p every scalar has
+    (lambda, lambda)_p = 1, so differing epsilon values certify.  None when no
+    scanned invariant separates the forms: the check never proves
+    commensurability.
     """
     if f1.family != f2.family:
         raise ValueError("cannot compare forms from different families")
     if f1.n != f2.n:
         raise ValueError("cannot compare forms of different ranks")
-    family, a1, a2, n = f1.family, f1.a, f2.a, f1.n
+    family, a1, a2, n = _BY_LETTER[f1.family], f1.a, f2.a, f1.n
 
     if f1.rank % 2 == 0:
-        ratio = Fraction(a1, a2)
-        if family == "q":
-            separated = not is_square_rational(ratio)
-        else:
-            separated = not _square_in_sqrt2_field(ratio)
-        if not separated:
+        # a1 / a2 = a1 a2 / a2^2 is a square times s exactly when s a1 a2 is.
+        product = a1 * a2
+        if any(isqrt(s * product) ** 2 == s * product for s in family.square_scales):
             return None
-        d1 = _discriminant_description(family, a1)
-        d2 = _discriminant_description(family, a2)
+        d1 = _discriminant_description(f1.family, a1)
+        d2 = _discriminant_description(f1.family, a2)
         return NonCommensurabilityCertificate("discriminant_ratio", None, (d1, d2))
 
     # The odd prime divisors of a1 in order, then those of a2 not yet seen.
     candidates = dict.fromkeys(p for a in (a1, a2) for p in _odd_prime_divisors(a))
     for p in candidates:
-        if family == "q":
-            if p % 4 != 1:
-                continue
-            e1 = epsilon_q_at(a1, n, p)
-            e2 = epsilon_q_at(a2, n, p)
-        else:
-            if p % 8 != 1:
-                continue
-            root = sqrt_mod(2, p)
-            e1 = epsilon_r_at(a1, n, p, root)
-            e2 = epsilon_r_at(a2, n, p, root)
+        if p % family.witness_modulus != 1:
+            continue
+        last = _odd_class(family.last_at(p), p)
+        e1 = _member_epsilon(a1, n, p, last)
+        e2 = _member_epsilon(a2, n, p, last)
         if e1 != e2:
             return NonCommensurabilityCertificate(
                 "epsilon_at_prime", p, (str(e1), str(e2))
@@ -229,11 +205,8 @@ def _odd_prime_divisors(a: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _discriminant_description(family: str, a: int) -> str:
-    # The coefficient product of a family member, at any rank: -2a for q_a
-    # (given as its square-free class) and -a * sqrt(2) for r_a.
-    if family == "q":
-        return str(squarefree_part(-2 * a))
-    return "-sqrt2" if a == 1 else f"-{a}*sqrt2"
+    # The coefficient product of a family member, at any rank.
+    return _BY_LETTER[family].discriminant(a)
 
 
 def certificate_matrix(forms) -> tuple[tuple[NonCommensurabilityCertificate | None, ...], ...]:
@@ -248,10 +221,7 @@ def certificate_matrix(forms) -> tuple[tuple[NonCommensurabilityCertificate | No
 
 @dataclass(frozen=True)
 class PrimeSearchReport:
-    """One family prime with its verified membership conditions.
-
-    conditions maps condition names to values in {-1, 0, 1}.
-    """
+    """One family prime and its verified conditions, {name: value in {-1, 0, 1}}."""
 
     prime: int
     conditions: dict
@@ -259,6 +229,7 @@ class PrimeSearchReport:
 
 def gauss_representation(p: int) -> tuple[int, int] | None:
     """The representation p = x^2 + 64 y^2 with x, y >= 0, if one exists."""
+    _require_int(p)
     for y in range(isqrt(p // 64) + 1):
         rest = p - 64 * y * y
         x = isqrt(rest)
@@ -285,59 +256,103 @@ def two_is_fourth_power(p: int) -> bool:
     return by_euler
 
 
-def search_primes_isotropic(count: int) -> list[PrimeSearchReport]:
-    """The first `count` primes p = 5 (mod 8), with verified symbol conditions."""
+class _Family(NamedTuple):
+    """What tells one form family apart; the module docstring gives the fields' meaning."""
+
+    name: str  # as the CLI and parcel ids spell it
+    letter: str  # FamilyForm.family
+    compact: bool
+    reference_primes: tuple[int, ...]
+    first_candidate: int  # the search tests first_candidate + 8 i
+    excluded: Callable | None  # p -> whether a prime candidate is skipped
+    expected: dict  # {condition name: value} every family prime meets
+    square_scales: tuple[int, ...]
+    witness_modulus: int
+    last_at: Callable  # witness prime p -> the last coefficient over Q_p
+    discriminant: Callable  # a -> the coefficient product, as text
+
+
+# The symbol conditions of the prime searches, by name.
+_CONDITIONS = {
+    "legendre_minus_one": lambda p: legendre_symbol(-1, p),
+    "legendre_two": lambda p: legendre_symbol(2, p),
+    "legendre_sqrt2": lambda p: legendre_symbol(sqrt_mod(2, p), p),
+}
+
+_FAMILIES = (
+    _Family(
+        "isotropic", "q", compact=False,
+        reference_primes=REFERENCE_ISOTROPIC_PRIMES, first_candidate=5, excluded=None,
+        expected={"legendre_minus_one": 1, "legendre_two": -1},
+        square_scales=(1,), witness_modulus=4, last_at=lambda p: -2,
+        discriminant=lambda a: str(squarefree_part(-2 * a)),
+    ),
+    _Family(
+        "anisotropic", "r", compact=True,
+        reference_primes=REFERENCE_ANISOTROPIC_PRIMES, first_candidate=17,
+        excluded=two_is_fourth_power,
+        expected={"legendre_minus_one": 1, "legendre_two": 1, "legendre_sqrt2": -1},
+        square_scales=(1, 2), witness_modulus=8, last_at=lambda p: -sqrt_mod(2, p),
+        discriminant=lambda a: "-sqrt2" if a == 1 else f"-{a}*sqrt2",
+    ),
+)
+_BY_NAME = {family.name: family for family in _FAMILIES}
+_BY_LETTER = {family.letter: family for family in _FAMILIES}
+FAMILY_NAMES = tuple(_BY_NAME)
+
+
+def _lookup(table: dict, key) -> _Family:
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        known = " and ".join(table)
+        raise ValueError(f"unknown form family {key!r}; the families are {known}") from None
+
+
+def family_name(compact: bool) -> str:
+    """The family whose blocks are compact (anisotropic) or not (isotropic)."""
+    return next(family.name for family in _FAMILIES if family.compact == bool(compact))
+
+
+def reference_primes(family: str) -> tuple[int, ...]:
+    """The frozen first six primes of the named family."""
+    return _lookup(_BY_NAME, family).reference_primes
+
+
+def _search(family: _Family, count: int) -> list[PrimeSearchReport]:
+    # The one search loop: candidates first_candidate + 8 i, each verified.
+    _require_int(count)
     if count < 1:
         raise ValueError("count must be positive")
     reports = []
-    p = 5
+    p = family.first_candidate
     while len(reports) < count:
-        if is_prime(p):
-            conditions = {
-                "legendre_minus_one": legendre_symbol(-1, p),
-                "legendre_two": legendre_symbol(2, p),
-            }
-            if conditions != {"legendre_minus_one": 1, "legendre_two": -1}:
+        if is_prime(p) and not (family.excluded and family.excluded(p)):
+            conditions = {name: _CONDITIONS[name](p) for name in family.expected}
+            if conditions != family.expected:
                 raise RuntimeError(f"symbol conditions failed at p={p}: {conditions}")
             reports.append(PrimeSearchReport(p, conditions))
         p += 8
     return reports
+
+
+def search_primes(family: str, count: int) -> list[PrimeSearchReport]:
+    """The first `count` primes of the named family, with verified symbol conditions."""
+    return _search(_lookup(_BY_NAME, family), count)
+
+
+def search_primes_isotropic(count: int) -> list[PrimeSearchReport]:
+    """The first `count` primes p = 5 (mod 8), with verified symbol conditions."""
+    return _search(_BY_NAME["isotropic"], count)
 
 
 def search_primes_anisotropic(count: int) -> list[PrimeSearchReport]:
-    """The first `count` primes p = 1 (mod 8) where 2 is not a fourth power.
-
-    Membership is decided by the two independent biquadratic criteria (which
-    must agree) and recorded through the symbol (sqrt(2)|p) = -1.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    reports = []
-    p = 17
-    while len(reports) < count:
-        if is_prime(p) and not two_is_fourth_power(p):
-            root = sqrt_mod(2, p)
-            conditions = {
-                "legendre_minus_one": legendre_symbol(-1, p),
-                "legendre_two": legendre_symbol(2, p),
-                "legendre_sqrt2": legendre_symbol(root, p),
-            }
-            expected = {"legendre_minus_one": 1, "legendre_two": 1, "legendre_sqrt2": -1}
-            if conditions != expected:
-                raise RuntimeError(f"symbol conditions failed at p={p}: {conditions}")
-            reports.append(PrimeSearchReport(p, conditions))
-        p += 8
-    return reports
+    """The first `count` primes p = 1 (mod 8) where 2 is not a fourth power."""
+    return _search(_BY_NAME["anisotropic"], count)
 
 
 def family_members(family: str, count: int, n: int) -> tuple[list[int], list[FamilyForm]]:
-    """The first `count` primes of a family and its members of dimension n at them.
-
-    family is "isotropic" (q_p over Q) or "anisotropic" (r_p over Q(sqrt(2))).
-    """
-    if family == "isotropic":
-        search, make = search_primes_isotropic, make_q
-    else:
-        search, make = search_primes_anisotropic, make_r
-    primes = [report.prime for report in search(count)]
-    return primes, [make(p, n) for p in primes]
+    """The first `count` primes of the named family and its members of dimension n at them."""
+    record = _lookup(_BY_NAME, family)
+    primes = [report.prime for report in _search(record, count)]
+    return primes, [FamilyForm(record.letter, p, n) for p in primes]

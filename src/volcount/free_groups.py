@@ -38,9 +38,11 @@ which the enumeration must reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import factorial
 from typing import Iterable
+
+from .exact_arith import _require_int
 
 # Letter codes; the integer order is the lexicographic order used throughout.
 LETTER_A, LETTER_A_INV, LETTER_B, LETTER_B_INV = range(4)
@@ -267,9 +269,11 @@ def _fill(k, columns, partners, rows, tables, slot: int, used: int) -> None:
         partner[target] = -1
 
 
-@cache
+# typed=True sends True past 1's entry to the int check, as in is_prime.
+@lru_cache(maxsize=None, typed=True)
 def hall_count(k: int) -> int:
     """Number of index-k subgroups of the rank-2 free group (Hall's recursion)."""
+    _require_int(k)
     if k < 1:
         raise ValueError(f"index must be positive, got {k}")
     total = k * factorial(k)

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from volcount import assembler, form_families
 from volcount.assembler import (
     BLOCK_KINDS,
-    BuildingBlock,
     ManifoldDescriptor,
     Parcel,
     _CACHED_SIZE,
@@ -31,6 +30,12 @@ from volcount.assembler import (
     volume_bound,
 )
 from volcount.decorated_graphs import DecoratedGraph, from_subgroup
+from volcount.form_families import (
+    REFERENCE_ANISOTROPIC_PRIMES,
+    REFERENCE_ISOTROPIC_PRIMES,
+    make_q,
+    make_r,
+)
 from volcount.free_groups import (
     Word,
     _bfs,
@@ -42,13 +47,8 @@ from volcount.free_groups import (
 
 def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
     """Copy of the parcel with the six block volumes replaced."""
-    volumes = tuple(Fraction(v) for v in volumes)
     assert len(volumes) == 6
-    blocks = tuple(
-        BuildingBlock(block.kind, volume, block.form_id, block.compact)
-        for block, volume in zip(parcel.blocks, volumes)
-    )
-    return Parcel(parcel.parcel_id, parcel.dimension, blocks, parcel.certificates)
+    return Parcel(parcel.parcel_id, parcel.forms, volumes)
 
 
 LOOP = DecoratedGraph(1, (0,), (0,), frozenset({0}))
@@ -96,18 +96,17 @@ def compact_parcel():
 class TestParcels:
     def test_default_isotropic(self, parcel):
         assert parcel.parcel_id == "isotropic-n4"
-        assert tuple(b.kind for b in parcel.blocks) == BLOCK_KINDS
-        assert [b.form_id for b in parcel.blocks] == [
-            "q_5", "q_13", "q_29", "q_37", "q_53", "q_61",
-        ]
+        assert parcel.forms == tuple(make_q(p, 4) for p in (5, 13, 29, 37, 53, 61))
+        assert parcel.volumes == (1,) * 6
         assert parcel.max_volume == 1
+        assert parcel.dimension == 4
         assert not parcel.compact
 
     def test_default_compact(self, compact_parcel):
         assert compact_parcel.parcel_id == "anisotropic-n4"
-        assert [b.form_id for b in compact_parcel.blocks] == [
-            "r_17", "r_41", "r_97", "r_137", "r_193", "r_241",
-        ]
+        assert compact_parcel.forms == tuple(
+            make_r(p, 4) for p in (17, 41, 97, 137, 193, 241)
+        )
         assert compact_parcel.compact
 
     def test_certificates_complete(self, parcel, compact_parcel):
@@ -116,23 +115,47 @@ class TestParcels:
                 for j in range(6):
                     entry = p.certificates[i][j]
                     assert (entry is None) == (i == j)
+            assert p.certificates == form_families.certificate_matrix(p.forms)
 
-    def test_slot_counts(self, parcel):
-        assert [slots_for_kind(b.kind) for b in parcel.blocks] == [4, 4, 2, 2, 2, 2]
+    def test_slot_counts(self):
+        assert [slots_for_kind(kind) for kind in BLOCK_KINDS] == [4, 4, 2, 2, 2, 2]
 
     def test_volume_override(self, parcel):
         bumped = with_block_volumes(parcel, (1, 1, 1, 1, 1, 2))
         assert bumped.max_volume == 2
+        assert bumped.volumes == (1, 1, 1, 1, 1, 2)
         assert bumped.parcel_id == parcel.parcel_id
+        assert bumped.certificates == parcel.certificates
 
     def test_parcel_validation(self, parcel):
-        with pytest.raises(ValueError):
-            Parcel("x", 4, parcel.blocks[:5], parcel.certificates)
-        broken = tuple(
-            tuple(None for _ in range(6)) for _ in range(6)
-        )
-        with pytest.raises(ValueError):
-            Parcel("x", 4, parcel.blocks, broken)
+        with pytest.raises(ValueError, match="exactly six forms"):
+            Parcel("x", parcel.forms[:5])
+        with pytest.raises(ValueError, match="exactly six forms"):
+            Parcel("x", parcel.forms, (1,) * 5)
+        with pytest.raises(ValueError, match="FamilyForm"):
+            Parcel("x", parcel.forms[:5] + ("q_61",))
+        # A repeated member leaves its pairs uncertified.
+        with pytest.raises(RuntimeError, match="requires certified block pairs"):
+            Parcel("x", parcel.forms[:5] + parcel.forms[:1])
+
+    def test_mixed_families_refused(self, parcel, compact_parcel):
+        with pytest.raises(ValueError, match="different families"):
+            Parcel("x", parcel.forms[:5] + compact_parcel.forms[5:])
+
+    def test_mixed_dimensions_refused(self, parcel):
+        with pytest.raises(ValueError, match="different ranks"):
+            Parcel("x", parcel.forms[:5] + (make_q(61, 5),))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "make, primes, compact",
+        [(make_q, REFERENCE_ISOTROPIC_PRIMES, False), (make_r, REFERENCE_ANISOTROPIC_PRIMES, True)],
+        ids=["q", "r"],
+    )
+    def test_dimension_and_compact_follow_the_forms(self, n, make, primes, compact):
+        built = Parcel("x", [make(p, n) for p in primes])
+        assert (built.dimension, built.compact) == (n, compact)
+        assert built.forms == default_parcel(n, compact).forms
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_uncertified_pair_refused(self, monkeypatch, compact):
@@ -147,11 +170,10 @@ class TestParcels:
         with pytest.raises(RuntimeError, match="requires certified block pairs"):
             default_parcel(4, compact)
 
-    def test_block_validation(self):
-        with pytest.raises(ValueError):
-            BuildingBlock("V2", Fraction(1), "q_5", False)
-        with pytest.raises(ValueError):
-            BuildingBlock("V0", Fraction(0), "q_5", False)
+    def test_block_validation(self, parcel):
+        for volume in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="volumes must be positive"):
+                with_block_volumes(parcel, (1, 1, volume, 1, 1, 1))
 
 
 class TestAssembly:
@@ -514,7 +536,7 @@ class TestWriter:
         k, colored = graph.vertex_count, len(graph.colored)
         counts = (k - colored, colored, k, k, k, k)
         plain = sum(
-            (count * block.volume for count, block in zip(counts, priced.blocks)), Fraction(0)
+            (count * volume for count, volume in zip(counts, priced.volumes)), Fraction(0)
         )
         assert _total_volume(graph, priced) == plain
         assert volume_bound(assemble(graph, priced), priced) == plain
@@ -541,12 +563,12 @@ class TestParcelVolumeTerms:
     @pytest.mark.parametrize("graph", [LOOP, TWO, SEVENTEEN], ids=["loop", "two", "seventeen"])
     def test_stored_terms_match_the_blocks(self, parcel, volumes, graph):
         priced = with_block_volumes(parcel, volumes)
-        assert priced.max_volume == max(block.volume for block in priced.blocks)
+        assert priced.max_volume == max(priced.volumes)
         assert priced.max_volume == max(Fraction(v) for v in volumes)
         k, colored = graph.vertex_count, len(graph.colored)
         counts = (k - colored, colored, k, k, k, k)
         plain = sum(
-            (count * block.volume for count, block in zip(counts, priced.blocks)), Fraction(0)
+            (count * volume for count, volume in zip(counts, priced.volumes)), Fraction(0)
         )
         assert _total_volume(graph, priced) == plain
         assert _total_volume(graph, parcel) == 5 * k
@@ -761,6 +783,15 @@ class TestVerdicts:
         d1 = assemble(LOOP, parcel)
         d2 = assemble(TWO, parcel)
         assert not commensurability_verdict(d1, d2, parcel).commensurable
+
+    def test_dimension_three_is_an_assumption(self, parcel):
+        # The paper builds in dimension four and higher; n = 3 is outside it.
+        low = default_parcel(3, compact=False)
+        verdict = commensurability_verdict(assemble(TWO, low), assemble(LOOP, low), low)
+        assert verdict.assumed[:2] == commensurability_verdict(
+            assemble(TWO, parcel), assemble(LOOP, parcel), parcel
+        ).assumed
+        assert verdict.assumed[2:] == ("dimension 3 lies below the paper's four and higher",)
 
     def test_parcel_mismatch_rejected(self, parcel, compact_parcel):
         d1 = assemble(LOOP, parcel)

@@ -20,6 +20,7 @@ from volcount.form_families import (
     search_primes_isotropic,
     two_is_fourth_power,
 )
+from volcount.free_groups import hall_count
 from volcount.local_invariants import hasse_witt, odd_place
 
 
@@ -75,15 +76,14 @@ class TestEpsilonInvariants:
         assert epsilon_q_at(25, 4, 5) == 1  # even valuation cancels
 
     def test_q_closed_form_usage(self, monkeypatch):
-        # A class-count product forced to the wrong value is caught where the
-        # closed form applies (p = 5) and returned unchecked where its
-        # congruence conditions fail (p = 3, where (-1|3) = -1).
-        true_value = epsilon_q_at(5, 4, 3)
+        # The closed form (-2|p)^(v_p(a)) holds at every odd prime, so a
+        # class-count product forced to the wrong value is caught at p = 5
+        # and also at p = 3, where (-1|3) = -1, and p = 7, where (2|7) = 1.
         product = form_families._class_product
         monkeypatch.setattr(form_families, "_class_product", lambda c, place: -product(c, place))
-        with pytest.raises(RuntimeError, match="generic product"):
-            epsilon_q_at(5, 4, 5)
-        assert epsilon_q_at(5, 4, 3) == -true_value
+        for a, p in ((5, 5), (13, 5), (3, 3), (5, 3), (7, 7), (9, 3)):
+            with pytest.raises(RuntimeError, match="class-count product"):
+                epsilon_q_at(a, 4, p)
 
     def test_r_values_and_root_independence(self):
         assert epsilon_r_at(17, 4, 17, 6) == -1
@@ -112,6 +112,20 @@ class TestEpsilonInvariants:
         expected = hasse_witt((a,) + (1,) * (n - 1) + (-root,), odd_place(p))
         assert epsilon_r_at(a, n, p, root) == expected
 
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from((3, 5, 7, 11, 13)),
+        st.integers(min_value=3, max_value=30),
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_q_matches_hasse_witt_of_coefficients(self, p, n, k, e):
+        # The generic Hasse-Witt product of the coefficients, at every odd
+        # prime: p = 3, 7, 11 are 3 mod 4, and (2|p) = 1 at p = 7.
+        a = k * p**e
+        expected = hasse_witt((a,) + (1,) * (n - 1) + (-2,), odd_place(p))
+        assert epsilon_q_at(a, n, p) == expected
+
     @pytest.mark.parametrize("p", REFERENCE_ANISOTROPIC_PRIMES)
     def test_r_refuses_a_non_root(self, p):
         roots = {sqrt_mod(2, p), p - sqrt_mod(2, p)}
@@ -123,13 +137,13 @@ class TestEpsilonInvariants:
     def test_q_closed_form_cross_check_runs(self, monkeypatch):
         # epsilon(q_5) at 5 is -1; a class-count product forced to 1 must be caught.
         monkeypatch.setattr(form_families, "_class_product", lambda counts, place: 1)
-        with pytest.raises(RuntimeError, match="generic product"):
+        with pytest.raises(RuntimeError, match="class-count product"):
             epsilon_q_at(5, 4, 5)
 
     def test_r_embedded_cross_check_runs(self, monkeypatch):
         # epsilon(r_17) at 17 is -1 for the root 6.
         monkeypatch.setattr(form_families, "_class_product", lambda counts, place: 1)
-        with pytest.raises(RuntimeError, match="embedded product"):
+        with pytest.raises(RuntimeError, match="class-count product"):
             epsilon_r_at(17, 4, 17, 6)
 
     def test_parameters_validated(self):
@@ -144,6 +158,57 @@ class TestEpsilonInvariants:
     )
     def test_q_epsilon_detects_own_prime(self, a, p):
         assert epsilon_q_at(a, 4, p) == (-1 if a == p else 1)
+
+
+# Int look-alikes at the family and count boundaries: each equals an int
+# the call would accept.
+LOOK_ALIKES = [
+    (make_q, (True, 4)),
+    (make_r, (17, 4.0)),
+    (FamilyForm, ("q", 5.0, 4)),
+    (epsilon_q_at, (True, 4, 5)),
+    (epsilon_q_at, (5, 4, 5.0)),
+    (epsilon_r_at, (17, 4, 17, 6.0)),
+    (search_primes_isotropic, (2.0,)),
+    (search_primes_anisotropic, (True,)),
+    (form_families.family_members, ("isotropic", 2.0, 4)),
+    (hall_count, (True,)),
+    (hall_count, (3.0,)),
+    (gauss_representation, (True,)),
+    (gauss_representation, (73.0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args", LOOK_ALIKES, ids=[f"{f.__name__}{args!r}" for f, args in LOOK_ALIKES]
+)
+def test_int_look_alikes_are_refused(function, args):
+    # Twice: a refusal is never answered from a cache.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            function(*args)
+
+
+class TestFamilyRecord:
+    def test_unknown_family_name_refused(self):
+        for name in ("bogus", "q", "Isotropic", None, ["isotropic"]):
+            with pytest.raises(ValueError, match="the families are isotropic and anisotropic"):
+                form_families.family_members(name, 2, 4)
+        with pytest.raises(ValueError, match="the families are q and r"):
+            FamilyForm("isotropic", 5, 4)
+
+    def test_names_letters_and_compactness(self):
+        assert form_families.FAMILY_NAMES == ("isotropic", "anisotropic")
+        for name, letter, compact, reference in (
+            ("isotropic", "q", False, REFERENCE_ISOTROPIC_PRIMES),
+            ("anisotropic", "r", True, REFERENCE_ANISOTROPIC_PRIMES),
+        ):
+            assert form_families.family_name(compact) == name
+            assert form_families.reference_primes(name) == reference
+            primes, members = form_families.family_members(name, 6, 4)
+            assert tuple(primes) == reference
+            assert members == [FamilyForm(letter, p, 4) for p in reference]
+            assert all(member.compact == compact for member in members)
 
 
 class TestCertificates:
@@ -163,6 +228,16 @@ class TestCertificates:
         certificate = noncommensurability_certificate(make_r(17, 4), make_r(41, 4))
         assert certificate.method == "epsilon_at_prime"
         assert certificate.witness_prime == 17
+
+    def test_even_rank_ratio_two_is_a_square_only_over_sqrt2(self):
+        # 2 = sqrt(2)^2 in Q(sqrt(2)), so r_1 and r_2 share a discriminant
+        # class there, while q_1 and q_2 differ over Q.
+        for n in (3, 5):
+            assert noncommensurability_certificate(make_r(1, n), make_r(2, n)) is None
+            assert noncommensurability_certificate(make_r(1, n), make_r(8, n)) is None
+            assert noncommensurability_certificate(make_r(1, n), make_r(3, n)) is not None
+            certificate = noncommensurability_certificate(make_q(1, n), make_q(2, n))
+            assert certificate.detail == ("-2", "-1")
 
     def test_same_form_gives_none(self):
         assert noncommensurability_certificate(make_q(5, 4), make_q(5, 4)) is None

@@ -5,8 +5,9 @@ No linter ships with the project, so these stdlib checks keep a deletion from
 leaving an orphaned import or a stale export behind.  volcount/__init__.py
 is exempt from the import check: it imports names only to re-export them.
 A name that appears only in __all__ counts as unused, so re-exports stay in
-__init__.py.  No module reaches into free_groups' private names, so the
-permutation-pair representation stays behind that one module.  No nested
+__init__.py.  No module reaches into free_groups' or form_families' private
+names, so the permutation-pair representation and the form-family records
+stay behind those modules.  No nested
 function calls itself: a recursive closure is a reference cycle, so what it
 reaches outlives its call until the cyclic collector runs.
 """
@@ -122,6 +123,11 @@ def test_private_import_checker_flags_only_that_module():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_private_names_from_free_groups(path):
     assert private_imports(path.read_text(encoding="utf-8"), "free_groups") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_private_names_from_form_families(path):
+    assert private_imports(path.read_text(encoding="utf-8"), "form_families") == []
 
 
 def recursive_closures(source: str) -> list[str]:
