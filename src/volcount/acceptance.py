@@ -118,13 +118,14 @@ def solvability_oracle_odd(a: Fraction, b: Fraction, p: int) -> int:
 
 
 def _criterion_prime_lists() -> str:
-    isotropic = tuple(report.prime for report in search_primes_isotropic(6))
-    anisotropic = tuple(report.prime for report in search_primes_anisotropic(6))
+    iso_reports, aniso_reports = search_primes_isotropic(6), search_primes_anisotropic(6)
+    isotropic = tuple(report.prime for report in iso_reports)
+    anisotropic = tuple(report.prime for report in aniso_reports)
     assert isotropic == REFERENCE_ISOTROPIC_PRIMES == (5, 13, 29, 37, 53, 61)
     assert anisotropic == REFERENCE_ANISOTROPIC_PRIMES == (17, 41, 97, 137, 193, 241)
-    for report in search_primes_isotropic(6):
+    for report in iso_reports:
         assert report.conditions == {"legendre_minus_one": 1, "legendre_two": -1}
-    for report in search_primes_anisotropic(6):
+    for report in aniso_reports:
         assert report.conditions["legendre_sqrt2"] == -1
         assert gauss_representation(report.prime) is None
     return f"isotropic {isotropic}, anisotropic {anisotropic}"

@@ -41,6 +41,12 @@ def _require_int(x) -> None:
         raise ValueError(f"expected an int, got {x!r}")
 
 
+def _require_rational(x) -> None:
+    # The one check of every rational argument: True, 0.5 and "1/2" are refused, not converted.
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError(f"expected an int or a Fraction, got {x!r}")
+
+
 # Legendre symbols and valuations re-test the same few primes over and over,
 # while a prime search tests each candidate once: a small bounded memo keeps
 # the former and lets the latter pass through.  typed=True keeps True and 7.0
@@ -81,7 +87,7 @@ def _require_odd_prime(p: int) -> None:
     # An int first, so that is_prime never sees a look-alike and the message
     # names the prime.
     if type(p) is not int or p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+        raise ValueError(f"{p!r} is not an odd prime")
 
 
 def legendre_symbol(u: int, p: int) -> int:
@@ -180,12 +186,11 @@ def factor_int(n: int) -> dict[int, int]:
 
 def squarefree_part(x: Rational | int) -> int:
     """The square-free integer representing x modulo nonzero rational squares."""
-    x = Fraction(x)
+    _require_rational(x)
     if x == 0:
         raise ValueError("0 has no square-free part")
     n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
-    result = sign
+    result = -1 if n < 0 else 1
     for p, e in factor_int(n).items():
         if e % 2:
             result *= p
@@ -194,7 +199,7 @@ def squarefree_part(x: Rational | int) -> int:
 
 def is_square_rational(x: Rational | int) -> bool:
     """True iff x is the square of a rational number."""
-    x = Fraction(x)
+    _require_rational(x)
     if x < 0:
         return False
     a, b = x.numerator, x.denominator
@@ -213,7 +218,7 @@ def padic_valuation(x: Rational | int, p: int) -> ValuationDecomposition:
     """Decompose nonzero rational x as p^m * u with v_p(u) = 0."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
+    _require_rational(x)
     if x == 0:
         raise ValueError("the zero element has no finite valuation")
     m, num, den = _strip_prime(x.numerator, x.denominator, p)

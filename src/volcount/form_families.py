@@ -47,7 +47,7 @@ from .exact_arith import (
     sqrt_mod,
     squarefree_part,
 )
-from .local_invariants import _class_product, _odd_class, odd_place
+from .local_invariants import _class_product, _odd_class
 
 # First six members of each prime family; the searches below regenerate them
 # and the selftest verifies the match.
@@ -105,7 +105,7 @@ def _member_epsilon(a: int, n: int, p: int, last: tuple[int, int]) -> int:
     counts = {(0, 1): n - 1}
     for c in (a_class, last):
         counts[c] = counts.get(c, 0) + 1
-    product = _class_product(counts, odd_place(p))
+    product = _class_product(counts, p)
     closed = last[1] if a_class[0] else 1
     if closed != product:
         raise RuntimeError(
@@ -190,9 +190,7 @@ def noncommensurability_certificate(
         e1 = _member_epsilon(a1, n, p, last)
         e2 = _member_epsilon(a2, n, p, last)
         if e1 != e2:
-            return NonCommensurabilityCertificate(
-                "epsilon_at_prime", p, (str(e1), str(e2))
-            )
+            return NonCommensurabilityCertificate("epsilon_at_prime", p, (str(e1), str(e2)))
     return None
 
 

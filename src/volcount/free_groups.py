@@ -45,7 +45,6 @@ from typing import Iterable
 from .exact_arith import _require_int
 
 # Letter codes; the integer order is the lexicographic order used throughout.
-LETTER_A, LETTER_A_INV, LETTER_B, LETTER_B_INV = range(4)
 _LETTER_CHARS = "aAbB"  # uppercase marks the inverse of a generator
 
 MAX_INDEX = 7  # desk-scale cap for enumeration
@@ -269,19 +268,21 @@ def _fill(k, columns, partners, rows, tables, slot: int, used: int) -> None:
         partner[target] = -1
 
 
-# typed=True sends True past 1's entry to the int check, as in is_prime.
-@lru_cache(maxsize=None, typed=True)
+_HALL_COUNTS: list[int] = []  # a_1, a_2, ..., as far as any call has needed
+
+
 def hall_count(k: int) -> int:
     """Number of index-k subgroups of the rank-2 free group (Hall's recursion)."""
     _require_int(k)
     if k < 1:
         raise ValueError(f"index must be positive, got {k}")
-    total = k * factorial(k)
-    running = factorial(k - 1)  # (k - i)! for the current i
-    for i in range(1, k):
-        total -= running * hall_count(i)
-        running //= k - i
-    return total
+    for j in range(len(_HALL_COUNTS) + 1, k + 1):
+        total, running = j * factorial(j), factorial(j - 1)  # running is (j - i)!
+        for i, a_i in enumerate(_HALL_COUNTS, start=1):
+            total -= running * a_i
+            running //= j - i
+        _HALL_COUNTS.append(total)
+    return _HALL_COUNTS[k - 1]
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,10 @@ classes, at a cost that does not grow with the rank:
 A class is (v mod 2, (u|p)) at an odd prime, (v mod 2, u mod 8) at 2, and
 the sign at the real place.
 
-Each kind of place has one kernel: its square-class function, its symbol on
-two classes, and its class of squares, against which every symbol is 1.
-hilbert and hasse_witt look the kernel up once, by the place's kind, and
-pass it the place's prime.
+A place is named by its prime, None at the real place.  The real place, 2
+and the odd primes each have one kernel: its square-class function, its
+symbol on two classes, and its class of squares, against which every symbol
+is 1.  hilbert and hasse_witt look the kernel up once, by the prime.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exact_arith import (
     Rational,
     _euler_criterion,
     _require_odd_prime,
+    _require_rational,
     _strip_prime,
     squarefree_part,
 )
@@ -55,43 +55,27 @@ from .exact_arith import (
 
 @dataclass(frozen=True)
 class Place:
-    """A place of Q: the real place, an odd prime, or the dyadic place.
+    """A place of Q, named by its prime: None (real), 2 (dyadic) or an odd prime."""
 
-    Validated once, at construction, so the symbols trust its prime.
-    """
-
-    kind: str  # "real" | "odd_prime" | "dyadic"
     prime: int | None = None
 
     def __post_init__(self):
-        if self.kind == "odd_prime":
+        if self.prime is not None and (type(self.prime) is not int or self.prime != 2):
             _require_odd_prime(self.prime)
-        elif self.kind == "dyadic":
-            if self.prime != 2:
-                raise ValueError(f"the dyadic place has prime 2, not {self.prime}")
-        elif self.kind != "real":
-            raise ValueError(f"unknown place kind {self.kind!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "odd_prime":
-            return f"p={self.prime}"
-        return self.kind
 
 
-REAL = Place("real")
-DYADIC = Place("dyadic", 2)
+REAL = Place()
+DYADIC = Place(2)
 
 
-# Certificates revisit the few primes that divide their family parameters.
-@lru_cache(maxsize=256, typed=True)
 def odd_place(p: int) -> Place:
-    return Place("odd_prime", p)
+    _require_odd_prime(p)  # Place(2) is the dyadic place
+    return Place(p)
 
 
 def _nonzero_terms(x) -> tuple[int, int]:
     # Numerator and denominator of x, read straight off an int or a Fraction.
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    _require_rational(x)
     num = x.numerator
     if num == 0:
         raise ValueError("Hilbert symbols are defined on nonzero arguments only")
@@ -142,38 +126,40 @@ class _Kernel(NamedTuple):
 
 
 _KERNELS = {
-    "real": _Kernel(_real_class, _real_symbol, 1),
-    "dyadic": _Kernel(_dyadic_class, _dyadic_symbol, (0, 1)),
-    "odd_prime": _Kernel(_odd_class, _odd_symbol, (0, 1)),
+    None: _Kernel(_real_class, _real_symbol, 1),
+    2: _Kernel(_dyadic_class, _dyadic_symbol, (0, 1)),
 }
+_ODD_KERNEL = _Kernel(_odd_class, _odd_symbol, (0, 1))
 
 
 def hilbert(a: Rational, b: Rational, place: Place) -> int:
     """Hilbert symbol (a, b) at the given place of Q."""
-    square_class, symbol, _ = _KERNELS[place.kind]
     p = place.prime
+    square_class, symbol, _ = _KERNELS.get(p, _ODD_KERNEL)
     return symbol(square_class(a, p), square_class(b, p), p)
 
 
-def _coefficients_of(coefficients) -> tuple[Rational | int, ...]:
-    # int and Fraction entries are kept, anything else becomes a Fraction.
-    out = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coefficients)
+def _coefficients_of(coefficients) -> tuple[Rational, ...]:
+    # Each entry must be an int or a Fraction; nothing is converted.
+    out = tuple(coefficients)
     if not out:
         raise ValueError("a diagonal form needs at least one coefficient")
+    for c in out:
+        _require_rational(c)
     if any(c == 0 for c in out):
         raise ValueError("diagonal coefficients must be nonzero")
     return out
 
 
-def _class_product(counts: Mapping, place: Place) -> int:
+def _class_product(counts: Mapping, p: int | None) -> int:
     """The module docstring's class-count product over {class: m_c}, each class once.
 
     Only symbols with an odd exponent are evaluated: (c, c) when m_c = 2 or 3
     (mod 4), and (c, d) when m_c and m_d are both odd.  The class of squares
-    is skipped: every symbol against it is 1.
+    is skipped: every symbol against it is 1.  p is the prime of a place, or
+    an odd prime the caller has validated.
     """
-    _, symbol, squares = _KERNELS[place.kind]
-    p = place.prime
+    _, symbol, squares = _KERNELS.get(p, _ODD_KERNEL)
     result, odd_classes = 1, []
     for c, m in counts.items():
         if c == squares:
@@ -190,9 +176,9 @@ def _class_product(counts: Mapping, place: Place) -> int:
 def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
     """Product of hilbert(a_i, a_j, place) over index pairs i < j, 1 at rank 1,
     taken over the counts of the coefficients' square classes."""
-    square_class, p = _KERNELS[place.kind].square_class, place.prime
-    coeffs = _coefficients_of(coefficients)
-    return _class_product(Counter([square_class(c, p) for c in coeffs]), place)
+    p, coeffs = place.prime, _coefficients_of(coefficients)
+    square_class = _KERNELS.get(p, _ODD_KERNEL).square_class
+    return _class_product(Counter([square_class(c, p) for c in coeffs]), p)
 
 
 def discriminant_class(coefficients: Sequence[Rational]) -> int:

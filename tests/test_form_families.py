@@ -80,7 +80,7 @@ class TestEpsilonInvariants:
         # class-count product forced to the wrong value is caught at p = 5
         # and also at p = 3, where (-1|3) = -1, and p = 7, where (2|7) = 1.
         product = form_families._class_product
-        monkeypatch.setattr(form_families, "_class_product", lambda c, place: -product(c, place))
+        monkeypatch.setattr(form_families, "_class_product", lambda c, p: -product(c, p))
         for a, p in ((5, 5), (13, 5), (3, 3), (5, 3), (7, 7), (9, 3)):
             with pytest.raises(RuntimeError, match="class-count product"):
                 epsilon_q_at(a, 4, p)
@@ -136,13 +136,13 @@ class TestEpsilonInvariants:
 
     def test_q_closed_form_cross_check_runs(self, monkeypatch):
         # epsilon(q_5) at 5 is -1; a class-count product forced to 1 must be caught.
-        monkeypatch.setattr(form_families, "_class_product", lambda counts, place: 1)
+        monkeypatch.setattr(form_families, "_class_product", lambda counts, p: 1)
         with pytest.raises(RuntimeError, match="class-count product"):
             epsilon_q_at(5, 4, 5)
 
     def test_r_embedded_cross_check_runs(self, monkeypatch):
         # epsilon(r_17) at 17 is -1 for the root 6.
-        monkeypatch.setattr(form_families, "_class_product", lambda counts, place: 1)
+        monkeypatch.setattr(form_families, "_class_product", lambda counts, p: 1)
         with pytest.raises(RuntimeError, match="class-count product"):
             epsilon_r_at(17, 4, 17, 6)
 
@@ -261,9 +261,9 @@ class TestCertificates:
         # n = 10**6 evaluates exactly the symbols it evaluates at n = 4: the
         # two agree mod 4, so every exponent C(m, 2) and m * k of the class
         # counts has the same parity at both.
-        kernel, evaluated = local_invariants._KERNELS["odd_prime"], []
+        kernel, evaluated = local_invariants._ODD_KERNEL, []
         counting = kernel._replace(symbol=lambda *args: evaluated.append(args) or kernel.symbol(*args))
-        monkeypatch.setitem(local_invariants._KERNELS, "odd_prime", counting)
+        monkeypatch.setattr(local_invariants, "_ODD_KERNEL", counting)
         runs = {}
         for n in (4, 10**6):
             for make, (a1, a2) in ((make_q, (5, 13)), (make_r, (17, 41))):

@@ -109,6 +109,18 @@ class TestCounts:
         for k in range(1, 13):
             assert hall_count(k) ** 2 >= k**k
 
+    def test_hall_count_refusals_leave_the_table_alone(self):
+        # The recursion's table grows only for an accepted index.
+        hall_count(7)
+        before = list(free_groups._HALL_COUNTS)
+        for k in (True, 3.0, float(len(before) + 5), 0, -4):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    hall_count(k)
+        assert free_groups._HALL_COUNTS == before
+        assert hall_count(len(before) + 2) > hall_count(len(before) + 1) > before[-1]
+        assert free_groups._HALL_COUNTS[: len(before)] == before
+
     def test_index_cap(self):
         with pytest.raises(ValueError):
             enumerate_subgroups(MAX_INDEX + 1)

@@ -9,7 +9,9 @@ __init__.py.  No module reaches into free_groups' or form_families' private
 names, so the permutation-pair representation and the form-family records
 stay behind those modules.  No nested
 function calls itself: a recursive closure is a reference cycle, so what it
-reaches outlives its call until the cyclic collector runs.
+reaches outlives its call until the cyclic collector runs.  No module binds a
+top-level name that nothing reads: not its own module, not __all__, and no
+file of the package, its tests or the benchmark harness.
 """
 
 import ast
@@ -17,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "volcount"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "volcount"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [path for path in ALL_MODULES if path.name != "__init__.py"]
 
@@ -35,22 +38,35 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _module_bindings(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    # (name, statement) for each def, class and assignment target at top level.
+    bindings = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bindings.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            bindings += [(name, node) for name in names]
+    return bindings
+
+
+def _exports(tree: ast.Module) -> set[str]:
+    # The entries of the module's __all__, if it has one.
+    for name, node in _module_bindings(tree):
+        if name == "__all__":
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def stale_exports(source: str) -> list[str]:
     """The __all__ entries that name nothing the module binds at top level."""
     tree = ast.parse(source)
-    bound, exported = set(), []
+    bound = {name for name, _ in _module_bindings(tree)}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-            bound.update(names)
-            if "__all__" in names:
-                exported = [ast.literal_eval(element) for element in node.value.elts]
-    return sorted(set(exported) - bound)
+    return sorted(_exports(tree) - bound)
 
 
 def test_checker_flags_orphans_only():
@@ -177,3 +193,64 @@ def test_recursive_closure_checker_flags_only_nested_self_references():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.stem)
 def test_no_recursive_closures(path):
     assert recursive_closures(path.read_text(encoding="utf-8")) == []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names read under node: loaded names, attributes and imported names."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            names.update(alias.name for alias in child.names)
+    return names
+
+
+def orphan_names(source: str, other_sources: list[str]) -> list[str]:
+    """The top-level names the source binds that no other statement of it,
+    no __all__ entry and none of other_sources reads, in sorted order."""
+    tree = ast.parse(source)
+    exported = _exports(tree)
+    elsewhere = set().union(*(_reads(ast.parse(other)) for other in other_sources))
+    reads = [(node, _reads(node)) for node in tree.body]
+    orphans = set()
+    for name, statement in _module_bindings(tree):
+        read_here = any(name in names for node, names in reads if node is not statement)
+        if name != "__all__" and not (read_here or name in exported or name in elsewhere):
+            orphans.add(name)
+    return sorted(orphans)
+
+
+def test_orphan_name_checker_flags_only_unread_names():
+    source = (
+        "from math import gcd\n"
+        "LIMIT = 3\n"
+        "A, B = 1, 2\n"
+        "UNUSED: int = 4\n"
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else LIMIT\n"
+        "def helper():\n"
+        "    return A\n"
+        "def exported():\n"
+        "    pass\n"
+        "class K:\n"
+        "    attribute = 1\n"
+        "__all__ = ['exported']\n"
+    )
+    others = ["from pkg.mod import helper\n", "import pkg.mod as m\nm.K()\n"]
+    assert orphan_names(source, others) == ["B", "UNUSED", "walk"]
+
+
+def test_no_orphan_names():
+    sources = {
+        path: path.read_text(encoding="utf-8")
+        for directory in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    }
+    found = {
+        path.stem: orphan_names(sources[path], [s for p, s in sources.items() if p != path])
+        for path in MODULES
+    }
+    assert {stem: names for stem, names in found.items() if names} == {}

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -9,9 +10,11 @@ from volcount.exact_arith import (
     _PRIMALITY_BOUND as PSI_12,
     PrimalityRangeError,
     is_prime,
+    is_square_rational,
     legendre_symbol,
     padic_valuation,
     sqrt_mod,
+    squarefree_part,
 )
 from volcount.local_invariants import (
     DYADIC,
@@ -25,6 +28,19 @@ from volcount.local_invariants import (
 )
 
 nonzero_fractions = st.fractions(max_denominator=60).filter(lambda x: x != 0)
+
+
+def place_id(place: Place) -> str:
+    """The place's name in test ids: real, dyadic or p=<prime>."""
+    return {None: "real", 2: "dyadic"}.get(place.prime, f"p={place.prime}")
+
+
+def patch_kernel(monkeypatch, prime, kernel) -> None:
+    """Make kernel the one hilbert and hasse_witt look up for prime."""
+    if prime in local_invariants._KERNELS:
+        monkeypatch.setitem(local_invariants._KERNELS, prime, kernel)
+    else:
+        monkeypatch.setattr(local_invariants, "_ODD_KERNEL", kernel)
 
 
 def _hart_one_line(n: int, rounds: int = 256) -> int | None:
@@ -168,7 +184,7 @@ class TestPlaces:
             odd_place(2)
         with pytest.raises(ValueError):
             odd_place(9)
-        assert odd_place(7) == Place("odd_prime", 7)
+        assert odd_place(7) == Place(7)
 
     def test_a_float_prime_is_a_value_error(self):
         # One check serves exact_arith and the places: 5.0 equals a prime
@@ -182,21 +198,18 @@ class TestPlaces:
                 call()
 
     def test_place_identity(self):
-        assert REAL.kind == "real"
+        # A place is its prime and nothing else.
+        assert [field.name for field in fields(Place)] == ["prime"]
+        assert REAL.prime is None
         assert DYADIC.prime == 2
 
     def test_hand_built_place_is_validated_on_use(self):
         # A Place built without odd_place is checked when it is built, so the
         # symbols never see a bad one.
-        for prime in (9, 2, None, True):
+        for prime in (9, 2.0, True):
             with pytest.raises(ValueError, match=f"{prime} is not an odd prime"):
-                Place("odd_prime", prime)
-        for prime in (3, None):
-            with pytest.raises(ValueError, match="the dyadic place has prime 2"):
-                Place("dyadic", prime)
-        with pytest.raises(ValueError, match="unknown place kind 'archimedean'"):
-            Place("archimedean")
-        assert Place("odd_prime", 7) == odd_place(7)
+                Place(prime)
+        assert Place(7) == odd_place(7)
 
     def test_integer_coefficients_kept(self):
         # int and Fraction coefficients give the same invariants.
@@ -205,6 +218,57 @@ class TestPlaces:
         for place in (REAL, DYADIC, odd_place(5), odd_place(3)):
             assert hasse_witt(coefficients, place) == hasse_witt(as_fractions, place)
         assert discriminant_class(coefficients) == discriminant_class(as_fractions) == -10
+
+
+# Place(*args) and the place it names, or ValueError where no place has that prime.
+PLACES_BY_PRIME = [
+    ((), REAL),
+    ((None,), REAL),
+    ((2,), DYADIC),
+    ((7,), odd_place(7)),
+    ((10007,), odd_place(10007)),
+] + [((prime,), ValueError) for prime in (0, 1, 4, 9, -3, 2.0, 3.0, True, "3")]
+
+
+@pytest.mark.parametrize(
+    "args, expected", PLACES_BY_PRIME, ids=[f"Place{args!r}" for args, _ in PLACES_BY_PRIME]
+)
+def test_a_place_is_named_by_its_prime(args, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="is not an odd prime"):
+            Place(*args)
+    else:
+        assert Place(*args) == expected
+
+
+# Each rational argument, given a value that is neither an int nor a Fraction.
+RATIONAL_LOOK_ALIKES = [
+    (hilbert, (True, 3, REAL)),
+    (hilbert, (0.5, 3, odd_place(5))),
+    (hilbert, ("1/2", 3, DYADIC)),
+    (hilbert, (3, 2.0, DYADIC)),
+    (hasse_witt, ([1.0, 2, 3], odd_place(5))),
+    (hasse_witt, ([1, Fraction(1, 2), "3"], REAL)),
+    (discriminant_class, ([2.0, 3],)),
+    (squarefree_part, (12.0,)),
+    (squarefree_part, (True,)),
+    (squarefree_part, ("12",)),
+    (padic_valuation, (12.0, 3)),
+    (is_square_rational, (4.0,)),
+    (is_square_rational, (True,)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    RATIONAL_LOOK_ALIKES,
+    ids=[f"{f.__name__}{args!r}" for f, args in RATIONAL_LOOK_ALIKES],
+)
+def test_rational_arguments_refuse_look_alikes(function, args):
+    # Twice, so a refusal is seen not to be cached.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="expected an int or a Fraction, got"):
+            function(*args)
 
 
 class TestHilbertProperties:
@@ -264,7 +328,7 @@ def reference_hilbert(a, b, place: Place) -> int:
     numerator * denominator as the library does.
     """
     a, b = Fraction(a), Fraction(b)
-    if place.kind == "real":
+    if place.prime is None:
         return -1 if a < 0 and b < 0 else 1
     p = place.prime
     da, db = padic_valuation(a, p), padic_valuation(b, p)
@@ -324,7 +388,7 @@ class TestHilbertAgainstReference:
         coefficients = data.draw(st.lists(scaled_rationals(place.prime), min_size=1, max_size=6))
         assert hasse_witt(coefficients, place) == pairwise_hasse_witt(coefficients, place)
 
-    @pytest.mark.parametrize("place", SYMBOL_PLACES, ids=str)
+    @pytest.mark.parametrize("place", SYMBOL_PLACES, ids=place_id)
     @pytest.mark.parametrize("zero", (0, Fraction(0)))
     def test_zero_rejected_everywhere(self, place, zero):
         for a, b in ((zero, 3), (Fraction(-2, 7), zero)):
@@ -379,20 +443,20 @@ class TestHasseWitt:
 
 def class_representative(place: Place, c) -> Fraction:
     """A rational in the square class c of the place, as the kernel names it."""
-    if place.kind == "real":
+    p = place.prime
+    if p is None:
         return Fraction(c)
     v, unit = c
-    p = place.prime
-    if place.kind == "odd_prime":
+    if p != 2:
         # The least positive residue, or non-residue, mod p.
         unit = next(u for u in range(1, p) if legendre_symbol(u, p) == unit)
     return Fraction(p) ** v * unit
 
 
 def place_classes(place: Place) -> list:
-    if place.kind == "real":
+    if place.prime is None:
         return [1, -1]
-    units = (1, -1) if place.kind == "odd_prime" else (1, 3, 5, 7)
+    units = (1, 3, 5, 7) if place.prime == 2 else (1, -1)
     return [(v, u) for v in (0, 1) for u in units]
 
 
@@ -419,7 +483,7 @@ class TestClassCounts:
         coefficients = [c * square for c, square in coefficients]
         assert hasse_witt(coefficients, place) == pairwise_hasse_witt(coefficients, place)
 
-    @pytest.mark.parametrize("place", CLASS_PLACES, ids=str)
+    @pytest.mark.parametrize("place", CLASS_PLACES, ids=place_id)
     def test_every_pair_of_classes_at_every_multiplicity_parity(self, place):
         # Multiplicities 1..4 cover every parity of m and of C(m, 2).
         classes = place_classes(place)
@@ -432,7 +496,7 @@ class TestClassCounts:
                         if c != d:
                             coefficients += [class_representative(place, d)] * k
                         expected = pairwise_hasse_witt(coefficients, place)
-                        assert _class_product(counts, place) == expected, (counts, place)
+                        assert _class_product(counts, place.prime) == expected, (counts, place)
                         assert hasse_witt(coefficients, place) == expected
 
     @given(st.sampled_from(CLASS_PLACES), st.data())
@@ -445,20 +509,21 @@ class TestClassCounts:
         )
         counts = {c: m for c, m in zip(classes, multiplicities) if m}
         coefficients = [class_representative(place, c) for c, m in counts.items() for _ in range(m)]
-        assert _class_product(counts, place) == pairwise_hasse_witt(coefficients, place)
+        assert _class_product(counts, place.prime) == pairwise_hasse_witt(coefficients, place)
 
-    @pytest.mark.parametrize("place", CLASS_PLACES, ids=str)
+    @pytest.mark.parametrize("place", CLASS_PLACES, ids=place_id)
     def test_squares_are_padding(self, place, monkeypatch):
         # Every symbol against a square is 1: padding a list with the squares
         # 1, 4 and 9/4 keeps its invariant, and the kernel evaluates no
         # symbol for them.
-        squares = 1 if place.kind == "real" else (0, 1)
+        squares = 1 if place.prime is None else (0, 1)
         base = [class_representative(place, c) for c in place_classes(place) if c != squares] * 3
         paddings = [[], [1], [4, Fraction(9, 4)], [1, 4, Fraction(9, 4)] * 3]
         expected = [pairwise_hasse_witt(base + padding, place) for padding in paddings]
-        kernel, calls = local_invariants._KERNELS[place.kind], []
+        kernel = local_invariants._KERNELS.get(place.prime, local_invariants._ODD_KERNEL)
+        calls = []
         counting = kernel._replace(symbol=lambda *args: calls.append(args) or kernel.symbol(*args))
-        monkeypatch.setitem(local_invariants._KERNELS, place.kind, counting)
+        patch_kernel(monkeypatch, place.prime, counting)
         evaluated = []
         for padding, value in zip(paddings, expected):
             calls.clear()
