@@ -43,6 +43,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial, floor, isqrt, lcm
 
 from .decorated_graphs import DecoratedGraph, is_isomorphic
+from .exact_arith import _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import Word, enumerate_subgroups, hall_count
 
@@ -80,9 +81,12 @@ class Parcel:
     max_volume: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        forms, volumes = tuple(self.forms), tuple(Fraction(v) for v in self.volumes)
+        forms, volumes = tuple(self.forms), tuple(self.volumes)
         if len(forms) != 6 or len(volumes) != 6:
             raise ValueError("a parcel needs exactly six forms and six volumes")
+        for volume in volumes:
+            _require_rational(volume)
+        volumes = tuple(map(Fraction, volumes))
         if not all(isinstance(form, FamilyForm) for form in forms):
             raise ValueError("the forms of a parcel must be FamilyForm values")
         if min(volumes) <= 0:
@@ -386,6 +390,7 @@ def count_lower_bound(v, parcel: Parcel) -> CountReport:
     raises RuntimeError unless k! <= a_k <= k * k! and a_k >= the floor.  A k
     above MAX_COUNT_INDEX raises ValueError before any count is computed.
     """
+    _require_rational(v)
     v = Fraction(v)
     unit = 5 * parcel.max_volume
     if v < unit:

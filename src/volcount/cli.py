@@ -65,10 +65,6 @@ class UsageError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
@@ -147,7 +143,7 @@ def _cmd_primes(args):
         expected = reference_primes(args.family)[: args.count]
         primes = tuple(r.prime for r in reports[: len(expected)])
         if primes != expected:
-            raise VerificationFailure(f"prime list {primes} differs from reference {expected}")
+            raise RuntimeError(f"prime list {primes} differs from reference {expected}")
     lines = []
     for report in reports:
         conditions = " ".join(f"{k}={v}" for k, v in sorted(report.conditions.items()))
@@ -184,7 +180,7 @@ def _cmd_forms(args):
         ],
     }
     if inconclusive:
-        raise VerificationFailure(f"inconclusive pairs: {inconclusive}")
+        raise RuntimeError(f"inconclusive pairs: {inconclusive}")
     return payload, lines
 
 
@@ -202,7 +198,7 @@ def _cmd_subgroups(args):
         recursion = hall_count(k)
         floor = growth_floor(k)
         if enumerated != recursion:
-            raise VerificationFailure(
+            raise RuntimeError(
                 f"k={k}: enumeration gives {enumerated}, recursion gives {recursion}"
             )
         rows.append({"k": k, "subgroups": enumerated, "floor": floor})
@@ -245,9 +241,9 @@ def _cmd_graphs(args):
             lines.append(" ".join("T" if value else "." for value in row))
         payload = {"k": args.k, "matrix": matrix, "off_diagonal_with_cover": shared}
         if shared:
-            raise VerificationFailure(f"{shared} distinct pairs share a cover")
+            raise RuntimeError(f"{shared} distinct pairs share a cover")
         if not all(matrix[i][i] for i in range(len(tables))):
-            raise VerificationFailure("some graph has no cover in common with itself")
+            raise RuntimeError("some graph has no cover in common with itself")
         return payload, lines
 
     # distinguish
@@ -257,7 +253,7 @@ def _cmd_graphs(args):
         for j in range(i + 1, len(tables)):
             word = distinguishing_word(tables[i], tables[j])
             if word is None:
-                raise VerificationFailure(f"tables {i} and {j} admit no distinguishing word")
+                raise RuntimeError(f"tables {i} and {j} admit no distinguishing word")
             words.append({"i": i, "j": j, "word": str(word)})
             lines.append(f"{i:5d} {j:5d}  {word}")
     payload = {"k": args.k, "words": words}
@@ -311,7 +307,7 @@ def _cmd_count(args):
         except OSError as error:
             raise UsageError(f"cannot write descriptors: {error}") from error
         if written != report.descriptor_count:
-            raise VerificationFailure(
+            raise RuntimeError(
                 f"emitted {written} descriptors, expected {report.descriptor_count}"
             )
         lines.append(f"emitted = {written} -> {args.emit_descriptors}")
@@ -336,7 +332,7 @@ def _cmd_selftest(args):
     }
     if not all(r.passed for r in results):
         failed = [r.number for r in results if not r.passed]
-        raise VerificationFailure(f"criteria failed: {failed}")
+        raise RuntimeError(f"criteria failed: {failed}")
     return payload, [f"{len(results)} criteria passed"]
 
 
@@ -391,9 +387,9 @@ def _run(argv) -> int:
         else:
             print(f"usage error: {error}", file=sys.stderr)
         return USAGE_ERROR
-    except (VerificationFailure, RuntimeError, ValueError) as error:
-        # A RuntimeError is a failed internal self-check.  Bad arguments and
-        # input become UsageError, so a ValueError here is an internal error.
+    except (RuntimeError, ValueError) as error:
+        # A RuntimeError is a failed release check or self-check.  Bad arguments
+        # and input become UsageError, so a ValueError here is an internal error.
         if args.json:
             _emit("error", {"error": str(error)}, [], True)
         else:

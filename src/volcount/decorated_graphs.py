@@ -4,7 +4,7 @@ DecoratedGraph, the permutation pair with its coloring, lives in
 free_groups together with its canonical key and the argument that the key
 decides isomorphism; every such graph is connected.  A subgroup table there
 is already the Schreier graph colored at its basepoint; from_subgroup
-recolors one, and returns the table itself for its own coloring.
+returns a table as is for its own coloring and checks any other one.
 
 Covering maps in the permutation encoding are color-preserving vertex maps
 commuting with both permutations; local bijectivity on edge stars is
@@ -40,11 +40,12 @@ from .free_groups import DecoratedGraph
 def from_subgroup(table: DecoratedGraph, colored: Iterable[int]) -> DecoratedGraph:
     """The Schreier graph of the subgroup with the given vertices colored.
 
-    The table is returned itself when `colored` is its own coloring;
-    otherwise only `colored` is checked, since the table is connected.
+    The table itself for its own coloring; any other goes through the checked constructor.
     """
     colored = frozenset(colored)
-    return table if colored == table.colored else table.recolored(colored)
+    if colored == table.colored:
+        return table
+    return DecoratedGraph(table.vertex_count, table.perm_a, table.perm_b, colored)
 
 
 def is_isomorphic(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
@@ -63,8 +64,11 @@ def check_cover(cover: DecoratedGraph, base: DecoratedGraph, vertex_map: Sequenc
     m = tuple(vertex_map)
     if len(m) != cover.vertex_count:
         return False
-    if any(not 0 <= image < base.vertex_count for image in m):
-        return False
+    for image in m:
+        if type(image) is not int:
+            raise ValueError(f"vertex map entries must be ints, got {image!r}")
+        if not 0 <= image < base.vertex_count:
+            return False
     for x in range(cover.vertex_count):
         if m[cover.perm_a[x]] != base.perm_a[m[x]]:
             return False

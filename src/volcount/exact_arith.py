@@ -13,9 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-# Rationals are stdlib fractions: always in lowest terms, denominator > 0.
-Rational = Fraction
-
 # The twelve prime Miller-Rabin bases 2..37 are deterministic below
 # psi_12 = 318665857834031151167461 (about 3.2 * 10**23), the least strong
 # pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
@@ -121,31 +118,28 @@ def sqrt_mod(u: int, p: int) -> int | None:
         return 0
     if _euler_criterion(u, p) == -1:
         return None
-    if p % 4 == 3:
-        r = pow(u, (p + 1) // 4, p)
-    else:
-        # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while _euler_criterion(z, p) != -1:
-            z += 1
-        c = pow(z, q, p)
-        r = pow(u, (q + 1) // 2, p)
-        t = pow(u, q, p)
-        m = s
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
+    # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while _euler_criterion(z, p) != -1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(u, (q + 1) // 2, p)
+    t = pow(u, q, p)
+    m = s
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
     r = min(r, p - r)
     if r * r % p != u:
         raise RuntimeError(f"modular square root failed self-check for ({u}, {p})")
@@ -184,7 +178,7 @@ def factor_int(n: int) -> dict[int, int]:
     return factors
 
 
-def squarefree_part(x: Rational | int) -> int:
+def squarefree_part(x: Fraction | int) -> int:
     """The square-free integer representing x modulo nonzero rational squares."""
     _require_rational(x)
     if x == 0:
@@ -197,7 +191,7 @@ def squarefree_part(x: Rational | int) -> int:
     return result
 
 
-def is_square_rational(x: Rational | int) -> bool:
+def is_square_rational(x: Fraction | int) -> bool:
     """True iff x is the square of a rational number."""
     _require_rational(x)
     if x < 0:
@@ -211,10 +205,10 @@ class ValuationDecomposition:
     """x = p**exponent * unit_part with unit_part a p-adic unit."""
 
     exponent: int
-    unit_part: Rational
+    unit_part: Fraction
 
 
-def padic_valuation(x: Rational | int, p: int) -> ValuationDecomposition:
+def padic_valuation(x: Fraction | int, p: int) -> ValuationDecomposition:
     """Decompose nonzero rational x as p^m * u with v_p(u) = 0."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

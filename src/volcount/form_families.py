@@ -121,22 +121,6 @@ def epsilon_q_at(a: int, n: int, p: int) -> int:
     return _member_epsilon(a, n, p, (0, legendre_symbol(-2, p)))
 
 
-def epsilon_r_at(a: int, n: int, p: int, root: int) -> int:
-    """Hasse-Witt invariant of r_a over the p-adics at a split prime p = 1 mod 8.
-
-    sqrt(2) embeds as root, which must satisfy 0 < root < p and root^2 = 2
-    (mod p), so -sqrt(2) is the unit -root.  The value (root|p)^(v_p(a)) does
-    not depend on the root chosen, because (-1|p) = 1.
-    """
-    if p % 8 != 1 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime congruent to 1 mod 8")
-    _require_int(root)
-    if not 0 < root < p or (root * root - 2) % p != 0:
-        raise ValueError(f"{root} is not a square root of 2 modulo {p}")
-    make_r(a, n)  # checks a and n
-    return _member_epsilon(a, n, p, _odd_class(-root, p))
-
-
 @dataclass(frozen=True)
 class NonCommensurabilityCertificate:
     """Witnessed proof that two family members are inequivalent up to scaling.

@@ -158,11 +158,6 @@ class DecoratedGraph:
         object.__setattr__(graph, "_canonical_key", None)
         return graph
 
-    def recolored(self, colored: Iterable[int]) -> DecoratedGraph:
-        """The same permutation pair with `colored` colored; only `colored` is checked."""
-        colored = _coloring(self.vertex_count, colored)
-        return DecoratedGraph._trusted(self.vertex_count, self.perm_a, self.perm_b, colored)
-
     @property
     def basepoint(self) -> int:
         """The colored vertex; ValueError unless exactly one vertex is colored."""
@@ -296,16 +291,6 @@ class Word:
         # Ints only: 1.0 and True equal letter codes.
         if any(type(letter) is not int or not 0 <= letter <= 3 for letter in self.letters):
             raise ValueError(f"invalid letter codes in {self.letters!r}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Word":
-        """Parse compact notation: 'aB' is a * b^-1; 'e' or '' is the identity."""
-        if text in ("", "e"):
-            return cls(())
-        try:
-            return cls(tuple(_LETTER_CHARS.index(ch) for ch in text))
-        except ValueError:
-            raise ValueError(f"cannot parse word {text!r}; use letters from 'aAbB'")
 
     def __str__(self) -> str:
         if not self.letters:

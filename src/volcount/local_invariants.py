@@ -44,7 +44,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exact_arith import (
-    Rational,
     _euler_criterion,
     _require_odd_prime,
     _require_rational,
@@ -82,7 +81,7 @@ def _nonzero_terms(x) -> tuple[int, int]:
     return num, x.denominator
 
 
-def _real_class(x: Rational, _prime: None) -> int:
+def _real_class(x: Fraction, _prime: None) -> int:
     # The sign of x.
     return -1 if _nonzero_terms(x)[0] < 0 else 1
 
@@ -91,7 +90,7 @@ def _real_symbol(c: int, d: int, _prime: None) -> int:
     return -1 if c < 0 and d < 0 else 1
 
 
-def _odd_class(x: Rational, p: int) -> tuple[int, int]:
+def _odd_class(x: Fraction, p: int) -> tuple[int, int]:
     # The square class (v_p(x) mod 2, (u|p)) of x = p^v * u with u a p-adic
     # unit; p is an odd prime validated by the caller (or by its Place).
     m, num, den = _strip_prime(*_nonzero_terms(x), p)
@@ -104,7 +103,7 @@ def _odd_symbol(c: tuple[int, int], d: tuple[int, int], p: int) -> int:
     return (_euler_criterion(-1, p) if n and m else 1) * legendre_u**m * legendre_v**n
 
 
-def _dyadic_class(x: Rational, p: int) -> tuple[int, int]:
+def _dyadic_class(x: Fraction, p: int) -> tuple[int, int]:
     # The square class (v_2(x) mod 2, u mod 8) of x = 2^v * u with u a 2-adic
     # unit; p is the dyadic place's prime 2.
     m, num, den = _strip_prime(*_nonzero_terms(x), p)
@@ -132,14 +131,14 @@ _KERNELS = {
 _ODD_KERNEL = _Kernel(_odd_class, _odd_symbol, (0, 1))
 
 
-def hilbert(a: Rational, b: Rational, place: Place) -> int:
+def hilbert(a: Fraction, b: Fraction, place: Place) -> int:
     """Hilbert symbol (a, b) at the given place of Q."""
     p = place.prime
     square_class, symbol, _ = _KERNELS.get(p, _ODD_KERNEL)
     return symbol(square_class(a, p), square_class(b, p), p)
 
 
-def _coefficients_of(coefficients) -> tuple[Rational, ...]:
+def _coefficients_of(coefficients) -> tuple[Fraction, ...]:
     # Each entry must be an int or a Fraction; nothing is converted.
     out = tuple(coefficients)
     if not out:
@@ -173,7 +172,7 @@ def _class_product(counts: Mapping, p: int | None) -> int:
     return result
 
 
-def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
+def hasse_witt(coefficients: Sequence[Fraction], place: Place) -> int:
     """Product of hilbert(a_i, a_j, place) over index pairs i < j, 1 at rank 1,
     taken over the counts of the coefficients' square classes."""
     p, coeffs = place.prime, _coefficients_of(coefficients)
@@ -181,7 +180,7 @@ def hasse_witt(coefficients: Sequence[Rational], place: Place) -> int:
     return _class_product(Counter([square_class(c, p) for c in coeffs]), p)
 
 
-def discriminant_class(coefficients: Sequence[Rational]) -> int:
+def discriminant_class(coefficients: Sequence[Fraction]) -> int:
     """Square-free integer representing the product of the coefficients."""
     coeffs = _coefficients_of(coefficients)
     product = Fraction(1)

@@ -264,13 +264,13 @@ class TestTracing:
 
     def test_forward_letter(self, parcel):
         descriptor = assemble(TWO, parcel)
-        result = trace_word(descriptor, Word.from_string("a"))
+        result = trace_word(descriptor, Word((0,)))
         assert result.kinds == ("V1", "A_minus", "A_plus", "V0")
         assert result.crossings == 3
 
     def test_inverse_letter_enters_plus_side(self, parcel):
         descriptor = assemble(TWO, parcel)
-        result = trace_word(descriptor, Word.from_string("A"))
+        result = trace_word(descriptor, Word((1,)))
         assert result.kinds == ("V1", "A_plus", "A_minus", "V0")
 
     def test_matches_a_trace_through_the_permutations(self, parcel):
@@ -295,19 +295,19 @@ class TestTracing:
 
     def test_crossing_count(self, parcel):
         descriptor = assemble(TWO, parcel)
-        for text in ("a", "ab", "aBab", "bbbb"):
-            word = Word.from_string(text)
+        for letters in ((0,), (0, 2), (0, 3, 0, 2), (2, 2, 2, 2)):
+            word = Word(letters)
             assert trace_word(descriptor, word).crossings == 3 * len(word)
 
     def test_decoration_required(self, parcel):
         uncolored = assemble(DecoratedGraph(1, (0,), (0,), frozenset()), parcel)
         with pytest.raises(ValueError):
-            trace_word(uncolored, Word.from_string("a"))
+            trace_word(uncolored, Word((0,)))
         two_colored = assemble(
             DecoratedGraph(2, (1, 0), (0, 1), frozenset({0, 1})), parcel
         )
         with pytest.raises(ValueError):
-            trace_word(two_colored, Word.from_string("a"))
+            trace_word(two_colored, Word((0,)))
 
     def test_distinguishing_word_separates_terminals(self, parcel):
         tables = enumerate_subgroups(2)

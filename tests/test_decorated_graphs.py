@@ -90,7 +90,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="colored vertices must be vertices"):
             DecoratedGraph(2, (1, 0), (0, 1), {vertex})
         with pytest.raises(ValueError, match="colored vertices must be vertices"):
-            SWAP_A.recolored({vertex})
+            from_subgroup(SWAP_A, {vertex})
         with pytest.raises(ValueError, match="colored vertices must be vertices"):
             from_subgroup(enumerate_subgroups(2)[0], {0, vertex})
 

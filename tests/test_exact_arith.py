@@ -111,6 +111,16 @@ class TestLegendreAndSqrt:
         else:
             assert root is None
 
+    def test_sqrt_matches_brute_force_below_200(self):
+        # Every odd prime p < 200, the p = 3 (mod 4) half among them, and
+        # every unit: the smaller root, or None for a non-residue.
+        for p in filter(is_prime, range(3, 200, 2)):
+            smaller_root = {}
+            for x in range(1, (p + 1) // 2):
+                smaller_root[x * x % p] = x
+            for u in range(1, p):
+                assert sqrt_mod(u, p) == smaller_root.get(u)
+
     @given(
         st.sampled_from(ODD_PRIMES),
         st.integers(min_value=1, max_value=10**4),

@@ -11,7 +11,6 @@ from volcount.form_families import (
     FamilyForm,
     _discriminant_description,
     epsilon_q_at,
-    epsilon_r_at,
     gauss_representation,
     make_q,
     make_r,
@@ -21,7 +20,12 @@ from volcount.form_families import (
     two_is_fourth_power,
 )
 from volcount.free_groups import hall_count
-from volcount.local_invariants import hasse_witt, odd_place
+from volcount.local_invariants import _odd_class, hasse_witt, odd_place
+
+
+def r_epsilon(a, n, p, root):
+    """epsilon(r_a) at a witness prime p, sqrt(2) embedded as root: -sqrt(2) is the unit -root."""
+    return form_families._member_epsilon(a, n, p, _odd_class(-root, p))
 
 
 class TestFormConstruction:
@@ -86,31 +90,26 @@ class TestEpsilonInvariants:
                 epsilon_q_at(a, 4, p)
 
     def test_r_values_and_root_independence(self):
-        assert epsilon_r_at(17, 4, 17, 6) == -1
-        assert epsilon_r_at(17, 4, 17, 11) == -1
-        assert epsilon_r_at(41, 4, 17, 6) == 1
-
-    def test_r_requires_split_prime(self):
-        with pytest.raises(ValueError):
-            epsilon_r_at(17, 4, 5, 3)
+        # 6 and 11 are the square roots of 2 mod 17; (-1|17) = 1, so both
+        # embeddings give the same value.
+        for root in (6, 11):
+            assert r_epsilon(17, 4, 17, root) == -1
+            assert r_epsilon(41, 4, 17, root) == 1
 
     @settings(max_examples=200)
     @given(
         st.sampled_from(REFERENCE_ANISOTROPIC_PRIMES),
-        st.booleans(),
         st.integers(min_value=3, max_value=30),
         st.integers(min_value=1, max_value=10**4),
         st.integers(min_value=0, max_value=3),
     )
-    def test_r_matches_hasse_witt_of_embedded_coefficients(self, p, larger, n, k, e):
-        # The independent route: embed -sqrt(2) as -root and take the
-        # generic Hasse-Witt product of the rational coefficients.
-        root = sqrt_mod(2, p)
-        if larger:
-            root = p - root
+    def test_r_matches_hasse_witt_of_embedded_coefficients(self, p, n, k, e):
+        # The independent route: embed -sqrt(2) as -root, at both roots, and
+        # take the generic Hasse-Witt product of the rational coefficients.
         a = k * p**e
-        expected = hasse_witt((a,) + (1,) * (n - 1) + (-root,), odd_place(p))
-        assert epsilon_r_at(a, n, p, root) == expected
+        for root in (sqrt_mod(2, p), p - sqrt_mod(2, p)):
+            expected = hasse_witt((a,) + (1,) * (n - 1) + (-root,), odd_place(p))
+            assert r_epsilon(a, n, p, root) == expected
 
     @settings(max_examples=200)
     @given(
@@ -126,14 +125,6 @@ class TestEpsilonInvariants:
         expected = hasse_witt((a,) + (1,) * (n - 1) + (-2,), odd_place(p))
         assert epsilon_q_at(a, n, p) == expected
 
-    @pytest.mark.parametrize("p", REFERENCE_ANISOTROPIC_PRIMES)
-    def test_r_refuses_a_non_root(self, p):
-        roots = {sqrt_mod(2, p), p - sqrt_mod(2, p)}
-        for candidate in (-min(roots), 0, 1, min(roots) + 1, max(roots) + p, p):
-            assert candidate not in roots
-            with pytest.raises(ValueError, match="not a square root of 2"):
-                epsilon_r_at(p, 3, p, candidate)
-
     def test_q_closed_form_cross_check_runs(self, monkeypatch):
         # epsilon(q_5) at 5 is -1; a class-count product forced to 1 must be caught.
         monkeypatch.setattr(form_families, "_class_product", lambda counts, p: 1)
@@ -141,16 +132,15 @@ class TestEpsilonInvariants:
             epsilon_q_at(5, 4, 5)
 
     def test_r_embedded_cross_check_runs(self, monkeypatch):
-        # epsilon(r_17) at 17 is -1 for the root 6.
+        # epsilon(r_17) at 17 is -1 at both roots, 6 and 11.
         monkeypatch.setattr(form_families, "_class_product", lambda counts, p: 1)
-        with pytest.raises(RuntimeError, match="class-count product"):
-            epsilon_r_at(17, 4, 17, 6)
+        for root in (6, 11):
+            with pytest.raises(RuntimeError, match="class-count product"):
+                r_epsilon(17, 4, 17, root)
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             epsilon_q_at(0, 4, 5)
-        with pytest.raises(ValueError):
-            epsilon_r_at(17, 2, 17, 6)
 
     @given(
         st.sampled_from(REFERENCE_ISOTROPIC_PRIMES),
@@ -168,7 +158,6 @@ LOOK_ALIKES = [
     (FamilyForm, ("q", 5.0, 4)),
     (epsilon_q_at, (True, 4, 5)),
     (epsilon_q_at, (5, 4, 5.0)),
-    (epsilon_r_at, (17, 4, 17, 6.0)),
     (search_primes_isotropic, (2.0,)),
     (search_primes_anisotropic, (True,)),
     (form_families.family_members, ("isotropic", 2.0, 4)),
