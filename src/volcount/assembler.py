@@ -45,7 +45,7 @@ from math import factorial, floor, isqrt, lcm
 from .decorated_graphs import DecoratedGraph, is_isomorphic
 from .exact_arith import _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
-from .free_groups import Word, enumerate_subgroups, hall_count
+from .free_groups import MAX_INDEX, Word, enumerate_subgroups, hall_count
 
 VERTEX_KINDS = ("V0", "V1")
 EDGE_KINDS = ("A_minus", "A_plus", "B_minus", "B_plus")
@@ -133,6 +133,8 @@ class ManifoldDescriptor:
     The graph fixes the pattern: one block instance per vertex and two per
     edge, glued in the scan order that _pick spells out.  Its document is
     the text descriptor_to_json writes, the only text that reads back.
+    The volume is an int or a Fraction, stored as a Fraction; a Fraction is
+    stored as it is.
     """
 
     source_graph: DecoratedGraph
@@ -140,7 +142,10 @@ class ManifoldDescriptor:
     volume_bound: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "volume_bound", Fraction(self.volume_bound))
+        volume = self.volume_bound
+        _require_rational(volume)
+        if type(volume) is int:
+            object.__setattr__(self, "volume_bound", Fraction(volume))
 
 
 class _Memo(dict):
@@ -167,6 +172,13 @@ _GLUING_ROW = (
 )
 
 
+def _int_list(values) -> str:
+    # A list of ints under a "graph" key, at the document's third level.
+    if not values:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]"
+
+
 def _letter_rows(k: int, slot: int, x: str):
     """The x-edge rows of _pattern_text, whose out slot at each vertex is `slot`."""
     minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
@@ -184,11 +196,19 @@ def _letter_rows(k: int, slot: int, x: str):
         v, u = divmod(key, k)
         return _GLUING_ROW % ("v%d" % v, slot + 1, plus[u], 1)
 
+    edges, in_gluings = _Memo(edge_rows), _Memo(in_gluing)
+
+    def permutation_rows(perm):
+        instances, ins = [], [None] * k
+        for v, w in enumerate(perm):
+            instances += edges[v * k + w]
+            ins[w] = in_gluings[w * k + v]
+        return tuple(instances), tuple(ins), _int_list(perm)
+
     return (
-        _Memo(edge_rows),
         [_GLUING_ROW % ("v%d" % v, slot, minus[v], 0) for v in range(k)],
-        _Memo(in_gluing),
         [_GLUING_ROW % (minus[v], 1, plus[v], 0) for v in range(k)],
+        permutation_rows,
     )
 
 
@@ -204,24 +224,65 @@ _CACHED_SIZE = 16
 def _pattern_text(k: int):
     """The rows of k-vertex patterns in the document layout, kept per k.
 
-    Returns (vertex_rows, edge_rows, out_gluings, in_gluings, edge_gluings):
+    Returns (vertex_rows, out_gluings, edge_gluings, permutation_rows):
     vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
-    edge_rows[x][v * k + w] the minus and plus rows of the x-edge v -> w
-    (x = 0 for a, 1 for b); out_gluings[x][v] and in_gluings[x][v * k + u]
-    glue vertex v's x-out slot and, for the x-edge u -> v, its x-in slot;
-    edge_gluings lists the minus-to-plus gluings of every edge.  Rows of one
-    vertex are rendered at once, rows of an edge when a pattern first has it
-    (_Memo), so a graph past _CACHED_SIZE, whose table serves one document,
-    renders only the rows it has.
+    out_gluings[x][v] glues vertex v's x-out slot (x = 0 for a, 1 for b);
+    edge_gluings lists the minus-to-plus gluings of every edge; and
+    permutation_rows[x](perm), for perm the x-permutation of a graph,
+    returns its 2k edge instance rows (the minus and plus rows of each
+    x-edge v -> perm[v], in v order), its k in-slot gluing rows (vertex v's
+    x-in slot to the x-edge that ends at v) and its _int_list text.  Rows of
+    one vertex are rendered at once, rows of an edge v -> w and of an
+    in-slot gluing when a pattern first has them (_Memo), so a graph past
+    _CACHED_SIZE, whose table serves one document, renders only the rows
+    it has.  Every row permutation_rows returns is one of these shared
+    strings, not a copy.
     """
     vertex_rows = tuple(
         [_INSTANCE_ROW % ("v%d" % v, kind, "vertex %d" % v) for v in range(k)]
         for kind in VERTEX_KINDS
     )
-    edge_rows, out_gluings, in_gluings, (a_gluings, b_gluings) = zip(
+    out_gluings, (a_gluings, b_gluings), permutation_rows = zip(
         _letter_rows(k, 0, "a"), _letter_rows(k, 2, "b")
     )
-    return vertex_rows, edge_rows, out_gluings, in_gluings, a_gluings + b_gluings
+    return vertex_rows, out_gluings, a_gluings + b_gluings, permutation_rows
+
+
+# One entry per letter for every permutation of degree MAX_INDEX, so an
+# enumeration's rows (1,216 distinct at index 7) all stay; each entry holds
+# references to its size's shared rows plus one _int_list text.  Only
+# graphs of up to _CACHED_SIZE vertices are kept: an entry of 16 vertices,
+# its key included, takes about 1.1 KB under tracemalloc, so the full cache
+# takes at most about 11 MB.
+@lru_cache(maxsize=2 * factorial(MAX_INDEX))
+def _permutation_rows(x: int, perm: tuple[int, ...]):
+    return _pattern_text(len(perm))[3][x](perm)
+
+
+def _document_rows(graph: DecoratedGraph):
+    """_pick's two row lists, then the _int_list texts of perm_a and perm_b."""
+    k = graph.vertex_count
+    if k <= _CACHED_SIZE:
+        (plain, colored), (a_out, b_out), edge_gluings, _ = _pattern_text(k)
+        a_edges, a_in, a_text = _permutation_rows(0, graph.perm_a)
+        b_edges, b_in, b_text = _permutation_rows(1, graph.perm_b)
+    else:
+        table = _pattern_text.__wrapped__(k)
+        (plain, colored), (a_out, b_out), edge_gluings, (a_rows, b_rows) = table
+        a_edges, a_in, a_text = a_rows(graph.perm_a)
+        b_edges, b_in, b_text = b_rows(graph.perm_b)
+    instances = plain.copy()
+    for v in graph.colored:
+        instances[v] = colored[v]
+    instances += a_edges
+    instances += b_edges
+    gluings = [None] * (4 * k)
+    gluings[0::4] = a_out
+    gluings[1::4] = a_in
+    gluings[2::4] = b_out
+    gluings[3::4] = b_in
+    gluings += edge_gluings
+    return instances, gluings, a_text, b_text
 
 
 def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
@@ -235,23 +296,12 @@ def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
     slot 1 (a-in) to slot 1 of "a{u}+" for the a-edge u -> v, slots 2 and 3
     likewise for b; then per edge, a-edges before b-edges, slot 1 of its
     minus block to slot 0 of its plus block.  An x-self-loop at v consumes
-    both x-slots of v.  Each row is its text in the document, from
-    _pattern_text(k).
+    both x-slots of v.  Each row is its text in the document: the vertex,
+    out-slot and edge gluing rows from _pattern_text(k), the edge instance
+    and in-slot rows of each permutation from _permutation_rows, whose
+    lists the gluing list interleaves by slice assignment.
     """
-    k = graph.vertex_count
-    table = _pattern_text(k) if k <= _CACHED_SIZE else _pattern_text.__wrapped__(k)
-    (plain, colored), (a_edges, b_edges), (a_out, b_out), (a_in, b_in), edge_gluings = table
-    perm_a, inverse_a, perm_b, inverse_b = graph.steps()
-    instances = [colored[v] if v in graph.colored else plain[v] for v in range(k)]
-    for v in range(k):
-        instances += a_edges[v * k + perm_a[v]]
-    for v in range(k):
-        instances += b_edges[v * k + perm_b[v]]
-    gluings = []
-    for v in range(k):
-        gluings += (a_out[v], a_in[v * k + inverse_a[v]], b_out[v], b_in[v * k + inverse_b[v]])
-    gluings += edge_gluings
-    return instances, gluings
+    return _document_rows(graph)[:2]
 
 
 def _check_closed(instances, gluings) -> None:
@@ -464,33 +514,30 @@ def commensurability_verdict(
     return CommensurabilityVerdict(same, tuple(checked), assumed)
 
 
-def _int_list(values) -> str:
-    # A list of ints under a "graph" key, at the document's third level.
-    if not values:
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]"
-
-
 def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     """Stable JSON document for a descriptor; keys sorted, volumes exact.
 
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
-    run the pure-Python one token by token, so this writer joins the rows
-    _pick takes from _pattern_text, rendered once per graph size (up to
-    _CACHED_SIZE vertices), writes the keys in sorted order by hand, and
-    escapes the caller's strings with the same encode_basestring_ascii that
-    json.dumps applies.  descriptor_from_json accepts exactly this text.
+    run the pure-Python one token by token, so this writer joins rows that
+    are rendered once: _pick's rows come from _pattern_text, kept per graph
+    size, and the edge and in-slot rows and perm_a/perm_b texts of each
+    permutation from _permutation_rows, kept per letter and permutation
+    (both for graphs of up to _CACHED_SIZE vertices; at most
+    2 * factorial(MAX_INDEX) = 10,080 permutation entries, about 11 MB).  It
+    writes the keys in sorted order by hand and escapes the caller's strings
+    with the same encode_basestring_ascii that json.dumps applies.
+    descriptor_from_json accepts exactly this text.
     """
     graph = descriptor.source_graph
-    instances, gluings = _pick(graph)
+    instances, gluings, perm_a, perm_b = _document_rows(graph)
     gluing_rows, instance_rows = ",\n".join(gluings), ",\n".join(instances)
     return (
         f'{{\n  "gluings": [\n{gluing_rows}\n  ],\n'
         f'  "graph": {{\n'
         f'    "colored": {_int_list(sorted(graph.colored))},\n'
-        f'    "perm_a": {_int_list(graph.perm_a)},\n'
-        f'    "perm_b": {_int_list(graph.perm_b)},\n'
+        f'    "perm_a": {perm_a},\n'
+        f'    "perm_b": {perm_b},\n'
         f'    "vertices": {graph.vertex_count}\n'
         f'  }},\n'
         f'  "instances": [\n{instance_rows}\n  ],\n'
@@ -539,9 +586,9 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         spec = _decode_value(text, _line_start(text, _GRAPH_LINE) + len(_GRAPH_LINE))[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
         tail = _decode_value("{" + text[_line_start(text, _PARCEL_LINE) :])[0]
-        # The descriptor's own coercion parses the volume, once.
-        descriptor = ManifoldDescriptor(graph, tail["parcel_id"], tail["volume_bound"])
-        parcel_id, volume = descriptor.parcel_id, descriptor.volume_bound
+        # Parsed here, once: the descriptor takes only an int or a Fraction.
+        parcel_id, volume = tail["parcel_id"], Fraction(tail["volume_bound"])
+        descriptor = ManifoldDescriptor(graph, parcel_id, volume)
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:
         raise ValueError(f"malformed descriptor document: {error!r}") from error

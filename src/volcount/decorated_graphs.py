@@ -36,14 +36,18 @@ from typing import Iterable, Sequence
 
 from .free_groups import DecoratedGraph
 
+_INT_TYPE = frozenset({int})
+
 
 def from_subgroup(table: DecoratedGraph, colored: Iterable[int]) -> DecoratedGraph:
     """The Schreier graph of the subgroup with the given vertices colored.
 
-    The table itself for its own coloring; any other goes through the checked constructor.
+    The table itself for its own coloring; any other, and a coloring of
+    vertices that only equal ints (0.0, False), goes through the checked
+    constructor.
     """
     colored = frozenset(colored)
-    if colored == table.colored:
+    if colored == table.colored and _INT_TYPE.issuperset(map(type, colored)):
         return table
     return DecoratedGraph(table.vertex_count, table.perm_a, table.perm_b, colored)
 

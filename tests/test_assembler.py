@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -15,6 +15,7 @@ from volcount.assembler import (
     _CACHED_SIZE,
     _check_closed,
     _pattern_text,
+    _permutation_rows,
     _pick,
     _total_volume,
     assemble,
@@ -65,6 +66,9 @@ def _cycle_graph(k, step, colored):
 # Sizes past _CACHED_SIZE, whose tables are built for one pattern.
 SEVENTEEN = _cycle_graph(17, 5, {0, 16})
 FORTY = _cycle_graph(40, 3, set())
+# Sizes past the enumeration cap whose rows are still kept.
+TWELVE = _cycle_graph(12, 5, {0, 7})
+SIXTEEN = _cycle_graph(16, 3, {0})
 
 
 def _document(graph, parcel):
@@ -207,6 +211,13 @@ class TestAssembly:
                     document = _document(graph, parcel)
                     _check_closed(document["instances"], document["gluings"])
                     assert volume_bound(assemble(graph, parcel), parcel) == 5 * k
+
+    def test_volume_is_stored_as_given(self, parcel):
+        volume = Fraction(7, 3)
+        assert ManifoldDescriptor(TWO, "p", volume).volume_bound is volume
+        assert assemble(TWO, parcel).volume_bound == 10
+        stored = ManifoldDescriptor(TWO, "p", 10).volume_bound
+        assert type(stored) is Fraction and stored == 10
 
     def test_disconnected_rejected(self, parcel):
         # assemble takes connected graphs, and no other graph can be built.
@@ -500,9 +511,28 @@ class TestPatternRows:
     def test_writer_examples_stay_uncached(self, parcel, graph):
         # TestWriter's examples of these sizes cover the uncached tables.
         assert graph.vertex_count > _CACHED_SIZE
-        cached = _pattern_text.cache_info()
+        cached = _pattern_text.cache_info(), _permutation_rows.cache_info()
         descriptor_to_json(assemble(graph, parcel))
-        assert _pattern_text.cache_info() == cached
+        assert (_pattern_text.cache_info(), _permutation_rows.cache_info()) == cached
+
+    def test_permutation_rows_stay_within_their_bound(self, parcel):
+        # Each graph brings two new keys, (0, perm) and (1, perm o cycle);
+        # the pair generates the 8-cycle, so the graph is connected.
+        bound = _permutation_rows.cache_info().maxsize
+        cycle = [(v + 1) % 8 for v in range(8)]
+        graphs = [
+            DecoratedGraph(8, perm, [perm[w] for w in cycle], {0})
+            for perm in islice(permutations(range(8)), bound // 2 + 10)
+        ]
+        for graph in graphs:
+            descriptor_to_json(assemble(graph, parcel))
+            assert _permutation_rows.cache_info().currsize <= bound
+        assert _permutation_rows.cache_info().currsize == bound
+        # The first graphs' rows were evicted, and are rendered again.
+        for graph in graphs[:3] + graphs[-3:]:
+            descriptor = assemble(graph, parcel)
+            assert descriptor_to_json(descriptor) == _dumps_document(descriptor)
+        _permutation_rows.cache_clear()
 
 
 class TestWriter:
@@ -510,6 +540,8 @@ class TestWriter:
     @example(LOOP, [1] * 6, 'quote " backslash \\ tab \t nul \x00 \x1f')
     @example(TWO, [Fraction(1, 3)] * 6, "non-ASCII: \u00e9\u20ac\U0001f600 \ud800")
     @example(DecoratedGraph(3, (1, 2, 0), (0, 1, 2), frozenset()), [1] * 6, "")
+    @example(TWELVE, [1, Fraction(5, 2), 1, 1, 1, Fraction(1, 2)], "isotropic-n4")
+    @example(SIXTEEN, [1] * 6, "anisotropic-n4")
     @example(SEVENTEEN, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1], "isotropic-n4")
     @example(FORTY, [1] * 6, "anisotropic-n4")
     @settings(max_examples=150, deadline=None)

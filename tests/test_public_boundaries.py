@@ -18,6 +18,7 @@ import volcount
 from volcount import (
     DecoratedGraph,
     FamilyForm,
+    ManifoldDescriptor,
     Parcel,
     Place,
     Word,
@@ -61,6 +62,7 @@ CASES = [
     (DecoratedGraph, (2, (1, 0), (0, 1), (0,)), (3, 0), "int"),
     (check_cover, (SWAP_A, SWAP_A, (0, 1)), (2, 1), "int"),
     (from_subgroup, (SWAP_A, (1,)), (1, 0), "int"),
+    (ManifoldDescriptor, (SWAP_A, "p", Fraction(5, 2)), (2,), "rational"),
     (factor_int, (12,), (0,), "int"),
     (is_prime, (7,), (0,), "int"),
     (legendre_symbol, (2, 7), (0,), "int"),
@@ -96,8 +98,6 @@ NO_INT_ARGUMENTS = {
     "CountReport": "result record",
     "TraceResult": "result record",
     "NonCommensurabilityCertificate": "result record",
-    # The reader hands it the volume as the document's string.
-    "ManifoldDescriptor": "converts its volume with Fraction",
     "PrimalityRangeError": "exception class",
     # Their arguments are graphs, descriptors, forms, parcels, words or text.
     "assemble": "no int argument",
@@ -169,3 +169,12 @@ def test_look_alike_is_refused(function, args, path, substitute, tmp_path):
     for _ in range(2):
         with pytest.raises(ValueError):
             function(*args)
+
+
+@pytest.mark.parametrize("vertex", [0.0, False, Fraction(0)], ids=repr)
+def test_own_coloring_look_alike_is_refused(vertex):
+    # The walk's from_subgroup case recolors SWAP_A; these equal its own
+    # coloring {0}, for which from_subgroup returns the table itself.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="colored vertices must be vertices"):
+            from_subgroup(SWAP_A, {vertex})
