@@ -30,7 +30,6 @@ from .decorated_graphs import (
     graph_from_text,
     graph_to_text,
     has_common_decorated_cover,
-    is_isomorphic,
 )
 from .exact_arith import (
     PrimalityRangeError,

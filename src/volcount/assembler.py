@@ -42,7 +42,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import factorial, floor, isqrt, lcm
 
-from .decorated_graphs import DecoratedGraph, is_isomorphic
+from .decorated_graphs import DecoratedGraph, has_common_decorated_cover
 from .exact_arith import _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import MAX_INDEX, Word, enumerate_subgroups, hall_count
@@ -358,7 +358,9 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
-    """Exact sum of instance volumes; asserts the 5k * max_volume cap on integer numerators."""
+    """Exact sum of instance volumes from the descriptor's own parcel; asserts the 5k * V cap."""
+    if descriptor.parcel_id != parcel.parcel_id:
+        raise ValueError("descriptor must come from the given parcel")
     k = descriptor.source_graph.vertex_count
     numerator = _volume_numerator(descriptor.source_graph, parcel)
     total = Fraction(numerator, parcel._common_denominator)
@@ -433,13 +435,8 @@ def growth_floor(k: int) -> int:
     return root if root * root == power else root + 1
 
 
-def count_lower_bound(v, parcel: Parcel) -> CountReport:
-    """Descriptors affordable within volume v: k = floor(v / (5 V)) vertices.
-
-    Reports the exact index-k subgroup count a_k and the floor ceil(k^(k/2));
-    raises RuntimeError unless k! <= a_k <= k * k! and a_k >= the floor.  A k
-    above MAX_COUNT_INDEX raises ValueError before any count is computed.
-    """
+def budget_index(v, parcel: Parcel) -> int:
+    """k = floor(v / (5 V)); ValueError below the one-block scale, then past MAX_COUNT_INDEX."""
     _require_rational(v)
     v = Fraction(v)
     unit = 5 * parcel.max_volume
@@ -448,13 +445,24 @@ def count_lower_bound(v, parcel: Parcel) -> CountReport:
     k = floor(v / unit)
     if k > MAX_COUNT_INDEX:
         raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {k})")
+    return k
+
+
+def count_lower_bound(v, parcel: Parcel) -> CountReport:
+    """Descriptors affordable within volume v: k = floor(v / (5 V)) vertices.
+
+    Reports the exact index-k subgroup count a_k and the floor ceil(k^(k/2));
+    raises RuntimeError unless k! <= a_k <= k * k! and a_k >= the floor, and
+    ValueError, before any count is computed, where budget_index does.
+    """
+    k = budget_index(v, parcel)
     count = hall_count(k)
     if not factorial(k) <= count <= k * factorial(k):
         raise RuntimeError(f"subgroup count at index {k} is outside [k!, k * k!]")
     bound = growth_floor(k)
     if count < bound:
         raise RuntimeError(f"subgroup count {count} fell below the floor {bound}")
-    return CountReport(v, parcel.max_volume, k, count, bound)
+    return CountReport(Fraction(v), parcel.max_volume, k, count, bound)
 
 
 def descriptors_for_index(k: int, parcel: Parcel):
@@ -486,10 +494,10 @@ def emit_descriptors(k: int, parcel: Parcel, directory) -> int:
 class CommensurabilityVerdict:
     """Descriptor-level verdict with the hypotheses that back it.
 
-    The verdict equals decorated-graph isomorphism of the source graphs.
-    checked lists hypotheses verified here; assumed lists geometric inputs
-    taken on trust (block spaces glue along their shared boundary type, and
-    torsion-free levels exist).
+    Commensurable means the source graphs have a common decorated cover.
+    checked lists hypotheses verified here, the deciding route among them;
+    assumed lists geometric inputs taken on trust (block spaces glue along
+    their shared boundary type, and torsion-free levels exist).
     """
 
     commensurable: bool
@@ -500,18 +508,25 @@ class CommensurabilityVerdict:
 def commensurability_verdict(
     d1: ManifoldDescriptor, d2: ManifoldDescriptor, parcel: Parcel
 ) -> CommensurabilityVerdict:
-    checked = ["parcel certificates complete"]
+    """Decided by subgroup keys when each source graph has one colored vertex,
+    which the decorated_graphs lemma makes exact, else by the cover decision."""
     if d1.parcel_id != parcel.parcel_id or d2.parcel_id != parcel.parcel_id:
         raise ValueError("descriptors must come from the given parcel")
-    same = is_isomorphic(d1.source_graph, d2.source_graph)
-    checked.append("source graphs compared up to decorated isomorphism")
+    g1, g2 = d1.source_graph, d2.source_graph
+    if len(g1.colored) == len(g2.colored) == 1:
+        same = g1.canonical_key() == g2.canonical_key()
+        route = "subgroup keys of the source graphs compared"
+    else:
+        same = has_common_decorated_cover(g1, g2).has_cover
+        route = "source graphs searched for a common decorated cover"
+    checked = ("parcel certificates complete", route)
     assumed = (
         "blocks glue along the shared boundary form",
         "torsion-free finite levels chosen for all blocks",
     )
     if parcel.dimension < 4:
         assumed += (f"dimension {parcel.dimension} lies below the paper's four and higher",)
-    return CommensurabilityVerdict(same, tuple(checked), assumed)
+    return CommensurabilityVerdict(same, checked, assumed)
 
 
 def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
@@ -612,6 +627,7 @@ __all__ = [
     "Parcel",
     "TraceResult",
     "assemble",
+    "budget_index",
     "commensurability_verdict",
     "count_lower_bound",
     "default_parcel",

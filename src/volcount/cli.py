@@ -33,6 +33,7 @@ from fractions import Fraction
 from .acceptance import run_all
 from .assembler import (
     assemble,
+    budget_index,
     count_lower_bound,
     default_parcel,
     descriptor_to_json,
@@ -208,6 +209,8 @@ def _cmd_subgroups(args):
 
 def _cmd_graphs(args):
     _require_index(args.k, MAX_INDEX, "enumeration")
+    if args.subcommand != "enumerate":
+        _require_index(args.k, MAX_PAIRWISE_INDEX, "pairwise subcommands")
     tables = enumerate_subgroups(args.k)
     if args.subcommand == "enumerate":
         lines = [f"k={args.k} tables={len(tables)}"]
@@ -224,7 +227,6 @@ def _cmd_graphs(args):
         }
         return payload, lines
 
-    _require_index(args.k, MAX_PAIRWISE_INDEX, "pairwise subcommands")
     if args.subcommand == "covers":
         matrix = []
         shared = 0
@@ -283,9 +285,12 @@ def _cmd_assemble(args):
 def _cmd_count(args):
     parcel = default_parcel(args.n, args.compact)
     try:
-        report = count_lower_bound(args.v, parcel)
+        k = budget_index(args.v, parcel)
     except ValueError as error:
         raise UsageError(str(error)) from error
+    if args.emit_descriptors is not None:
+        _require_index(k, MAX_EMIT_INDEX, "descriptor emission")
+    report = count_lower_bound(args.v, parcel)
     lines = [
         f"volume_budget = {report.volume_budget}",
         f"max_block_volume = {report.max_block_volume}",
@@ -301,7 +306,6 @@ def _cmd_count(args):
         "floor_bound": report.floor_bound,
     }
     if args.emit_descriptors is not None:
-        _require_index(report.k, MAX_EMIT_INDEX, "descriptor emission")
         try:
             written = emit_descriptors(report.k, parcel, args.emit_descriptors)
         except OSError as error:

@@ -1,10 +1,10 @@
 """Covers and the common-cover decision for decorated graphs.
 
 DecoratedGraph, the permutation pair with its coloring, lives in
-free_groups together with its canonical key and the argument that the key
-decides isomorphism; every such graph is connected.  A subgroup table there
-is already the Schreier graph colored at its basepoint; from_subgroup
-returns a table as is for its own coloring and checks any other one.
+free_groups together with the subgroup key of a graph colored at one
+vertex; every such graph is connected.  A subgroup table there is already
+the Schreier graph colored at its basepoint; from_subgroup returns a table
+as is for its own coloring and checks any other one.
 
 Covering maps in the permutation encoding are color-preserving vertex maps
 commuting with both permutations; local bijectivity on edge stars is
@@ -21,11 +21,13 @@ onto each factor and meets (c1, y) for every vertex c1 of the first graph
 and (x, c2) for every vertex c2 of the second.  Hence if exactly one graph
 has colored vertices no component is consistent, if neither has any every
 component is, and otherwise only components through a colored pair
-(c1, c2) can be.  The component through the basepoint pair of two
-Schreier graphs is the graph of the intersection of the two subgroups
-(Stallings, "Topology of finite graphs", Invent. Math. 1983).  Each
-candidate component is explored breadth-first from its colored pair and
-abandoned at the first pair whose two color bits differ.
+(c1, c2) can be.  For the Schreier graphs of subgroups H1 and H2, colored
+at their basepoints b1 and b2, the one candidate is the component through
+(b1, b2), the graph of their intersection (Stallings, "Topology of finite
+graphs", Invent. Math. 1983).  Its pairs are (b1.w, b2.w) over the words w,
+so it is consistent exactly when H1 = H2, that is when the canonical keys
+are equal.  Each candidate component is explored breadth-first from its
+colored pair and abandoned at the first pair whose two color bits differ.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ def from_subgroup(table: DecoratedGraph, colored: Iterable[int]) -> DecoratedGra
     if colored == table.colored and _INT_TYPE.issuperset(map(type, colored)):
         return table
     return DecoratedGraph(table.vertex_count, table.perm_a, table.perm_b, colored)
-
-
-def is_isomorphic(g1: DecoratedGraph, g2: DecoratedGraph) -> bool:
-    """Label- and color-preserving isomorphism: equality of canonical keys."""
-    return g1.canonical_key() == g2.canonical_key()
 
 
 def check_cover(cover: DecoratedGraph, base: DecoratedGraph, vertex_map: Sequence[int]) -> bool:

@@ -10,15 +10,13 @@ isomorphic.
 
 Every decorated graph is connected: the constructor refuses a pair that
 does not act transitively, as a manifold glued along the graph must be
-connected.  Isomorphism is equality of canonical keys.  Once an image is
-chosen for one vertex, a label-respecting isomorphism is forced, as in a
-deterministic automaton, so breadth-first relabeling from an anchor vertex,
-letters in the order a, a^-1, b, b^-1, encodes the graph up to isomorphisms
-fixing the anchor.  The key is the least such encoding over the anchors of
-the smaller non-empty color class (the colored class on a tie), an
-invariant because isomorphisms preserve colors.  It is computed once per
-graph and stored on it: a single search from the basepoint of a subgroup's
-graph, whose key is its own table when that table is canonical.
+connected.  A graph colored at one vertex, its basepoint, has a canonical
+key: the graph relabeled breadth-first from the basepoint, letters in the
+order a, a^-1, b, b^-1.  An isomorphism maps basepoint to basepoint and
+is then forced, as in a deterministic automaton, so two such graphs have
+equal keys exactly when their subgroups are equal.  The key is computed once per
+graph and stored on it; a canonical table is its own key.  Graphs with no
+colored vertex or several are compared by the common-cover decision.
 
 enumerate_subgroups generates every index-k subgroup exactly once by
 backtracking over partially defined tables: slots are filled coset by coset
@@ -102,20 +100,6 @@ def _bfs(steps, start: int) -> tuple[list[int], dict[int, int]]:
     return order, label
 
 
-def _relabel(
-    perm_a: tuple[int, ...], perm_b: tuple[int, ...], order: list[int], label: dict[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The permutation pair restricted to an orbit, relabeled by discovery order.
-
-    order and label are a _bfs result.  When the relabeling is the identity
-    the given tuples themselves are returned, so a key built from them
-    shares their storage.
-    """
-    if order == list(range(len(perm_a))):
-        return perm_a, perm_b
-    return tuple([label[perm_a[v]] for v in order]), tuple([label[perm_b[v]] for v in order])
-
-
 def _coloring(vertex_count: int, colored: Iterable[int]) -> frozenset[int]:
     # Ints only, as in _validate_permutations: 1.0 and True equal vertices.
     colored = frozenset(colored)
@@ -172,18 +156,16 @@ class DecoratedGraph:
         return (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
 
     def canonical_key(self) -> tuple:
-        """Equal for two graphs exactly when they are isomorphic (module docstring)."""
+        """(k, perm_a, perm_b, (0,)) relabeled from the basepoint: the subgroup key."""
         key = self._canonical_key
         if key is None:
-            # Anchored at the smaller non-empty color class.
-            colored = self.colored
-            plain = self.vertex_count - len(colored)
-            if not colored or plain and len(colored) > plain:
-                anchors = [v for v in range(self.vertex_count) if v not in colored]
-            else:
-                anchors = colored
-            steps = self.steps()
-            key = min([_anchored_encoding(self, *_bfs(steps, v)) for v in anchors])
+            order, label = _bfs(self.steps(), self.basepoint)
+            perm_a, perm_b = self.perm_a, self.perm_b
+            # A canonical table keeps its own rows, so its key shares their storage.
+            if order != list(range(self.vertex_count)):
+                perm_a = tuple([label[perm_a[v]] for v in order])
+                perm_b = tuple([label[perm_b[v]] for v in order])
+            key = (self.vertex_count, perm_a, perm_b, (0,))
             object.__setattr__(self, "_canonical_key", key)
         return key
 
@@ -195,16 +177,6 @@ _set_perm_a = DecoratedGraph.perm_a.__set__
 _set_perm_b = DecoratedGraph.perm_b.__set__
 _set_colored = DecoratedGraph.colored.__set__
 _set_canonical_key = DecoratedGraph._canonical_key.__set__
-
-
-def _anchored_encoding(graph: DecoratedGraph, order: list[int], label: dict[int, int]):
-    # The graph as _bfs from the anchor order[0] finds it, relabeled by
-    # discovery order; it determines the graph up to the unique
-    # label-respecting isomorphism fixing the anchor.
-    perm_a, perm_b = _relabel(graph.perm_a, graph.perm_b, order, label)
-    colored = graph.colored
-    marks = tuple([new for new, v in enumerate(order) if v in colored])
-    return (len(order), perm_a, perm_b, marks)
 
 
 def subgroup_table(degree: int, perm_a, perm_b) -> DecoratedGraph:

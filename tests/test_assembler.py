@@ -30,7 +30,7 @@ from volcount.assembler import (
     trace_word,
     volume_bound,
 )
-from volcount.decorated_graphs import DecoratedGraph, from_subgroup
+from volcount.decorated_graphs import DecoratedGraph, from_subgroup, has_common_decorated_cover
 from volcount.form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
@@ -263,6 +263,12 @@ class TestVolumeBound:
         for table in enumerate_subgroups(3):
             descriptor = assemble(from_subgroup(table, frozenset({0})), mixed)
             assert volume_bound(descriptor, mixed) <= 5 * 3 * 2
+
+    def test_another_parcels_descriptor_rejected(self, parcel, compact_parcel):
+        # The two parcels price LOOP alike, so only the parcel id tells them apart.
+        descriptor = assemble(LOOP, parcel)
+        with pytest.raises(ValueError, match="must come from the given parcel"):
+            volume_bound(descriptor, compact_parcel)
 
 
 class TestTracing:
@@ -802,6 +808,20 @@ class TestGoldenDocuments:
         assert digest.hexdigest() == INDEX5_DOCUMENTS_SHA256
 
 
+# Every connected graph of at most 3 vertices under every coloring: 2 of
+# one vertex, 12 of two and 208 of three.
+SMALL_GRAPHS = [
+    DecoratedGraph(n, perm_a, perm_b, {v for v in range(n) if mask >> v & 1})
+    for n in (1, 2, 3)
+    for perm_a in permutations(range(n))
+    for perm_b in permutations(range(n))
+    if len(_bfs((perm_a, perm_b), 0)[0]) == n
+    for mask in range(2**n)
+]
+KEY_ROUTE = "subgroup keys of the source graphs compared"
+COVER_ROUTE = "source graphs searched for a common decorated cover"
+
+
 class TestVerdicts:
     def test_same_graph_commensurable(self, parcel):
         d1 = assemble(TWO, parcel)
@@ -809,12 +829,46 @@ class TestVerdicts:
         d2 = assemble(relabeled, parcel)
         verdict = commensurability_verdict(d1, d2, parcel)
         assert verdict.commensurable
+        assert verdict.checked == ("parcel certificates complete", KEY_ROUTE)
         assert verdict.assumed  # geometric steps are declared, not computed
+
+    def test_matches_the_cover_decision_on_every_small_pair(self, parcel):
+        assert len(SMALL_GRAPHS) == 222
+        descriptors = [assemble(graph, parcel) for graph in SMALL_GRAPHS]
+        wrong = [
+            (d1.source_graph, d2.source_graph)
+            for d1 in descriptors
+            for d2 in descriptors
+            if commensurability_verdict(d1, d2, parcel).commensurable
+            != has_common_decorated_cover(d1.source_graph, d2.source_graph).has_cover
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "g1, g2, commensurable",
+        [
+            # A loop colored at its vertex, and its 2-fold cover colored at both.
+            (LOOP, DecoratedGraph(2, (1, 0), (0, 1), {0, 1}), True),
+            # An uncolored loop and an uncolored 2-cycle: the cycle covers the loop.
+            (DecoratedGraph(1, (0,), (0,), set()), DecoratedGraph(2, (1, 0), (0, 1), set()), True),
+            # Colored against uncolored: no cover is color-consistent.
+            (TWO, DecoratedGraph(2, (1, 0), (0, 1), set()), False),
+        ],
+        ids=["double-cover", "uncolored", "one-side-colored"],
+    )
+    def test_graphs_without_one_colored_vertex_take_the_cover_route(
+        self, parcel, g1, g2, commensurable
+    ):
+        verdict = commensurability_verdict(assemble(g1, parcel), assemble(g2, parcel), parcel)
+        assert verdict.commensurable is commensurable
+        assert verdict.checked == ("parcel certificates complete", COVER_ROUTE)
 
     def test_different_graphs_not_commensurable(self, parcel):
         d1 = assemble(LOOP, parcel)
         d2 = assemble(TWO, parcel)
-        assert not commensurability_verdict(d1, d2, parcel).commensurable
+        verdict = commensurability_verdict(d1, d2, parcel)
+        assert not verdict.commensurable
+        assert verdict.checked[1] == KEY_ROUTE
 
     def test_dimension_three_is_an_assumption(self, parcel):
         # The paper builds in dimension four and higher; n = 3 is outside it.

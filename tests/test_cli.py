@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from volcount import assembler, cli, form_families
+from volcount import assembler, cli, form_families, free_groups
 from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -462,6 +462,44 @@ class TestUsage:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "selftest" in out
+
+
+class TestCapsBeforeWork:
+    # README: the caps are checked before any work starts.  "graphs 5 covers"
+    # once enumerated all 461 tables, and "count --v 7785 --emit-descriptors"
+    # ran hall_count(1557) for ~17 s, before refusing.
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError(f"work started at index {k}")
+
+        for module in (cli, assembler, free_groups):
+            monkeypatch.setattr(module, "enumerate_subgroups", refuse)
+            monkeypatch.setattr(module, "hall_count", refuse)
+
+    CASES = [
+        (["subgroups", "8"], "enumeration is capped at index 7 (got 8)"),
+        (["graphs", "8", "enumerate"], "enumeration is capped at index 7 (got 8)"),
+        (["graphs", "5", "covers"], "pairwise subcommands is capped at index 4 (got 5)"),
+        (["graphs", "5", "distinguish"], "pairwise subcommands is capped at index 4 (got 5)"),
+        (["count", "--v", "7790"], "descriptor count is capped at index 1557 (got 1558)"),
+        (
+            ["count", "--v", "30", "--emit-descriptors", "DIR"],
+            "descriptor emission is capped at index 5 (got 6)",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", CASES, ids=["-".join(a).replace("--", "") for a, _ in CASES]
+    )
+    def test_refused_before_any_work(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / "out") if arg == "DIR" else arg for arg in argv]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        code, out, err = run(argv + ["--json"], capsys)
+        document = {"status": "error", "payload": {"error": message}}
+        assert (code, out, err) == (2, json.dumps(document, sort_keys=True, indent=2) + "\n", "")
+        assert not (tmp_path / "out").exists()
 
 
 class _ClosedPipe(io.TextIOBase):

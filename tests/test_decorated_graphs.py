@@ -13,7 +13,6 @@ from volcount.decorated_graphs import (
     graph_from_text,
     graph_to_text,
     has_common_decorated_cover,
-    is_isomorphic,
 )
 from volcount.free_groups import _bfs, distinguishing_word, enumerate_subgroups
 
@@ -101,7 +100,8 @@ class TestConstruction:
                     graph = from_subgroup(table, colored)
                     checked = DecoratedGraph(k, table.perm_a, table.perm_b, colored)
                     assert graph == checked
-                    assert graph.canonical_key() == checked.canonical_key()
+                    if len(colored) == 1:  # only a one-colored graph has a key
+                        assert graph.canonical_key() == checked.canonical_key()
         table = enumerate_subgroups(3)[0]
         for colored in ({3}, {-1}, {0, 5}):
             with pytest.raises(ValueError, match="colored vertices must be vertices"):
@@ -128,29 +128,20 @@ class TestConstruction:
 
 
 class TestIsomorphism:
-    def test_color_placement_matters(self):
-        recolored = DecoratedGraph(2, (1, 0), (0, 1), frozenset())
-        assert not is_isomorphic(SWAP_A, recolored)
-
+    # Graphs colored at one vertex are isomorphic exactly when their
+    # subgroup keys are equal.
     def test_relabeling_preserves_isomorphism_class(self):
         for graph in (SWAP_A, SWAP_B, SWAP_BOTH):
-            assert is_isomorphic(graph, relabeled(graph, (1, 0)))
+            assert graph.canonical_key() == relabeled(graph, (1, 0)).canonical_key()
 
     def test_distinct_subgroup_graphs_differ(self):
         graphs = [from_subgroup(t, frozenset({0})) for t in enumerate_subgroups(3)]
         for i, g1 in enumerate(graphs):
             for j, g2 in enumerate(graphs):
-                assert is_isomorphic(g1, g2) == (i == j)
-
-    @given(st.integers(min_value=0, max_value=70), st.permutations(tuple(range(4))))
-    @settings(max_examples=50, deadline=None)
-    def test_random_relabeling(self, index, relabel):
-        table = enumerate_subgroups(4)[index]
-        graph = from_subgroup(table, frozenset({0, 2}))
-        assert is_isomorphic(graph, relabeled(graph, tuple(relabel)))
+                assert (g1.canonical_key() == g2.canonical_key()) == (i == j)
 
     def test_vertex_count_mismatch(self):
-        assert not is_isomorphic(SWAP_A, LOOP)
+        assert SWAP_A.canonical_key() != LOOP.canonical_key()
 
 
 # Cached so that an exhaustive pairwise comparison does each search once per
@@ -193,26 +184,9 @@ def any_graphs(draw, n):
     return DecoratedGraph(n, perm_a, perm_b, colored)
 
 
-@st.composite
-def isomorphism_pairs(draw):
-    """A graph of degree 1-7 and a second graph of its size.
-
-    Two pairs in three pair it with a relabeled copy, half of those with one
-    vertex's color flipped; the rest with an independent graph.
-    """
-    n = draw(st.integers(min_value=1, max_value=7))
-    g1 = draw(any_graphs(n))
-    if draw(st.integers(min_value=0, max_value=2)) == 0:
-        return g1, draw(any_graphs(n))
-    g2 = relabeled(g1, tuple(draw(st.permutations(range(n)))))
-    if draw(st.booleans()):
-        flipped = draw(st.integers(min_value=0, max_value=n - 1))
-        g2 = DecoratedGraph(n, g2.perm_a, g2.perm_b, g2.colored ^ {flipped})
-    return g1, g2
-
-
 def relabeling_classes(n):
-    """Every n-vertex decorated graph, grouped into its classes under relabeling.
+    """Every n-vertex graph colored at one vertex, grouped into its classes
+    under relabeling.
 
     The pairs that do not act transitively are not decorated graphs.
     """
@@ -221,8 +195,8 @@ def relabeling_classes(n):
         for perm_b in permutations(range(n)):
             if len(_orbits(perm_a, perm_b)) > 1:
                 continue
-            for mask in range(2**n):
-                graph = DecoratedGraph(n, perm_a, perm_b, {v for v in range(n) if mask >> v & 1})
+            for basepoint in range(n):
+                graph = DecoratedGraph(n, perm_a, perm_b, {basepoint})
                 orbit = frozenset(
                     (g.perm_a, g.perm_b, g.colored)
                     for g in (relabeled(graph, r) for r in permutations(range(n)))
@@ -232,13 +206,6 @@ def relabeling_classes(n):
 
 
 class TestCanonicalKey:
-    @given(isomorphism_pairs())
-    @settings(max_examples=500, deadline=None)
-    def test_matches_the_anchored_map_oracle(self, pair):
-        g1, g2 = pair
-        assert (g1.canonical_key() == g2.canonical_key()) == anchored_map_isomorphic(g1, g2)
-        assert is_isomorphic(g1, g2) == anchored_map_isomorphic(g1, g2)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_key_per_relabeling_class(self, n):
         classes = relabeling_classes(n)
@@ -246,15 +213,12 @@ class TestCanonicalKey:
         assert all(len(class_keys) == 1 for class_keys in keys)
         assert len(set().union(*keys)) == len(classes)
 
-    def test_tie_anchors_on_the_colored_class(self):
-        # One colored and one plain vertex: the key is anchored at vertex 0.
-        assert SWAP_A.canonical_key() == (2, (1, 0), (0, 1), (0,))
-        assert relabeled(SWAP_A, (1, 0)).canonical_key() == SWAP_A.canonical_key()
-        # A 4-cycle under a, colored at 0 and 1.  Discovery from 0 runs
-        # 0, 1, 3, 2 and from 1 runs 1, 2, 0, 3, so the colored labels are
-        # (0, 1) and (0, 2); from a plain anchor label 0 is never colored.
-        cycle = DecoratedGraph(4, (1, 2, 3, 0), (0, 1, 2, 3), frozenset({0, 1}))
-        assert cycle.canonical_key() == (4, (1, 3, 0, 2), (0, 1, 2, 3), (0, 1))
+    @pytest.mark.parametrize("colored", [set(), {0, 1}], ids=["none", "two"])
+    def test_needs_exactly_one_colored_vertex(self, colored):
+        # Only a graph colored at one vertex stands for a subgroup.
+        graph = DecoratedGraph(2, (1, 0), (0, 1), colored)
+        with pytest.raises(ValueError, match="needs one colored vertex"):
+            graph.canonical_key()
 
     def test_basepoint_colored_schreier_graphs_share_the_table(self):
         for k in range(1, 6):
@@ -467,7 +431,7 @@ class TestSerialization:
             text = graph_to_text(graph)
             back = graph_from_text(text)
             assert graph_to_text(back) == text
-            assert is_isomorphic(graph, back)
+            assert back.canonical_key() == graph.canonical_key()
 
     @given(
         st.integers(min_value=0, max_value=70),

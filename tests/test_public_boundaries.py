@@ -109,7 +109,6 @@ NO_INT_ARGUMENTS = {
     "graph_from_text": "no int argument",
     "graph_to_text": "no int argument",
     "has_common_decorated_cover": "no int argument",
-    "is_isomorphic": "no int argument",
     "noncommensurability_certificate": "no int argument",
     "distinguishing_word": "no int argument",
 }
