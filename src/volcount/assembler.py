@@ -72,6 +72,12 @@ class Parcel:
     uncertified pair of distinct blocks is refused.  The block spaces
     themselves (torsion-free finite-level subgroups) are assumed, not
     computed, and listed in every CommensurabilityVerdict.
+
+    A graph's volume depends only on its shape, (vertex count, colored
+    count), so each parcel keeps the volumes of the shapes it has assembled,
+    cap checked once when built (see _total_volume).  They are kept on the
+    instance, not by parcel_id, as parcels that share an id may price their
+    blocks differently.
     """
 
     parcel_id: str
@@ -105,6 +111,7 @@ class Parcel:
         object.__setattr__(self, "_common_denominator", common)
         object.__setattr__(self, "_scaled_volumes", scaled)
         object.__setattr__(self, "max_volume", max(volumes))
+        object.__setattr__(self, "_volumes", {})
 
     @property
     def dimension(self) -> int:
@@ -203,7 +210,7 @@ def _letter_rows(k: int, slot: int, x: str):
         for v, w in enumerate(perm):
             instances += edges[v * k + w]
             ins[w] = in_gluings[w * k + v]
-        return tuple(instances), tuple(ins), _int_list(perm)
+        return tuple(instances), ",\n".join(instances), tuple(ins), _int_list(perm)
 
     return (
         [_GLUING_ROW % ("v%d" % v, slot, minus[v], 0) for v in range(k)],
@@ -227,16 +234,16 @@ def _pattern_text(k: int):
     Returns (vertex_rows, out_gluings, edge_gluings, permutation_rows):
     vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
     out_gluings[x][v] glues vertex v's x-out slot (x = 0 for a, 1 for b);
-    edge_gluings lists the minus-to-plus gluings of every edge; and
-    permutation_rows[x](perm), for perm the x-permutation of a graph,
-    returns its 2k edge instance rows (the minus and plus rows of each
-    x-edge v -> perm[v], in v order), its k in-slot gluing rows (vertex v's
-    x-in slot to the x-edge that ends at v) and its _int_list text.  Rows of
-    one vertex are rendered at once, rows of an edge v -> w and of an
-    in-slot gluing when a pattern first has them (_Memo), so a graph past
-    _CACHED_SIZE, whose table serves one document, renders only the rows
-    it has.  Every row permutation_rows returns is one of these shared
-    strings, not a copy.
+    edge_gluings is the list of the minus-to-plus gluings of every edge,
+    then those rows joined; and permutation_rows[x](perm), for perm the
+    x-permutation of a graph, returns its 2k edge instance rows (the minus
+    and plus rows of each x-edge v -> perm[v], in v order), those rows
+    joined, its k in-slot gluing rows (vertex v's x-in slot to the x-edge
+    that ends at v) and its _int_list text.  Rows of one vertex are
+    rendered at once, rows of an edge v -> w and of an in-slot gluing when
+    a pattern first has them (_Memo), so a graph past _CACHED_SIZE, whose
+    table serves one document, renders only the rows it has.  Every row
+    permutation_rows returns is one of these shared strings, not a copy.
     """
     vertex_rows = tuple(
         [_INSTANCE_ROW % ("v%d" % v, kind, "vertex %d" % v) for v in range(k)]
@@ -245,44 +252,74 @@ def _pattern_text(k: int):
     out_gluings, (a_gluings, b_gluings), permutation_rows = zip(
         _letter_rows(k, 0, "a"), _letter_rows(k, 2, "b")
     )
-    return vertex_rows, out_gluings, a_gluings + b_gluings, permutation_rows
+    edge_gluings = a_gluings + b_gluings
+    return vertex_rows, out_gluings, (edge_gluings, ",\n".join(edge_gluings)), permutation_rows
 
 
 # One entry per letter for every permutation of degree MAX_INDEX, so an
 # enumeration's rows (1,216 distinct at index 7) all stay; each entry holds
-# references to its size's shared rows plus one _int_list text.  Only
-# graphs of up to _CACHED_SIZE vertices are kept: an entry of 16 vertices,
-# its key included, takes about 1.1 KB under tracemalloc, so the full cache
-# takes at most about 11 MB.
+# references to its size's shared rows, those rows joined and one _int_list
+# text.  Only graphs of up to _CACHED_SIZE vertices are kept: an entry of 16
+# vertices, its key included, takes about 3.1 KB under tracemalloc, so the
+# full cache takes at most about 32 MB.
 @lru_cache(maxsize=2 * factorial(MAX_INDEX))
 def _permutation_rows(x: int, perm: tuple[int, ...]):
+    """_pattern_text(len(perm))'s permutation_rows[x](perm), kept per letter and permutation."""
     return _pattern_text(len(perm))[3][x](perm)
 
 
+def _coloring_rows(vertex_rows, colored):
+    """The vertex instance rows under a coloring, those rows joined, and its "colored" text."""
+    plain, marked = vertex_rows
+    rows = plain.copy()
+    for v in colored:
+        rows[v] = marked[v]
+    return tuple(rows), ",\n".join(rows), _int_list(sorted(colored))
+
+
+# Every enumerated table is colored at its basepoint 0, so the pipeline
+# writes one coloring per size; other callers bring a few at a time.  An
+# entry of 16 vertices, its key included, takes at most about 2.1 KB under
+# tracemalloc, so the 64 entries take at most about 0.13 MB.
+@lru_cache(maxsize=64)
+def _coloring_text(k: int, colored: frozenset[int]):
+    """_coloring_rows of the k-vertex rows, kept per size and coloring."""
+    return _coloring_rows(_pattern_text(k)[0], colored)
+
+
 def _document_rows(graph: DecoratedGraph):
-    """_pick's two row lists, then the _int_list texts of perm_a and perm_b."""
+    """The graph's _pattern_text table, its _coloring_rows and its two permutations' rows.
+
+    Kept for graphs of up to _CACHED_SIZE vertices; a larger graph's are
+    built for its one document.
+    """
     k = graph.vertex_count
     if k <= _CACHED_SIZE:
-        (plain, colored), (a_out, b_out), edge_gluings, _ = _pattern_text(k)
-        a_edges, a_in, a_text = _permutation_rows(0, graph.perm_a)
-        b_edges, b_in, b_text = _permutation_rows(1, graph.perm_b)
-    else:
-        table = _pattern_text.__wrapped__(k)
-        (plain, colored), (a_out, b_out), edge_gluings, (a_rows, b_rows) = table
-        a_edges, a_in, a_text = a_rows(graph.perm_a)
-        b_edges, b_in, b_text = b_rows(graph.perm_b)
-    instances = plain.copy()
-    for v in graph.colored:
-        instances[v] = colored[v]
-    instances += a_edges
-    instances += b_edges
-    gluings = [None] * (4 * k)
+        return (
+            _pattern_text(k),
+            _coloring_text(k, graph.colored),
+            _permutation_rows(0, graph.perm_a),
+            _permutation_rows(1, graph.perm_b),
+        )
+    table = _pattern_text.__wrapped__(k)
+    a_rows, b_rows = table[3]
+    return (
+        table,
+        _coloring_rows(table[0], graph.colored),
+        a_rows(graph.perm_a),
+        b_rows(graph.perm_b),
+    )
+
+
+def _gluing_rows(table, a_in, b_in) -> list[str]:
+    """The 4k per-vertex gluing rows in slot scan order: a-out, a-in, b-out, b-in."""
+    a_out, b_out = table[1]
+    gluings = [None] * (4 * len(a_in))
     gluings[0::4] = a_out
     gluings[1::4] = a_in
     gluings[2::4] = b_out
     gluings[3::4] = b_in
-    gluings += edge_gluings
-    return instances, gluings, a_text, b_text
+    return gluings
 
 
 def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
@@ -301,7 +338,10 @@ def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
     and in-slot rows of each permutation from _permutation_rows, whose
     lists the gluing list interleaves by slice assignment.
     """
-    return _document_rows(graph)[:2]
+    table, (vertex_rows, _, _), (a_edges, _, a_in, _), (b_edges, _, b_in, _) = (
+        _document_rows(graph)
+    )
+    return [*vertex_rows, *a_edges, *b_edges], _gluing_rows(table, a_in, b_in) + table[2][0]
 
 
 def _check_closed(instances, gluings) -> None:
@@ -340,7 +380,24 @@ def _volume_numerator(graph: DecoratedGraph, parcel: Parcel) -> int:
 
 
 def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
-    return Fraction(_volume_numerator(graph, parcel), parcel._common_denominator)
+    """The parcel's volume for the graph's shape; RuntimeError past the 5k * V cap.
+
+    Built and checked against the cap once per shape (vertex count, colored
+    count) and kept in the parcel's _volumes for graphs of up to
+    _CACHED_SIZE vertices, at most 152 shapes; a larger graph's is built
+    and checked on every call.
+    """
+    k = graph.vertex_count
+    shape = k, len(graph.colored)
+    volume = parcel._volumes.get(shape)
+    if volume is None:
+        numerator = _volume_numerator(graph, parcel)
+        volume = Fraction(numerator, parcel._common_denominator)
+        if numerator > 5 * k * max(parcel._scaled_volumes):
+            raise RuntimeError(f"volume {volume} exceeds the cap {5 * k * parcel.max_volume}")
+        if k <= _CACHED_SIZE:
+            parcel._volumes[shape] = volume
+    return volume
 
 
 def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
@@ -348,7 +405,9 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
 
     The 5k instances and 6k gluings follow from the graph (see _pick), so
     the descriptor keeps only the graph, the parcel id and the exact volume;
-    the lists appear only in the document descriptor_to_json writes.
+    the lists appear only in the document descriptor_to_json writes.  The
+    volume is the Fraction the parcel keeps for the graph's shape
+    (_total_volume), shared by every descriptor of that shape.
     """
     return ManifoldDescriptor(
         source_graph=graph,
@@ -358,15 +417,14 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
-    """Exact sum of instance volumes from the descriptor's own parcel; asserts the 5k * V cap."""
+    """Exact sum of instance volumes from the descriptor's own parcel; asserts the 5k * V cap.
+
+    The volume is the parcel's for the graph's shape, checked against the
+    cap when the parcel first built it (_total_volume).
+    """
     if descriptor.parcel_id != parcel.parcel_id:
         raise ValueError("descriptor must come from the given parcel")
-    k = descriptor.source_graph.vertex_count
-    numerator = _volume_numerator(descriptor.source_graph, parcel)
-    total = Fraction(numerator, parcel._common_denominator)
-    if numerator > 5 * k * max(parcel._scaled_volumes):
-        raise RuntimeError(f"volume {total} exceeds the cap {5 * k * parcel.max_volume}")
-    return total
+    return _total_volume(descriptor.source_graph, parcel)
 
 
 @dataclass(frozen=True)
@@ -534,28 +592,32 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
-    run the pure-Python one token by token, so this writer joins rows that
-    are rendered once: _pick's rows come from _pattern_text, kept per graph
-    size, and the edge and in-slot rows and perm_a/perm_b texts of each
-    permutation from _permutation_rows, kept per letter and permutation
-    (both for graphs of up to _CACHED_SIZE vertices; at most
-    2 * factorial(MAX_INDEX) = 10,080 permutation entries, about 11 MB).  It
-    writes the keys in sorted order by hand and escapes the caller's strings
-    with the same encode_basestring_ascii that json.dumps applies.
-    descriptor_from_json accepts exactly this text.
+    run the pure-Python one token by token, so this writer joins text that
+    is rendered once, for graphs of up to _CACHED_SIZE vertices: the edge
+    gluing rows, joined, per graph size (_pattern_text); the vertex rows,
+    joined, and the "colored" text per size and coloring (_coloring_text);
+    and the edge rows, joined, the in-slot rows and the perm_a/perm_b text
+    per letter and permutation (_permutation_rows, at most
+    2 * factorial(MAX_INDEX) = 10,080 entries, about 32 MB).  It joins only
+    the 4k per-vertex gluing rows per document, writes the keys in sorted
+    order by hand and escapes the caller's strings with the same
+    encode_basestring_ascii that json.dumps applies.  descriptor_from_json
+    accepts exactly this text.
     """
     graph = descriptor.source_graph
-    instances, gluings, perm_a, perm_b = _document_rows(graph)
-    gluing_rows, instance_rows = ",\n".join(gluings), ",\n".join(instances)
+    table, (_, vertex_text, colored_text), a_rows, b_rows = _document_rows(graph)
+    _, a_edges, a_in, perm_a = a_rows
+    _, b_edges, b_in, perm_b = b_rows
+    gluing_rows, edge_gluings = ",\n".join(_gluing_rows(table, a_in, b_in)), table[2][1]
     return (
-        f'{{\n  "gluings": [\n{gluing_rows}\n  ],\n'
+        f'{{\n  "gluings": [\n{gluing_rows},\n{edge_gluings}\n  ],\n'
         f'  "graph": {{\n'
-        f'    "colored": {_int_list(sorted(graph.colored))},\n'
+        f'    "colored": {colored_text},\n'
         f'    "perm_a": {perm_a},\n'
         f'    "perm_b": {perm_b},\n'
         f'    "vertices": {graph.vertex_count}\n'
         f'  }},\n'
-        f'  "instances": [\n{instance_rows}\n  ],\n'
+        f'  "instances": [\n{vertex_text},\n{a_edges},\n{b_edges}\n  ],\n'
         f'  "parcel_id": {encode_basestring_ascii(descriptor.parcel_id)},\n'
         f'  "volume_bound": {encode_basestring_ascii(str(descriptor.volume_bound))}\n'
         f'}}\n'
@@ -564,14 +626,15 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 
 # The two top-level lines the reader decodes from.  Inside a JSON string a
 # newline is always escaped, so in the writer's text each marker occurs once,
-# at the start of its key's line.
+# at the start of its key's line: the graph's near the start, the parcel_id
+# line just before the volume_bound line that ends the text.
 _GRAPH_LINE = '\n  "graph": '
 _PARCEL_LINE = '\n  "parcel_id": '
 _decode_value = json.JSONDecoder().raw_decode
 
 
-def _line_start(text: str, marker: str) -> int:
-    start = text.find(marker)
+def _line_start(search, marker: str) -> int:
+    start = search(marker)
     if start < 0:
         raise ValueError(f"document has no top-level {marker.strip()} line")
     return start
@@ -589,7 +652,7 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
 
     Only what the descriptor is rebuilt from is decoded: the graph object
     at the first top-level "graph" line, and parcel_id and volume_bound
-    from the first top-level "parcel_id" line to the end of the text; the
+    from the last top-level "parcel_id" line to the end of the text; the
     instances and gluings rows are never parsed.  The byte check makes this
     partial decode safe: any text it accepts is the writer's output for the
     rebuilt descriptor, so a marker found in the wrong place (a repeated
@@ -598,9 +661,9 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     if not isinstance(text, str):
         raise ValueError(f"a descriptor document is text, not {type(text).__name__}")
     try:
-        spec = _decode_value(text, _line_start(text, _GRAPH_LINE) + len(_GRAPH_LINE))[0]
+        spec = _decode_value(text, _line_start(text.find, _GRAPH_LINE) + len(_GRAPH_LINE))[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
-        tail = _decode_value("{" + text[_line_start(text, _PARCEL_LINE) :])[0]
+        tail = _decode_value("{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
         # Parsed here, once: the descriptor takes only an int or a Fraction.
         parcel_id, volume = tail["parcel_id"], Fraction(tail["volume_bound"])
         descriptor = ManifoldDescriptor(graph, parcel_id, volume)

@@ -14,6 +14,7 @@ from volcount.assembler import (
     Parcel,
     _CACHED_SIZE,
     _check_closed,
+    _coloring_text,
     _pattern_text,
     _permutation_rows,
     _pick,
@@ -541,6 +542,60 @@ class TestPatternRows:
         _permutation_rows.cache_clear()
 
 
+def _colorings(k):
+    return [frozenset(v for v in range(k) if mask >> v & 1) for mask in range(2**k)]
+
+
+class TestRenderedOnce:
+    def test_every_coloring_of_one_pair_interleaved(self, parcel):
+        # One index-4 permutation pair under all 16 colorings, each write
+        # followed by another index-4 graph under a coloring of its own.
+        tables = enumerate_subgroups(4)
+        pair, others = tables[10], tables[:10] + tables[11:]
+        colorings = _colorings(4)
+        for n, colored in enumerate(colorings):
+            other = others[(7 * n) % len(others)]
+            for graph in (
+                from_subgroup(pair, colored),
+                from_subgroup(other, colorings[(5 * n + 3) % len(colorings)]),
+            ):
+                descriptor = assemble(graph, parcel)
+                assert descriptor_to_json(descriptor) == _dumps_document(descriptor)
+
+    def test_a_seen_graph_formats_nothing(self, parcel, compact_parcel, monkeypatch):
+        # An equal graph under another parcel: only parcel_id and the volume differ.
+        first = _cycle_graph(13, 2, {1, 4})
+        second = DecoratedGraph(13, first.perm_a, first.perm_b, {4, 1})
+        caches = (_pattern_text, _coloring_text, _permutation_rows)
+        descriptor_to_json(assemble(first, parcel))
+        misses = [cache.cache_info().misses for cache in caches]
+        formatted = []
+        int_list = assembler._int_list
+        monkeypatch.setattr(
+            assembler, "_int_list", lambda values: formatted.append(values) or int_list(values)
+        )
+        descriptor = assemble(second, compact_parcel)
+        text = descriptor_to_json(descriptor)
+        assert formatted == []
+        assert [cache.cache_info().misses for cache in caches] == misses
+        monkeypatch.undo()
+        assert text == _dumps_document(descriptor)
+
+    def test_only_graphs_up_to_the_cached_size_are_kept(self, parcel):
+        fresh = with_block_volumes(parcel, [1] * 6)
+        cached = _coloring_text.cache_info()
+        for graph in (SEVENTEEN, FORTY):
+            descriptor = assemble(graph, fresh)
+            assert volume_bound(descriptor, fresh) == 5 * graph.vertex_count
+            descriptor_to_json(descriptor)
+        assert _coloring_text.cache_info() == cached
+        assert fresh._volumes == {}
+        descriptor_to_json(assemble(SIXTEEN, fresh))
+        assert fresh._volumes == {(16, 1): 80}
+        consulted = _coloring_text.cache_info()
+        assert consulted.hits + consulted.misses == cached.hits + cached.misses + 1
+
+
 class TestWriter:
     @given(connected_graphs(), st.lists(positive_volumes, min_size=6, max_size=6), parcel_ids)
     @example(LOOP, [1] * 6, 'quote " backslash \\ tab \t nul \x00 \x1f')
@@ -580,12 +635,33 @@ class TestWriter:
         assert volume_bound(assemble(graph, priced), priced) == plain
 
     def test_volume_over_the_cap_raises(self, parcel, monkeypatch):
-        priced = with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1])
-        descriptor = assemble(TWO, priced)
         # Real volumes never exceed the cap 5 * 2 * 2 = 120/6; one sixth over it must raise.
+        # A parcel checks a shape's volume when it first builds it, so the
+        # numerator is patched before each fresh parcel meets TWO's shape.
+        volumes = [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1]
         monkeypatch.setattr(assembler, "_volume_numerator", lambda graph, parcel: 121)
         with pytest.raises(RuntimeError, match=r"^volume 121/6 exceeds the cap 20$"):
+            assemble(TWO, with_block_volumes(parcel, volumes))
+        priced = with_block_volumes(parcel, volumes)
+        descriptor = ManifoldDescriptor(TWO, priced.parcel_id, Fraction(121, 6))
+        with pytest.raises(RuntimeError, match=r"^volume 121/6 exceeds the cap 20$"):
             volume_bound(descriptor, priced)
+
+    def test_parcels_sharing_an_id_keep_their_own_volumes(self, parcel):
+        # Same parcel_id, other block prices: each parcel's kept volumes are its own.
+        plain = with_block_volumes(parcel, [1] * 6), (5, 10)
+        priced = (
+            with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1]),
+            (Fraction(13, 2), Fraction(34, 3)),
+        )
+        assert plain[0].parcel_id == priced[0].parcel_id
+        for given, volumes in (plain, priced, plain, priced, plain):
+            for graph, volume in zip((LOOP, TWO), volumes):
+                descriptor = assemble(graph, given)
+                assert descriptor.volume_bound == volume
+                assert volume_bound(descriptor, given) == volume
+                text = descriptor_to_json(descriptor)
+                assert descriptor_from_json(text, given).volume_bound == volume
 
 
 class TestParcelVolumeTerms:
