@@ -35,7 +35,7 @@ at a cost independent of n, and checked against this closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -61,7 +61,10 @@ class FamilyForm:
 
     family "q" is q_a = (a, 1, ..., 1, -2) over Q and family "r" is
     r_a = (a, 1, ..., 1, -sqrt(2)) over Q(sqrt(2)), each of rank n + 1.
-    The fields are checked once, when the value is built.
+    The fields are checked once, when the value is built.  What a certificate
+    needs of one member alone, its witness primes and its discriminant, is
+    worked out once per value, so a matrix over N members factors each member
+    once however large N is.
     """
 
     family: str
@@ -86,6 +89,16 @@ class FamilyForm:
         """Whether blocks built from this member are compact, as r_a's are."""
         return _BY_LETTER[self.family].compact
 
+    @cached_property
+    def _witness_primes(self) -> tuple[int, ...]:
+        # The odd prime divisors of a at which the odd-rank certificate looks.
+        modulus = _BY_LETTER[self.family].witness_modulus
+        return tuple(p for p in _odd_prime_divisors(self.a) if p % modulus == 1)
+
+    @cached_property
+    def _discriminant(self) -> str:
+        return _discriminant_description(self.family, self.a)
+
 
 def make_q(a: int, n: int) -> FamilyForm:
     """The isotropic family member (a, 1, ..., 1, -2) of rank n + 1 over Q."""
@@ -101,7 +114,7 @@ def _member_epsilon(a: int, n: int, p: int, last: tuple[int, int]) -> int:
     # Hasse-Witt invariant of (a, 1, ..., 1, l) at an odd prime p not dividing
     # l, whose square class (0, (l|p)) is last: the class-count product, which
     # must equal the closed form (l|p)^(v_p(a)).  The caller checks a, n, p.
-    a_class = _odd_class(a, p)
+    a_class = _member_class(a, p)
     counts = {(0, 1): n - 1}
     for c in (a_class, last):
         counts[c] = counts.get(c, 0) + 1
@@ -137,6 +150,14 @@ class NonCommensurabilityCertificate:
     detail: tuple[str, str]
 
 
+def _require_forms(forms) -> None:
+    # Checked before any cache is consulted, so a look-alike of a member is
+    # never answered with that member's facts.
+    for form in forms:
+        if not isinstance(form, FamilyForm):
+            raise ValueError(f"certificates compare FamilyForm values, got {form!r}")
+
+
 def noncommensurability_certificate(
     f1: FamilyForm, f2: FamilyForm
 ) -> NonCommensurabilityCertificate | None:
@@ -150,27 +171,26 @@ def noncommensurability_certificate(
     scanned invariant separates the forms: the check never proves
     commensurability.
     """
+    _require_forms((f1, f2))
     if f1.family != f2.family:
         raise ValueError("cannot compare forms from different families")
     if f1.n != f2.n:
         raise ValueError("cannot compare forms of different ranks")
-    family, a1, a2, n = _BY_LETTER[f1.family], f1.a, f2.a, f1.n
+    a1, a2, n = f1.a, f2.a, f1.n
 
     if f1.rank % 2 == 0:
         # a1 / a2 = a1 a2 / a2^2 is a square times s exactly when s a1 a2 is.
         product = a1 * a2
-        if any(isqrt(s * product) ** 2 == s * product for s in family.square_scales):
-            return None
-        d1 = _discriminant_description(f1.family, a1)
-        d2 = _discriminant_description(f1.family, a2)
-        return NonCommensurabilityCertificate("discriminant_ratio", None, (d1, d2))
+        for s in _BY_LETTER[f1.family].square_scales:
+            if isqrt(s * product) ** 2 == s * product:
+                return None
+        return NonCommensurabilityCertificate(
+            "discriminant_ratio", None, (f1._discriminant, f2._discriminant)
+        )
 
-    # The odd prime divisors of a1 in order, then those of a2 not yet seen.
-    candidates = dict.fromkeys(p for a in (a1, a2) for p in _odd_prime_divisors(a))
-    for p in candidates:
-        if p % family.witness_modulus != 1:
-            continue
-        last = _odd_class(family.last_at(p), p)
+    # The witness primes of a1 in order, then those of a2 not yet seen.
+    for p in dict.fromkeys(f1._witness_primes + f2._witness_primes):
+        last = _last_class(f1.family, p)
         e1 = _member_epsilon(a1, n, p, last)
         e2 = _member_epsilon(a2, n, p, last)
         if e1 != e2:
@@ -179,16 +199,33 @@ def noncommensurability_certificate(
 
 
 # Certificates compare the members of a few families, so a few hundred
-# parameters cover every pair a run certifies.
-@lru_cache(maxsize=256)
+# parameters, and as many witness primes, cover every pair a run certifies at
+# every rank.  Only square classes and per-parameter facts are kept, never an
+# epsilon or a certificate.
+_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _odd_prime_divisors(a: int) -> tuple[int, ...]:
     return tuple(sorted(p for p in factor_int(a) if p != 2))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _discriminant_description(family: str, a: int) -> str:
     # The coefficient product of a family member, at any rank.
     return _BY_LETTER[family].discriminant(a)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _last_class(letter: str, p: int) -> tuple[int, int]:
+    # The square class of the family's last coefficient over Q_p, at a
+    # witness prime p: for r, one square root of 2 per prime.
+    return _odd_class(_BY_LETTER[letter].last_at(p), p)
+
+
+# The square class of a parameter a at an odd prime p.  A member meets its
+# own witness prime in every pair of its matrix row, at each odd rank.
+_member_class = lru_cache(maxsize=_CACHE_SIZE)(_odd_class)
 
 
 def certificate_matrix(forms) -> tuple[tuple[NonCommensurabilityCertificate | None, ...], ...]:
@@ -196,8 +233,10 @@ def certificate_matrix(forms) -> tuple[tuple[NonCommensurabilityCertificate | No
 
     Every entry is computed, the diagonal too, where a form never separates
     from itself; an off-diagonal None is a pair no scanned invariant
-    separates.
+    separates.  Anything but FamilyForm values is refused before any entry.
     """
+    forms = tuple(forms)
+    _require_forms(forms)
     return tuple(tuple(noncommensurability_certificate(f1, f2) for f2 in forms) for f1 in forms)
 
 

@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from volcount.form_families import (
     REFERENCE_ISOTROPIC_PRIMES,
     FamilyForm,
     _discriminant_description,
+    certificate_matrix,
     epsilon_q_at,
     gauss_representation,
     make_q,
@@ -21,6 +23,10 @@ from volcount.form_families import (
 )
 from volcount.free_groups import hall_count
 from volcount.local_invariants import _odd_class, hasse_witt, odd_place
+
+
+# A record with FamilyForm's fields that is not a FamilyForm.
+LookAlike = namedtuple("LookAlike", "family a n")
 
 
 def r_epsilon(a, n, p, root):
@@ -286,6 +292,88 @@ class TestCertificates:
                     for f2 in forms:
                         noncommensurability_certificate(f1, f2)
         assert factored and len(factored) == len(set(factored))
+
+    @pytest.mark.parametrize("n", [3, 4], ids=["even-rank", "odd-rank"])
+    def test_a_matrix_factors_each_member_once_past_the_cache_bound(self, monkeypatch, n):
+        # Every row of a matrix runs through all N members, so per-parameter
+        # caches alone would miss on every lookup at one member past their bound.
+        factored = []
+
+        def counting(n):
+            factored.append(n)
+            return factor_int(n)
+
+        _, forms = form_families.family_members("isotropic", form_families._CACHE_SIZE + 1, n)
+        monkeypatch.setattr(form_families, "factor_int", counting)
+        monkeypatch.setattr(exact_arith, "factor_int", counting)
+        form_families._odd_prime_divisors.cache_clear()
+        form_families._discriminant_description.cache_clear()
+        matrix = certificate_matrix(forms)
+        assert all((matrix[i][j] is None) == (i == j) for i in range(len(forms)) for j in (0, i))
+        assert len(factored) == len(set(factored)) == len(forms)
+
+    def test_each_witness_root_is_computed_once(self, monkeypatch):
+        # Every certificate of the r family at a witness prime p needs the
+        # class of -sqrt(2) there; the root is found once per prime.
+        roots = []
+
+        def counting(u, p):
+            roots.append((u, p))
+            return sqrt_mod(u, p)
+
+        monkeypatch.setattr(form_families, "sqrt_mod", counting)
+        form_families._last_class.cache_clear()
+        for n in (4, 6):
+            certificate_matrix([make_r(p, n) for p in REFERENCE_ANISOTROPIC_PRIMES])
+        assert sorted(roots) == [(2, p) for p in REFERENCE_ANISOTROPIC_PRIMES]
+        # The kept class does not depend on which square root embeds sqrt(2).
+        for p in REFERENCE_ANISOTROPIC_PRIMES:
+            for root in (sqrt_mod(2, p), p - sqrt_mod(2, p)):
+                assert form_families._last_class("r", p) == _odd_class(-root, p)
+
+    def test_cross_check_runs_with_warm_caches(self, monkeypatch):
+        # Square classes are kept, epsilons are not: a class-count product
+        # forced to the wrong value is caught on pairs already certified.
+        pairs = [(make_q(5, 4), make_q(13, 4)), (make_r(17, 4), make_r(41, 4))]
+        for f1, f2 in pairs:
+            assert noncommensurability_certificate(f1, f2) is not None
+        assert epsilon_q_at(5, 4, 5) == -1
+        hits = form_families._member_class.cache_info().hits
+        product = form_families._class_product
+        monkeypatch.setattr(form_families, "_class_product", lambda c, p: -product(c, p))
+        for f1, f2 in pairs:
+            with pytest.raises(RuntimeError, match="class-count product"):
+                noncommensurability_certificate(f1, f2)
+        with pytest.raises(RuntimeError, match="class-count product"):
+            epsilon_q_at(5, 4, 5)
+        assert form_families._member_class.cache_info().hits >= hits + 3
+
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (noncommensurability_certificate, ("q", "q")),
+            (noncommensurability_certificate, (None, make_q(5, 4))),
+            (noncommensurability_certificate, (make_q(5, 4), LookAlike("q", 13, 4))),
+            (certificate_matrix, ([1, 2],)),
+            (certificate_matrix, ([make_q(5, 4), ("q", 13, 4)],)),
+        ],
+        ids=["two-strings", "none", "look-alike", "matrix-of-ints", "matrix-with-tuple"],
+    )
+    def test_non_forms_refused(self, function, args):
+        # Refused before any cache is consulted, so a cache warmed by the
+        # member a look-alike copies never answers for it.
+        noncommensurability_certificate(make_q(5, 4), make_q(13, 4))
+        caches = (
+            form_families._odd_prime_divisors,
+            form_families._discriminant_description,
+            form_families._last_class,
+            form_families._member_class,
+        )
+        before = [cache.cache_info() for cache in caches]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="FamilyForm"):
+                function(*args)
+        assert [cache.cache_info() for cache in caches] == before
 
     @given(
         st.sampled_from(("q", "r")),
