@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .assembler import (
     _check_closed,
-    _Memo,
     _pick,
     assemble,
     count_lower_bound,
@@ -280,7 +279,7 @@ def _criterion_counting_pipeline() -> str:
     report = count_lower_bound(Fraction(30), parcel)
     assert (report.k, report.descriptor_count, report.floor_bound) == (6, 3447, 216)
     # Closedness of the rows the documents are written from, each row parsed once.
-    parse = _Memo(json.loads).__getitem__
+    parse = cache(json.loads)
     validated = 0
     for descriptor in descriptors_for_index(6, parcel):
         instances, gluings = _pick(descriptor.source_graph)

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 from math import factorial, floor, isqrt, lcm
 
@@ -155,20 +156,6 @@ class ManifoldDescriptor:
             object.__setattr__(self, "volume_bound", Fraction(volume))
 
 
-class _Memo(dict):
-    """Values keyed by the argument of make, each made by make(key) on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 # Row templates of the indent=2 layout.  Instance ids, kinds, "serves" texts
 # and slots are digits, letters, '-', '+', '>' and spaces, none of which
 # JSON escapes.
@@ -191,6 +178,7 @@ def _letter_rows(k: int, slot: int, x: str):
     minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
     minus_kind, plus_kind = x.upper() + "_minus", x.upper() + "_plus"
 
+    @cache
     def edge_rows(key):
         v, w = divmod(key, k)
         serves = "%s-edge %d->%d" % (x, v, w)
@@ -199,17 +187,16 @@ def _letter_rows(k: int, slot: int, x: str):
             _INSTANCE_ROW % (plus[v], plus_kind, serves),
         )
 
+    @cache
     def in_gluing(key):
         v, u = divmod(key, k)
         return _GLUING_ROW % ("v%d" % v, slot + 1, plus[u], 1)
 
-    edges, in_gluings = _Memo(edge_rows), _Memo(in_gluing)
-
     def permutation_rows(perm):
         instances, ins = [], [None] * k
         for v, w in enumerate(perm):
-            instances += edges[v * k + w]
-            ins[w] = in_gluings[w * k + v]
+            instances += edge_rows(v * k + w)
+            ins[w] = in_gluing(w * k + v)
         return tuple(instances), ",\n".join(instances), tuple(ins), _int_list(perm)
 
     return (
@@ -240,9 +227,9 @@ def _pattern_text(k: int):
     and plus rows of each x-edge v -> perm[v], in v order), those rows
     joined, its k in-slot gluing rows (vertex v's x-in slot to the x-edge
     that ends at v) and its _int_list text.  Rows of one vertex are
-    rendered at once, rows of an edge v -> w and of an in-slot gluing when
-    a pattern first has them (_Memo), so a graph past _CACHED_SIZE, whose
-    table serves one document, renders only the rows it has.  Every row
+    rendered at once, rows of an edge v -> w and of an in-slot gluing when a
+    pattern first has them (functools.cache), so a graph past _CACHED_SIZE,
+    whose table serves one document, renders only the rows it has.  Every row
     permutation_rows returns is one of these shared strings, not a copy.
     """
     vertex_rows = tuple(
@@ -484,6 +471,7 @@ class CountReport:
 # a_1557 has 4,300 digits and a_1558 has 4,303: the largest count that
 # Python's default int-to-str limit still prints.
 MAX_COUNT_INDEX = 1557
+_PRINTABLE = 10**4300  # every int str() prints lies below it
 
 
 def growth_floor(k: int) -> int:
@@ -499,10 +487,13 @@ def budget_index(v, parcel: Parcel) -> int:
     v = Fraction(v)
     unit = 5 * parcel.max_volume
     if v < unit:
-        raise ValueError(f"volume budget {v} is below the one-block scale {unit}")
+        printable = max(abs(v.numerator), v.denominator) < _PRINTABLE
+        shown = v if printable else "of more than 4,300 digits"
+        raise ValueError(f"volume budget {shown} is below the one-block scale {unit}")
     k = floor(v / unit)
     if k > MAX_COUNT_INDEX:
-        raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {k})")
+        shown = k if k < _PRINTABLE else "an index of more than 4,300 digits"
+        raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {shown})")
     return k
 
 
@@ -631,6 +622,8 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 _GRAPH_LINE = '\n  "graph": '
 _PARCEL_LINE = '\n  "parcel_id": '
 _decode_value = json.JSONDecoder().raw_decode
+# str(Fraction)'s spelling, checked first: Fraction("1e10000000") builds 10^10^7.
+_VOLUME_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _line_start(search, marker: str) -> int:
@@ -665,7 +658,10 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
         tail = _decode_value("{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
         # Parsed here, once: the descriptor takes only an int or a Fraction.
-        parcel_id, volume = tail["parcel_id"], Fraction(tail["volume_bound"])
+        parcel_id, volume_text = tail["parcel_id"], tail["volume_bound"]
+        if not _VOLUME_TEXT.fullmatch(volume_text):
+            raise ValueError("volume_bound is not spelled as the writer spells a Fraction")
+        volume = Fraction(volume_text)
         descriptor = ManifoldDescriptor(graph, parcel_id, volume)
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:

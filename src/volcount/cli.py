@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -84,8 +85,22 @@ _positive_int = _int_at_least(1)
 _dimension = _int_at_least(3)
 
 
-def _fraction(text: str) -> Fraction:
+# Fraction(text) builds 10^|e| for an exponent e in full: seconds once |e| is
+# in the millions.  Python caps a mantissa at 4,300 digits, so past this cap a
+# budget is far off the default parcels' scale [5, 7790), with more digits
+# than str() prints; it reads as 0 or +-10^(+-4301), of its sign and on its
+# side of the scale, which budget_index refuses as it would the budget.
+_MAX_BUDGET_EXPONENT = 10**4
+_EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _budget(text: str) -> Fraction:
     try:
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(e := int(exponent[1])) > _MAX_BUDGET_EXPONENT:
+            # The text is a rational number exactly when it is one with e0.
+            mantissa = Fraction(text[: exponent.start()] + "e0")
+            return ((mantissa > 0) - (mantissa < 0)) * Fraction(10) ** (4301 if e > 0 else -4301)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as error:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from error
@@ -126,7 +141,7 @@ def _parser() -> argparse.ArgumentParser:
     assemble_cmd.add_argument("--json", action="store_true")
 
     count = verbs.add_parser("count", help="volume-budget descriptor count")
-    count.add_argument("--v", type=_fraction, required=True, help="volume budget (rational)")
+    count.add_argument("--v", type=_budget, required=True, help="volume budget (rational)")
     count.add_argument("--n", type=_dimension, default=4)
     count.add_argument("--compact", action="store_true")
     count.add_argument("--emit-descriptors", metavar="DIR", default=None)
@@ -278,7 +293,7 @@ def _cmd_assemble(args):
     except ValueError as error:
         raise UsageError(str(error)) from error
     document = descriptor_to_json(assemble(graph, default_parcel(args.n, args.compact)))
-    payload = json.loads(document)
+    payload = json.loads(document) if args.json else None
     return payload, [document.rstrip("\n")]
 
 

@@ -93,11 +93,11 @@ class FamilyForm:
     def _witness_primes(self) -> tuple[int, ...]:
         # The odd prime divisors of a at which the odd-rank certificate looks.
         modulus = _BY_LETTER[self.family].witness_modulus
-        return tuple(p for p in _odd_prime_divisors(self.a) if p % modulus == 1)
+        return tuple(sorted(p for p in factor_int(self.a) if p % modulus == 1))
 
     @cached_property
     def _discriminant(self) -> str:
-        return _discriminant_description(self.family, self.a)
+        return _BY_LETTER[self.family].discriminant(self.a)
 
 
 def make_q(a: int, n: int) -> FamilyForm:
@@ -198,22 +198,11 @@ def noncommensurability_certificate(
     return None
 
 
-# Certificates compare the members of a few families, so a few hundred
-# parameters, and as many witness primes, cover every pair a run certifies at
-# every rank.  Only square classes and per-parameter facts are kept, never an
-# epsilon or a certificate.
+# Bounds the two square-class caches below.  Certificates compare the members
+# of a few families, so a few hundred parameters, and as many witness primes,
+# cover every pair a run certifies.  Only square classes are kept here, never
+# an epsilon or a certificate; a member's own facts live on the member.
 _CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _odd_prime_divisors(a: int) -> tuple[int, ...]:
-    return tuple(sorted(p for p in factor_int(a) if p != 2))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _discriminant_description(family: str, a: int) -> str:
-    # The coefficient product of a family member, at any rank.
-    return _BY_LETTER[family].discriminant(a)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

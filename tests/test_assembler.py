@@ -353,6 +353,22 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_lower_bound(Fraction(4), parcel)
 
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            (Fraction(10**4400), r"capped at index 1557 \(got an index of more than 4,300 digits"),
+            (Fraction(1, 10**4400), "volume budget of more than 4,300 digits is below the one-block"),
+            (Fraction(-(10**4400)), "volume budget of more than 4,300 digits is below"),
+            (Fraction(10**4300 + 1, 10**4300), "volume budget of more than 4,300 digits is below"),
+        ],
+        ids=["huge", "tiny", "negative", "long-fraction"],
+    )
+    def test_refusal_names_the_scale_past_printable_digits(self, parcel, v, message):
+        # A budget or index past the 4,300 digits str() prints once raised
+        # Python's own digit-limit error from the refusal message.
+        with pytest.raises(ValueError, match=message):
+            count_lower_bound(v, parcel)
+
     def test_monotone_in_budget(self, parcel):
         counts = [count_lower_bound(v, parcel).descriptor_count for v in (5, 10, 17, 25, 30)]
         assert counts == sorted(counts)
@@ -772,6 +788,23 @@ class TestMalformedDocuments:
         for given_parcel in (None, parcel):
             with pytest.raises(ValueError, match="degree must be an int"):
                 descriptor_from_json(_dumps(document), given_parcel)
+
+    @pytest.mark.parametrize(
+        "volume", ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665"]
+    )
+    def test_volume_spelling_refused_before_parsing(self, parcel, volume, monkeypatch):
+        # The writer spells a volume as str(Fraction) does: digits, or digits
+        # "/" digits.  Fraction("1e10000000") once took 12.7 s to build the
+        # number the byte check then refused.
+        text = _dumps(dict(_document(LOOP, parcel), volume_bound=volume))
+
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} built")
+
+        monkeypatch.setattr(assembler, "Fraction", no_fraction)
+        for given_parcel in (None, parcel):
+            with pytest.raises(ValueError, match="volume_bound is not spelled"):
+                descriptor_from_json(text, given_parcel)
 
     def test_each_is_a_value_error(self, parcel):
         for what, text in _malformed_documents(parcel):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,11 @@ from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# The refusals of a budget whose k or v has more digits than str() prints.
+PAST_CAP = "descriptor count is capped at index 1557 (got an index of more than 4,300 digits)"
+BELOW_SCALE = "volume budget of more than 4,300 digits is below the one-block scale 5"
 
 
 def run(argv, capsys):
@@ -203,6 +209,19 @@ class TestAssemble:
         assert code == 0
         assert json.loads(out)["parcel_id"] == "anisotropic-n4"
 
+    def test_only_json_mode_decodes_the_document(self, capsys, tmp_path, monkeypatch):
+        # Text mode prints the document as written; decoding it once took
+        # about half of an assemble run on a 20,000-vertex graph.
+        path = tmp_path / "two.graph"
+        path.write_text("2\n1 0\n0 1\n0\n")
+        _, as_json, _ = run(["assemble", str(path), "--json"], capsys)
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+        code, out, err = run(["assemble", str(path)], capsys)
+        assert (code, err, decoded) == (0, "", [])
+        assert json.loads(as_json)["payload"] == json.loads(out)
+
     def test_deterministic_output(self, capsys, tmp_path):
         path = tmp_path / "two.graph"
         path.write_text("2\n1 0\n0 1\n0\n")
@@ -357,6 +376,49 @@ class TestCount:
         code, _, err = run(["count", "--v", budget], capsys)
         assert code == 2
         assert "capped" in err
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            ("1e10000000", PAST_CAP),
+            ("1E+999999999", PAST_CAP),
+            ("1e4400", PAST_CAP),
+            ("1e-10000000", BELOW_SCALE),
+            ("-1e10000000", BELOW_SCALE),
+            ("1e-4400", BELOW_SCALE),
+            ("0e10000000", "volume budget 0 is below the one-block scale 5"),
+        ],
+        ids=["huge", "huge-signed", "past-printable", "tiny", "negative", "tiny-printable", "zero"],
+    )
+    def test_off_scale_budget_refused_unbuilt(self, capsys, monkeypatch, budget, message):
+        # Each once exited 2 with Python's digit-limit text, and past an
+        # exponent of 10^4 only after Fraction built 10^|e| in full (11 s
+        # for 1e10000000).  A mantissa has at most 4,300 digits, so such a
+        # budget is far off the scale [5, 7790) and is refused unbuilt.
+        def fraction(text, *rest):
+            if isinstance(text, str) and len(text.rpartition("e")[2]) > 5:
+                raise AssertionError(f"Fraction({text!r}) built")
+            return Fraction(text, *rest)
+
+        monkeypatch.setattr(cli, "Fraction", fraction)
+        code, out, err = run(["count", f"--v={budget}"], capsys)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        code, out, err = run(["count", f"--v={budget}", "--json"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": message}}
+
+    @pytest.mark.parametrize("budget", ["1e1e10000000", "1/2e10000000", "1e1__0000000"])
+    def test_malformed_exponent_is_not_a_number(self, capsys, budget):
+        code, out, err = run(["count", f"--v={budget}"], capsys)
+        assert code == 2 and out == ""
+        assert f"not a rational number: {budget!r}" in err
+
+    def test_budget_exponents_near_the_cap_are_read(self, capsys):
+        # A 4,300-digit mantissa brings an exponent past 4,300 back on the scale.
+        for budget in ("0." + "0" * 4299 + "1e4301", "1" * 4300 + "e-4297", "1e0000000001"):
+            code, out, err = run(["count", "--v", budget], capsys)
+            assert code == 0 and err == "", budget
+            assert out.startswith("volume_budget = ")
 
     def test_json_error_document(self, capsys):
         code, out, _ = run(["count", "--v", "3", "--json"], capsys)

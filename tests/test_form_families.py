@@ -10,7 +10,6 @@ from volcount.form_families import (
     REFERENCE_ANISOTROPIC_PRIMES,
     REFERENCE_ISOTROPIC_PRIMES,
     FamilyForm,
-    _discriminant_description,
     certificate_matrix,
     epsilon_q_at,
     gauss_representation,
@@ -270,8 +269,10 @@ class TestCertificates:
             assert certificate.method == "epsilon_at_prime" and 0 < len(symbols) <= 8
             assert runs[make, 10**6] == (certificate, symbols)
 
-    def test_each_parameter_is_factored_once(self, monkeypatch):
-        # Every pair at every rank reuses a parameter's factoring.
+    def test_each_member_is_factored_once(self, monkeypatch):
+        # Every certificate a member takes part in reuses the one factoring
+        # that member value keeps: of a for its witness primes at odd rank,
+        # of q's -2a for its discriminant at even rank (r's needs none).
         factored = []
 
         def counting(n):
@@ -280,23 +281,27 @@ class TestCertificates:
 
         monkeypatch.setattr(form_families, "factor_int", counting)
         monkeypatch.setattr(exact_arith, "factor_int", counting)
-        form_families._odd_prime_divisors.cache_clear()
-        form_families._discriminant_description.cache_clear()
         for make, primes in (
             (make_q, REFERENCE_ISOTROPIC_PRIMES),
             (make_r, REFERENCE_ANISOTROPIC_PRIMES),
         ):
             for n in (3, 4, 5, 6):
+                factored.clear()
                 forms = [make(p, n) for p in primes]
                 for f1 in forms:
                     for f2 in forms:
                         noncommensurability_certificate(f1, f2)
-        assert factored and len(factored) == len(set(factored))
+                if n % 2 == 0:
+                    expected = list(primes)
+                else:
+                    expected = [-2 * p for p in primes] if make is make_q else []
+                assert factored == expected, (make, n)
 
     @pytest.mark.parametrize("n", [3, 4], ids=["even-rank", "odd-rank"])
     def test_a_matrix_factors_each_member_once_past_the_cache_bound(self, monkeypatch, n):
-        # Every row of a matrix runs through all N members, so per-parameter
-        # caches alone would miss on every lookup at one member past their bound.
+        # Every row of a matrix runs through all N members, so a bounded cache
+        # keyed by parameter would miss on every lookup one member past its
+        # bound; each member keeps its own witness primes and discriminant.
         factored = []
 
         def counting(n):
@@ -306,8 +311,6 @@ class TestCertificates:
         _, forms = form_families.family_members("isotropic", form_families._CACHE_SIZE + 1, n)
         monkeypatch.setattr(form_families, "factor_int", counting)
         monkeypatch.setattr(exact_arith, "factor_int", counting)
-        form_families._odd_prime_divisors.cache_clear()
-        form_families._discriminant_description.cache_clear()
         matrix = certificate_matrix(forms)
         assert all((matrix[i][j] is None) == (i == j) for i in range(len(forms)) for j in (0, i))
         assert len(factored) == len(set(factored)) == len(forms)
@@ -363,12 +366,7 @@ class TestCertificates:
         # Refused before any cache is consulted, so a cache warmed by the
         # member a look-alike copies never answers for it.
         noncommensurability_certificate(make_q(5, 4), make_q(13, 4))
-        caches = (
-            form_families._odd_prime_divisors,
-            form_families._discriminant_description,
-            form_families._last_class,
-            form_families._member_class,
-        )
+        caches = (form_families._last_class, form_families._member_class)
         before = [cache.cache_info() for cache in caches]
         for _ in range(2):
             with pytest.raises(ValueError, match="FamilyForm"):
@@ -394,7 +392,7 @@ class TestCertificates:
         else:
             assert c == 0
             expected = {1: "sqrt2", -1: "-sqrt2"}.get(d, f"{d}*sqrt2")
-        assert _discriminant_description(family, a) == expected
+        assert FamilyForm(family, a, n)._discriminant == expected
 
     def test_discriminant_ratio_is_nonsquare(self):
         # The even-rank certificate is meaningful: the ratio of the recorded
