@@ -39,9 +39,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import factorial, floor, isqrt, lcm
+from math import factorial, floor, isqrt
+from sys import intern
 
 from .decorated_graphs import DecoratedGraph, has_common_decorated_cover
 from .exact_arith import _require_rational
@@ -102,15 +103,9 @@ class Parcel:
         certificates = certificate_matrix(forms)
         if any(certificates[i][j] is None for i in range(6) for j in range(6) if i != j):
             raise RuntimeError("parcel construction requires certified block pairs")
-        # The volume terms every _total_volume and max_volume call reads:
-        # the six block volumes as numerators over their common denominator.
-        common = lcm(*[volume.denominator for volume in volumes])
-        scaled = tuple(volume.numerator * (common // volume.denominator) for volume in volumes)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "_common_denominator", common)
-        object.__setattr__(self, "_scaled_volumes", scaled)
         object.__setattr__(self, "max_volume", max(volumes))
         object.__setattr__(self, "_volumes", {})
 
@@ -173,42 +168,9 @@ def _int_list(values) -> str:
     return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]"
 
 
-def _letter_rows(k: int, slot: int, x: str):
-    """The x-edge rows of _pattern_text, whose out slot at each vertex is `slot`."""
-    minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
-    minus_kind, plus_kind = x.upper() + "_minus", x.upper() + "_plus"
-
-    @cache
-    def edge_rows(key):
-        v, w = divmod(key, k)
-        serves = "%s-edge %d->%d" % (x, v, w)
-        return (
-            _INSTANCE_ROW % (minus[v], minus_kind, serves),
-            _INSTANCE_ROW % (plus[v], plus_kind, serves),
-        )
-
-    @cache
-    def in_gluing(key):
-        v, u = divmod(key, k)
-        return _GLUING_ROW % ("v%d" % v, slot + 1, plus[u], 1)
-
-    def permutation_rows(perm):
-        instances, ins = [], [None] * k
-        for v, w in enumerate(perm):
-            instances += edge_rows(v * k + w)
-            ins[w] = in_gluing(w * k + v)
-        return tuple(instances), ",\n".join(instances), tuple(ins), _int_list(perm)
-
-    return (
-        [_GLUING_ROW % ("v%d" % v, slot, minus[v], 0) for v in range(k)],
-        [_GLUING_ROW % (minus[v], 1, plus[v], 0) for v in range(k)],
-        permutation_rows,
-    )
-
-
 # Patterns are written and read for graphs of a handful of sizes at a time
 # (index <= 7 in the pipeline), so a few entries keep every text table hot.
-# A table holds up to k rows per vertex, so only sizes up to _CACHED_SIZE are
+# A table holds a dozen rows per vertex, so only sizes up to _CACHED_SIZE are
 # kept; a larger graph, which only a single graph file or document brings,
 # builds its table for the one pattern.
 _CACHED_SIZE = 16
@@ -216,43 +178,68 @@ _CACHED_SIZE = 16
 
 @lru_cache(maxsize=8)
 def _pattern_text(k: int):
-    """The rows of k-vertex patterns in the document layout, kept per k.
+    """The rows and row templates of k-vertex patterns in the document layout, kept per k.
 
-    Returns (vertex_rows, out_gluings, edge_gluings, permutation_rows):
+    Returns (vertex_rows, out_gluings, edge_gluings, letter_templates):
     vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
     out_gluings[x][v] glues vertex v's x-out slot (x = 0 for a, 1 for b);
     edge_gluings is the list of the minus-to-plus gluings of every edge,
-    then those rows joined; and permutation_rows[x](perm), for perm the
-    x-permutation of a graph, returns its 2k edge instance rows (the minus
-    and plus rows of each x-edge v -> perm[v], in v order), those rows
-    joined, its k in-slot gluing rows (vertex v's x-in slot to the x-edge
-    that ends at v) and its _int_list text.  Rows of one vertex are
-    rendered at once, rows of an edge v -> w and of an in-slot gluing when a
-    pattern first has them (functools.cache), so a graph past _CACHED_SIZE,
-    whose table serves one document, renders only the rows it has.  Every row
-    permutation_rows returns is one of these shared strings, not a copy.
+    then those rows joined; and letter_templates[x] is (minus, plus, ins):
+    minus[v] and plus[v] are the instance rows of the x-edge leaving v with
+    %d where its head goes, and ins[v] is the gluing row of v's x-in slot
+    with %d where the tail of the x-edge that ends at v goes.
+    _permutation_text fills the templates.
     """
     vertex_rows = tuple(
         [_INSTANCE_ROW % ("v%d" % v, kind, "vertex %d" % v) for v in range(k)]
         for kind in VERTEX_KINDS
     )
-    out_gluings, (a_gluings, b_gluings), permutation_rows = zip(
-        _letter_rows(k, 0, "a"), _letter_rows(k, 2, "b")
-    )
-    edge_gluings = a_gluings + b_gluings
-    return vertex_rows, out_gluings, (edge_gluings, ",\n".join(edge_gluings)), permutation_rows
+    out_gluings, edge_gluings, letter_templates = [], [], []
+    for slot, x in ((0, "a"), (2, "b")):
+        minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
+        serves = ["%s-edge %d->%%d" % (x, v) for v in range(k)]
+        out_gluings.append([_GLUING_ROW % ("v%d" % v, slot, minus[v], 0) for v in range(k)])
+        edge_gluings += [_GLUING_ROW % (minus[v], 1, plus[v], 0) for v in range(k)]
+        letter_templates.append((
+            [_INSTANCE_ROW % (minus[v], x.upper() + "_minus", serves[v]) for v in range(k)],
+            [_INSTANCE_ROW % (plus[v], x.upper() + "_plus", serves[v]) for v in range(k)],
+            [_GLUING_ROW % ("v%d" % v, slot + 1, x + "%d+", 1) for v in range(k)],
+        ))
+    return vertex_rows, out_gluings, (edge_gluings, ",\n".join(edge_gluings)), letter_templates
+
+
+def _permutation_text(table, x: int, perm):
+    """The x-permutation's rows, filled into the _pattern_text table's letter_templates[x].
+
+    Returns its 2k edge instance rows (the minus and plus rows of each x-edge
+    v -> perm[v], in v order), those rows joined, its k in-slot gluing rows
+    (vertex v's x-in slot to the x-edge that ends at v) and its _int_list
+    text.
+    """
+    minus, plus, in_gluings = table[3][x]
+    instances, ins = [], [None] * len(perm)
+    for v, w in enumerate(perm):
+        instances += minus[v] % w, plus[v] % w
+        ins[w] = in_gluings[w] % v
+    return tuple(instances), ",\n".join(instances), tuple(ins), _int_list(perm)
 
 
 # One entry per letter for every permutation of degree MAX_INDEX, so an
 # enumeration's rows (1,216 distinct at index 7) all stay; each entry holds
-# references to its size's shared rows, those rows joined and one _int_list
-# text.  Only graphs of up to _CACHED_SIZE vertices are kept: an entry of 16
-# vertices, its key included, takes about 3.1 KB under tracemalloc, so the
-# full cache takes at most about 32 MB.
+# references to interned rows, those rows joined and one _int_list text.
+# Only graphs of up to _CACHED_SIZE vertices are kept: an entry of 16
+# vertices, its key included, takes about 3.1 KB under tracemalloc besides
+# the rows it shares, so the full cache takes at most about 32 MB.  A row
+# does not depend on the graph size, so kept entries share at most 1,536
+# distinct rows (three per letter and edge v -> w), about 0.2 MB.
 @lru_cache(maxsize=2 * factorial(MAX_INDEX))
 def _permutation_rows(x: int, perm: tuple[int, ...]):
-    """_pattern_text(len(perm))'s permutation_rows[x](perm), kept per letter and permutation."""
-    return _pattern_text(len(perm))[3][x](perm)
+    """_permutation_text of the permutation's size's table, kept per letter and permutation.
+
+    Its rows are interned, so kept entries that share an edge share its rows.
+    """
+    instances, joined, ins, perm_text = _permutation_text(_pattern_text(len(perm)), x, perm)
+    return tuple(map(intern, instances)), joined, tuple(map(intern, ins)), perm_text
 
 
 def _coloring_rows(vertex_rows, colored):
@@ -275,10 +262,11 @@ def _coloring_text(k: int, colored: frozenset[int]):
 
 
 def _document_rows(graph: DecoratedGraph):
-    """The graph's _pattern_text table, its _coloring_rows and its two permutations' rows.
+    """The graph's _pattern_text table, its _coloring_rows and its two _permutation_text rows.
 
-    Kept for graphs of up to _CACHED_SIZE vertices; a larger graph's are
-    built for its one document.
+    Kept for graphs of up to _CACHED_SIZE vertices (_pattern_text,
+    _coloring_text, _permutation_rows); a larger graph's are built by the
+    plain renderers for its one document.
     """
     k = graph.vertex_count
     if k <= _CACHED_SIZE:
@@ -289,12 +277,11 @@ def _document_rows(graph: DecoratedGraph):
             _permutation_rows(1, graph.perm_b),
         )
     table = _pattern_text.__wrapped__(k)
-    a_rows, b_rows = table[3]
     return (
         table,
         _coloring_rows(table[0], graph.colored),
-        a_rows(graph.perm_a),
-        b_rows(graph.perm_b),
+        _permutation_text(table, 0, graph.perm_a),
+        _permutation_text(table, 1, graph.perm_b),
     )
 
 
@@ -322,7 +309,8 @@ def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
     minus block to slot 0 of its plus block.  An x-self-loop at v consumes
     both x-slots of v.  Each row is its text in the document: the vertex,
     out-slot and edge gluing rows from _pattern_text(k), the edge instance
-    and in-slot rows of each permutation from _permutation_rows, whose
+    and in-slot rows of each permutation filled from its templates by
+    _permutation_text (kept in _permutation_rows up to _CACHED_SIZE), whose
     lists the gluing list interleaves by slice assignment.
     """
     table, (vertex_rows, _, _), (a_edges, _, a_in, _), (b_edges, _, b_in, _) = (
@@ -356,34 +344,24 @@ def _check_closed(instances, gluings) -> None:
         )
 
 
-def _volume_numerator(graph: DecoratedGraph, parcel: Parcel) -> int:
-    # One V0 block per plain vertex, one V1 per colored vertex, and one block
-    # of each edge kind per vertex, summed over the parcel's common
-    # denominator so the Fraction is normalised once.
-    k = graph.vertex_count
-    colored = len(graph.colored)
-    plain_volume, colored_volume, *edge_volumes = parcel._scaled_volumes
-    return (k - colored) * plain_volume + colored * colored_volume + k * sum(edge_volumes)
-
-
 def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
     """The parcel's volume for the graph's shape; RuntimeError past the 5k * V cap.
 
-    Built and checked against the cap once per shape (vertex count, colored
-    count) and kept in the parcel's _volumes for graphs of up to
-    _CACHED_SIZE vertices, at most 152 shapes; a larger graph's is built
-    and checked on every call.
+    One V0 block per plain vertex, one V1 per colored vertex and one block
+    of each edge kind per vertex.  Built and checked against the cap once
+    per shape (vertex count, colored count) and kept in the parcel's
+    _volumes for graphs of up to _CACHED_SIZE vertices, at most 152 shapes;
+    a larger graph's is built and checked on every call.
     """
-    k = graph.vertex_count
-    shape = k, len(graph.colored)
-    volume = parcel._volumes.get(shape)
+    k, colored = graph.vertex_count, len(graph.colored)
+    volume = parcel._volumes.get((k, colored))
     if volume is None:
-        numerator = _volume_numerator(graph, parcel)
-        volume = Fraction(numerator, parcel._common_denominator)
-        if numerator > 5 * k * max(parcel._scaled_volumes):
+        plain_volume, colored_volume, *edge_volumes = parcel.volumes
+        volume = (k - colored) * plain_volume + colored * colored_volume + k * sum(edge_volumes)
+        if volume > 5 * k * parcel.max_volume:
             raise RuntimeError(f"volume {volume} exceeds the cap {5 * k * parcel.max_volume}")
         if k <= _CACHED_SIZE:
-            parcel._volumes[shape] = volume
+            parcel._volumes[k, colored] = volume
     return volume
 
 
@@ -584,14 +562,15 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
     run the pure-Python one token by token, so this writer joins text that
-    is rendered once, for graphs of up to _CACHED_SIZE vertices: the edge
-    gluing rows, joined, per graph size (_pattern_text); the vertex rows,
-    joined, and the "colored" text per size and coloring (_coloring_text);
-    and the edge rows, joined, the in-slot rows and the perm_a/perm_b text
-    per letter and permutation (_permutation_rows, at most
-    2 * factorial(MAX_INDEX) = 10,080 entries, about 32 MB).  It joins only
-    the 4k per-vertex gluing rows per document, writes the keys in sorted
-    order by hand and escapes the caller's strings with the same
+    is rendered once, for graphs of up to _CACHED_SIZE vertices: the vertex,
+    out-slot and edge gluing rows, the last joined, and the edge and in-slot
+    row templates per graph size (_pattern_text); the vertex rows, joined,
+    and the "colored" text per size and coloring (_coloring_text); and the
+    edge rows filled from the templates, joined, the in-slot rows and the
+    perm_a/perm_b text per letter and permutation (_permutation_rows, at
+    most 2 * factorial(MAX_INDEX) = 10,080 entries, about 32 MB).  It joins
+    only the 4k per-vertex gluing rows per document, writes the keys in
+    sorted order by hand and escapes the caller's strings with the same
     encode_basestring_ascii that json.dumps applies.  descriptor_from_json
     accepts exactly this text.
     """
@@ -622,8 +601,9 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 _GRAPH_LINE = '\n  "graph": '
 _PARCEL_LINE = '\n  "parcel_id": '
 _decode_value = json.JSONDecoder().raw_decode
-# str(Fraction)'s spelling, checked first: Fraction("1e10000000") builds 10^10^7.
-_VOLUME_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# str(Fraction)'s spelling, checked first: Fraction("1e10000000") builds
+# 10^10^7, and str() prints no int of more than 4,300 digits.
+_VOLUME_TEXT = re.compile(r"-?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
 
 
 def _line_start(search, marker: str) -> int:

@@ -92,6 +92,9 @@ _dimension = _int_at_least(3)
 # side of the scale, which budget_index refuses as it would the budget.
 _MAX_BUDGET_EXPONENT = 10**4
 _EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# A run of more than 4,300 digits, underscores aside, is a numeral Fraction
+# refuses; its refusal names the text's length instead of echoing the text.
+_LONG_DIGITS = re.compile(r"\d{4301}")
 
 
 def _budget(text: str) -> Fraction:
@@ -103,6 +106,10 @@ def _budget(text: str) -> Fraction:
             return ((mantissa > 0) - (mantissa < 0)) * Fraction(10) ** (4301 if e > 0 else -4301)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as error:
+        if _LONG_DIGITS.search(text.replace("_", "")):
+            raise argparse.ArgumentTypeError(
+                f"a numeral past Python's 4,300-digit limit (a text of {len(text):,} characters)"
+            ) from error
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from error
 
 

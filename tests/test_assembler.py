@@ -538,6 +538,23 @@ class TestPatternRows:
         descriptor_to_json(assemble(graph, parcel))
         assert (_pattern_text.cache_info(), _permutation_rows.cache_info()) == cached
 
+    def test_kept_rows_share_storage(self):
+        # Two index-6 a-permutations with the edge 0 -> 1: the edge's minus
+        # and plus rows and vertex 1's a-in gluing row are the same objects.
+        first = _permutation_rows(0, (1, 0, 2, 3, 4, 5))
+        second = _permutation_rows(0, (1, 2, 3, 4, 5, 0))
+        assert json.loads(first[0][0]) == ["a0-", "A_minus", "a-edge 0->1"]
+        assert json.loads(first[2][1]) == [["v1", 1], ["a0+", 1]]
+        assert first[0][0] is second[0][0] and first[0][1] is second[0][1]
+        assert first[2][1] is second[2][1]
+
+    @pytest.mark.parametrize("graph", [SIXTEEN, SEVENTEEN], ids=["16", "17"])
+    def test_colorings_around_the_cached_size_match_json_dumps(self, parcel, graph):
+        for colored in _colorings(2):
+            recolored = DecoratedGraph(graph.vertex_count, graph.perm_a, graph.perm_b, colored)
+            descriptor = assemble(recolored, parcel)
+            assert descriptor_to_json(descriptor) == _dumps_document(descriptor)
+
     def test_permutation_rows_stay_within_their_bound(self, parcel):
         # Each graph brings two new keys, (0, perm) and (1, perm o cycle);
         # the pair generates the 8-cycle, so the graph is connected.
@@ -650,18 +667,17 @@ class TestWriter:
         assert _total_volume(graph, priced) == plain
         assert volume_bound(assemble(graph, priced), priced) == plain
 
-    def test_volume_over_the_cap_raises(self, parcel, monkeypatch):
-        # Real volumes never exceed the cap 5 * 2 * 2 = 120/6; one sixth over it must raise.
-        # A parcel checks a shape's volume when it first builds it, so the
-        # numerator is patched before each fresh parcel meets TWO's shape.
-        volumes = [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1]
-        monkeypatch.setattr(assembler, "_volume_numerator", lambda graph, parcel: 121)
-        with pytest.raises(RuntimeError, match=r"^volume 121/6 exceeds the cap 20$"):
-            assemble(TWO, with_block_volumes(parcel, volumes))
-        priced = with_block_volumes(parcel, volumes)
-        descriptor = ManifoldDescriptor(TWO, priced.parcel_id, Fraction(121, 6))
-        with pytest.raises(RuntimeError, match=r"^volume 121/6 exceeds the cap 20$"):
+    def test_volume_over_the_cap_raises(self, parcel):
+        # Real volumes never exceed the cap 5k * V; TWO's volume 34/3 does
+        # once the parcel's stored largest block volume is lowered to 1, cap 10.
+        priced = with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1])
+        object.__setattr__(priced, "max_volume", Fraction(1))
+        with pytest.raises(RuntimeError, match=r"^volume 34/3 exceeds the cap 10$"):
+            assemble(TWO, priced)
+        descriptor = ManifoldDescriptor(TWO, priced.parcel_id, Fraction(34, 3))
+        with pytest.raises(RuntimeError, match=r"^volume 34/3 exceeds the cap 10$"):
             volume_bound(descriptor, priced)
+        assert priced._volumes == {}
 
     def test_parcels_sharing_an_id_keep_their_own_volumes(self, parcel):
         # Same parcel_id, other block prices: each parcel's kept volumes are its own.
@@ -790,12 +806,15 @@ class TestMalformedDocuments:
                 descriptor_from_json(_dumps(document), given_parcel)
 
     @pytest.mark.parametrize(
-        "volume", ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665"]
+        "volume",
+        ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665",
+         pytest.param("1" * 5000, id="5000-digits")],
     )
     def test_volume_spelling_refused_before_parsing(self, parcel, volume, monkeypatch):
         # The writer spells a volume as str(Fraction) does: digits, or digits
-        # "/" digits.  Fraction("1e10000000") once took 12.7 s to build the
-        # number the byte check then refused.
+        # "/" digits, at most 4,300 of them a part.  Fraction("1e10000000")
+        # once took 12.7 s to build the number the byte check then refused,
+        # and 5,000 digits once raised Python's own digit-limit text.
         text = _dumps(dict(_document(LOOP, parcel), volume_bound=volume))
 
         def no_fraction(*args):

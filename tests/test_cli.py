@@ -413,6 +413,25 @@ class TestCount:
         assert code == 2 and out == ""
         assert f"not a rational number: {budget!r}" in err
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            "1" * 5000,
+            "1" * 5000 + "e99999",
+            "1e" + "1" * 5000,
+            "1." + "2" * 5000,
+            "1_" * 4400 + "1",
+        ],
+        ids=["mantissa", "mantissa-exponent", "exponent", "decimal", "underscores"],
+    )
+    def test_budget_past_the_digit_limit_is_not_echoed(self, capsys, budget):
+        # 5,000 digits were once echoed in full, 5,172 bytes of stderr.
+        for json_mode in ([], ["--json"]):
+            code, out, err = run(["count", f"--v={budget}", *json_mode], capsys)
+            assert code == 2 and out == ""
+            assert f"4,300-digit limit (a text of {len(budget):,} characters)" in err
+            assert len(err.encode()) < 300
+
     def test_budget_exponents_near_the_cap_are_read(self, capsys):
         # A 4,300-digit mantissa brings an exponent past 4,300 back on the scale.
         for budget in ("0." + "0" * 4299 + "1e4301", "1" * 4300 + "e-4297", "1e0000000001"):

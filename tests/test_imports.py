@@ -9,7 +9,9 @@ __init__.py.  No module reaches into free_groups' or form_families' private
 names, so the permutation-pair representation and the form-family records
 stay behind those modules.  No nested
 function calls itself: a recursive closure is a reference cycle, so what it
-reaches outlives its call until the cyclic collector runs.  No module binds a
+reaches outlives its call until the cyclic collector runs.  No function is
+decorated with an unbounded functools.cache or lru_cache(maxsize=None), so
+every kept table names its bound.  No module binds a
 top-level name that nothing reads: not its own module, not __all__, and no
 file of the package, its tests or the benchmark harness.
 """
@@ -193,6 +195,58 @@ def test_recursive_closure_checker_flags_only_nested_self_references():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.stem)
 def test_no_recursive_closures(path):
     assert recursive_closures(path.read_text(encoding="utf-8")) == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The functions decorated with functools.cache or lru_cache(maxsize=None),
+    bare or called, by name or through the module, in sorted order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "lru_cache" and call:
+                arguments = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")]
+                unbounded = any(
+                    isinstance(a, ast.Constant) and a.value is None for a in arguments
+                )
+            else:
+                unbounded = name == "cache"
+            if unbounded:
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_unbounded_cache_checker_flags_only_unbounded_decorators():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def a(x): pass\n"
+        "@functools.cache\n"
+        "def b(x): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def c(x): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def d(x): pass\n"
+        "@lru_cache(maxsize=8)\n"
+        "def e(x): pass\n"
+        "@lru_cache\n"
+        "def f(x): pass\n"
+        "def g(x):\n"
+        "    @cache\n"
+        "    def inner(y): pass\n"
+        "    return cache(inner)\n"
+    )
+    assert unbounded_caches(source) == ["a", "b", "c", "d", "inner"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.stem)
+def test_no_unbounded_caches(path):
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
 def _reads(node: ast.AST) -> set[str]:
