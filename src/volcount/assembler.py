@@ -45,7 +45,7 @@ from math import factorial, floor, isqrt
 from sys import intern
 
 from .decorated_graphs import DecoratedGraph, has_common_decorated_cover
-from .exact_arith import _require_rational
+from .exact_arith import _digit_limit_refusal, _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import MAX_INDEX, Word, enumerate_subgroups, hall_count
 
@@ -600,7 +600,21 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 # line just before the volume_bound line that ends the text.
 _GRAPH_LINE = '\n  "graph": '
 _PARCEL_LINE = '\n  "parcel_id": '
-_decode_value = json.JSONDecoder().raw_decode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_value(text: str, start: int, document: str):
+    # The JSON value at text[start:], text being part of document.  json reads
+    # an int literal with int(), whose refusal past Python's 4,300-digit limit
+    # is a plain ValueError, not a JSONDecodeError, in Python's own words.
+    try:
+        return _raw_decode(text, start)[0]
+    except json.JSONDecodeError:
+        raise
+    except ValueError as error:
+        raise ValueError(f"document has {_digit_limit_refusal(document)}") from error
+
+
 # str(Fraction)'s spelling, checked first: Fraction("1e10000000") builds
 # 10^10^7, and str() prints no int of more than 4,300 digits.
 _VOLUME_TEXT = re.compile(r"-?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
@@ -634,9 +648,9 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     if not isinstance(text, str):
         raise ValueError(f"a descriptor document is text, not {type(text).__name__}")
     try:
-        spec = _decode_value(text, _line_start(text.find, _GRAPH_LINE) + len(_GRAPH_LINE))[0]
+        spec = _decode_value(text, _line_start(text.find, _GRAPH_LINE) + len(_GRAPH_LINE), text)
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
-        tail = _decode_value("{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
+        tail = _decode_value("{" + text[_line_start(text.rfind, _PARCEL_LINE) :], 0, text)
         # Parsed here, once: the descriptor takes only an int or a Fraction.
         parcel_id, volume_text = tail["parcel_id"], tail["volume_bound"]
         if not _VOLUME_TEXT.fullmatch(volume_text):

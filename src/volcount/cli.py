@@ -13,12 +13,13 @@ selftest   run all release criteria
 forms, assemble and count take the form dimension --n >= 3, with no cap.
 
 Default output is a human table; --json switches to the structured document
-{"status": ..., "payload": ...}.  Identical inputs produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure (a failed release
-check or internal self-check) or internal error, 2 usage error (bad
-arguments or input, a value past a cap, or an --emit-descriptors directory
-that cannot be written), 141 (128 + SIGPIPE) when the reader closes stdout
-early, as in `volcount ... | head`; that case prints no traceback.
+{"status": ..., "payload": ...}, for argparse's own errors too.  Identical
+inputs produce byte-identical output.  Exit codes: 0 success, 1
+verification failure (a failed release check or internal self-check) or
+internal error, 2 usage error (bad arguments or input, a value past a cap,
+or an --emit-descriptors directory that cannot be written), 141 (128 +
+SIGPIPE) when the reader closes stdout early, as in `volcount ... | head`;
+that case prints no traceback.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .assembler import (
     growth_floor,
 )
 from .decorated_graphs import graph_from_text, has_common_decorated_cover
+from .exact_arith import _digit_limit_refusal
 from .form_families import (
     FAMILY_NAMES,
     certificate_matrix,
@@ -52,9 +54,10 @@ from .form_families import (
 from .free_groups import MAX_INDEX, distinguishing_word, enumerate_subgroups, hall_count
 
 # Pairwise subcommands (covers, distinguish) scan a_k^2 pairs.  a_5^2 is
-# about 2.1 * 10^5 pairs at 6-8 us per pair for a cover decision and 9-10 us
-# for a distinguishing word (Python 3.11, 2-vCPU VM), 1.5-2 s a run, so the
-# pairwise cap sits below the enumeration cap.
+# about 2.1 * 10^5 pairs at 3.2-3.5 us per pair for a cover decision and
+# 4.7-4.8 us for a distinguishing word (all index-5 pairs, three passes,
+# Python 3.11.7, 2-vCPU VM), 0.7-1 s a run; a_6^2 is 1.2 * 10^7 pairs, about
+# a minute, so the pairwise cap sits below the enumeration cap.
 MAX_PAIRWISE_INDEX = 4
 MAX_EMIT_INDEX = 5
 
@@ -67,12 +70,33 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentError(Exception):
+    """An argparse error, with the parser that raised it: (message, parser)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # Its subparsers are _Parser too; _run reports their errors.
+    def error(self, message):
+        raise _ArgumentError(message, self)
+
+
+# A run of more than 4,300 digits, underscores aside, is a numeral int() and
+# Fraction() refuse; its refusal names the text's length instead of echoing it.
+_LONG_DIGITS = re.compile(r"\d{4301}")
+
+
+def _unreadable(text: str, kind: str) -> argparse.ArgumentTypeError:
+    if _LONG_DIGITS.search(text.replace("_", "")):
+        return argparse.ArgumentTypeError(_digit_limit_refusal(text))
+    return argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as error:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from error
+            raise _unreadable(text, "an integer") from error
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
         return value
@@ -92,9 +116,6 @@ _dimension = _int_at_least(3)
 # side of the scale, which budget_index refuses as it would the budget.
 _MAX_BUDGET_EXPONENT = 10**4
 _EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-# A run of more than 4,300 digits, underscores aside, is a numeral Fraction
-# refuses; its refusal names the text's length instead of echoing the text.
-_LONG_DIGITS = re.compile(r"\d{4301}")
 
 
 def _budget(text: str) -> Fraction:
@@ -106,15 +127,11 @@ def _budget(text: str) -> Fraction:
             return ((mantissa > 0) - (mantissa < 0)) * Fraction(10) ** (4301 if e > 0 else -4301)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as error:
-        if _LONG_DIGITS.search(text.replace("_", "")):
-            raise argparse.ArgumentTypeError(
-                f"a numeral past Python's 4,300-digit limit (a text of {len(text):,} characters)"
-            ) from error
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from error
+        raise _unreadable(text, "a rational number") from error
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="volcount",
         description="Certified counting of glued-block manifold descriptors.",
     )
@@ -401,8 +418,18 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)
+    except _ArgumentError as error:
+        message, parser = error.args
+        # --json or an abbreviation of it, as argparse would have read it.
+        if any(token.startswith("--j") and "--json".startswith(token) for token in argv):
+            _emit("error", {"error": message}, [], True)
+        else:
+            parser.print_usage(sys.stderr)
+            print(f"{parser.prog}: error: {message}", file=sys.stderr)
+        return USAGE_ERROR
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:

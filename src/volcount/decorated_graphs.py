@@ -26,8 +26,10 @@ at their basepoints b1 and b2, the one candidate is the component through
 (b1, b2), the graph of their intersection (Stallings, "Topology of finite
 graphs", Invent. Math. 1983).  Its pairs are (b1.w, b2.w) over the words w,
 so it is consistent exactly when H1 = H2, that is when the canonical keys
-are equal.  Each candidate component is explored breadth-first from its
-colored pair and abandoned at the first pair whose two color bits differ.
+are equal.  free_groups.product_search explores each candidate from its
+colored pair and abandons it at the first pair whose two color bits
+differ, or that the search of an earlier seed reached: a consistent
+component is explored in full, so that one was inconsistent.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .free_groups import DecoratedGraph
+from .exact_arith import _digit_limit_refusal
+from .free_groups import DecoratedGraph, product_search
 
 _INT_TYPE = frozenset({int})
 
@@ -108,20 +111,18 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     relabeled in increasing encoded order and colored by pulling back g1's
     coloring: the first consistent component of the whole product.
     """
-    # Forward steps suffice: a and b generate a finite group.
-    steps = ((g1.perm_a, g2.perm_a), (g1.perm_b, g2.perm_b))
+    # Forward moves suffice: a and b generate a finite group.
+    moves = ((0, g1.perm_a, g2.perm_a), (2, g1.perm_b, g2.perm_b))
     colored1, colored2 = g1.colored, g2.colored
     if bool(colored1) != bool(colored2):
         return CommonCoverDecision(False)
     # Pairs (i, j) in lexicographic order, which is the encoded order.
     seeds = sorted(itertools.product(colored1, colored2)) or [(0, 0)]
-    owner: dict[tuple[int, int], tuple[int, int]] = {}
+    reached: dict = {}
     best = None
     for seed in seeds:
-        if seed in owner:
-            continue
-        component = _consistent_component(steps, colored1, colored2, seed, owner)
-        if component is not None and (best is None or min(component) < min(best)):
+        component, stop = product_search(moves, colored1, colored2, seed, reached)
+        if stop is None and (best is None or min(component) < min(best)):
             best = component
     if best is None:
         return CommonCoverDecision(False)
@@ -130,37 +131,12 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     index = {pair: new for new, pair in enumerate(order)}
     perm_a = tuple(index[g1.perm_a[i], g2.perm_a[j]] for i, j in order)
     perm_b = tuple(index[g1.perm_b[i], g2.perm_b[j]] for i, j in order)
-    map1 = tuple(i for i, _ in order)
-    map2 = tuple(j for _, j in order)
+    map1, map2 = zip(*order)
     colored = frozenset(new for new, i in enumerate(map1) if i in colored1)
     witness = DecoratedGraph(len(order), perm_a, perm_b, colored)
     if not (check_cover(witness, g1, map1) and check_cover(witness, g2, map2)):
         raise RuntimeError("fiber-product witness failed the covering check")
     return CommonCoverDecision(True, witness, map1, map2)
-
-
-def _consistent_component(steps, colored1, colored2, seed, owner: dict):
-    """The pairs of the fiber-product component of seed, or None at a color clash.
-
-    steps pairs each forward step of the first graph with the second's.
-    owner maps every pair reached so far to the seed it was reached from.  A
-    pair owned by an earlier seed lies in a component already found
-    inconsistent, since a consistent one is explored in full; meeting it is
-    a clash too.
-    """
-    owner[seed] = seed
-    component = [seed]
-    for i, j in component:
-        for step1, step2 in steps:
-            pair = (step1[i], step2[j])
-            reached_from = owner.get(pair)
-            if reached_from == seed:
-                continue
-            if reached_from is not None or (pair[0] in colored1) != (pair[1] in colored2):
-                return None
-            owner[pair] = seed
-            component.append(pair)
-    return component
 
 
 def graph_to_text(graph: DecoratedGraph) -> str:
@@ -185,7 +161,10 @@ def graph_from_text(text: str) -> DecoratedGraph:
     # int() also takes "1_0", "+2", non-ASCII digits and padding whitespace.
     if len(rows[0]) != 1 or not all(v.isascii() and v.isdigit() for row in rows for v in row):
         raise ValueError("malformed graph text")
-    (n,), perm_a, perm_b, colored = ([int(v) for v in row] for row in rows)
+    try:
+        (n,), perm_a, perm_b, colored = ([int(v) for v in row] for row in rows)
+    except ValueError as error:  # only the digit limit refuses an ASCII digit run
+        raise ValueError(f"graph text has {_digit_limit_refusal(text)}") from error
     if len(set(colored)) != len(colored):
         raise ValueError("colored list repeats a vertex")
     graph = DecoratedGraph(n, tuple(perm_a), tuple(perm_b), frozenset(colored))

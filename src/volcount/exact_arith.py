@@ -44,6 +44,12 @@ def _require_rational(x) -> None:
         raise ValueError(f"expected an int or a Fraction, got {x!r}")
 
 
+def _digit_limit_refusal(text: str) -> str:
+    # int() and Fraction() refuse a numeral of more than 4,300 digits in
+    # Python's own words; a refusal names the length of the text it is in.
+    return f"a numeral past Python's 4,300-digit limit (a text of {len(text):,} characters)"
+
+
 # Legendre symbols and valuations re-test the same few primes over and over,
 # while a prime search tests each candidate once: a small bounded memo keeps
 # the former and lets the latter pass through.  typed=True keeps True and 7.0

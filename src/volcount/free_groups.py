@@ -31,6 +31,9 @@ subgroup_table.  hall_count evaluates Marshall Hall's recursion
     a_k = k * k! - sum_{i=1}^{k-1} (k - i)! * a_i
 
 which the enumeration must reproduce.
+
+product_search, the one breadth-first search of the product of two coset
+actions, serves distinguishing_word and the cover decision of decorated_graphs.
 """
 
 from __future__ import annotations
@@ -288,40 +291,60 @@ def _trace(steps, v: int, letters) -> int:
     return v
 
 
+def product_search(moves, colored1, colored2, seed, reached: dict):
+    """Breadth-first search from seed of the product of two coset actions.
+
+    moves lists (letter, images1, images2): a letter code and its images of
+    every vertex in the two graphs, expanded in that order.  reached, which
+    callers may share across seeds, maps each pair found to (seed, parent,
+    letter), the seed to (seed, None, None).  Returns the pairs recorded, in
+    discovery order, and the pair the search stopped at: the first whose
+    color bits (membership in colored1, colored2) differ or that an earlier
+    seed reached, or None when the pairs are seed's consistent component.
+    """
+    if seed in reached:
+        return [], seed
+    reached[seed] = (seed, None, None)
+    pairs = [seed]
+    for pair in pairs:
+        i, j = pair
+        for letter, images1, images2 in moves:
+            image = (images1[i], images2[j])
+            entry = reached.get(image)
+            if entry is None:
+                reached[image] = (seed, pair, letter)
+                pairs.append(image)
+                if (image[0] in colored1) != (image[1] in colored2):
+                    return pairs, image
+            elif entry[0] != seed:
+                return pairs, image
+    return pairs, None
+
+
 def distinguishing_word(h1: DecoratedGraph, h2: DecoratedGraph) -> Word | None:
     """Shortest word lying in exactly one of the two subgroups; None iff the
     subgroups are equal, i.e. the graphs are isomorphic.
 
     Each graph is colored at one vertex, its basepoint, and stands for the
-    subgroup of the words whose path from the basepoint returns there.
-    Breadth-first search on the product of the two coset actions from the
-    basepoint pair, expanding letters in the order a, a^-1, b, b^-1, so the
-    first hit is the lexicographically least among shortest separators.  The
-    membership asymmetry of the result is asserted before returning.
+    subgroup of the words whose path from the basepoint returns there.  The
+    product search from the basepoint pair expands a, a^-1, b, b^-1 in that
+    order, so its first clash ends the least of the shortest separators.
+    The membership asymmetry of the result is asserted before returning.
     """
     base1, base2 = h1.basepoint, h2.basepoint
     steps1, steps2 = h1.steps(), h2.steps()
     start = (base1, base2)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    queue = [start]
-    for state in queue:
-        i, j = state
-        for letter in range(4):
-            image = (steps1[letter][i], steps2[letter][j])
-            if image in parents:
-                continue
-            parents[image] = (state, letter)
-            if (image[0] == base1) != (image[1] == base2):
-                letters: list[int] = []
-                cursor = image
-                while parents[cursor] is not None:
-                    cursor, step = parents[cursor]
-                    letters.append(step)
-                word = Word(tuple(reversed(letters)))
-                in_h1 = _trace(steps1, base1, word.letters) == base1
-                in_h2 = _trace(steps2, base2, word.letters) == base2
-                if in_h1 == in_h2:
-                    raise RuntimeError(f"separator {word} failed its membership check")
-                return word
-            queue.append(image)
-    return None
+    moves = ((0, steps1[0], steps2[0]), (1, steps1[1], steps2[1]),
+             (2, steps1[2], steps2[2]), (3, steps1[3], steps2[3]))
+    reached: dict = {}
+    pair = product_search(moves, h1.colored, h2.colored, start, reached)[1]
+    if pair is None:
+        return None
+    letters: list[int] = []
+    while pair != start:
+        _, pair, letter = reached[pair]
+        letters.append(letter)
+    letters.reverse()
+    if (_trace(steps1, base1, letters) == base1) == (_trace(steps2, base2, letters) == base2):
+        raise RuntimeError(f"separator {Word(letters)} failed its membership check")
+    return Word(letters)

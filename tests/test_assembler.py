@@ -796,6 +796,26 @@ class TestMalformedDocuments:
             with pytest.raises(ValueError, match="colored vertices must be vertices"):
                 descriptor_from_json(_dumps(document), given_parcel)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("vertices", 7), ("perm_a", [7]), ("perm_b", [0, 7]), ("colored", [7])],
+    )
+    def test_integers_past_the_digit_limit(self, parcel, key, value):
+        # json reads an int literal with int(): 5,000 digits were once refused
+        # in Python's own words, "Exceeds the limit (4300 digits)...".
+        document = _document(LOOP, parcel)
+        document["graph"][key] = value
+        text = _dumps(document).replace("7", "1" * 5000)
+        assert len(text) == len(_dumps(document)) + 4999
+        message = (
+            "document has a numeral past Python's 4,300-digit limit"
+            f" (a text of {len(text):,} characters)"
+        )
+        for given_parcel in (None, parcel):
+            with pytest.raises(ValueError) as refusal:
+                descriptor_from_json(text, given_parcel)
+            assert str(refusal.value) == message
+
     @pytest.mark.parametrize("count", [True, 1.0], ids=["bool", "float"])
     def test_vertex_count_is_an_int(self, parcel, count):
         # Equal to the vertex count 1; the writer would spell them True and 1.0.

@@ -141,6 +141,20 @@ class TestSubgroups:
         assert code == 2
         assert "capped" in err
 
+    def test_index_past_the_digit_limit_is_not_echoed(self, capsys):
+        # 5,001 digits were once refused as "not an integer" and echoed in full.
+        k = "1" * 5001
+        refusal = (
+            "argument k: a numeral past Python's 4,300-digit limit (a text of 5,001 characters)"
+        )
+        code, out, err = run(["subgroups", k], capsys)
+        assert code == 2 and out == ""
+        assert err.endswith(f"volcount subgroups: error: {refusal}\n")
+        assert len(err.encode()) < 300
+        code, out, err = run(["subgroups", k, "--json"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": refusal}}
+
 
 class TestGraphs:
     def test_enumerate_golden(self, capsys):
@@ -307,6 +321,22 @@ class TestAssemble:
         assert code == 2 and out == ""
         assert "repeats" in err
 
+    def test_vertex_count_past_the_digit_limit(self, capsys, tmp_path):
+        # Once refused in Python's own words: "Exceeds the limit (4300 digits)...".
+        text = "1" * 5000 + "\n0\n0\n0\n"
+        message = (
+            "graph text has a numeral past Python's 4,300-digit limit"
+            " (a text of 5,007 characters)"
+        )
+        path = tmp_path / "long.graph"
+        path.write_text(text)
+        code, out, err = run(["assemble", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+        code, out, err = run(["assemble", str(path), "--json"], capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": message}}
+
 
 class TestCount:
     def test_golden_budget_30(self, capsys):
@@ -426,11 +456,13 @@ class TestCount:
     )
     def test_budget_past_the_digit_limit_is_not_echoed(self, capsys, budget):
         # 5,000 digits were once echoed in full, 5,172 bytes of stderr.
-        for json_mode in ([], ["--json"]):
-            code, out, err = run(["count", f"--v={budget}", *json_mode], capsys)
-            assert code == 2 and out == ""
-            assert f"4,300-digit limit (a text of {len(budget):,} characters)" in err
-            assert len(err.encode()) < 300
+        refusal = f"4,300-digit limit (a text of {len(budget):,} characters)"
+        code, out, err = run(["count", f"--v={budget}"], capsys)
+        assert code == 2 and out == "" and refusal in err
+        assert len(err.encode()) < 300
+        code, out, err = run(["count", f"--v={budget}", "--json"], capsys)
+        assert code == 2 and err == "" and refusal in json.loads(out)["payload"]["error"]
+        assert len(out.encode()) < 300
 
     def test_budget_exponents_near_the_cap_are_read(self, capsys):
         # A 4,300-digit mantissa brings an exponent past 4,300 back on the scale.
@@ -543,6 +575,32 @@ class TestUsage:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "selftest" in out
+
+    def test_help_under_json_prints_its_text(self, capsys):
+        code, out, err = run(["count", "--help", "--json"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: volcount count [-h] --v V")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count", "--v", "1/2x", "--json"], "argument --v: not a rational number: '1/2x'"),
+            (["subgroups", "--json"], "the following arguments are required: k"),
+            (["graphs", "2", "walk", "--js"], "argument subcommand: invalid choice: 'walk' "
+             "(choose from 'enumerate', 'covers', 'distinguish')"),
+            (["primes", "isotropic", "2", "--json", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["type", "missing", "choice-abbreviated-flag", "unrecognized"],
+    )
+    def test_argument_errors_under_json_are_documents(self, capsys, argv, message):
+        # argparse's own errors once printed usage text and no JSON document.
+        code, out, err = run(argv, capsys)
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "error", "payload": {"error": message}}
+        without_json = [token for token in argv if not token.startswith("--j")]
+        code, out, err = run(without_json, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: volcount") and err.endswith(f"error: {message}\n")
 
 
 class TestCapsBeforeWork:

@@ -1,10 +1,11 @@
 from functools import cache
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from volcount import free_groups
+from volcount import decorated_graphs, free_groups
 from volcount.decorated_graphs import (
     CommonCoverDecision,
     DecoratedGraph,
@@ -14,7 +15,7 @@ from volcount.decorated_graphs import (
     graph_to_text,
     has_common_decorated_cover,
 )
-from volcount.free_groups import _bfs, distinguishing_word, enumerate_subgroups
+from volcount.free_groups import _bfs, distinguishing_word, enumerate_subgroups, product_search
 
 # Small fixed graphs used throughout: the three 2-vertex Schreier graphs.
 SWAP_A = DecoratedGraph(2, (1, 0), (0, 1), frozenset({0}))
@@ -344,6 +345,25 @@ class TestCommonCoverDecision:
         decision = has_common_decorated_cover(g1, g2)
         assert decision == _reference_decision(g1, g2)
 
+    @given(graph_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_searches_return_each_product_pair_at_most_once(self, pair):
+        # One map shared across seeds bounds a decision by |V1| * |V2| pairs.
+        g1, g2 = pair
+        assume(len(g1.colored) * len(g2.colored) > 1)
+        returned = []
+
+        def recording(*args):
+            pairs, stop = product_search(*args)
+            returned.extend(pairs)
+            return pairs, stop
+
+        with mock.patch.object(decorated_graphs, "product_search", recording):
+            decision = has_common_decorated_cover(g1, g2)
+        assert len(set(returned)) == len(returned) <= g1.vertex_count * g2.vertex_count
+        if decision.has_cover:
+            assert set(zip(decision.witness_map1, decision.witness_map2)) <= set(returned)
+
     def test_witness_is_the_smallest_consistent_component(self):
         # The 4-cycle a = +1, b = +2 colored at 1 and 3, against its
         # relabeling by 1 <-> 3.  The symmetries x -> x and x -> x + 2 keep
@@ -531,6 +551,25 @@ class TestSerialization:
     def test_trailing_blank_lines_accepted(self):
         assert graph_from_text("2\n1 0\n0 1\n0") == SWAP_A
         assert graph_from_text("2\n1 0\n0 1\n0\n\n \n") == SWAP_A
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 5000 + "\n0\n0\n0\n",
+            "1\n0\n" + "0" * 4301 + "\n0\n",
+            "1\n0\n0\n" + "1" * 5000 + "\n",
+        ],
+        ids=["count", "leading-zeros-row", "colored"],
+    )
+    def test_numerals_past_the_digit_limit(self, text):
+        # Once refused in Python's own words, "Exceeds the limit (4300 digits)...".
+        message = (
+            "graph text has a numeral past Python's 4,300-digit limit"
+            f" (a text of {len(text):,} characters)"
+        )
+        with pytest.raises(ValueError) as refusal:
+            graph_from_text(text)
+        assert str(refusal.value) == message
 
     def test_repeated_colored_vertex_rejected(self):
         with pytest.raises(ValueError, match="repeats"):

@@ -19,6 +19,7 @@ from volcount.free_groups import (
     distinguishing_word,
     enumerate_subgroups,
     hall_count,
+    product_search,
     subgroup_table,
     _bfs,
     _inverse_permutation,
@@ -329,3 +330,51 @@ class TestDistinguishingWords:
         else:
             assert word is not None
             assert word_membership(tables[i], word) != word_membership(tables[j], word)
+
+
+def _moves(g1: DecoratedGraph, g2: DecoratedGraph, letters) -> tuple:
+    steps1, steps2 = g1.steps(), g2.steps()
+    return tuple((letter, steps1[letter], steps2[letter]) for letter in letters)
+
+
+class TestProductSearch:
+    def test_four_letters_stop_at_the_frozen_word(self):
+        # The index-2 tables of test_frozen_example: a fixes coset 0 in the
+        # first and moves it in the second, so the first letter clashes.
+        t1, t2 = enumerate_subgroups(2)[:2]
+        moves, reached = _moves(t1, t2, range(4)), {}
+        pairs, stop = product_search(moves, t1.colored, t2.colored, (0, 0), reached)
+        assert pairs == [(0, 0), (0, 1)] and stop == (0, 1)
+        assert reached == {(0, 0): ((0, 0), None, None), (0, 1): ((0, 0), (0, 0), 0)}
+        assert str(distinguishing_word(t1, t2)) == "a"
+
+    def test_forward_moves_give_the_component_of_a_consistent_seed(self):
+        # The 4-cycle a = +1, b = +2 against itself: the component of (1, 1)
+        # is the diagonal, reached by a, b, then b from (2, 2).
+        graph = DecoratedGraph(4, (1, 2, 3, 0), (2, 3, 0, 1), frozenset({1, 3}))
+        moves, reached = _moves(graph, graph, (0, 2)), {}
+        pairs, stop = product_search(moves, graph.colored, graph.colored, (1, 1), reached)
+        assert stop is None
+        assert pairs == [(1, 1), (2, 2), (3, 3), (0, 0)]
+        assert reached == {
+            (1, 1): ((1, 1), None, None),
+            (2, 2): ((1, 1), (1, 1), 0),
+            (3, 3): ((1, 1), (1, 1), 2),
+            (0, 0): ((1, 1), (2, 2), 2),
+        }
+
+    def test_a_shared_map_stops_at_an_earlier_seeds_pair(self):
+        # The @example of TestCommonCoverDecision: one component, two colored
+        # pairs.  (0, 0) clashes at (0, 2) by a; from (0, 1), a loops and b
+        # meets (0, 0), which the first search reached.
+        loop = DecoratedGraph(1, (0,), (0,), frozenset({0}))
+        graph = DecoratedGraph(3, (2, 1, 0), (1, 0, 2), frozenset({0, 1}))
+        moves, reached = _moves(loop, graph, (0, 2)), {}
+
+        def search(seed):
+            return product_search(moves, loop.colored, graph.colored, seed, reached)
+
+        assert search((0, 0)) == ([(0, 0), (0, 2)], (0, 2))
+        assert search((0, 1)) == ([(0, 1)], (0, 0))
+        assert reached[(0, 0)] == ((0, 0), None, None)
+        assert search((0, 0)) == ([], (0, 0))
