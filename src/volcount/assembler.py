@@ -45,7 +45,7 @@ from math import factorial, floor, isqrt
 from sys import intern
 
 from .decorated_graphs import DecoratedGraph, has_common_decorated_cover
-from .exact_arith import _digit_limit_refusal, _require_rational
+from .exact_arith import _digit_limit_refusal, _named, _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import MAX_INDEX, Word, enumerate_subgroups, hall_count
 
@@ -466,11 +466,11 @@ def budget_index(v, parcel: Parcel) -> int:
     unit = 5 * parcel.max_volume
     if v < unit:
         printable = max(abs(v.numerator), v.denominator) < _PRINTABLE
-        shown = v if printable else "of more than 4,300 digits"
+        shown = _named(v, str) if printable else "of more than 4,300 digits"
         raise ValueError(f"volume budget {shown} is below the one-block scale {unit}")
     k = floor(v / unit)
     if k > MAX_COUNT_INDEX:
-        shown = k if k < _PRINTABLE else "an index of more than 4,300 digits"
+        shown = _named(k) if k < _PRINTABLE else "an index of more than 4,300 digits"
         raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {shown})")
     return k
 
@@ -663,12 +663,14 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     if written != text:
         raise ValueError("document differs from the text the writer gives its descriptor")
     if volume <= 0:
-        raise ValueError(f"volume_bound {str(volume)!r} is not positive")
+        raise ValueError(f"volume_bound {_named(str(volume))} is not positive")
     if parcel is not None:
         if parcel_id != parcel.parcel_id:
-            raise ValueError(f"document names parcel {parcel_id!r}, not {parcel.parcel_id!r}")
+            named = _named(parcel_id)
+            raise ValueError(f"document names parcel {named}, not {parcel.parcel_id!r}")
         if volume != _total_volume(graph, parcel):
-            raise ValueError(f"volume_bound {str(volume)!r} is not the volume the parcel gives")
+            named = _named(str(volume))
+            raise ValueError(f"volume_bound {named} is not the volume the parcel gives")
     return descriptor
 
 

@@ -12,14 +12,15 @@ selftest   run all release criteria
 
 forms, assemble and count take the form dimension --n >= 3, with no cap.
 
-Default output is a human table; --json switches to the structured document
-{"status": ..., "payload": ...}, for argparse's own errors too.  Identical
-inputs produce byte-identical output.  Exit codes: 0 success, 1
-verification failure (a failed release check or internal self-check) or
-internal error, 2 usage error (bad arguments or input, a value past a cap,
-or an --emit-descriptors directory that cannot be written), 141 (128 +
-SIGPIPE) when the reader closes stdout early, as in `volcount ... | head`;
-that case prints no traceback.
+Default output is a human table; every verb takes --json, which switches to the
+structured document {"status": ..., "payload": ...}.  Identical inputs produce
+byte-identical output.  Exit codes: 0 success, 1 verification failure (a failed
+release check or internal self-check) or internal error, 2 usage error (bad
+arguments or input, a value past a cap, or an --emit-descriptors directory that
+cannot be written), 141 (128 + SIGPIPE) when the reader closes stdout early, as
+in `volcount ... | head`; that case prints no traceback.  _refuse reports every
+exit 1 or 2, argparse's too: the error document under --json, else a line on
+stderr, naming an outside value of more than 100 characters by its length.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .assembler import (
     growth_floor,
 )
 from .decorated_graphs import graph_from_text, has_common_decorated_cover
-from .exact_arith import _digit_limit_refusal
+from .exact_arith import _digit_limit_refusal, _named
 from .form_families import (
     FAMILY_NAMES,
     certificate_matrix,
@@ -88,7 +89,7 @@ _LONG_DIGITS = re.compile(r"\d{4301}")
 def _unreadable(text: str, kind: str) -> argparse.ArgumentTypeError:
     if _LONG_DIGITS.search(text.replace("_", "")):
         return argparse.ArgumentTypeError(_digit_limit_refusal(text))
-    return argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+    return argparse.ArgumentTypeError(f"not {kind}: {_named(text)}")
 
 
 def _int_at_least(minimum: int):
@@ -141,39 +142,35 @@ def _parser() -> argparse.ArgumentParser:
     primes.add_argument("family", choices=FAMILY_NAMES)
     primes.add_argument("count", type=_positive_int)
     primes.add_argument("--verify", action="store_true", help="assert the frozen reference lists")
-    primes.add_argument("--json", action="store_true")
 
     forms = verbs.add_parser("forms", help="certificate matrix for a form family")
     forms.add_argument("family", choices=FAMILY_NAMES)
     forms.add_argument("--n", type=_dimension, default=4, help="dimension (rank n+1)")
     forms.add_argument("--count", type=_positive_int, default=6)
-    forms.add_argument("--json", action="store_true")
 
     subgroups = verbs.add_parser("subgroups", help="index counts by two routes")
     subgroups.add_argument("k", type=_positive_int)
-    subgroups.add_argument("--json", action="store_true")
 
     graphs = verbs.add_parser("graphs", help="decorated graph machinery at index k")
     graphs.add_argument("k", type=_positive_int)
     graphs.add_argument("subcommand", choices=("enumerate", "covers", "distinguish"))
-    graphs.add_argument("--json", action="store_true")
 
     assemble_cmd = verbs.add_parser("assemble", help="descriptor for a graph file")
     assemble_cmd.add_argument("graph", nargs="?", default="-", help="graph text file, - for stdin")
     assemble_cmd.add_argument("--n", type=_dimension, default=4)
     assemble_cmd.add_argument("--compact", action="store_true")
-    assemble_cmd.add_argument("--json", action="store_true")
 
     count = verbs.add_parser("count", help="volume-budget descriptor count")
     count.add_argument("--v", type=_budget, required=True, help="volume budget (rational)")
     count.add_argument("--n", type=_dimension, default=4)
     count.add_argument("--compact", action="store_true")
     count.add_argument("--emit-descriptors", metavar="DIR", default=None)
-    count.add_argument("--json", action="store_true")
 
-    selftest = verbs.add_parser("selftest", help="run every release criterion")
-    selftest.add_argument("--json", action="store_true")
+    verbs.add_parser("selftest", help="run every release criterion")
 
+    # Last, so that every usage line and help text ends with it.
+    for verb in verbs.choices.values():
+        verb.add_argument("--json", action="store_true")
     return parser
 
 
@@ -226,7 +223,7 @@ def _cmd_forms(args):
 
 def _require_index(k: int, cap: int, what: str) -> None:
     if k > cap:
-        raise UsageError(f"{what} is capped at index {cap} (got {k})")
+        raise UsageError(f"{what} is capped at index {cap} (got {_named(k)})")
 
 
 def _cmd_subgroups(args):
@@ -310,10 +307,9 @@ def _cmd_assemble(args):
         else:
             with open(args.graph, "r", encoding="ascii", newline="") as handle:
                 text = handle.read()
+        graph = graph_from_text(text)
     except (OSError, UnicodeDecodeError) as error:
         raise UsageError(f"cannot read graph file: {error}") from error
-    try:
-        graph = graph_from_text(text)
     except ValueError as error:
         raise UsageError(str(error)) from error
     document = descriptor_to_json(assemble(graph, default_parcel(args.n, args.compact)))
@@ -417,38 +413,41 @@ def main(argv=None) -> int:
         return BROKEN_PIPE
 
 
+def _refuse(as_json: bool, code: int, prefix: str, message: str) -> int:
+    """Print a failure, as the error document under --json or else on stderr; return code."""
+    if as_json:
+        _emit("error", {"error": message}, [], True)
+    else:
+        print(prefix + message, file=sys.stderr)
+    return code
+
+
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)
     except _ArgumentError as error:
         message, parser = error.args
+        # argparse echoes in full a refused token, or its value after "=" or -h;
+        # the longest go first, lest a shorter one split an echo that holds it.
+        echoes = {e for t in argv for e in (t, t.partition("=")[2], t.lstrip("-h"))}
+        for echo in sorted(echoes, key=len, reverse=True):
+            message = message.replace(echo, _named(echo, str))
         # --json or an abbreviation of it, as argparse would have read it.
-        if any(token.startswith("--j") and "--json".startswith(token) for token in argv):
-            _emit("error", {"error": message}, [], True)
-        else:
-            parser.print_usage(sys.stderr)
-            print(f"{parser.prog}: error: {message}", file=sys.stderr)
-        return USAGE_ERROR
+        as_json = any(token.startswith("--j") and "--json".startswith(token) for token in argv)
+        prefix = f"{parser.format_usage()}{parser.prog}: error: "
+        return _refuse(as_json, USAGE_ERROR, prefix, message)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else USAGE_ERROR
     try:
         payload, lines = _HANDLERS[args.verb](args)
     except UsageError as error:
-        if args.json:
-            _emit("error", {"error": str(error)}, [], True)
-        else:
-            print(f"usage error: {error}", file=sys.stderr)
-        return USAGE_ERROR
+        return _refuse(args.json, USAGE_ERROR, "usage error: ", str(error))
     except (RuntimeError, ValueError) as error:
         # A RuntimeError is a failed release check or self-check.  Bad arguments
         # and input become UsageError, so a ValueError here is an internal error.
-        if args.json:
-            _emit("error", {"error": str(error)}, [], True)
-        else:
-            kind = "internal error" if isinstance(error, ValueError) else "verification failure"
-            print(f"{kind}: {error}", file=sys.stderr)
-        return VERIFICATION_FAILURE
+        kind = "internal error" if isinstance(error, ValueError) else "verification failure"
+        return _refuse(args.json, VERIFICATION_FAILURE, f"{kind}: ", str(error))
     _emit("ok", payload, lines, args.json)
     return 0
 

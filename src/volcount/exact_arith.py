@@ -50,6 +50,25 @@ def _digit_limit_refusal(text: str) -> str:
     return f"a numeral past Python's 4,300-digit limit (a text of {len(text):,} characters)"
 
 
+# A refusal spells out an outside value of at most this many characters, as
+# every value of a desk-scale run is (a budget, an index, a 16-vertex graph's
+# row of 56), and names a longer one by its length: a refusal then stays a
+# short line however long its input.
+_NAMED_LENGTH = 100
+
+
+def _named(value, spell=repr) -> str:
+    """An outside value as a refusal names it: spell(value) while that text is
+    short, else the length of the value, if a str, or of the text."""
+    try:
+        text = spell(value)
+    except ValueError:  # str() prints no int of more than 4,300 digits
+        return "<past Python's 4,300-digit limit>"
+    if len(text) <= _NAMED_LENGTH:
+        return text
+    return f"<{len(value if isinstance(value, str) else text):,} characters>"
+
+
 # Legendre symbols and valuations re-test the same few primes over and over,
 # while a prime search tests each candidate once: a small bounded memo keeps
 # the former and lets the latter pass through.  typed=True keeps True and 7.0

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
-from .exact_arith import _require_int
+from .exact_arith import _named, _require_int
 
 # Letter codes; the integer order is the lexicographic order used throughout.
 _LETTER_CHARS = "aAbB"  # uppercase marks the inverse of a generator
@@ -74,16 +74,18 @@ def _validate_permutations(degree: int, perm_a, perm_b) -> None:
     as True.
     """
     if type(degree) is not int:
-        raise ValueError(f"degree must be an int, got {degree!r}")
+        raise ValueError(f"degree must be an int, got {_named(degree)}")
     if degree < 1:
-        raise ValueError(f"degree must be at least 1, got {degree}")
+        raise ValueError(f"degree must be at least 1, got {_named(degree)}")
     for name, perm in (("perm_a", perm_a), ("perm_b", perm_b)):
         if (
             len(perm) != degree
             or set(map(type, perm)) != {int}
             or sorted(perm) != list(range(degree))
         ):
-            raise ValueError(f"{name}={perm!r} is not a permutation of 0..{degree - 1}")
+            raise ValueError(
+                f"{name}={_named(perm)} is not a permutation of 0..{_named(degree - 1)}"
+            )
 
 
 def _bfs(steps, start: int) -> tuple[list[int], dict[int, int]]:

@@ -369,6 +369,21 @@ class TestCounting:
         with pytest.raises(ValueError, match=message):
             count_lower_bound(v, parcel)
 
+    @pytest.mark.parametrize(
+        "v, refusal",
+        [
+            (Fraction(10**4000), "capped at index 1557 (got <4,000 characters>)"),
+            (Fraction(-(10**4000)), "volume budget <4,002 characters> is below the one-block"),
+            (Fraction(1, 10**4000), "volume budget <4,003 characters> is below the one-block"),
+        ],
+        ids=["long-index", "long-negative", "long-fraction"],
+    )
+    def test_refusal_names_a_long_budget_or_index_by_its_length(self, parcel, v, refusal):
+        # Each was once spelled in full: 4,000 digits and more.
+        with pytest.raises(ValueError) as caught:
+            count_lower_bound(v, parcel)
+        assert refusal in str(caught.value)
+
     def test_monotone_in_budget(self, parcel):
         counts = [count_lower_bound(v, parcel).descriptor_count for v in (5, 10, 17, 25, 30)]
         assert counts == sorted(counts)
@@ -774,6 +789,54 @@ json_values = st.recursive(
     max_leaves=8,
 )
 
+# The byte-level fuzz's seeds: the documents of the first index-1..3 graphs,
+# each with its basepoint, no vertex or every vertex colored.
+_SEED_GRAPHS = [
+    DecoratedGraph(k, table.perm_a, table.perm_b, frozenset(colored))
+    for k in (1, 2, 3)
+    for table in enumerate_subgroups(k)[:4]
+    for colored in ({0}, set(), set(range(k)))
+]
+# Written into a document: JSON's punctuation, digits, escapes and bytes
+# outside ASCII.
+_DOCUMENT_PIECES = ["0", "7", "-", '"', ",", ":", "[", "]", "{", "}", " ", "\n", "\\", "/",
+                    "e", "é", "\x00"]
+
+
+@st.composite
+def byte_edited_documents(draw, parcel):
+    """A seed document edited one to three times from its "graph" line on,
+    the part the reader decodes (an edit before it meets only the byte
+    check): truncated, a piece inserted, a few characters deleted, the
+    "graph" or "parcel_id" line repeated at a line break, or a run of 4,000
+    or 5,000 digits spliced in."""
+    text = descriptor_to_json(assemble(draw(st.sampled_from(_SEED_GRAPHS)), parcel))
+    for _ in range(draw(st.integers(1, 3))):
+        places = range(max(text.find('\n  "graph": '), 0), len(text) + 1)
+        edit = draw(st.sampled_from(["truncate", "insert", "delete", "repeat", "digits"]))
+        if edit == "repeat":
+            start = text.find(draw(st.sampled_from(['\n  "graph": ', '\n  "parcel_id": '])))
+            if start < 0:
+                continue
+            piece = "\n" + text[start + 1 :].partition("\n")[0]
+            places = [i for i in places if text[i : i + 1] == "\n"]
+        elif edit == "digits":  # beside a digit of the graph or of the last two lines
+            piece = "9" * draw(st.sampled_from([4000, 5000]))
+            rows = range(text.find('\n  "instances": '), text.rfind('\n  "parcel_id": '))
+            places = [i for i in places if text[i : i + 1].isdigit() and i not in rows]
+        else:
+            piece = draw(st.sampled_from(_DOCUMENT_PIECES))
+        if not places:
+            continue
+        at = draw(st.sampled_from(places))
+        if edit == "truncate":
+            text = text[:at]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 8)) :]
+        else:
+            text = text[:at] + piece + text[at:]
+    return text
+
 
 class TestMalformedDocuments:
     def test_disconnected_graph_refused(self, parcel):
@@ -871,6 +934,36 @@ class TestMalformedDocuments:
         try:
             descriptor = descriptor_from_json(text)
         except ValueError:
+            return
+        assert descriptor_to_json(descriptor) == text
+
+    @pytest.mark.parametrize(
+        "field, value, refusal",
+        [
+            ("parcel_id", "p" * 5000, "document names parcel <5,000 characters>, not 'isotropic"),
+            ("volume_bound", "-" + "9" * 4000, "volume_bound <4,001 characters> is not positive"),
+            ("volume_bound", "9" * 4000, "volume_bound <4,000 characters> is not the volume"),
+        ],
+        ids=["parcel_id", "negative-volume", "other-volume"],
+    )
+    def test_a_long_value_is_named_by_its_length(self, parcel, field, value, refusal):
+        # Each was once quoted in full.
+        text = _dumps(dict(_document(LOOP, parcel), **{field: value}))
+        with pytest.raises(ValueError) as caught:
+            descriptor_from_json(text, parcel)
+        assert str(caught.value).startswith(refusal)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_byte_edits_read_back_or_are_short_value_errors(self, parcel, data, with_parcel):
+        # Only a ValueError escapes, its message is at most 1,000 characters
+        # however long the document, and never Python's digit-limit text.
+        text = data.draw(byte_edited_documents(parcel))
+        try:
+            descriptor = descriptor_from_json(text, parcel if with_parcel else None)
+        except ValueError as error:
+            message = str(error)
+            assert len(message) <= 1000 and "Exceeds the limit" not in message, message[:500]
             return
         assert descriptor_to_json(descriptor) == text
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from volcount.exact_arith import (
     PrimalityRangeError,
+    _named,
     factor_int,
     is_prime,
     is_square_rational,
@@ -200,3 +201,23 @@ class TestPadicValuation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             padic_valuation(Fraction(0), 5)
+
+
+class TestNamed:
+    @pytest.mark.parametrize(
+        "value, spell, named",
+        [
+            ("x" * 98, repr, "'" + "x" * 98 + "'"),  # 100 characters quoted
+            ("x" * 99, repr, "<99 characters>"),  # a str goes by its own length
+            (10**99, repr, "1" + "0" * 99),
+            (10**100, repr, "<101 characters>"),
+            (Fraction(-(10**99)), str, "<101 characters>"),
+            ((0,) * 40, repr, "<120 characters>"),
+            (10**5000, repr, "<past Python's 4,300-digit limit>"),
+            ((1, 10**5000), repr, "<past Python's 4,300-digit limit>"),
+        ],
+        ids=["short-text", "long-text", "short-int", "long-int", "long-fraction", "long-row",
+             "past-limit", "row-past-limit"],
+    )
+    def test_short_text_or_its_length(self, value, spell, named):
+        assert _named(value, spell) == named

@@ -26,6 +26,7 @@ from volcount.free_groups import (
 )
 
 HALL_VALUES = (1, 3, 13, 71, 461, 3447, 29093)
+PAST_LIMIT = "<past Python's 4,300-digit limit>"  # how a refusal names an unprintable int
 
 
 def trace_vertex(table: DecoratedGraph, word: Word) -> int:
@@ -200,6 +201,25 @@ class TestSubgroupTable:
     def test_zero_degree_rejected(self):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             subgroup_table(0, (), ())
+
+    @pytest.mark.parametrize(
+        "degree, perm_a, refusal",
+        [
+            ("x" * 5000, (0,), "degree must be an int, got <5,000 characters>"),
+            (-(10**5000), (0,), f"degree must be at least 1, got {PAST_LIMIT}"),
+            (10**5000, (0,), f"perm_a=(0,) is not a permutation of 0..{PAST_LIMIT}"),
+            (10**4000, (0,), "perm_a=(0,) is not a permutation of 0..<4,000 characters>"),
+            (1, (10**5000,), f"perm_a={PAST_LIMIT} is not a permutation of 0..0"),
+            (2, (1,) * 5000, "perm_a=<15,000 characters> is not a permutation of 0..1"),
+        ],
+        ids=["text-degree", "negative-degree", "huge-degree", "long-degree", "huge-entry",
+             "long-row"],
+    )
+    def test_refusal_names_a_long_value_by_its_length(self, degree, perm_a, refusal):
+        # Each was once quoted in full, or raised Python's digit-limit error.
+        with pytest.raises(ValueError) as caught:
+            subgroup_table(degree, perm_a, (0,))
+        assert str(caught.value) == refusal
 
     @pytest.mark.parametrize(
         "perm_a", [(1.0, 0), (True, False), (1, 0.0)], ids=["float", "bool", "float-zero"]
