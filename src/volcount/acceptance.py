@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from .assembler import (
@@ -29,6 +30,7 @@ from .assembler import (
     descriptor_from_json,
     descriptors_for_index,
     emit_descriptors,
+    slots_for_kind,
     trace_word,
     volume_bound,
 )
@@ -152,10 +154,10 @@ def _criterion_hilbert_suite() -> str:
             a = _random_nonzero_fraction(rng, scale)
             a2 = _random_nonzero_fraction(rng, scale)
             b = _random_nonzero_fraction(rng, scale)
-            left = hilbert(a * a2, b, place)
-            assert left == hilbert(a, b, place) * hilbert(a2, b, place)
+            symbol = hilbert(a, b, place)
+            assert hilbert(a * a2, b, place) == symbol * hilbert(a2, b, place)
             assert hilbert(a * a, b, place) == 1
-            assert hilbert(a, b, place) == hilbert(a, -a * b, place)
+            assert symbol == hilbert(a, -a * b, place)
 
     place_of = cache(odd_place)  # one validated place per prime
     for _ in range(1000):
@@ -274,16 +276,63 @@ def _criterion_trace_separates() -> str:
     return f"{pairs} pairs separated by terminal block kind, 3|w| crossings each"
 
 
+def _slot_ref_parsers():
+    """Parsers of a document's row texts into slot refs: one int per
+    (instance id, slot), numbered as first met.
+
+    Returns (instance_refs, gluing_refs): an instance row's refs in slot
+    order, and a gluing row's two refs.  Each parser keeps its result per
+    distinct row, so it parses each row once, and both are freed with the
+    pair.
+    """
+    numbers: dict = {}
+
+    def ref(instance_id, slot) -> int:
+        return numbers.setdefault((instance_id, slot), len(numbers))
+
+    def instance_refs(row: str) -> list[int]:
+        instance_id, kind, _ = json.loads(row)
+        return [ref(instance_id, slot) for slot in range(slots_for_kind(kind))]
+
+    def gluing_refs(row: str) -> tuple[int, int]:
+        end1, end2 = json.loads(row)
+        return ref(*end1), ref(*end2)
+
+    return cache(instance_refs), cache(gluing_refs)
+
+
+def _closed_by_refs(instances, gluings, instance_refs, gluing_refs) -> bool:
+    """True when the document of these rows is closed; False when it is not,
+    or a row is malformed, and _check_closed must name the fault.
+
+    A document is closed exactly when its instance ids are distinct, its
+    glued refs are distinct and they are the union of its instances' slot
+    refs.  Every instance has a slot 0, so the ids are distinct exactly
+    when the slot refs are; and when the two sets are equal, the glued refs
+    are distinct exactly when there are as many of them.
+    """
+    try:
+        slots = list(chain.from_iterable(map(instance_refs, instances)))
+        glued = list(chain.from_iterable(map(gluing_refs, gluings)))
+    except (TypeError, ValueError):
+        return False
+    refs = set(slots)
+    return len(refs) == len(slots) == len(glued) and refs == set(glued)
+
+
 def _criterion_counting_pipeline() -> str:
     parcel = default_parcel(4, compact=False)
     report = count_lower_bound(Fraction(30), parcel)
     assert (report.k, report.descriptor_count, report.floor_bound) == (6, 3447, 216)
-    # Closedness of the rows the documents are written from, each row parsed once.
-    parse = cache(json.loads)
+    # Closedness of the rows the documents are written from, each distinct
+    # row parsed once into slot refs.  _closed_by_refs decides, and
+    # _check_closed names the fault of a document it does not find closed.
+    instance_refs, gluing_refs = _slot_ref_parsers()
     validated = 0
     for descriptor in descriptors_for_index(6, parcel):
         instances, gluings = _pick(descriptor.source_graph)
-        _check_closed(map(parse, instances), map(parse, gluings))
+        if not _closed_by_refs(instances, gluings, instance_refs, gluing_refs):
+            _check_closed(map(json.loads, instances), map(json.loads, gluings))
         assert volume_bound(descriptor, parcel) == 30
         validated += 1
     assert validated == 3447

@@ -113,7 +113,7 @@ def _coloring(vertex_count: int, colored: Iterable[int]) -> frozenset[int]:
     return colored
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DecoratedGraph:
     """Connected edge-labeled 4-regular graph with a set of colored vertices.
 
@@ -127,14 +127,18 @@ class DecoratedGraph:
     colored: frozenset[int]
     _canonical_key: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm_a", tuple(self.perm_a))
-        object.__setattr__(self, "perm_b", tuple(self.perm_b))
-        _validate_permutations(self.vertex_count, self.perm_a, self.perm_b)
+    def __init__(self, vertex_count, perm_a, perm_b, colored):
+        """The checked constructor: validate, then fill each slot once, as _trusted does."""
+        perm_a, perm_b = tuple(perm_a), tuple(perm_b)
+        _validate_permutations(vertex_count, perm_a, perm_b)
         # Forward steps suffice: a and b generate a finite group.
-        if len(_bfs((self.perm_a, self.perm_b), 0)[0]) != self.vertex_count:
+        if len(_bfs((perm_a, perm_b), 0)[0]) != vertex_count:
             raise ValueError("the permutation pair does not act transitively")
-        object.__setattr__(self, "colored", _coloring(self.vertex_count, self.colored))
+        _set_vertex_count(self, vertex_count)
+        _set_perm_a(self, perm_a)
+        _set_perm_b(self, perm_b)
+        _set_colored(self, _coloring(vertex_count, colored))
+        _set_canonical_key(self, None)
 
     @classmethod
     def _trusted(cls, vertex_count, perm_a, perm_b, colored):
@@ -175,8 +179,8 @@ class DecoratedGraph:
         return key
 
 
-# The slots' own setters, bound once: _trusted fills a frozen graph through
-# them, at about half the cost of object.__setattr__ by name.
+# The slots' own setters, bound once: both constructors fill a frozen graph
+# through them, at about half the cost of object.__setattr__ by name.
 _set_vertex_count = DecoratedGraph.vertex_count.__set__
 _set_perm_a = DecoratedGraph.perm_a.__set__
 _set_perm_b = DecoratedGraph.perm_b.__set__
@@ -197,10 +201,14 @@ def enumerate_subgroups(k: int) -> list[DecoratedGraph]:
 
     Backtracking over coset tables: the next undefined slot in scan order
     (coset ascending; letters a, a^-1, b, b^-1) is filled either with an
-    existing coset lacking the matching inverse edge or with the next unused
-    label.  Every completed table with exactly k cosets is canonical, and
-    each subgroup appears exactly once.  The tables share one coloring set
-    and one tuple per distinct row.
+    existing coset lacking the matching inverse edge, smallest first, or
+    with the next unused label, larger than every existing one.  So the
+    tables come strictly increasing in their scan key (a[v], a^-1[v], b[v],
+    b^-1[v]) for v = 0..k-1, the order of emitted file names and listings.
+    _fill counts its fills to know when a table closes.  Every completed
+    table with exactly k cosets is canonical, and each subgroup appears
+    exactly once.  The tables share one coloring set and one tuple per
+    distinct row.
     """
     if type(k) is not int or not 1 <= k <= MAX_INDEX:
         raise ValueError(f"index must be an int in 1..{MAX_INDEX}, got {k!r}")
@@ -209,42 +217,53 @@ def enumerate_subgroups(k: int) -> list[DecoratedGraph]:
     columns = tuple([-1] * k for _ in range(4))
     partners = (columns[1], columns[0], columns[3], columns[2])
     tables: list[DecoratedGraph] = []
-    _fill(k, columns, partners, {}, tables, 0, 1)
+    _fill(k, columns, partners, {}, tables, 0, 1, 0)
     return tables
 
 
-def _fill(k, columns, partners, rows, tables, slot: int, used: int) -> None:
+def _fill(k, columns, partners, rows, tables, slot: int, used: int, depth: int) -> None:
     """Complete the partial table of enumerate_subgroups in every way.
 
-    rows interns finished rows.  A module-level function, since a recursive
-    closure is a reference cycle that would keep the tables alive after the
-    caller drops them.  The search state comes as separate arguments:
-    unpacking it from one tuple on every call made index 7 2-6% slower.
+    depth counts the fills so far.  Each fill sets two entries, a slot and
+    its partner's, so the table is closed on `used` cosets exactly when
+    depth == 2 * used, and no leaf scans the slots that are left.  A fill
+    that would close the table short of k cosets is never made, and at
+    used == k the last fill is forced, so it is made in place and its table
+    kept with no further call.  rows interns finished rows.  A module-level
+    function, since a recursive closure is a reference cycle that would keep
+    the tables alive after the caller drops them.  The search state comes as
+    separate arguments: unpacking it from one tuple on every call made index
+    7 2-6% slower.
     """
-    while slot < 4 * used and columns[slot % 4][slot // 4] != -1:
+    # The table is open, so an undefined slot of a used coset lies ahead.
+    while columns[slot % 4][slot // 4] != -1:
         slot += 1
-    if slot == 4 * used:
-        # Table closed on `used` cosets; only exact index k is kept.
-        if used == k:
-            row_a, row_b = tuple(columns[0]), tuple(columns[2])
-            tables.append(DecoratedGraph._trusted(
-                k, rows.setdefault(row_a, row_a), rows.setdefault(row_b, row_b), _BASEPOINT_ONLY
-            ))
-        return
     vertex, column = slot // 4, slot % 4
     col, partner = columns[column], partners[column]
-    for target in range(used):
-        if partner[target] == -1:
-            col[vertex] = target
-            partner[target] = vertex
-            _fill(k, columns, partners, rows, tables, slot + 1, used)
-            col[vertex] = -1
-            partner[target] = -1
+    if depth + 1 < 2 * used:
+        for target in range(used):
+            if partner[target] == -1:
+                col[vertex] = target
+                partner[target] = vertex
+                _fill(k, columns, partners, rows, tables, slot + 1, used, depth + 1)
+                col[vertex] = -1
+                partner[target] = -1
+    elif used == k:
+        # This slot and one partner entry are all that is left undefined.
+        target = partner.index(-1)
+        col[vertex] = target
+        partner[target] = vertex
+        row_a, row_b = tuple(columns[0]), tuple(columns[2])
+        tables.append(DecoratedGraph._trusted(
+            k, rows.setdefault(row_a, row_a), rows.setdefault(row_b, row_b), _BASEPOINT_ONLY
+        ))
+        col[vertex] = -1
+        partner[target] = -1
     if used < k:
         target = used
         col[vertex] = target
         partner[target] = vertex
-        _fill(k, columns, partners, rows, tables, slot + 1, used + 1)
+        _fill(k, columns, partners, rows, tables, slot + 1, used + 1, depth + 1)
         col[vertex] = -1
         partner[target] = -1
 

@@ -33,7 +33,11 @@ the sign at the real place.
 A place is named by its prime, None at the real place.  The real place, 2
 and the odd primes each have one kernel: its square-class function, its
 symbol on two classes, and its class of squares, against which every symbol
-is 1.  hilbert and hasse_witt look the kernel up once, by the prime.
+is 1.  hilbert and hasse_witt look the kernel up once, by the prime.  Each
+square-class function is one body, with no calls on its way: it refuses
+what is not a nonzero int or Fraction (testing the type inline and calling
+_require_rational only for its refusal), strips the prime and reads the
+unit's residue.
 """
 
 from __future__ import annotations
@@ -43,13 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .exact_arith import (
-    _euler_criterion,
-    _require_odd_prime,
-    _require_rational,
-    _strip_prime,
-    squarefree_part,
-)
+from .exact_arith import _euler_criterion, _require_odd_prime, _require_rational, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -72,18 +70,17 @@ def odd_place(p: int) -> Place:
     return Place(p)
 
 
-def _nonzero_terms(x) -> tuple[int, int]:
-    # Numerator and denominator of x, read straight off an int or a Fraction.
-    _require_rational(x)
-    num = x.numerator
-    if num == 0:
-        raise ValueError("Hilbert symbols are defined on nonzero arguments only")
-    return num, x.denominator
+_ZERO_ARGUMENT = "Hilbert symbols are defined on nonzero arguments only"
 
 
 def _real_class(x: Fraction, _prime: None) -> int:
     # The sign of x.
-    return -1 if _nonzero_terms(x)[0] < 0 else 1
+    if type(x) is not int and type(x) is not Fraction:
+        _require_rational(x)
+    num = x.numerator
+    if not num:
+        raise ValueError(_ZERO_ARGUMENT)
+    return -1 if num < 0 else 1
 
 
 def _real_symbol(c: int, d: int, _prime: None) -> int:
@@ -93,8 +90,20 @@ def _real_symbol(c: int, d: int, _prime: None) -> int:
 def _odd_class(x: Fraction, p: int) -> tuple[int, int]:
     # The square class (v_p(x) mod 2, (u|p)) of x = p^v * u with u a p-adic
     # unit; p is an odd prime validated by the caller (or by its Place).
-    m, num, den = _strip_prime(*_nonzero_terms(x), p)
-    return m % 2, _euler_criterion(num * den, p)
+    if type(x) is not int and type(x) is not Fraction:
+        _require_rational(x)
+    num, den = x.numerator, x.denominator
+    if not num:
+        raise ValueError(_ZERO_ARGUMENT)
+    parity = 0
+    while not num % p:
+        num //= p
+        parity ^= 1
+    while not den % p:
+        den //= p
+        parity ^= 1
+    # Euler's criterion on the unit r * s of u = r/s: p divides neither.
+    return parity, 1 if pow(num * den % p, p >> 1, p) == 1 else -1
 
 
 def _odd_symbol(c: tuple[int, int], d: tuple[int, int], p: int) -> int:
@@ -106,8 +115,14 @@ def _odd_symbol(c: tuple[int, int], d: tuple[int, int], p: int) -> int:
 def _dyadic_class(x: Fraction, p: int) -> tuple[int, int]:
     # The square class (v_2(x) mod 2, u mod 8) of x = 2^v * u with u a 2-adic
     # unit; p is the dyadic place's prime 2.
-    m, num, den = _strip_prime(*_nonzero_terms(x), p)
-    return m % 2, num * den % 8
+    if type(x) is not int and type(x) is not Fraction:
+        _require_rational(x)
+    num, den = x.numerator, x.denominator
+    if not num:
+        raise ValueError(_ZERO_ARGUMENT)
+    # n & -n is 2^v_2(n), whose bit length is v_2(n) + 1.
+    two_num, two_den = num & -num, den & -den
+    return (two_num.bit_length() + two_den.bit_length()) & 1, num // two_num * (den // two_den) % 8
 
 
 def _dyadic_symbol(c: tuple[int, int], d: tuple[int, int], _prime: int) -> int:

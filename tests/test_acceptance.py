@@ -5,18 +5,25 @@ exhaustive small-index sweeps) and enforces its wall-clock budget; the
 printed line carries the measured time and the verifying detail.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from volcount import acceptance
 from volcount.acceptance import (
     CRITERIA,
+    _closed_by_refs,
     _random_nonzero_fraction,
+    _slot_ref_parsers,
     format_line,
     run_criterion,
     solvability_oracle_odd,
 )
+from volcount.assembler import _check_closed, _pick
+from volcount.free_groups import enumerate_subgroups
 
 _IDS = [f"{number}-{name}" for number, name, _, _ in CRITERIA]
 
@@ -80,3 +87,77 @@ def test_class_scan_matches_the_full_scan(p):
             assert verdict == _full_solvability_scan(a, b, p), (a, b)
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
     assert verdicts[1] and verdicts[-1]
+
+
+def _dropping_last_gluing(graph):
+    instances, gluings = _pick(graph)
+    return instances, gluings[:-1]
+
+
+def _repeating_first_gluing(graph):
+    instances, gluings = _pick(graph)
+    return instances, gluings[:-1] + gluings[:1]
+
+
+@pytest.mark.parametrize(
+    "pick, refusal",
+    [
+        (_dropping_last_gluing, "descriptor is not closed: 2 slots unglued"),
+        (_repeating_first_gluing, "slot ('v0', 0) glued more than once"),
+    ],
+    ids=["dropped", "repeated"],
+)
+def test_criterion_9_fails_on_an_open_document(monkeypatch, pick, refusal):
+    # The slot refs decide, and _check_closed's message names the fault.
+    monkeypatch.setattr(acceptance, "_pick", pick)
+    result = run_criterion(9)
+    assert not result.passed
+    assert result.detail == f"ValueError: {refusal}"
+
+
+def _verdict_of_check_closed(instances, gluings) -> bool:
+    try:
+        _check_closed(map(json.loads, instances), map(json.loads, gluings))
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# Rows that no document of the writer holds: a second v0, an unknown kind,
+# an instance no gluing reaches, a slot past a vertex's four, gluings of an
+# unknown instance, and malformed rows.
+_FOREIGN_INSTANCES = ('["v0", "V0", "again"]', '["x", "C", "x"]', '["x", "V0", "x"]', '[]')
+_FOREIGN_GLUINGS = ('[["v0", 4], ["x", 0]]', '[["x", 0], ["x", 1]]', '[["v0", 0]]', '[[0, 0], 1]')
+
+
+@st.composite
+def _edited_rows(draw):
+    # A document's rows of index <= 3, with up to three rows dropped,
+    # repeated, moved or replaced by foreign ones.
+    tables = [t for k in (1, 2, 3) for t in enumerate_subgroups(k)]
+    instances, gluings = map(list, _pick(draw(st.sampled_from(tables))))
+    for _ in range(draw(st.integers(0, 3))):
+        rows, foreign = draw(
+            st.sampled_from(((instances, _FOREIGN_INSTANCES), (gluings, _FOREIGN_GLUINGS)))
+        )
+        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        edit = draw(st.sampled_from(("drop", "repeat", "move", "foreign")))
+        if edit == "drop" and rows:
+            del rows[i]
+        elif edit == "repeat" and rows:
+            rows.insert(draw(st.integers(0, len(rows))), rows[i])
+        elif edit == "move" and rows:
+            rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop(i))
+        else:
+            rows.insert(i, draw(st.sampled_from(foreign)))
+    return instances, gluings
+
+
+@given(st.lists(_edited_rows(), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_slot_refs_agree_with_check_closed(documents):
+    # One pair of parsers serves every document, as in criterion 9.
+    instance_refs, gluing_refs = _slot_ref_parsers()
+    for instances, gluings in documents:
+        closed = _closed_by_refs(instances, gluings, instance_refs, gluing_refs)
+        assert closed == _verdict_of_check_closed(instances, gluings)

@@ -81,9 +81,11 @@ def _dumps(document):
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _assert_rejected(document):
-    with pytest.raises(ValueError):
+def _assert_rejected(document, refusal):
+    # _check_closed names the fault; the reader refuses the text.
+    with pytest.raises(ValueError) as refused:
         _check_closed(document["instances"], document["gluings"])
+    assert str(refused.value) == refusal
     with pytest.raises(ValueError):
         descriptor_from_json(_dumps(document))
 
@@ -228,17 +230,28 @@ class TestAssembly:
     def test_unglued_slot_rejected(self, parcel):
         document = _document(LOOP, parcel)
         document["gluings"].pop()
-        _assert_rejected(document)
+        _assert_rejected(document, "descriptor is not closed: 2 slots unglued")
 
     def test_doubly_glued_slot_rejected(self, parcel):
         document = _document(LOOP, parcel)
         document["gluings"][-1] = document["gluings"][0]
-        _assert_rejected(document)
+        _assert_rejected(document, "slot ('v0', 0) glued more than once")
 
     def test_duplicate_instance_rejected(self, parcel):
         document = _document(LOOP, parcel)
         document["instances"].append(["v0", "V0", "dup"])
-        _assert_rejected(document)
+        _assert_rejected(document, "duplicate instance id v0")
+
+    def test_unknown_instance_rejected(self, parcel):
+        document = _document(LOOP, parcel)
+        document["gluings"][0][0][0] = "v9"
+        _assert_rejected(document, "gluing references unknown instance v9")
+
+    @pytest.mark.parametrize("slot", [-1, 4])
+    def test_slot_out_of_range_rejected(self, parcel, slot):
+        document = _document(LOOP, parcel)
+        document["gluings"][0][0][1] = slot
+        _assert_rejected(document, f"slot {slot} out of range for v0")
 
     def test_closed_but_underived_pattern_rejected(self, parcel):
         # Closed lists that are still not the ones the graph derives.

@@ -106,6 +106,23 @@ class TestCounts:
         for graph in (fresh, read_back):
             assert not hasattr(graph, "__dict__")
 
+    @pytest.mark.parametrize("k", range(1, MAX_INDEX + 1))
+    def test_enumeration_is_in_scan_key_order(self, k):
+        # Strictly increasing in (a[v], a^-1[v], b[v], b^-1[v]) for v = 0..k-1,
+        # the order that file names and enumerate listings follow.
+        def scan_key(table):
+            inverse_a = {w: v for v, w in enumerate(table.perm_a)}
+            inverse_b = {w: v for v, w in enumerate(table.perm_b)}
+            return tuple(
+                image
+                for v in range(k)
+                for image in (table.perm_a[v], inverse_a[v], table.perm_b[v], inverse_b[v])
+            )
+
+        keys = [scan_key(t) for t in enumerate_subgroups(k)]
+        assert len(keys) == hall_count(k)
+        assert all(earlier < later for earlier, later in zip(keys, keys[1:]))
+
     def test_growth_floor(self):
         for k in range(1, 13):
             assert hall_count(k) ** 2 >= k**k
@@ -228,6 +245,21 @@ class TestSubgroupTable:
         # Each row equals (1, 0), whose inverse a lookup by value would return.
         with pytest.raises(ValueError, match="is not a permutation"):
             subgroup_table(2, perm_a, (0, 1))
+
+    def test_checked_graph_is_the_trusted_graph(self):
+        # The checked constructor fills the same slots _trusted fills.
+        for t in enumerate_subgroups(4):
+            k = t.vertex_count
+            for colored in (frozenset(), frozenset({0}), frozenset(range(k))):
+                checked = DecoratedGraph(k, list(t.perm_a), iter(t.perm_b), set(colored))
+                trusted = DecoratedGraph._trusted(k, t.perm_a, t.perm_b, colored)
+                assert checked == trusted and hash(checked) == hash(trusted)
+                assert repr(checked) == repr(trusted)
+                assert (type(checked.perm_a), type(checked.perm_b)) == (tuple, tuple)
+                assert type(checked.colored) is frozenset
+                assert not hasattr(checked, "__dict__")
+        by_keyword = DecoratedGraph(vertex_count=2, perm_a=(1, 0), perm_b=(0, 1), colored=())
+        assert by_keyword == DecoratedGraph._trusted(2, (1, 0), (0, 1), frozenset())
 
     def test_inverse_permutation_inverts(self):
         for k in range(1, 7):

@@ -178,6 +178,49 @@ class TestHilbertFrozenValues:
             hilbert(Fraction(0), Fraction(1), REAL)
 
 
+class TestSquareClasses:
+    """The class functions against the public route: padic_valuation, then
+    the unit's Legendre symbol at an odd prime or its residue mod 8 at 2."""
+
+    @given(nonzero_fractions, st.integers(-4, 4), st.sampled_from((3, 5, 7, 11, 13, 10007)))
+    def test_odd_class(self, x, exponent, p):
+        x *= Fraction(p) ** exponent
+        decomposition = padic_valuation(x, p)
+        unit = decomposition.unit_part
+        residue = unit.numerator * pow(unit.denominator, -1, p)
+        expected = (decomposition.exponent % 2, legendre_symbol(residue, p))
+        assert local_invariants._odd_class(x, p) == expected
+
+    @given(nonzero_fractions, st.integers(-4, 4))
+    def test_dyadic_class(self, x, exponent):
+        x *= Fraction(2) ** exponent
+        decomposition = padic_valuation(x, 2)
+        unit = decomposition.unit_part
+        expected = (decomposition.exponent % 2, unit.numerator * pow(unit.denominator, -1, 8) % 8)
+        assert local_invariants._dyadic_class(x, 2) == expected
+
+    @given(st.integers().filter(bool) | nonzero_fractions)
+    def test_real_class(self, x):
+        assert local_invariants._real_class(x, None) == (-1 if x < 0 else 1)
+
+    @pytest.mark.parametrize(
+        "x, refusal",
+        [
+            (0, "Hilbert symbols are defined on nonzero arguments only"),
+            (Fraction(0), "Hilbert symbols are defined on nonzero arguments only"),
+            (True, "expected an int or a Fraction, got True"),
+            (0.5, "expected an int or a Fraction, got 0.5"),
+            ("1/2", "expected an int or a Fraction, got '1/2'"),
+        ],
+    )
+    @pytest.mark.parametrize("place", (REAL, DYADIC, odd_place(7)), ids=place_id)
+    def test_refusals(self, x, refusal, place):
+        for a, b in ((x, 3), (3, x)):
+            with pytest.raises(ValueError) as refused:
+                hilbert(a, b, place)
+            assert str(refused.value) == refusal
+
+
 class TestPlaces:
     def test_odd_place_validates(self):
         with pytest.raises(ValueError):
