@@ -151,14 +151,18 @@ class ManifoldDescriptor:
             object.__setattr__(self, "volume_bound", Fraction(volume))
 
 
-# Row templates of the indent=2 layout.  Instance ids, kinds, "serves" texts
-# and slots are digits, letters, '-', '+', '>' and spaces, none of which
-# JSON escapes.
-_INSTANCE_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
-_GLUING_ROW = (
-    '    [\n      [\n        "%s",\n        %d\n      ],'
-    '\n      [\n        "%s",\n        %d\n      ]\n    ]'
-)
+def _instance_row(instance_id: str, kind: str, serves: str) -> str:
+    # Rows of the indent=2 layout.  Instance ids, kinds, "serves" texts and
+    # slots are digits, letters, '-', '+', '>' and spaces, none of which JSON
+    # escapes.
+    return f'    [\n      "{instance_id}",\n      "{kind}",\n      "{serves}"\n    ]'
+
+
+def _gluing_row(id1: str, slot1: int, id2: str, slot2: int) -> str:
+    return (
+        f'    [\n      [\n        "{id1}",\n        {slot1}\n      ],'
+        f'\n      [\n        "{id2}",\n        {slot2}\n      ]\n    ]'
+    )
 
 
 def _int_list(values) -> str:
@@ -169,59 +173,36 @@ def _int_list(values) -> str:
 
 
 # Patterns are written and read for graphs of a handful of sizes at a time
-# (index <= 7 in the pipeline), so a few entries keep every text table hot.
-# A table holds a dozen rows per vertex, so only sizes up to _CACHED_SIZE are
-# kept; a larger graph, which only a single graph file or document brings,
-# builds its table for the one pattern.
+# (index <= 7 in the pipeline), so a few entries keep every row hot.  The
+# two tables hold a few rows per vertex, so only graphs of up to
+# _CACHED_SIZE vertices are kept; a larger graph, which only a single graph
+# file or document brings, has its rows built for its one document.
 _CACHED_SIZE = 16
 
 
-@lru_cache(maxsize=8)
-def _pattern_text(k: int):
-    """The rows and row templates of k-vertex patterns in the document layout, kept per k.
+# Every enumerated table is colored at its basepoint 0, so the pipeline
+# writes one coloring per size; other callers bring a few at a time.  An
+# entry of 16 vertices, its key included, takes about 17 KB under
+# tracemalloc, so the 64 entries take at most about 1.1 MB.
+@lru_cache(maxsize=64)
+def _coloring_rows(k: int, colored: frozenset[int]):
+    """The rows of a k-vertex document that no permutation sets, kept per size and coloring.
 
-    Returns (vertex_rows, out_gluings, edge_gluings, letter_templates):
-    vertex_rows[c][v] is the instance row of vertex v, V1 when c else V0;
-    out_gluings[x][v] glues vertex v's x-out slot (x = 0 for a, 1 for b);
-    edge_gluings is the list of the minus-to-plus gluings of every edge,
-    then those rows joined; and letter_templates[x] is (minus, plus, ins):
-    minus[v] and plus[v] are the instance rows of the x-edge leaving v with
-    %d where its head goes, and ins[v] is the gluing row of v's x-in slot
-    with %d where the tail of the x-edge that ends at v goes.
-    _permutation_text fills the templates.
+    Returns (vertex_rows, vertex_text, colored_text, a_out, b_out, edges,
+    edge_text): the instance row of each vertex v, V1 when v is colored, and
+    those rows joined; the "colored" list; the gluing rows of each v's a-out
+    and b-out slot to the minus block of the edge leaving v; and the
+    minus-to-plus gluing rows of every edge, a-edges first, and those rows
+    joined.
     """
-    vertex_rows = tuple(
-        [_INSTANCE_ROW % ("v%d" % v, kind, "vertex %d" % v) for v in range(k)]
-        for kind in VERTEX_KINDS
+    rows = tuple(
+        _instance_row(f"v{v}", VERTEX_KINDS[v in colored], f"vertex {v}") for v in range(k)
     )
-    out_gluings, edge_gluings, letter_templates = [], [], []
-    for slot, x in ((0, "a"), (2, "b")):
-        minus, plus = ["%s%d-" % (x, v) for v in range(k)], ["%s%d+" % (x, v) for v in range(k)]
-        serves = ["%s-edge %d->%%d" % (x, v) for v in range(k)]
-        out_gluings.append([_GLUING_ROW % ("v%d" % v, slot, minus[v], 0) for v in range(k)])
-        edge_gluings += [_GLUING_ROW % (minus[v], 1, plus[v], 0) for v in range(k)]
-        letter_templates.append((
-            [_INSTANCE_ROW % (minus[v], x.upper() + "_minus", serves[v]) for v in range(k)],
-            [_INSTANCE_ROW % (plus[v], x.upper() + "_plus", serves[v]) for v in range(k)],
-            [_GLUING_ROW % ("v%d" % v, slot + 1, x + "%d+", 1) for v in range(k)],
-        ))
-    return vertex_rows, out_gluings, (edge_gluings, ",\n".join(edge_gluings)), letter_templates
-
-
-def _permutation_text(table, x: int, perm):
-    """The x-permutation's rows, filled into the _pattern_text table's letter_templates[x].
-
-    Returns its 2k edge instance rows (the minus and plus rows of each x-edge
-    v -> perm[v], in v order), those rows joined, its k in-slot gluing rows
-    (vertex v's x-in slot to the x-edge that ends at v) and its _int_list
-    text.
-    """
-    minus, plus, in_gluings = table[3][x]
-    instances, ins = [], [None] * len(perm)
-    for v, w in enumerate(perm):
-        instances += minus[v] % w, plus[v] % w
-        ins[w] = in_gluings[w] % v
-    return tuple(instances), ",\n".join(instances), tuple(ins), _int_list(perm)
+    a_out = tuple(_gluing_row(f"v{v}", 0, f"a{v}-", 0) for v in range(k))
+    b_out = tuple(_gluing_row(f"v{v}", 2, f"b{v}-", 0) for v in range(k))
+    edges = tuple(_gluing_row(f"{x}{v}-", 1, f"{x}{v}+", 0) for x in "ab" for v in range(k))
+    colored_text = _int_list(sorted(colored))
+    return rows, ",\n".join(rows), colored_text, a_out, b_out, edges, ",\n".join(edges)
 
 
 # One entry per letter for every permutation of degree MAX_INDEX, so an
@@ -234,60 +215,39 @@ def _permutation_text(table, x: int, perm):
 # distinct rows (three per letter and edge v -> w), about 0.2 MB.
 @lru_cache(maxsize=2 * factorial(MAX_INDEX))
 def _permutation_rows(x: int, perm: tuple[int, ...]):
-    """_permutation_text of the permutation's size's table, kept per letter and permutation.
+    """The rows the x-permutation sets (x = 0 for a, 1 for b), kept per letter and permutation.
 
-    Its rows are interned, so kept entries that share an edge share its rows.
+    Returns its 2k edge instance rows (the minus and plus rows of each x-edge
+    v -> perm[v], in v order), those rows joined, its k in-slot gluing rows
+    (vertex w's x-in slot to the plus block of the x-edge that ends at w)
+    and its _int_list text.  The rows of a kept entry are interned, so kept
+    entries that share an edge share its rows; a larger graph's are not, as
+    Python 3.12 never frees an interned string.
     """
-    instances, joined, ins, perm_text = _permutation_text(_pattern_text(len(perm)), x, perm)
-    return tuple(map(intern, instances)), joined, tuple(map(intern, ins)), perm_text
-
-
-def _coloring_rows(vertex_rows, colored):
-    """The vertex instance rows under a coloring, those rows joined, and its "colored" text."""
-    plain, marked = vertex_rows
-    rows = plain.copy()
-    for v in colored:
-        rows[v] = marked[v]
-    return tuple(rows), ",\n".join(rows), _int_list(sorted(colored))
-
-
-# Every enumerated table is colored at its basepoint 0, so the pipeline
-# writes one coloring per size; other callers bring a few at a time.  An
-# entry of 16 vertices, its key included, takes at most about 2.1 KB under
-# tracemalloc, so the 64 entries take at most about 0.13 MB.
-@lru_cache(maxsize=64)
-def _coloring_text(k: int, colored: frozenset[int]):
-    """_coloring_rows of the k-vertex rows, kept per size and coloring."""
-    return _coloring_rows(_pattern_text(k)[0], colored)
+    letter, minus_kind, plus_kind = "ab"[x], *EDGE_KINDS[2 * x : 2 * x + 2]
+    instances, ins = [], [None] * len(perm)
+    for v, w in enumerate(perm):
+        serves = f"{letter}-edge {v}->{w}"
+        instances.append(_instance_row(f"{letter}{v}-", minus_kind, serves))
+        instances.append(_instance_row(f"{letter}{v}+", plus_kind, serves))
+        ins[w] = _gluing_row(f"v{w}", 2 * x + 1, f"{letter}{v}+", 1)
+    if len(perm) <= _CACHED_SIZE:
+        instances, ins = tuple(map(intern, instances)), tuple(map(intern, ins))
+    return instances, ",\n".join(instances), ins, _int_list(perm)
 
 
 def _document_rows(graph: DecoratedGraph):
-    """The graph's _pattern_text table, its _coloring_rows and its two _permutation_text rows.
-
-    Kept for graphs of up to _CACHED_SIZE vertices (_pattern_text,
-    _coloring_text, _permutation_rows); a larger graph's are built by the
-    plain renderers for its one document.
-    """
+    """The graph's _coloring_rows and _permutation_rows entries, uncached past _CACHED_SIZE."""
     k = graph.vertex_count
     if k <= _CACHED_SIZE:
-        return (
-            _pattern_text(k),
-            _coloring_text(k, graph.colored),
-            _permutation_rows(0, graph.perm_a),
-            _permutation_rows(1, graph.perm_b),
-        )
-    table = _pattern_text.__wrapped__(k)
-    return (
-        table,
-        _coloring_rows(table[0], graph.colored),
-        _permutation_text(table, 0, graph.perm_a),
-        _permutation_text(table, 1, graph.perm_b),
-    )
+        coloring, permutation = _coloring_rows, _permutation_rows
+    else:
+        coloring, permutation = _coloring_rows.__wrapped__, _permutation_rows.__wrapped__
+    return coloring(k, graph.colored), permutation(0, graph.perm_a), permutation(1, graph.perm_b)
 
 
-def _gluing_rows(table, a_in, b_in) -> list[str]:
+def _gluing_rows(a_out, a_in, b_out, b_in) -> list[str]:
     """The 4k per-vertex gluing rows in slot scan order: a-out, a-in, b-out, b-in."""
-    a_out, b_out = table[1]
     gluings = [None] * (4 * len(a_in))
     gluings[0::4] = a_out
     gluings[1::4] = a_in
@@ -308,15 +268,13 @@ def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
     likewise for b; then per edge, a-edges before b-edges, slot 1 of its
     minus block to slot 0 of its plus block.  An x-self-loop at v consumes
     both x-slots of v.  Each row is its text in the document: the vertex,
-    out-slot and edge gluing rows from _pattern_text(k), the edge instance
-    and in-slot rows of each permutation filled from its templates by
-    _permutation_text (kept in _permutation_rows up to _CACHED_SIZE), whose
-    lists the gluing list interleaves by slice assignment.
+    out-slot and edge gluing rows from _coloring_rows, and the edge instance
+    and in-slot rows of each permutation from _permutation_rows, whose lists
+    the gluing list interleaves by slice assignment.
     """
-    table, (vertex_rows, _, _), (a_edges, _, a_in, _), (b_edges, _, b_in, _) = (
-        _document_rows(graph)
-    )
-    return [*vertex_rows, *a_edges, *b_edges], _gluing_rows(table, a_in, b_in) + table[2][0]
+    coloring, (a_edges, _, a_in, _), (b_edges, _, b_in, _) = _document_rows(graph)
+    vertex_rows, _, _, a_out, b_out, edges, _ = coloring
+    return [*vertex_rows, *a_edges, *b_edges], [*_gluing_rows(a_out, a_in, b_out, b_in), *edges]
 
 
 def _check_closed(instances, gluings) -> None:
@@ -562,11 +520,10 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
     run the pure-Python one token by token, so this writer joins text that
-    is rendered once, for graphs of up to _CACHED_SIZE vertices: the vertex,
-    out-slot and edge gluing rows, the last joined, and the edge and in-slot
-    row templates per graph size (_pattern_text); the vertex rows, joined,
-    and the "colored" text per size and coloring (_coloring_text); and the
-    edge rows filled from the templates, joined, the in-slot rows and the
+    is rendered once, for graphs of up to _CACHED_SIZE vertices, in two
+    tables: the vertex rows, joined, the "colored" text, the out-slot
+    gluing rows and the edge gluing rows, joined, per size and coloring
+    (_coloring_rows); and the edge rows, joined, the in-slot rows and the
     perm_a/perm_b text per letter and permutation (_permutation_rows, at
     most 2 * factorial(MAX_INDEX) = 10,080 entries, about 32 MB).  It joins
     only the 4k per-vertex gluing rows per document, writes the keys in
@@ -575,12 +532,11 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     accepts exactly this text.
     """
     graph = descriptor.source_graph
-    table, (_, vertex_text, colored_text), a_rows, b_rows = _document_rows(graph)
-    _, a_edges, a_in, perm_a = a_rows
-    _, b_edges, b_in, perm_b = b_rows
-    gluing_rows, edge_gluings = ",\n".join(_gluing_rows(table, a_in, b_in)), table[2][1]
+    coloring, (_, a_edges, a_in, perm_a), (_, b_edges, b_in, perm_b) = _document_rows(graph)
+    _, vertex_text, colored_text, a_out, b_out, _, edge_text = coloring
+    gluing_rows = ",\n".join(_gluing_rows(a_out, a_in, b_out, b_in))
     return (
-        f'{{\n  "gluings": [\n{gluing_rows},\n{edge_gluings}\n  ],\n'
+        f'{{\n  "gluings": [\n{gluing_rows},\n{edge_text}\n  ],\n'
         f'  "graph": {{\n'
         f'    "colored": {colored_text},\n'
         f'    "perm_a": {perm_a},\n'

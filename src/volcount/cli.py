@@ -10,7 +10,9 @@ assemble   read a decorated graph, print its closed descriptor document
 count      volume-budget report, optionally emitting every descriptor
 selftest   run all release criteria
 
-forms, assemble and count take the form dimension --n >= 3, with no cap.
+forms, assemble and count take the form dimension --n >= 3, with no cap;
+primes takes at most MAX_PRIME_COUNT primes and forms at most MAX_FORM_COUNT
+members.
 
 Default output is a human table; every verb takes --json, which switches to the
 structured document {"status": ..., "payload": ...}.  Identical inputs produce
@@ -61,6 +63,11 @@ from .free_groups import MAX_INDEX, distinguishing_word, enumerate_subgroups, ha
 # a minute, so the pairwise cap sits below the enumeration cap.
 MAX_PAIRWISE_INDEX = 4
 MAX_EMIT_INDEX = 5
+# Neither count is an index.  20,000 family primes take 0.7 s (isotropic)
+# and 2.1 s (anisotropic), and a certificate matrix of 200 members 0.55 s,
+# four times as long per doubling (Python 3.11.7, 2-vCPU VM).
+MAX_PRIME_COUNT = 20_000
+MAX_FORM_COUNT = 200
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -175,6 +182,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_primes(args):
+    _require_at_most(args.count, MAX_PRIME_COUNT, "prime search", "count")
     reports = search_primes(args.family, args.count)
     if args.verify:
         expected = reference_primes(args.family)[: args.count]
@@ -190,6 +198,7 @@ def _cmd_primes(args):
 
 
 def _cmd_forms(args):
+    _require_at_most(args.count, MAX_FORM_COUNT, "certificate matrix", "count")
     primes, forms = family_members(args.family, args.count, args.n)
     matrix = certificate_matrix(forms)
     inconclusive = []
@@ -221,13 +230,13 @@ def _cmd_forms(args):
     return payload, lines
 
 
-def _require_index(k: int, cap: int, what: str) -> None:
-    if k > cap:
-        raise UsageError(f"{what} is capped at index {cap} (got {_named(k)})")
+def _require_at_most(value: int, cap: int, what: str, unit: str = "index") -> None:
+    if value > cap:
+        raise UsageError(f"{what} is capped at {unit} {cap} (got {_named(value)})")
 
 
 def _cmd_subgroups(args):
-    _require_index(args.k, MAX_INDEX, "enumeration")
+    _require_at_most(args.k, MAX_INDEX, "enumeration")
     rows = []
     lines = []
     for k in range(1, args.k + 1):
@@ -244,9 +253,9 @@ def _cmd_subgroups(args):
 
 
 def _cmd_graphs(args):
-    _require_index(args.k, MAX_INDEX, "enumeration")
+    _require_at_most(args.k, MAX_INDEX, "enumeration")
     if args.subcommand != "enumerate":
-        _require_index(args.k, MAX_PAIRWISE_INDEX, "pairwise subcommands")
+        _require_at_most(args.k, MAX_PAIRWISE_INDEX, "pairwise subcommands")
     tables = enumerate_subgroups(args.k)
     if args.subcommand == "enumerate":
         lines = [f"k={args.k} tables={len(tables)}"]
@@ -324,13 +333,21 @@ def _cmd_count(args):
     except ValueError as error:
         raise UsageError(str(error)) from error
     if args.emit_descriptors is not None:
-        _require_index(k, MAX_EMIT_INDEX, "descriptor emission")
+        _require_at_most(k, MAX_EMIT_INDEX, "descriptor emission")
     report = count_lower_bound(args.v, parcel)
+    try:
+        count_text = str(report.descriptor_count)  # the floor bound is no larger
+    except ValueError as error:  # only under an int-to-str limit lowered from 4,300 digits
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(
+            f"descriptor count at index {report.k} is past this Python's int-to-str"
+            f" limit of {limit:,} digits"
+        ) from error
     lines = [
         f"volume_budget = {report.volume_budget}",
         f"max_block_volume = {report.max_block_volume}",
         f"k = {report.k}",
-        f"descriptors = {report.descriptor_count}",
+        f"descriptors = {count_text}",
         f"floor_bound = {report.floor_bound}",
     ]
     payload = {

@@ -14,8 +14,7 @@ from volcount.assembler import (
     Parcel,
     _CACHED_SIZE,
     _check_closed,
-    _coloring_text,
-    _pattern_text,
+    _coloring_rows,
     _permutation_rows,
     _pick,
     _total_volume,
@@ -540,7 +539,7 @@ def _parsed_pick(graph):
 
 
 class TestGluingPattern:
-    # Degrees past the enumeration cap and past _pattern_text's cache size,
+    # Degrees past the enumeration cap and past _coloring_rows's cache size,
     # so sizes evict one another between examples.
     @given(connected_graphs(max_degree=12))
     @example(LOOP)
@@ -552,19 +551,19 @@ class TestGluingPattern:
 class TestPatternRows:
     def test_large_graph_round_trip(self, parcel):
         graph = _cycle_graph(3000, 7, {0, 5})
-        cached = _pattern_text.cache_info()
+        cached = _coloring_rows.cache_info(), _permutation_rows.cache_info()
         descriptor = assemble(graph, parcel)
         assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
         assert _parsed_pick(graph) == _pattern_as_documented(graph)
-        assert _pattern_text.cache_info() == cached
+        assert (_coloring_rows.cache_info(), _permutation_rows.cache_info()) == cached
 
     @pytest.mark.parametrize("graph", [SEVENTEEN, FORTY], ids=["17", "40"])
     def test_writer_examples_stay_uncached(self, parcel, graph):
         # TestWriter's examples of these sizes cover the uncached tables.
         assert graph.vertex_count > _CACHED_SIZE
-        cached = _pattern_text.cache_info(), _permutation_rows.cache_info()
+        cached = _coloring_rows.cache_info(), _permutation_rows.cache_info()
         descriptor_to_json(assemble(graph, parcel))
-        assert (_pattern_text.cache_info(), _permutation_rows.cache_info()) == cached
+        assert (_coloring_rows.cache_info(), _permutation_rows.cache_info()) == cached
 
     def test_kept_rows_share_storage(self):
         # Two index-6 a-permutations with the edge 0 -> 1: the edge's minus
@@ -575,6 +574,13 @@ class TestPatternRows:
         assert json.loads(first[2][1]) == [["v1", 1], ["a0+", 1]]
         assert first[0][0] is second[0][0] and first[0][1] is second[0][1]
         assert first[2][1] is second[2][1]
+
+    def test_rows_past_the_cached_size_are_built_afresh(self):
+        # Python 3.12 never frees an interned string, so rows that are not
+        # kept are not interned: each call builds its own.
+        first, second = (_permutation_rows.__wrapped__(0, SEVENTEEN.perm_a) for _ in "12")
+        assert first == second
+        assert first[0][0] is not second[0][0] and first[2][0] is not second[2][0]
 
     @pytest.mark.parametrize("graph", [SIXTEEN, SEVENTEEN], ids=["16", "17"])
     def test_colorings_around_the_cached_size_match_json_dumps(self, parcel, graph):
@@ -627,7 +633,7 @@ class TestRenderedOnce:
         # An equal graph under another parcel: only parcel_id and the volume differ.
         first = _cycle_graph(13, 2, {1, 4})
         second = DecoratedGraph(13, first.perm_a, first.perm_b, {4, 1})
-        caches = (_pattern_text, _coloring_text, _permutation_rows)
+        caches = (_coloring_rows, _permutation_rows)
         descriptor_to_json(assemble(first, parcel))
         misses = [cache.cache_info().misses for cache in caches]
         formatted = []
@@ -644,16 +650,16 @@ class TestRenderedOnce:
 
     def test_only_graphs_up_to_the_cached_size_are_kept(self, parcel):
         fresh = with_block_volumes(parcel, [1] * 6)
-        cached = _coloring_text.cache_info()
+        cached = _coloring_rows.cache_info()
         for graph in (SEVENTEEN, FORTY):
             descriptor = assemble(graph, fresh)
             assert volume_bound(descriptor, fresh) == 5 * graph.vertex_count
             descriptor_to_json(descriptor)
-        assert _coloring_text.cache_info() == cached
+        assert _coloring_rows.cache_info() == cached
         assert fresh._volumes == {}
         descriptor_to_json(assemble(SIXTEEN, fresh))
         assert fresh._volumes == {(16, 1): 80}
-        consulted = _coloring_text.cache_info()
+        consulted = _coloring_rows.cache_info()
         assert consulted.hits + consulted.misses == cached.hits + cached.misses + 1
 
 

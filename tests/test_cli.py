@@ -392,6 +392,25 @@ class TestCount:
         assert document["status"] == "error"
         assert document["payload"]["error"].startswith("cannot write descriptors:")
 
+    def test_count_past_a_lowered_digit_limit_is_a_usage_error(self, capsys):
+        # a_400 has 872 digits: under a limit of 640, printing it once ended
+        # in an internal error that carried Python's own text.
+        message = (
+            "descriptor count at index 400 is past this Python's int-to-str limit of 640 digits"
+        )
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            plain = run(["count", "--v", "2000"], capsys)
+            as_json = run(["count", "--v", "2000", "--json"], capsys)
+            within = run(["count", "--v", "1500"], capsys)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert plain == (2, "", f"usage error: {message}\n")
+        document = {"status": "error", "payload": {"error": message}}
+        assert as_json == (2, json.dumps(document, sort_keys=True, indent=2) + "\n", "")
+        assert within[0] == 0 and "k = 300\n" in within[1]
+
     def test_index_cap_checked_before_counting(self, capsys, monkeypatch):
         # count --v 8000 (k = 1600) once ran Hall's recursion for ~21 s
         # before printing the count failed.
@@ -609,12 +628,14 @@ class TestCapsBeforeWork:
     # ran hall_count(1557) for ~17 s, before refusing.
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        def refuse(k):
-            raise AssertionError(f"work started at index {k}")
+        def refuse(*args):
+            raise AssertionError(f"work started at {args}")
 
         for module in (cli, assembler, free_groups):
             monkeypatch.setattr(module, "enumerate_subgroups", refuse)
             monkeypatch.setattr(module, "hall_count", refuse)
+        monkeypatch.setattr(cli, "search_primes", refuse)
+        monkeypatch.setattr(cli, "family_members", refuse)
 
     CASES = [
         (["subgroups", "8"], "enumeration is capped at index 7 (got 8)"),
@@ -625,6 +646,11 @@ class TestCapsBeforeWork:
         (
             ["count", "--v", "30", "--emit-descriptors", "DIR"],
             "descriptor emission is capped at index 5 (got 6)",
+        ),
+        (["primes", "isotropic", "20001"], "prime search is capped at count 20000 (got 20001)"),
+        (
+            ["forms", "anisotropic", "--count", "201"],
+            "certificate matrix is capped at count 200 (got 201)",
         ),
     ]
 
@@ -639,6 +665,13 @@ class TestCapsBeforeWork:
         document = {"status": "error", "payload": {"error": message}}
         assert (code, out, err) == (2, json.dumps(document, sort_keys=True, indent=2) + "\n", "")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["primes", "anisotropic", "20000"], ["forms", "isotropic", "--count", "200"]]
+    )
+    def test_the_cap_itself_is_served(self, capsys, argv):
+        with pytest.raises(AssertionError, match="work started"):
+            run(argv, capsys)
 
 
 class _ClosedPipe(io.TextIOBase):

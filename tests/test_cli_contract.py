@@ -39,10 +39,10 @@ LONG = "1" * 5000  # past Python's 4,300-digit limit
 JUNK = ["", "x", "-1", "0", "1.5", "1_0", " 2", "٣", "0x10", LONG, "-" + LONG]
 # The values an argument takes, by its type function, or by its name for a
 # path.  GRAPH, MISSING and EMIT stand for a graph file, a path to nothing and
-# a directory.  Neither primes' count nor forms --count is capped (forms
-# isotropic --count 600 takes seconds), so the int pool stays small.
+# a directory.  The int pool holds the caps of forms --count and of primes'
+# count, and the values past them.
 POOLS = {
-    cli._positive_int: ["1", "2", "3", "5", "8"],
+    cli._positive_int: ["1", "2", "3", "5", "8", "200", "201", "20000", "20001"],
     cli._dimension: ["3", "4", "5", "1000000"],
     cli._budget: ["5", "30", "99", "61/2", "4.5", "1e1", "1e99999", "1e-99999", "1/0", "nan",
                   "9" * 4000, "-" + "9" * 4000],
