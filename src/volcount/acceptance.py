@@ -277,33 +277,37 @@ def _criterion_trace_separates() -> str:
 
 
 def _slot_ref_parsers():
-    """Parsers of a document's row texts into slot refs: one int per
+    """Parsers of a document's pieces into slot refs: one int per
     (instance id, slot), numbered as first met.
 
-    Returns (instance_refs, gluing_refs): an instance row's refs in slot
-    order, and a gluing row's two refs.  Each parser keeps its result per
-    distinct row, so it parses each row once, and both are freed with the
-    pair.
+    Returns (instance_refs, gluing_refs): the slot refs of the rows of one
+    of _pick's instance pieces, in slot order, and the two refs of each row
+    of a gluing piece.  Each parser keeps its result per distinct piece, so
+    it parses each piece once, and both are freed with the pair.
     """
     numbers: dict = {}
 
     def ref(instance_id, slot) -> int:
         return numbers.setdefault((instance_id, slot), len(numbers))
 
-    def instance_refs(row: str) -> list[int]:
-        instance_id, kind, _ = json.loads(row)
-        return [ref(instance_id, slot) for slot in range(slots_for_kind(kind))]
+    def instance_refs(piece: str) -> list[int]:
+        rows = _rows(piece)
+        return [ref(id_, slot) for id_, kind, _ in rows for slot in range(slots_for_kind(kind))]
 
-    def gluing_refs(row: str) -> tuple[int, int]:
-        end1, end2 = json.loads(row)
-        return ref(*end1), ref(*end2)
+    def gluing_refs(piece: str) -> list[int]:
+        return [ref(*end) for end1, end2 in _rows(piece) for end in (end1, end2)]
 
     return cache(instance_refs), cache(gluing_refs)
 
 
+def _rows(piece: str) -> list:
+    """The rows of a piece, as JSON values."""
+    return json.loads("[" + piece + "]")
+
+
 def _closed_by_refs(instances, gluings, instance_refs, gluing_refs) -> bool:
-    """True when the document of these rows is closed; False when it is not,
-    or a row is malformed, and _check_closed must name the fault.
+    """True when the document of these pieces is closed; False when it is
+    not, or a row is malformed, and _check_closed must name the fault.
 
     A document is closed exactly when its instance ids are distinct, its
     glued refs are distinct and they are the union of its instances' slot
@@ -324,15 +328,15 @@ def _criterion_counting_pipeline() -> str:
     parcel = default_parcel(4, compact=False)
     report = count_lower_bound(Fraction(30), parcel)
     assert (report.k, report.descriptor_count, report.floor_bound) == (6, 3447, 216)
-    # Closedness of the rows the documents are written from, each distinct
-    # row parsed once into slot refs.  _closed_by_refs decides, and
-    # _check_closed names the fault of a document it does not find closed.
+    # Closedness of the pieces the documents are written from, each
+    # distinct piece parsed once into slot refs.  _closed_by_refs decides,
+    # and _check_closed names the fault of a document it does not find closed.
     instance_refs, gluing_refs = _slot_ref_parsers()
     validated = 0
     for descriptor in descriptors_for_index(6, parcel):
-        instances, gluings = _pick(descriptor.source_graph)
+        instances, gluings, *_ = _pick(descriptor.source_graph)
         if not _closed_by_refs(instances, gluings, instance_refs, gluing_refs):
-            _check_closed(map(json.loads, instances), map(json.loads, gluings))
+            _check_closed(_rows(",\n".join(instances)), _rows(",\n".join(gluings)))
         assert volume_bound(descriptor, parcel) == 30
         validated += 1
     assert validated == 3447

@@ -182,47 +182,48 @@ _CACHED_SIZE = 16
 
 # Every enumerated table is colored at its basepoint 0, so the pipeline
 # writes one coloring per size; other callers bring a few at a time.  An
-# entry of 16 vertices, its key included, takes about 17 KB under
-# tracemalloc, so the 64 entries take at most about 1.1 MB.
+# entry of 16 vertices, its key included, takes about 9.5 KB under
+# tracemalloc, so the 64 entries take at most about 0.6 MB.
 @lru_cache(maxsize=64)
 def _coloring_rows(k: int, colored: frozenset[int]):
     """The rows of a k-vertex document that no permutation sets, kept per size and coloring.
 
-    Returns (vertex_rows, vertex_text, colored_text, a_out, b_out, edges,
-    edge_text): the instance row of each vertex v, V1 when v is colored, and
-    those rows joined; the "colored" list; the gluing rows of each v's a-out
-    and b-out slot to the minus block of the edge leaving v; and the
-    minus-to-plus gluing rows of every edge, a-edges first, and those rows
-    joined.
+    Returns (vertex_text, colored_text, a_out, b_out, edge_text): the
+    instance rows of the vertices v, V1 when v is colored, joined; the
+    "colored" list; the gluing rows of each v's a-out and b-out slot to the
+    minus block of the edge leaving v; and the minus-to-plus gluing rows of
+    every edge, a-edges first, joined.
     """
-    rows = tuple(
+    vertex_text = ",\n".join(
         _instance_row(f"v{v}", VERTEX_KINDS[v in colored], f"vertex {v}") for v in range(k)
     )
     a_out = tuple(_gluing_row(f"v{v}", 0, f"a{v}-", 0) for v in range(k))
     b_out = tuple(_gluing_row(f"v{v}", 2, f"b{v}-", 0) for v in range(k))
-    edges = tuple(_gluing_row(f"{x}{v}-", 1, f"{x}{v}+", 0) for x in "ab" for v in range(k))
-    colored_text = _int_list(sorted(colored))
-    return rows, ",\n".join(rows), colored_text, a_out, b_out, edges, ",\n".join(edges)
+    edge_text = ",\n".join(
+        _gluing_row(f"{x}{v}-", 1, f"{x}{v}+", 0) for x in "ab" for v in range(k)
+    )
+    return vertex_text, _int_list(sorted(colored)), a_out, b_out, edge_text
 
 
 # One entry per letter for every permutation of degree MAX_INDEX, so an
 # enumeration's rows (1,216 distinct at index 7) all stay; each entry holds
-# references to interned rows, those rows joined and one _int_list text.
+# one joined text, references to interned rows and one _int_list text.
 # Only graphs of up to _CACHED_SIZE vertices are kept: an entry of 16
-# vertices, its key included, takes about 3.1 KB under tracemalloc besides
-# the rows it shares, so the full cache takes at most about 32 MB.  A row
-# does not depend on the graph size, so kept entries share at most 1,536
-# distinct rows (three per letter and edge v -> w), about 0.2 MB.
+# vertices, its key and its share of the rows included, takes about 2.8 KB
+# under tracemalloc, so the full cache takes at most about 28 MB.  A row
+# does not depend on the graph size, so kept entries share at most 512
+# distinct in-slot rows (one per letter and edge v -> w), about 0.07 MB.
 @lru_cache(maxsize=2 * factorial(MAX_INDEX))
 def _permutation_rows(x: int, perm: tuple[int, ...]):
     """The rows the x-permutation sets (x = 0 for a, 1 for b), kept per letter and permutation.
 
-    Returns its 2k edge instance rows (the minus and plus rows of each x-edge
-    v -> perm[v], in v order), those rows joined, its k in-slot gluing rows
-    (vertex w's x-in slot to the plus block of the x-edge that ends at w)
-    and its _int_list text.  The rows of a kept entry are interned, so kept
-    entries that share an edge share its rows; a larger graph's are not, as
-    Python 3.12 never frees an interned string.
+    Returns (edge_text, ins, perm_text): its 2k edge instance rows (the
+    minus and plus rows of each x-edge v -> perm[v], in v order) joined, its
+    k in-slot gluing rows (vertex w's x-in slot to the plus block of the
+    x-edge that ends at w) and its _int_list text.  The in-slot rows of a
+    kept entry are interned, so kept entries that share an edge share its
+    row; a larger graph's are not, as Python 3.12 never frees an interned
+    string.
     """
     letter, minus_kind, plus_kind = "ab"[x], *EDGE_KINDS[2 * x : 2 * x + 2]
     instances, ins = [], [None] * len(perm)
@@ -232,33 +233,17 @@ def _permutation_rows(x: int, perm: tuple[int, ...]):
         instances.append(_instance_row(f"{letter}{v}+", plus_kind, serves))
         ins[w] = _gluing_row(f"v{w}", 2 * x + 1, f"{letter}{v}+", 1)
     if len(perm) <= _CACHED_SIZE:
-        instances, ins = tuple(map(intern, instances)), tuple(map(intern, ins))
-    return instances, ",\n".join(instances), ins, _int_list(perm)
+        ins = tuple(map(intern, ins))
+    return ",\n".join(instances), ins, _int_list(perm)
 
 
-def _document_rows(graph: DecoratedGraph):
-    """The graph's _coloring_rows and _permutation_rows entries, uncached past _CACHED_SIZE."""
-    k = graph.vertex_count
-    if k <= _CACHED_SIZE:
-        coloring, permutation = _coloring_rows, _permutation_rows
-    else:
-        coloring, permutation = _coloring_rows.__wrapped__, _permutation_rows.__wrapped__
-    return coloring(k, graph.colored), permutation(0, graph.perm_a), permutation(1, graph.perm_b)
+def _pick(graph: DecoratedGraph):
+    """The pieces of the graph's document, each one row or more joined by ",\n".
 
-
-def _gluing_rows(a_out, a_in, b_out, b_in) -> list[str]:
-    """The 4k per-vertex gluing rows in slot scan order: a-out, a-in, b-out, b-in."""
-    gluings = [None] * (4 * len(a_in))
-    gluings[0::4] = a_out
-    gluings[1::4] = a_in
-    gluings[2::4] = b_out
-    gluings[3::4] = b_in
-    return gluings
-
-
-def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
-    """The instance and gluing rows of the graph's document, in pattern order.
-
+    Returns (instances, gluings, colored, perm_a, perm_b): the vertex, a-edge
+    and b-edge instance rows as three joined texts; the 4k per-vertex gluing
+    rows in slot scan order, then the edge gluing rows joined; and the texts
+    of the three "graph" lists.  Joined in order, the pieces give these rows.
     Instances [id, kind, serves]: vertex v -> ["v{v}", V1 or V0,
     "vertex {v}"] for every v; then the a-edge leaving v -> ["a{v}-",
     "A_minus", "a-edge {v}->{w}"] and ["a{v}+", "A_plus", same], w its head,
@@ -267,14 +252,21 @@ def _pick(graph: DecoratedGraph) -> tuple[list[str], list[str]]:
     slot 1 (a-in) to slot 1 of "a{u}+" for the a-edge u -> v, slots 2 and 3
     likewise for b; then per edge, a-edges before b-edges, slot 1 of its
     minus block to slot 0 of its plus block.  An x-self-loop at v consumes
-    both x-slots of v.  Each row is its text in the document: the vertex,
-    out-slot and edge gluing rows from _coloring_rows, and the edge instance
-    and in-slot rows of each permutation from _permutation_rows, whose lists
-    the gluing list interleaves by slice assignment.
+    both x-slots of v.  Only _pick reads _coloring_rows and
+    _permutation_rows; past _CACHED_SIZE vertices it builds the pieces afresh.
     """
-    coloring, (a_edges, _, a_in, _), (b_edges, _, b_in, _) = _document_rows(graph)
-    vertex_rows, _, _, a_out, b_out, edges, _ = coloring
-    return [*vertex_rows, *a_edges, *b_edges], [*_gluing_rows(a_out, a_in, b_out, b_in), *edges]
+    k = graph.vertex_count
+    if k <= _CACHED_SIZE:
+        coloring, permutation = _coloring_rows, _permutation_rows
+    else:
+        coloring, permutation = _coloring_rows.__wrapped__, _permutation_rows.__wrapped__
+    vertex_text, colored, a_out, b_out, edge_text = coloring(k, graph.colored)
+    a_edges, a_in, perm_a = permutation(0, graph.perm_a)
+    b_edges, b_in, perm_b = permutation(1, graph.perm_b)
+    # Slice assignment interleaves the four slot lists; the last piece stays.
+    gluings = [edge_text] * (4 * k + 1)
+    gluings[0:-1:4], gluings[1::4], gluings[2::4], gluings[3::4] = a_out, a_in, b_out, b_in
+    return (vertex_text, a_edges, b_edges), gluings, colored, perm_a, perm_b
 
 
 def _check_closed(instances, gluings) -> None:
@@ -407,7 +399,6 @@ class CountReport:
 # a_1557 has 4,300 digits and a_1558 has 4,303: the largest count that
 # Python's default int-to-str limit still prints.
 MAX_COUNT_INDEX = 1557
-_PRINTABLE = 10**4300  # every int str() prints lies below it
 
 
 def growth_floor(k: int) -> int:
@@ -423,13 +414,10 @@ def budget_index(v, parcel: Parcel) -> int:
     v = Fraction(v)
     unit = 5 * parcel.max_volume
     if v < unit:
-        printable = max(abs(v.numerator), v.denominator) < _PRINTABLE
-        shown = _named(v, str) if printable else "of more than 4,300 digits"
-        raise ValueError(f"volume budget {shown} is below the one-block scale {unit}")
+        raise ValueError(f"volume budget {_named(v, str)} is below the one-block scale {unit}")
     k = floor(v / unit)
     if k > MAX_COUNT_INDEX:
-        shown = _named(k) if k < _PRINTABLE else "an index of more than 4,300 digits"
-        raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {shown})")
+        raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {_named(k)})")
     return k
 
 
@@ -519,31 +507,26 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
 
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
-    run the pure-Python one token by token, so this writer joins text that
-    is rendered once, for graphs of up to _CACHED_SIZE vertices, in two
-    tables: the vertex rows, joined, the "colored" text, the out-slot
-    gluing rows and the edge gluing rows, joined, per size and coloring
-    (_coloring_rows); and the edge rows, joined, the in-slot rows and the
-    perm_a/perm_b text per letter and permutation (_permutation_rows, at
-    most 2 * factorial(MAX_INDEX) = 10,080 entries, about 32 MB).  It joins
-    only the 4k per-vertex gluing rows per document, writes the keys in
-    sorted order by hand and escapes the caller's strings with the same
-    encode_basestring_ascii that json.dumps applies.  descriptor_from_json
-    accepts exactly this text.
+    run the pure-Python one token by token, so this writer joins the pieces
+    _pick lays out, which are rendered once for graphs of up to
+    _CACHED_SIZE vertices: per size and coloring, and per letter and
+    permutation (at most 2 * factorial(MAX_INDEX) = 10,080 entries, about
+    28 MB).  Per document it joins only those pieces, 4k + 1 gluing pieces
+    and three instance pieces, writes the keys in sorted order by hand and
+    escapes the caller's strings with the same encode_basestring_ascii that
+    json.dumps applies.  descriptor_from_json accepts exactly this text.
     """
-    graph = descriptor.source_graph
-    coloring, (_, a_edges, a_in, perm_a), (_, b_edges, b_in, perm_b) = _document_rows(graph)
-    _, vertex_text, colored_text, a_out, b_out, _, edge_text = coloring
-    gluing_rows = ",\n".join(_gluing_rows(a_out, a_in, b_out, b_in))
+    instances, gluings, colored, perm_a, perm_b = _pick(descriptor.source_graph)
+    instance_text, gluing_text = ",\n".join(instances), ",\n".join(gluings)
     return (
-        f'{{\n  "gluings": [\n{gluing_rows},\n{edge_text}\n  ],\n'
+        f'{{\n  "gluings": [\n{gluing_text}\n  ],\n'
         f'  "graph": {{\n'
-        f'    "colored": {colored_text},\n'
+        f'    "colored": {colored},\n'
         f'    "perm_a": {perm_a},\n'
         f'    "perm_b": {perm_b},\n'
-        f'    "vertices": {graph.vertex_count}\n'
+        f'    "vertices": {descriptor.source_graph.vertex_count}\n'
         f'  }},\n'
-        f'  "instances": [\n{vertex_text},\n{a_edges},\n{b_edges}\n  ],\n'
+        f'  "instances": [\n{instance_text}\n  ],\n'
         f'  "parcel_id": {encode_basestring_ascii(descriptor.parcel_id)},\n'
         f'  "volume_bound": {encode_basestring_ascii(str(descriptor.volume_bound))}\n'
         f'}}\n'
@@ -559,12 +542,12 @@ _PARCEL_LINE = '\n  "parcel_id": '
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _decode_value(text: str, start: int, document: str):
-    # The JSON value at text[start:], text being part of document.  json reads
-    # an int literal with int(), whose refusal past Python's 4,300-digit limit
-    # is a plain ValueError, not a JSONDecodeError, in Python's own words.
+def _read(document: str, read, *args):
+    # read(*args) on a part of document.  json reads an int literal with
+    # int(), and Fraction its parts, whose refusal past Python's int-to-str
+    # limit is a plain ValueError, not a JSONDecodeError, in Python's own words.
     try:
-        return _raw_decode(text, start)[0]
+        return read(*args)
     except json.JSONDecodeError:
         raise
     except ValueError as error:
@@ -604,14 +587,15 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     if not isinstance(text, str):
         raise ValueError(f"a descriptor document is text, not {type(text).__name__}")
     try:
-        spec = _decode_value(text, _line_start(text.find, _GRAPH_LINE) + len(_GRAPH_LINE), text)
+        graph_start = _line_start(text.find, _GRAPH_LINE) + len(_GRAPH_LINE)
+        spec = _read(text, _raw_decode, text, graph_start)[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
-        tail = _decode_value("{" + text[_line_start(text.rfind, _PARCEL_LINE) :], 0, text)
+        tail = _read(text, _raw_decode, "{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
         # Parsed here, once: the descriptor takes only an int or a Fraction.
         parcel_id, volume_text = tail["parcel_id"], tail["volume_bound"]
         if not _VOLUME_TEXT.fullmatch(volume_text):
             raise ValueError("volume_bound is not spelled as the writer spells a Fraction")
-        volume = Fraction(volume_text)
+        volume = _read(text, Fraction, volume_text)
         descriptor = ManifoldDescriptor(graph, parcel_id, volume)
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:

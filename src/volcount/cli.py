@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from math import factorial
 
 from .acceptance import run_all
 from .assembler import (
@@ -46,7 +47,7 @@ from .assembler import (
     growth_floor,
 )
 from .decorated_graphs import graph_from_text, has_common_decorated_cover
-from .exact_arith import _digit_limit_refusal, _named
+from .exact_arith import _digit_limit, _digit_limit_refusal, _named, _past_digit_limit, _printable
 from .form_families import (
     FAMILY_NAMES,
     certificate_matrix,
@@ -88,13 +89,9 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message, self)
 
 
-# A run of more than 4,300 digits, underscores aside, is a numeral int() and
-# Fraction() refuse; its refusal names the text's length instead of echoing it.
-_LONG_DIGITS = re.compile(r"\d{4301}")
-
-
 def _unreadable(text: str, kind: str) -> argparse.ArgumentTypeError:
-    if _LONG_DIGITS.search(text.replace("_", "")):
+    # A numeral past the digit limit is refused by the text's length, not echoed.
+    if _past_digit_limit(text):
         return argparse.ArgumentTypeError(_digit_limit_refusal(text))
     return argparse.ArgumentTypeError(f"not {kind}: {_named(text)}")
 
@@ -334,20 +331,22 @@ def _cmd_count(args):
         raise UsageError(str(error)) from error
     if args.emit_descriptors is not None:
         _require_at_most(k, MAX_EMIT_INDEX, "descriptor emission")
+    # Only under a lowered digit limit: a_k >= k!, so a k! that str() cannot
+    # print refuses before the count, and a_k itself after it.
+    unprintable = UsageError(
+        f"descriptor count at index {k} is past this Python's int-to-str"
+        f" limit of {_digit_limit():,} digits"
+    )
+    if not _printable(factorial(k)):
+        raise unprintable
     report = count_lower_bound(args.v, parcel)
-    try:
-        count_text = str(report.descriptor_count)  # the floor bound is no larger
-    except ValueError as error:  # only under an int-to-str limit lowered from 4,300 digits
-        limit = sys.get_int_max_str_digits()
-        raise UsageError(
-            f"descriptor count at index {report.k} is past this Python's int-to-str"
-            f" limit of {limit:,} digits"
-        ) from error
+    if not _printable(report.descriptor_count):  # the floor bound is no larger
+        raise unprintable
     lines = [
         f"volume_budget = {report.volume_budget}",
         f"max_block_volume = {report.max_block_volume}",
         f"k = {report.k}",
-        f"descriptors = {count_text}",
+        f"descriptors = {report.descriptor_count}",
         f"floor_bound = {report.floor_bound}",
     ]
     payload = {

@@ -8,6 +8,8 @@ arithmetic; no floating point is used anywhere in this package.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,10 +46,28 @@ def _require_rational(x) -> None:
         raise ValueError(f"expected an int or a Fraction, got {x!r}")
 
 
+def _digit_limit() -> int:
+    # Python's running int-to-str limit in digits; 0 when off, or before 3.10.7.
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _past_digit_limit(text: str) -> bool:
+    # A run of digits, underscores aside, past the limit: a numeral int() refuses.
+    limit = _digit_limit()
+    return bool(limit) and re.search(rf"\d{{{limit + 1}}}", text.replace("_", "")) is not None
+
+
+def _printable(n: int) -> bool:
+    # Whether str() prints the int n under the running limit.
+    limit = _digit_limit()
+    return not limit or abs(n) < 10**limit
+
+
 def _digit_limit_refusal(text: str) -> str:
-    # int() and Fraction() refuse a numeral of more than 4,300 digits in
+    # int() and Fraction() refuse a numeral past the running limit in
     # Python's own words; a refusal names the length of the text it is in.
-    return f"a numeral past Python's 4,300-digit limit (a text of {len(text):,} characters)"
+    limit, length = _digit_limit(), len(text)
+    return f"a numeral past Python's {limit:,}-digit limit (a text of {length:,} characters)"
 
 
 # A refusal spells out an outside value of at most this many characters, as
@@ -62,8 +82,8 @@ def _named(value, spell=repr) -> str:
     short, else the length of the value, if a str, or of the text."""
     try:
         text = spell(value)
-    except ValueError:  # str() prints no int of more than 4,300 digits
-        return "<past Python's 4,300-digit limit>"
+    except ValueError:  # str() prints no int past the running digit limit
+        return f"<past Python's {_digit_limit():,}-digit limit>"
     if len(text) <= _NAMED_LENGTH:
         return text
     return f"<{len(value if isinstance(value, str) else text):,} characters>"

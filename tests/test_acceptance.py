@@ -17,6 +17,7 @@ from volcount.acceptance import (
     CRITERIA,
     _closed_by_refs,
     _random_nonzero_fraction,
+    _rows,
     _slot_ref_parsers,
     format_line,
     run_criterion,
@@ -89,14 +90,20 @@ def test_class_scan_matches_the_full_scan(p):
     assert verdicts[1] and verdicts[-1]
 
 
+def _split(piece: str) -> list[str]:
+    # A piece of several rows as pieces of one row each.
+    return [json.dumps(row) for row in _rows(piece)]
+
+
 def _dropping_last_gluing(graph):
-    instances, gluings = _pick(graph)
-    return instances, gluings[:-1]
+    # The last piece holds the edge gluing rows; its last row goes.
+    instances, gluings, *lists = _pick(graph)
+    return instances, gluings[:-1] + _split(gluings[-1])[:-1], *lists
 
 
 def _repeating_first_gluing(graph):
-    instances, gluings = _pick(graph)
-    return instances, gluings[:-1] + gluings[:1]
+    instances, gluings, *lists = _pick(graph)
+    return instances, gluings[:-1] + _split(gluings[-1])[:-1] + gluings[:1], *lists
 
 
 @pytest.mark.parametrize(
@@ -117,43 +124,46 @@ def test_criterion_9_fails_on_an_open_document(monkeypatch, pick, refusal):
 
 def _verdict_of_check_closed(instances, gluings) -> bool:
     try:
-        _check_closed(map(json.loads, instances), map(json.loads, gluings))
+        _check_closed(_rows(",\n".join(instances)), _rows(",\n".join(gluings)))
     except (TypeError, ValueError):
         return False
     return True
 
 
-# Rows that no document of the writer holds: a second v0, an unknown kind,
-# an instance no gluing reaches, a slot past a vertex's four, gluings of an
-# unknown instance, and malformed rows.
+# Pieces of one row that no document of the writer holds: a second v0, an
+# unknown kind, an instance no gluing reaches, a slot past a vertex's four,
+# gluings of an unknown instance, and malformed rows.
 _FOREIGN_INSTANCES = ('["v0", "V0", "again"]', '["x", "C", "x"]', '["x", "V0", "x"]', '[]')
 _FOREIGN_GLUINGS = ('[["v0", 4], ["x", 0]]', '[["x", 0], ["x", 1]]', '[["v0", 0]]', '[[0, 0], 1]')
 
 
 @st.composite
-def _edited_rows(draw):
-    # A document's rows of index <= 3, with up to three rows dropped,
-    # repeated, moved or replaced by foreign ones.
+def _edited_pieces(draw):
+    # A document's pieces of index <= 3, with up to three pieces dropped,
+    # repeated, moved, replaced by foreign ones or split into their rows, so
+    # that later edits reach single rows.
     tables = [t for k in (1, 2, 3) for t in enumerate_subgroups(k)]
-    instances, gluings = map(list, _pick(draw(st.sampled_from(tables))))
+    instances, gluings = map(list, _pick(draw(st.sampled_from(tables)))[:2])
     for _ in range(draw(st.integers(0, 3))):
-        rows, foreign = draw(
+        pieces, foreign = draw(
             st.sampled_from(((instances, _FOREIGN_INSTANCES), (gluings, _FOREIGN_GLUINGS)))
         )
-        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
-        edit = draw(st.sampled_from(("drop", "repeat", "move", "foreign")))
-        if edit == "drop" and rows:
-            del rows[i]
-        elif edit == "repeat" and rows:
-            rows.insert(draw(st.integers(0, len(rows))), rows[i])
-        elif edit == "move" and rows:
-            rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop(i))
+        i = draw(st.integers(0, len(pieces) - 1)) if pieces else 0
+        edit = draw(st.sampled_from(("drop", "repeat", "move", "foreign", "split")))
+        if edit == "drop" and pieces:
+            del pieces[i]
+        elif edit == "repeat" and pieces:
+            pieces.insert(draw(st.integers(0, len(pieces))), pieces[i])
+        elif edit == "move" and pieces:
+            pieces.insert(draw(st.integers(0, len(pieces) - 1)), pieces.pop(i))
+        elif edit == "split" and pieces:
+            pieces[i : i + 1] = _split(pieces[i])
         else:
-            rows.insert(i, draw(st.sampled_from(foreign)))
+            pieces.insert(i, draw(st.sampled_from(foreign)))
     return instances, gluings
 
 
-@given(st.lists(_edited_rows(), min_size=1, max_size=4))
+@given(st.lists(_edited_pieces(), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_slot_refs_agree_with_check_closed(documents):
     # One pair of parsers serves every document, as in criterion 9.

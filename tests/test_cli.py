@@ -11,14 +11,15 @@ import pytest
 
 from volcount import assembler, cli, form_families, free_groups
 from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
+from volcount.decorated_graphs import DecoratedGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # The refusals of a budget whose k or v has more digits than str() prints.
-PAST_CAP = "descriptor count is capped at index 1557 (got an index of more than 4,300 digits)"
-BELOW_SCALE = "volume budget of more than 4,300 digits is below the one-block scale 5"
+PAST_CAP = "descriptor count is capped at index 1557 (got <past Python's 4,300-digit limit>)"
+BELOW_SCALE = "volume budget <past Python's 4,300-digit limit> is below the one-block scale 5"
 
 
 def run(argv, capsys):
@@ -410,6 +411,60 @@ class TestCount:
         document = {"status": "error", "payload": {"error": message}}
         assert as_json == (2, json.dumps(document, sort_keys=True, indent=2) + "\n", "")
         assert within[0] == 0 and "k = 300\n" in within[1]
+
+    def test_refusals_name_a_lowered_digit_limit(self, capsys, monkeypatch, tmp_path):
+        # Under a limit of 640 digits these once named Python's default of
+        # 4,300, misnamed a long numeral as "not an integer" or "not a
+        # rational number", leaked Python's own "Exceeds the limit" text
+        # from the reader, or ran Hall's recursion at index 1400 for 13 s
+        # before refusing.  a_k >= k!, and 311! has 642 digits, so only
+        # k = 310 (310! of 640 digits, a_310 of 642) is counted first.
+        long = "1" * 700
+        graph_file = tmp_path / "long.graph"
+        graph_file.write_text(long + "\n0\n0\n0\n")
+        loop = DecoratedGraph(1, (0,), (0,), frozenset({0}))
+        parcel = assembler.default_parcel(4, compact=False)
+        document = json.loads(assembler.descriptor_to_json(assembler.assemble(loop, parcel)))
+        document["volume_bound"] = long
+        text = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        counted = []
+        monkeypatch.setattr(
+            assembler, "hall_count", lambda k: counted.append(k) or free_groups.hall_count(k)
+        )
+        argvs = [
+            ["count", "--v", "1e700"],
+            ["count", "--v", long],
+            ["subgroups", long],
+            ["count", "--v", "7000"],
+            ["count", "--v", "1555"],
+            ["count", "--v", "1550"],
+            ["assemble", str(graph_file)],
+        ]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            runs = [run(argv, capsys) for argv in argvs]
+            with pytest.raises(ValueError) as refused:
+                assembler.descriptor_from_json(text)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        numeral = "a numeral past Python's 640-digit limit"
+        past = "past this Python's int-to-str limit of 640 digits"
+        refusals = [
+            "usage error: descriptor count is capped at index 1557"
+            " (got <past Python's 640-digit limit>)",
+            f"argument --v: {numeral} (a text of 700 characters)",
+            f"argument k: {numeral} (a text of 700 characters)",
+            f"usage error: descriptor count at index 1400 is {past}",
+            f"usage error: descriptor count at index 311 is {past}",
+            f"usage error: descriptor count at index 310 is {past}",
+            f"usage error: graph text has {numeral} (a text of 707 characters)",
+        ]
+        for (code, out, err), refusal in zip(runs, refusals):
+            assert code == 2 and out == ""
+            assert err.endswith(refusal + "\n") and "Exceeds the limit" not in err
+        assert str(refused.value) == f"document has {numeral} (a text of {len(text):,} characters)"
+        assert counted == [310]
 
     def test_index_cap_checked_before_counting(self, capsys, monkeypatch):
         # count --v 8000 (k = 1600) once ran Hall's recursion for ~21 s
