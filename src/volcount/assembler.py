@@ -45,7 +45,7 @@ from math import factorial, floor, isqrt
 from sys import intern
 
 from .decorated_graphs import DecoratedGraph, has_common_decorated_cover
-from .exact_arith import _digit_limit_refusal, _named, _require_rational
+from .exact_arith import _digit_limit, _digit_limit_refusal, _named, _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import MAX_INDEX, Word, enumerate_subgroups, hall_count
 
@@ -129,7 +129,7 @@ def default_parcel(n: int, compact: bool) -> Parcel:
     return Parcel(f"{family}-n{n}", family_members(family, 6, n)[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifoldDescriptor:
     """A closed gluing pattern of block instances over a decorated graph.
 
@@ -137,7 +137,9 @@ class ManifoldDescriptor:
     edge, glued in the scan order that _pick spells out.  Its document is
     the text descriptor_to_json writes, the only text that reads back.
     The volume is an int or a Fraction, stored as a Fraction; a Fraction is
-    stored as it is.
+    stored as it is.  The constructor checks the volume; _trusted, for
+    assemble and descriptor_from_json, which hold the Fraction already,
+    checks nothing.
     """
 
     source_graph: DecoratedGraph
@@ -148,7 +150,22 @@ class ManifoldDescriptor:
         volume = self.volume_bound
         _require_rational(volume)
         if type(volume) is int:
-            object.__setattr__(self, "volume_bound", Fraction(volume))
+            _set_volume_bound(self, Fraction(volume))
+
+    @classmethod
+    def _trusted(cls, source_graph, parcel_id, volume_bound):
+        """A descriptor whose fields the caller vouches for; volume_bound is a Fraction."""
+        descriptor = object.__new__(cls)
+        _set_source_graph(descriptor, source_graph)
+        _set_parcel_id(descriptor, parcel_id)
+        _set_volume_bound(descriptor, volume_bound)
+        return descriptor
+
+
+# The slots' own setters, bound once, as for DecoratedGraph.
+_set_source_graph = ManifoldDescriptor.source_graph.__set__
+_set_parcel_id = ManifoldDescriptor.parcel_id.__set__
+_set_volume_bound = ManifoldDescriptor.volume_bound.__set__
 
 
 def _instance_row(instance_id: str, kind: str, serves: str) -> str:
@@ -324,11 +341,7 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
     volume is the Fraction the parcel keeps for the graph's shape
     (_total_volume), shared by every descriptor of that shape.
     """
-    return ManifoldDescriptor(
-        source_graph=graph,
-        parcel_id=parcel.parcel_id,
-        volume_bound=_total_volume(graph, parcel),
-    )
+    return ManifoldDescriptor._trusted(graph, parcel.parcel_id, _total_volume(graph, parcel))
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
@@ -478,11 +491,27 @@ class CommensurabilityVerdict:
     assumed: tuple[str, ...]
 
 
+# A verdict takes a handful of forms: two answers, two routes, and the few
+# dimensions parcels are built in.
+@lru_cache(maxsize=32)
+def _verdict(commensurable: bool, route: str, dimension: int) -> CommensurabilityVerdict:
+    assumed = (
+        "blocks glue along the shared boundary form",
+        "torsion-free finite levels chosen for all blocks",
+    )
+    if dimension < 4:
+        assumed += (f"dimension {dimension} lies below the paper's four and higher",)
+    return CommensurabilityVerdict(commensurable, ("parcel certificates complete", route), assumed)
+
+
 def commensurability_verdict(
     d1: ManifoldDescriptor, d2: ManifoldDescriptor, parcel: Parcel
 ) -> CommensurabilityVerdict:
     """Decided by subgroup keys when each source graph has one colored vertex,
-    which the decorated_graphs lemma makes exact, else by the cover decision."""
+    which the decorated_graphs lemma makes exact, else by the cover decision.
+
+    Verdicts are frozen and shared: equal answers on the same route and
+    dimension are one value."""
     if d1.parcel_id != parcel.parcel_id or d2.parcel_id != parcel.parcel_id:
         raise ValueError("descriptors must come from the given parcel")
     g1, g2 = d1.source_graph, d2.source_graph
@@ -492,14 +521,7 @@ def commensurability_verdict(
     else:
         same = has_common_decorated_cover(g1, g2).has_cover
         route = "source graphs searched for a common decorated cover"
-    checked = ("parcel certificates complete", route)
-    assumed = (
-        "blocks glue along the shared boundary form",
-        "torsion-free finite levels chosen for all blocks",
-    )
-    if parcel.dimension < 4:
-        assumed += (f"dimension {parcel.dimension} lies below the paper's four and higher",)
-    return CommensurabilityVerdict(same, checked, assumed)
+    return _verdict(same, route, parcel.dimension)
 
 
 def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
@@ -554,9 +576,18 @@ def _read(document: str, read, *args):
         raise ValueError(f"document has {_digit_limit_refusal(document)}") from error
 
 
-# str(Fraction)'s spelling, checked first: Fraction("1e10000000") builds
-# 10^10^7, and str() prints no int of more than 4,300 digits.
-_VOLUME_TEXT = re.compile(r"-?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+# str(Fraction)'s spelling, checked first, with the numerator and the
+# denominator as groups: Fraction("1e10000000") builds 10^10^7, and str()
+# prints no int of more digits than the int-to-str limit.  A part may have
+# 4,300 digits under a lowered limit, so that int() names that limit when it
+# refuses one, and any number of digits when the limit is off.
+_VOLUME_TEXT = r"(-?[0-9]{1,%s})(?:/([0-9]{1,%s}))?"
+
+
+@lru_cache(maxsize=4)
+def _volume_spelling(limit: int) -> re.Pattern:
+    bound = str(max(limit, 4300)) if limit else ""
+    return re.compile(_VOLUME_TEXT % (bound, bound))
 
 
 def _line_start(search, marker: str) -> int:
@@ -591,18 +622,21 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         spec = _read(text, _raw_decode, text, graph_start)[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
         tail = _read(text, _raw_decode, "{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
-        # Parsed here, once: the descriptor takes only an int or a Fraction.
         parcel_id, volume_text = tail["parcel_id"], tail["volume_bound"]
-        if not _VOLUME_TEXT.fullmatch(volume_text):
+        spelled = _volume_spelling(_digit_limit()).fullmatch(volume_text)
+        if spelled is None:
             raise ValueError("volume_bound is not spelled as the writer spells a Fraction")
-        volume = _read(text, Fraction, volume_text)
-        descriptor = ManifoldDescriptor(graph, parcel_id, volume)
+        # Built here, once, from the two parts; the byte check refuses a
+        # volume not in lowest terms.
+        numerator, denominator = spelled.groups()
+        volume = Fraction(_read(text, int, numerator), _read(text, int, denominator or "1"))
+        descriptor = ManifoldDescriptor._trusted(graph, parcel_id, volume)
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:
         raise ValueError(f"malformed descriptor document: {error!r}") from error
     if written != text:
         raise ValueError("document differs from the text the writer gives its descriptor")
-    if volume <= 0:
+    if volume.numerator <= 0:
         raise ValueError(f"volume_bound {_named(str(volume))} is not positive")
     if parcel is not None:
         if parcel_id != parcel.parcel_id:

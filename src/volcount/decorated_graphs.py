@@ -93,6 +93,10 @@ class CommonCoverDecision:
     witness_map2: tuple[int, ...] | None = None
 
 
+# Every "no" is this one value: a decision is frozen and a "no" has no witness.
+_NO_COVER = CommonCoverDecision(False)
+
+
 def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> CommonCoverDecision:
     """Decide whether two decorated graphs share a decorated cover.
 
@@ -115,7 +119,7 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
     moves = ((0, g1.perm_a, g2.perm_a), (2, g1.perm_b, g2.perm_b))
     colored1, colored2 = g1.colored, g2.colored
     if bool(colored1) != bool(colored2):
-        return CommonCoverDecision(False)
+        return _NO_COVER
     # Pairs (i, j) in lexicographic order, which is the encoded order.
     seeds = sorted(itertools.product(colored1, colored2)) or [(0, 0)]
     reached: dict = {}
@@ -125,7 +129,7 @@ def has_common_decorated_cover(g1: DecoratedGraph, g2: DecoratedGraph) -> Common
         if stop is None and (best is None or min(component) < min(best)):
             best = component
     if best is None:
-        return CommonCoverDecision(False)
+        return _NO_COVER
 
     order = sorted(best)
     index = {pair: new for new, pair in enumerate(order)}

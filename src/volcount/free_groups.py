@@ -55,7 +55,8 @@ _BASEPOINT_ONLY = frozenset({BASEPOINT})  # shared by every enumerated table
 
 
 # Looked up by value: there are k! permutations of degree k, 5,040 at
-# MAX_INDEX, so step tables cost two lookups and no graph stores its own.
+# MAX_INDEX, so graphs that share a row share its inverse in their stored
+# step tables.
 @lru_cache(maxsize=factorial(MAX_INDEX))
 def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(perm)
@@ -117,8 +118,8 @@ def _coloring(vertex_count: int, colored: Iterable[int]) -> frozenset[int]:
 class DecoratedGraph:
     """Connected edge-labeled 4-regular graph with a set of colored vertices.
 
-    Equality and hashing see only the four fields; the stored key, None
-    until first asked for, takes no part.
+    Equality, hashing and repr see only the four fields; the stored key and
+    step tables, None until first asked for, take no part.
     """
 
     vertex_count: int
@@ -126,6 +127,7 @@ class DecoratedGraph:
     perm_b: tuple[int, ...]
     colored: frozenset[int]
     _canonical_key: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _steps: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, vertex_count, perm_a, perm_b, colored):
         """The checked constructor: validate, then fill each slot once, as _trusted does."""
@@ -139,6 +141,7 @@ class DecoratedGraph:
         _set_perm_b(self, perm_b)
         _set_colored(self, _coloring(vertex_count, colored))
         _set_canonical_key(self, None)
+        _set_steps(self, None)
 
     @classmethod
     def _trusted(cls, vertex_count, perm_a, perm_b, colored):
@@ -149,6 +152,7 @@ class DecoratedGraph:
         _set_perm_b(graph, perm_b)
         _set_colored(graph, colored)
         _set_canonical_key(graph, None)
+        _set_steps(graph, None)
         return graph
 
     @property
@@ -160,9 +164,16 @@ class DecoratedGraph:
         return vertex
 
     def steps(self):
-        """Images of every vertex under the four letters, in letter order."""
-        perm_a, perm_b = self.perm_a, self.perm_b
-        return (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
+        """Images of every vertex under the four letters, in letter order.
+
+        Computed once per graph and stored, as the canonical key is.
+        """
+        steps = self._steps
+        if steps is None:
+            perm_a, perm_b = self.perm_a, self.perm_b
+            steps = (perm_a, _inverse_permutation(perm_a), perm_b, _inverse_permutation(perm_b))
+            _set_steps(self, steps)
+        return steps
 
     def canonical_key(self) -> tuple:
         """(k, perm_a, perm_b, (0,)) relabeled from the basepoint: the subgroup key."""
@@ -175,17 +186,19 @@ class DecoratedGraph:
                 perm_a = tuple([label[perm_a[v]] for v in order])
                 perm_b = tuple([label[perm_b[v]] for v in order])
             key = (self.vertex_count, perm_a, perm_b, (0,))
-            object.__setattr__(self, "_canonical_key", key)
+            _set_canonical_key(self, key)
         return key
 
 
-# The slots' own setters, bound once: both constructors fill a frozen graph
-# through them, at about half the cost of object.__setattr__ by name.
+# The slots' own setters, bound once: both constructors fill a frozen graph,
+# and the stored facts are filled in, through them, at about half the cost
+# of object.__setattr__ by name.
 _set_vertex_count = DecoratedGraph.vertex_count.__set__
 _set_perm_a = DecoratedGraph.perm_a.__set__
 _set_perm_b = DecoratedGraph.perm_b.__set__
 _set_colored = DecoratedGraph.colored.__set__
 _set_canonical_key = DecoratedGraph._canonical_key.__set__
+_set_steps = DecoratedGraph._steps.__set__
 
 
 def subgroup_table(degree: int, perm_a, perm_b) -> DecoratedGraph:
@@ -277,25 +290,33 @@ def hall_count(k: int) -> int:
     if k < 1:
         raise ValueError(f"index must be positive, got {k}")
     for j in range(len(_HALL_COUNTS) + 1, k + 1):
-        total, running = j * factorial(j), factorial(j - 1)  # running is (j - i)!
-        for i, a_i in enumerate(_HALL_COUNTS, start=1):
-            total -= running * a_i
-            running //= j - i
-        _HALL_COUNTS.append(total)
+        # Horner's rule: sum_{i<j} (j - i)! a_i = 1 (a_{j-1} + 2 (a_{j-2} + ...
+        # + (j - 1) a_1)), so each step multiplies by a small int.
+        acc = 0
+        for m, a_i in zip(range(j - 1, 0, -1), _HALL_COUNTS):
+            acc = (acc + a_i) * m
+        _HALL_COUNTS.append(j * factorial(j) - acc)
     return _HALL_COUNTS[k - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A word in the generators; letters are codes in {0: a, 1: a^-1, 2: b, 3: b^-1}."""
 
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+        _set_letters(self, tuple(self.letters))
         # Ints only: 1.0 and True equal letter codes.
         if any(type(letter) is not int or not 0 <= letter <= 3 for letter in self.letters):
             raise ValueError(f"invalid letter codes in {self.letters!r}")
+
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...]):
+        """A word whose letters the caller vouches for: a tuple of codes 0..3."""
+        word = object.__new__(cls)
+        _set_letters(word, letters)
+        return word
 
     def __str__(self) -> str:
         if not self.letters:
@@ -304,6 +325,9 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+_set_letters = Word.letters.__set__
 
 
 def _trace(steps, v: int, letters) -> int:
@@ -366,6 +390,8 @@ def distinguishing_word(h1: DecoratedGraph, h2: DecoratedGraph) -> Word | None:
         _, pair, letter = reached[pair]
         letters.append(letter)
     letters.reverse()
+    # Search move codes, so the word needs no check of its own.
+    word = Word._trusted(tuple(letters))
     if (_trace(steps1, base1, letters) == base1) == (_trace(steps2, base2, letters) == base2):
-        raise RuntimeError(f"separator {Word(letters)} failed its membership check")
-    return Word(letters)
+        raise RuntimeError(f"separator {word} failed its membership check")
+    return word

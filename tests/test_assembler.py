@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import islice, permutations, product
 from math import factorial
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from volcount import assembler, form_families
 from volcount.assembler import (
     BLOCK_KINDS,
+    CommensurabilityVerdict,
     ManifoldDescriptor,
     Parcel,
     _CACHED_SIZE,
@@ -219,6 +221,25 @@ class TestAssembly:
         assert assemble(TWO, parcel).volume_bound == 10
         stored = ManifoldDescriptor(TWO, "p", 10).volume_bound
         assert type(stored) is Fraction and stored == 10
+
+    def test_assemble_equals_the_checked_descriptor(self, parcel):
+        # assemble and the reader build through _trusted; each result must
+        # be the value the checked constructor gives.
+        priced = with_block_volumes(parcel, [Fraction(1, 2), 3, Fraction(5, 7), 1, 2, 4])
+        cases = [(t, parcel, 5 * k) for k in range(1, 7) for t in enumerate_subgroups(k)]
+        # SEVENTEEN has 15 plain and 2 colored vertices.
+        priced_volume = 15 * Fraction(1, 2) + 2 * 3 + 17 * (Fraction(5, 7) + 1 + 2 + 4)
+        cases += [(SEVENTEEN, parcel, 85), (SEVENTEEN, priced, priced_volume)]
+        for graph, given_parcel, volume in cases:
+            checked = ManifoldDescriptor(graph, given_parcel.parcel_id, volume)
+            for descriptor in (
+                assemble(graph, given_parcel),
+                descriptor_from_json(descriptor_to_json(checked), given_parcel),
+            ):
+                assert descriptor == checked and hash(descriptor) == hash(checked)
+                assert repr(descriptor) == repr(checked)
+                assert type(descriptor.volume_bound) is Fraction
+                assert not hasattr(descriptor, "__dict__")
 
     def test_disconnected_rejected(self, parcel):
         # assemble takes connected graphs, and no other graph can be built.
@@ -442,6 +463,22 @@ class TestSerialization:
         descriptor = assemble(LOOP, halved)
         back = descriptor_from_json(descriptor_to_json(descriptor))
         assert back.volume_bound == Fraction(5, 2)
+
+    def test_volumes_round_trip_under_a_raised_or_lifted_digit_limit(self):
+        # Each part of the volume may have as many digits as the running
+        # limit allows, and any number when the limit is off.
+        previous = sys.get_int_max_str_digits()
+        try:
+            for limit, volumes in (
+                (10_000, [10**5000, Fraction(7, 10**4999), Fraction(10**9999, 3)]),
+                (0, [10**12000]),
+            ):
+                sys.set_int_max_str_digits(limit)
+                for volume in volumes:
+                    descriptor = ManifoldDescriptor(LOOP, "p", volume)
+                    assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_emit_writes_all_files(self, parcel, tmp_path):
         written = emit_descriptors(2, parcel, tmp_path)
@@ -1030,7 +1067,8 @@ class TestPartialDecode:
         monkeypatch.setattr(Fraction, "__new__", counting)
         descriptor = descriptor_from_json(text)
         monkeypatch.undo()
-        assert built == [(str(descriptor.volume_bound),)]
+        volume = descriptor.volume_bound
+        assert built == [(volume.numerator, volume.denominator)]
         # What the one parse refuses is still a ValueError.
         written = json.dumps(str(descriptor.volume_bound))
         for volume in ("null", "[1]", '"1/x"', '"1/0"'):
@@ -1136,6 +1174,34 @@ class TestVerdicts:
             assemble(TWO, parcel), assemble(LOOP, parcel), parcel
         ).assumed
         assert verdict.assumed[2:] == ("dimension 3 lies below the paper's four and higher",)
+
+    def test_shared_verdicts_equal_fresh_ones(self, parcel):
+        assumed = (
+            "blocks glue along the shared boundary form",
+            "torsion-free finite levels chosen for all blocks",
+        )
+        low = default_parcel(3, compact=False)
+        double = DecoratedGraph(2, (1, 0), (0, 1), {0, 1})
+        uncolored = DecoratedGraph(2, (1, 0), (0, 1), set())
+        cases = [
+            (TWO, DecoratedGraph(2, (1, 0), (0, 1), {1}), True, KEY_ROUTE),
+            (LOOP, TWO, False, KEY_ROUTE),
+            (LOOP, double, True, COVER_ROUTE),
+            (TWO, uncolored, False, COVER_ROUTE),
+        ]
+        for given_parcel, extra in (
+            (parcel, ()),
+            (low, ("dimension 3 lies below the paper's four and higher",)),
+        ):
+            for g1, g2, commensurable, route in cases:
+                d1, d2 = assemble(g1, given_parcel), assemble(g2, given_parcel)
+                verdict = commensurability_verdict(d1, d2, given_parcel)
+                fresh = CommensurabilityVerdict(
+                    commensurable, ("parcel certificates complete", route), assumed + extra
+                )
+                assert verdict == fresh and hash(verdict) == hash(fresh)
+                assert repr(verdict) == repr(fresh)
+                assert commensurability_verdict(d1, d2, given_parcel) is verdict
 
     def test_parcel_mismatch_rejected(self, parcel, compact_parcel):
         d1 = assemble(LOOP, parcel)

@@ -404,6 +404,28 @@ class TestCommonCoverDecision:
         assert has_common_decorated_cover(SWAP_A, uncolored) == CommonCoverDecision(False)
         assert has_common_decorated_cover(uncolored, SWAP_A) == CommonCoverDecision(False)
 
+    def test_every_no_is_the_plain_no(self):
+        # Every connected graph on 1-3 vertices under every coloring.
+        graphs = [
+            DecoratedGraph(n, perm_a, perm_b, frozenset(v for v in range(n) if mask >> v & 1))
+            for n in (1, 2, 3)
+            for perm_a in permutations(range(n))
+            for perm_b in permutations(range(n))
+            if len(_bfs((perm_a, perm_b), 0)[0]) == n
+            for mask in range(2**n)
+        ]
+        nos = [
+            decision
+            for g1 in graphs
+            for g2 in graphs
+            if not (decision := has_common_decorated_cover(g1, g2)).has_cover
+        ]
+        plain = CommonCoverDecision(False)
+        assert len(nos) > 1000
+        assert all(no == plain and hash(no) == hash(plain) for no in nos)
+        assert repr(nos[0]) == repr(plain)
+        assert len({id(no) for no in nos}) == 1  # one shared value
+
     def test_uncolored_pair_takes_the_origin_component(self):
         uncolored = DecoratedGraph(2, (1, 0), (0, 1), frozenset())
         # The product's a-steps pair (0, 0) with (1, 1) and (0, 1) with (1, 0).

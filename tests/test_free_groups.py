@@ -1,5 +1,6 @@
 import gc
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,18 @@ def trace_vertex(table: DecoratedGraph, word: Word) -> int:
         perm = table.perm_a if letter < 2 else table.perm_b
         v = perm[v] if letter % 2 == 0 else perm.index(v)
     return v
+
+
+def big_product_hall_counts(k: int) -> list[int]:
+    """a_1 .. a_k by Hall's recursion as first written: each a_i times (j - i)!."""
+    counts: list[int] = []
+    for j in range(1, k + 1):
+        total, running = j * factorial(j), factorial(j - 1)  # running is (j - i)!
+        for i, a_i in enumerate(counts, start=1):
+            total -= running * a_i
+            running //= j - i
+        counts.append(total)
+    return counts
 
 
 def word_membership(table: DecoratedGraph, word: Word) -> bool:
@@ -126,6 +139,9 @@ class TestCounts:
     def test_growth_floor(self):
         for k in range(1, 13):
             assert hall_count(k) ** 2 >= k**k
+
+    def test_horner_matches_the_big_product_recursion(self):
+        assert [hall_count(k) for k in range(1, 401)] == big_product_hall_counts(400)
 
     def test_hall_count_refusals_leave_the_table_alone(self):
         # The recursion's table grows only for an accepted index.
@@ -261,6 +277,20 @@ class TestSubgroupTable:
         by_keyword = DecoratedGraph(vertex_count=2, perm_a=(1, 0), perm_b=(0, 1), colored=())
         assert by_keyword == DecoratedGraph._trusted(2, (1, 0), (0, 1), frozenset())
 
+    def test_stored_steps_take_no_part_in_eq_hash_repr(self):
+        for t in enumerate_subgroups(4):
+            k = t.vertex_count
+            for colored in (frozenset(), frozenset({0}), frozenset(range(k))):
+                stored = DecoratedGraph(k, t.perm_a, t.perm_b, colored)
+                fresh = DecoratedGraph._trusted(k, t.perm_a, t.perm_b, colored)
+                steps = stored.steps()
+                assert stored.steps() is steps  # computed once
+                for x, perm in enumerate((t.perm_a, t.perm_a, t.perm_b, t.perm_b)):
+                    assert steps[x] == tuple(perm.index(v) if x % 2 else perm[v] for v in range(k))
+                assert stored == fresh and hash(stored) == hash(fresh)
+                assert repr(stored) == repr(fresh)
+                assert fresh._steps is None
+
     def test_inverse_permutation_inverts(self):
         for k in range(1, 7):
             identity = tuple(range(k))
@@ -322,6 +352,18 @@ class TestDistinguishingWords:
                     assert word is None
                 else:
                     assert word_membership(t1, word) != word_membership(t2, word)
+
+    def test_word_equals_the_checked_word(self):
+        tables = enumerate_subgroups(4)
+        for t1 in tables:
+            for t2 in tables[::7]:
+                word = distinguishing_word(t1, t2)
+                if word is None:
+                    continue
+                checked = Word(list(word.letters))
+                assert type(word.letters) is tuple
+                assert word == checked and hash(word) == hash(checked)
+                assert repr(word) == repr(checked) and str(word) == str(checked)
 
     def test_word_is_shortest(self):
         # Brute-check minimality against all words up to the returned length.
