@@ -11,14 +11,12 @@ each; a criterion also fails by overrunning its time budget.
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from pathlib import Path
 
 from .assembler import (
@@ -30,7 +28,6 @@ from .assembler import (
     descriptor_from_json,
     descriptors_for_index,
     emit_descriptors,
-    slots_for_kind,
     trace_word,
     volume_bound,
 )
@@ -276,67 +273,13 @@ def _criterion_trace_separates() -> str:
     return f"{pairs} pairs separated by terminal block kind, 3|w| crossings each"
 
 
-def _slot_ref_parsers():
-    """Parsers of a document's pieces into slot refs: one int per
-    (instance id, slot), numbered as first met.
-
-    Returns (instance_refs, gluing_refs): the slot refs of the rows of one
-    of _pick's instance pieces, in slot order, and the two refs of each row
-    of a gluing piece.  Each parser keeps its result per distinct piece, so
-    it parses each piece once, and both are freed with the pair.
-    """
-    numbers: dict = {}
-
-    def ref(instance_id, slot) -> int:
-        return numbers.setdefault((instance_id, slot), len(numbers))
-
-    def instance_refs(piece: str) -> list[int]:
-        rows = _rows(piece)
-        return [ref(id_, slot) for id_, kind, _ in rows for slot in range(slots_for_kind(kind))]
-
-    def gluing_refs(piece: str) -> list[int]:
-        return [ref(*end) for end1, end2 in _rows(piece) for end in (end1, end2)]
-
-    return cache(instance_refs), cache(gluing_refs)
-
-
-def _rows(piece: str) -> list:
-    """The rows of a piece, as JSON values."""
-    return json.loads("[" + piece + "]")
-
-
-def _closed_by_refs(instances, gluings, instance_refs, gluing_refs) -> bool:
-    """True when the document of these pieces is closed; False when it is
-    not, or a row is malformed, and _check_closed must name the fault.
-
-    A document is closed exactly when its instance ids are distinct, its
-    glued refs are distinct and they are the union of its instances' slot
-    refs.  Every instance has a slot 0, so the ids are distinct exactly
-    when the slot refs are; and when the two sets are equal, the glued refs
-    are distinct exactly when there are as many of them.
-    """
-    try:
-        slots = list(chain.from_iterable(map(instance_refs, instances)))
-        glued = list(chain.from_iterable(map(gluing_refs, gluings)))
-    except (TypeError, ValueError):
-        return False
-    refs = set(slots)
-    return len(refs) == len(slots) == len(glued) and refs == set(glued)
-
-
 def _criterion_counting_pipeline() -> str:
     parcel = default_parcel(4, compact=False)
     report = count_lower_bound(Fraction(30), parcel)
     assert (report.k, report.descriptor_count, report.floor_bound) == (6, 3447, 216)
-    # Closedness of the pieces the documents are written from, each
-    # distinct piece parsed once into slot refs.  _closed_by_refs decides,
-    # and _check_closed names the fault of a document it does not find closed.
-    instance_refs, gluing_refs = _slot_ref_parsers()
     validated = 0
     for descriptor in descriptors_for_index(6, parcel):
-        instances, gluings, *_ = _pick(descriptor.source_graph)
-        if not _closed_by_refs(instances, gluings, instance_refs, gluing_refs):
-            _check_closed(_rows(",\n".join(instances)), _rows(",\n".join(gluings)))
+        _check_closed(*_pick(descriptor.source_graph)[:2])
         assert volume_bound(descriptor, parcel) == 30
         validated += 1
     assert validated == 3447

@@ -7,6 +7,8 @@ printed line carries the measured time and the verifying detail.
 
 import json
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,15 +17,19 @@ from hypothesis import given, settings, strategies as st
 from volcount import acceptance
 from volcount.acceptance import (
     CRITERIA,
-    _closed_by_refs,
     _random_nonzero_fraction,
-    _rows,
-    _slot_ref_parsers,
     format_line,
     run_criterion,
     solvability_oracle_odd,
 )
-from volcount.assembler import _check_closed, _pick
+from volcount.assembler import (
+    _check_closed,
+    _gluing_refs,
+    _instance_refs,
+    _pick,
+    _ref,
+    slots_for_kind,
+)
 from volcount.free_groups import enumerate_subgroups
 
 _IDS = [f"{number}-{name}" for number, name, _, _ in CRITERIA]
@@ -90,9 +96,13 @@ def test_class_scan_matches_the_full_scan(p):
     assert verdicts[1] and verdicts[-1]
 
 
+def _rows(pieces) -> list:
+    return [row for piece in pieces for row in json.loads(f"[{piece}]")]
+
+
 def _split(piece: str) -> list[str]:
     # A piece of several rows as pieces of one row each.
-    return [json.dumps(row) for row in _rows(piece)]
+    return [json.dumps(row) for row in _rows([piece])]
 
 
 def _dropping_last_gluing(graph):
@@ -122,9 +132,38 @@ def test_criterion_9_fails_on_an_open_document(monkeypatch, pick, refusal):
     assert result.detail == f"ValueError: {refusal}"
 
 
+def test_criterion_9_keeps_its_pieces_within_the_table_bounds():
+    # The bounds _check_closed states, and criterion 9's distinct pieces and
+    # refs, all of which stay kept through the pass.
+    tables = (_instance_refs, _gluing_refs, _ref)
+    for table in tables:
+        table.cache_clear()
+    assert run_criterion(9).passed
+    kept = [table.cache_info() for table in tables]
+    assert [info.maxsize for info in kept] == [512, 128, 1024]
+    assert [info.currsize for info in kept] == [405, 74, 72]
+
+
+def _closed_by_counting(instances, gluings) -> bool:
+    # The oracle: closed exactly when the instance slot refs, with text ids,
+    # are distinct, and the glued refs, with int slots, are those refs, each
+    # glued once.
+    try:
+        slots = Counter(
+            (instance_id, slot)
+            for instance_id, kind, _ in _rows(instances)
+            for slot in range(slots_for_kind(kind))
+        )
+        glued = Counter(tuple(end) for end1, end2 in _rows(gluings) for end in (end1, end2))
+        typed = all(type(i) is str for i, _ in slots) and all(type(s) is int for _, s in glued)
+    except (TypeError, ValueError):
+        return False
+    return typed and set(slots.values()) <= {1} and glued == slots
+
+
 def _verdict_of_check_closed(instances, gluings) -> bool:
     try:
-        _check_closed(_rows(",\n".join(instances)), _rows(",\n".join(gluings)))
+        _check_closed(instances, gluings)
     except (TypeError, ValueError):
         return False
     return True
@@ -132,16 +171,27 @@ def _verdict_of_check_closed(instances, gluings) -> bool:
 
 # Pieces of one row that no document of the writer holds: a second v0, an
 # unknown kind, an instance no gluing reaches, a slot past a vertex's four,
-# gluings of an unknown instance, and malformed rows.
+# gluings of an unknown instance, and malformed rows.  A look-alike edit
+# spells a piece's first slot as a float, or as a bool when it is 0 or 1.
 _FOREIGN_INSTANCES = ('["v0", "V0", "again"]', '["x", "C", "x"]', '["x", "V0", "x"]', '[]')
 _FOREIGN_GLUINGS = ('[["v0", 4], ["x", 0]]', '[["x", 0], ["x", 1]]', '[["v0", 0]]', '[[0, 0], 1]')
+_SLOT = re.compile(r'("[^"]*",\s*)([0-9]+)')
+
+
+def _look_alike(piece: str, as_bool: bool) -> str:
+    def spell(match):
+        slot = match[2]
+        text = ("false", "true")[int(slot)] if as_bool and slot in ("0", "1") else f"{slot}.0"
+        return match[1] + text
+
+    return _SLOT.sub(spell, piece, count=1)
 
 
 @st.composite
 def _edited_pieces(draw):
     # A document's pieces of index <= 3, with up to three pieces dropped,
-    # repeated, moved, replaced by foreign ones or split into their rows, so
-    # that later edits reach single rows.
+    # repeated, moved, replaced by foreign ones, given a look-alike slot or
+    # split into their rows, so that later edits reach single rows.
     tables = [t for k in (1, 2, 3) for t in enumerate_subgroups(k)]
     instances, gluings = map(list, _pick(draw(st.sampled_from(tables)))[:2])
     for _ in range(draw(st.integers(0, 3))):
@@ -149,13 +199,15 @@ def _edited_pieces(draw):
             st.sampled_from(((instances, _FOREIGN_INSTANCES), (gluings, _FOREIGN_GLUINGS)))
         )
         i = draw(st.integers(0, len(pieces) - 1)) if pieces else 0
-        edit = draw(st.sampled_from(("drop", "repeat", "move", "foreign", "split")))
+        edit = draw(st.sampled_from(("drop", "repeat", "move", "foreign", "look-alike", "split")))
         if edit == "drop" and pieces:
             del pieces[i]
         elif edit == "repeat" and pieces:
             pieces.insert(draw(st.integers(0, len(pieces))), pieces[i])
         elif edit == "move" and pieces:
             pieces.insert(draw(st.integers(0, len(pieces) - 1)), pieces.pop(i))
+        elif edit == "look-alike" and pieces:
+            pieces[i] = _look_alike(pieces[i], draw(st.booleans()))
         elif edit == "split" and pieces:
             pieces[i : i + 1] = _split(pieces[i])
         else:
@@ -166,8 +218,6 @@ def _edited_pieces(draw):
 @given(st.lists(_edited_pieces(), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_slot_refs_agree_with_check_closed(documents):
-    # One pair of parsers serves every document, as in criterion 9.
-    instance_refs, gluing_refs = _slot_ref_parsers()
+    # The kept refs serve every document, as in criterion 9.
     for instances, gluings in documents:
-        closed = _closed_by_refs(instances, gluings, instance_refs, gluing_refs)
-        assert closed == _verdict_of_check_closed(instances, gluings)
+        assert _verdict_of_check_closed(instances, gluings) == _closed_by_counting(instances, gluings)

@@ -81,10 +81,15 @@ def _dumps(document):
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
+def _pieces(document):
+    """The document's rows as pieces of one row each, as _check_closed reads them."""
+    return tuple([json.dumps(row) for row in document[key]] for key in ("instances", "gluings"))
+
+
 def _assert_rejected(document, refusal):
     # _check_closed names the fault; the reader refuses the text.
     with pytest.raises(ValueError) as refused:
-        _check_closed(document["instances"], document["gluings"])
+        _check_closed(*_pieces(document))
     assert str(refused.value) == refusal
     with pytest.raises(ValueError):
         descriptor_from_json(_dumps(document))
@@ -212,7 +217,7 @@ class TestAssembly:
                 for colored in (frozenset({0}), frozenset()):
                     graph = from_subgroup(table, colored)
                     document = _document(graph, parcel)
-                    _check_closed(document["instances"], document["gluings"])
+                    _check_closed(*_pieces(document))
                     assert volume_bound(assemble(graph, parcel), parcel) == 5 * k
 
     def test_volume_is_stored_as_given(self, parcel):
@@ -272,6 +277,14 @@ class TestAssembly:
         document["gluings"][0][0][1] = slot
         _assert_rejected(document, f"slot {slot} out of range for v0")
 
+    @pytest.mark.parametrize("slot", [True, 1.0, "1", [1]], ids=["bool", "float", "text", "list"])
+    def test_slot_that_is_not_an_int_rejected(self, parcel, slot):
+        # A slot is an int: True == 1.0 == 1, yet neither is one.
+        document = _document(enumerate_subgroups(2)[0], parcel)
+        row = document["gluings"].index([["v0", 1], ["a0+", 1]])
+        document["gluings"][row] = [["v0", slot], ["a0+", 1]]
+        _assert_rejected(document, f"slot {('v0', slot)!r} is not an int slot of a text id")
+
     def test_closed_but_underived_pattern_rejected(self, parcel):
         # Closed lists that are still not the ones the graph derives.
         reordered = _document(TWO, parcel)
@@ -279,7 +292,7 @@ class TestAssembly:
         relabeled = _document(TWO, parcel)
         relabeled["instances"][0][2] = "vertex 9"
         for document in (reordered, relabeled):
-            _check_closed(document["instances"], document["gluings"])
+            _check_closed(*_pieces(document))
             with pytest.raises(ValueError):
                 descriptor_from_json(_dumps(document))
 
