@@ -46,7 +46,7 @@ from math import factorial, floor, isqrt
 from sys import intern
 
 from .decorated_graphs import DecoratedGraph, has_common_decorated_cover
-from .exact_arith import _digit_limit, _digit_limit_refusal, _named, _require_rational
+from .exact_arith import _digit_limit_refusal, _named, _require_rational
 from .form_families import FamilyForm, certificate_matrix, family_members, family_name
 from .free_groups import MAX_INDEX, Word, enumerate_subgroups, hall_count
 
@@ -90,6 +90,8 @@ class Parcel:
     max_volume: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.parcel_id) is not str:
+            raise ValueError(f"a parcel id is a str, not {_named(self.parcel_id)}")
         forms, volumes = tuple(self.forms), tuple(self.volumes)
         if len(forms) != 6 or len(volumes) != 6:
             raise ValueError("a parcel needs exactly six forms and six volumes")
@@ -130,37 +132,36 @@ def default_parcel(n: int, compact: bool) -> Parcel:
     return Parcel(f"{family}-n{n}", family_members(family, 6, n)[1])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ManifoldDescriptor:
     """A closed gluing pattern of block instances over a decorated graph.
 
     The graph fixes the pattern: one block instance per vertex and two per
     edge, glued in the scan order that _pick spells out.  Its document is
-    the text descriptor_to_json writes, the only text that reads back.
-    The volume is an int or a Fraction, stored as a Fraction; a Fraction is
-    stored as it is.  The constructor checks the volume; _trusted, for
-    assemble and descriptor_from_json, which hold the Fraction already,
-    checks nothing.
+    the text descriptor_to_json writes, the only text that reads back.  The
+    one constructor, which assemble and the reader call too, refuses with a
+    ValueError a source graph that is not a DecoratedGraph, a parcel id that
+    is not a str and a volume that is not a positive int or Fraction (an int
+    is stored as a Fraction), so a descriptor whose volume str() prints reads back.
     """
 
     source_graph: DecoratedGraph
     parcel_id: str
     volume_bound: Fraction
 
-    def __post_init__(self):
-        volume = self.volume_bound
-        _require_rational(volume)
-        if type(volume) is int:
-            _set_volume_bound(self, Fraction(volume))
-
-    @classmethod
-    def _trusted(cls, source_graph, parcel_id, volume_bound):
-        """A descriptor whose fields the caller vouches for; volume_bound is a Fraction."""
-        descriptor = object.__new__(cls)
-        _set_source_graph(descriptor, source_graph)
-        _set_parcel_id(descriptor, parcel_id)
-        _set_volume_bound(descriptor, volume_bound)
-        return descriptor
+    def __init__(self, source_graph, parcel_id, volume_bound):
+        if type(volume_bound) is not Fraction:
+            _require_rational(volume_bound)
+            volume_bound = Fraction(volume_bound)
+        if volume_bound.numerator <= 0:
+            raise ValueError(f"volume_bound {_named(str(volume_bound))} is not positive")
+        if not isinstance(source_graph, DecoratedGraph):
+            raise ValueError(f"a source graph is a DecoratedGraph, not {_named(source_graph)}")
+        if type(parcel_id) is not str:
+            raise ValueError(f"a parcel id is a str, not {_named(parcel_id)}")
+        _set_source_graph(self, source_graph)
+        _set_parcel_id(self, parcel_id)
+        _set_volume_bound(self, volume_bound)
 
 
 # The slots' own setters, bound once, as for DecoratedGraph.
@@ -396,7 +397,7 @@ def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
     volume is the Fraction the parcel keeps for the graph's shape
     (_total_volume), shared by every descriptor of that shape.
     """
-    return ManifoldDescriptor._trusted(graph, parcel.parcel_id, _total_volume(graph, parcel))
+    return ManifoldDescriptor(graph, parcel.parcel_id, _total_volume(graph, parcel))
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
@@ -620,9 +621,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _read(document: str, read, *args):
-    # read(*args) on a part of document.  json reads an int literal with
-    # int(), and Fraction its parts, whose refusal past Python's int-to-str
-    # limit is a plain ValueError, not a JSONDecodeError, in Python's own words.
+    # read(*args) on a part of document.  json and the volume's parts read
+    # ints with int(), whose refusal past Python's int-to-str limit is a
+    # plain ValueError, not a JSONDecodeError, in Python's own words.
     try:
         return read(*args)
     except json.JSONDecodeError:
@@ -632,17 +633,9 @@ def _read(document: str, read, *args):
 
 
 # str(Fraction)'s spelling, checked first, with the numerator and the
-# denominator as groups: Fraction("1e10000000") builds 10^10^7, and str()
-# prints no int of more digits than the int-to-str limit.  A part may have
-# 4,300 digits under a lowered limit, so that int() names that limit when it
-# refuses one, and any number of digits when the limit is off.
-_VOLUME_TEXT = r"(-?[0-9]{1,%s})(?:/([0-9]{1,%s}))?"
-
-
-@lru_cache(maxsize=4)
-def _volume_spelling(limit: int) -> re.Pattern:
-    bound = str(max(limit, 4300)) if limit else ""
-    return re.compile(_VOLUME_TEXT % (bound, bound))
+# denominator as groups: Fraction("1e10000000") builds 10^10^7.  int() checks
+# a part against the running int-to-str limit before it converts it.
+_VOLUME_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _line_start(search, marker: str) -> int:
@@ -656,11 +649,12 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     """Read a descriptor document back.
 
     Raises ValueError, and only ValueError, unless text is exactly what
-    descriptor_to_json writes for the graph, parcel_id and positive
-    volume_bound it names, so writing the result reproduces the text; a
-    graph that is not connected is refused when it is built.  Given the
-    parcel the document was assembled from, it must also name that parcel
-    and carry the volume the parcel's blocks give its graph.
+    descriptor_to_json writes for the descriptor it names, so writing the
+    result reproduces the text; the graph's and the descriptor's own
+    constructors refuse a graph that is not connected, a parcel_id that is
+    not text and a volume_bound that is not positive.  Given the parcel the
+    document was assembled from, it must also name that parcel and carry
+    the volume the parcel's blocks give its graph.
 
     Only what the descriptor is rebuilt from is decoded: the graph object
     at the first top-level "graph" line, and parcel_id and volume_bound
@@ -678,21 +672,19 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
         tail = _read(text, _raw_decode, "{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
         parcel_id, volume_text = tail["parcel_id"], tail["volume_bound"]
-        spelled = _volume_spelling(_digit_limit()).fullmatch(volume_text)
+        spelled = _VOLUME_TEXT.fullmatch(volume_text)
         if spelled is None:
             raise ValueError("volume_bound is not spelled as the writer spells a Fraction")
         # Built here, once, from the two parts; the byte check refuses a
         # volume not in lowest terms.
         numerator, denominator = spelled.groups()
         volume = Fraction(_read(text, int, numerator), _read(text, int, denominator or "1"))
-        descriptor = ManifoldDescriptor._trusted(graph, parcel_id, volume)
+        descriptor = ManifoldDescriptor(graph, parcel_id, volume)
         written = descriptor_to_json(descriptor)
     except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:
         raise ValueError(f"malformed descriptor document: {error!r}") from error
     if written != text:
         raise ValueError("document differs from the text the writer gives its descriptor")
-    if volume.numerator <= 0:
-        raise ValueError(f"volume_bound {_named(str(volume))} is not positive")
     if parcel is not None:
         if parcel_id != parcel.parcel_id:
             named = _named(parcel_id)

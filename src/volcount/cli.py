@@ -318,9 +318,9 @@ def _cmd_assemble(args):
         raise UsageError(f"cannot read graph file: {error}") from error
     except ValueError as error:
         raise UsageError(str(error)) from error
-    document = descriptor_to_json(assemble(graph, default_parcel(args.n, args.compact)))
-    payload = json.loads(document) if args.json else None
-    return payload, [document.rstrip("\n")]
+    # The writer's document, its final newline aside, is the --json payload too.
+    text = descriptor_to_json(assemble(graph, default_parcel(args.n, args.compact))).rstrip("\n")
+    return text, [text]
 
 
 def _cmd_count(args):
@@ -403,9 +403,14 @@ _HANDLERS = {
 
 
 def _emit(status: str, payload, lines, as_json: bool) -> None:
+    """Print the lines, or under --json json.dumps({"status": status, "payload":
+    payload}, sort_keys=True, indent=2).  A str payload is JSON text as that
+    json.dumps gives it, nested by indenting its lines after the first."""
     if as_json:
-        document = {"status": status, "payload": payload}
-        print(json.dumps(document, sort_keys=True, indent=2))
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, sort_keys=True, indent=2)
+        nested = payload.replace("\n", "\n  ")
+        print(f'{{\n  "payload": {nested},\n  "status": {json.dumps(status)}\n}}')
     else:
         for line in lines:
             print(line)

@@ -150,6 +150,12 @@ class TestParcels:
         with pytest.raises(RuntimeError, match="requires certified block pairs"):
             Parcel("x", parcel.forms[:5] + parcel.forms[:1])
 
+    def test_parcel_id_is_text(self, parcel):
+        # A parcel with the id 5 once built, and the writer then raised
+        # TypeError on each of its descriptors.
+        with pytest.raises(ValueError, match="^a parcel id is a str, not 5$"):
+            Parcel(5, parcel.forms)
+
     def test_mixed_families_refused(self, parcel, compact_parcel):
         with pytest.raises(ValueError, match="different families"):
             Parcel("x", parcel.forms[:5] + compact_parcel.forms[5:])
@@ -228,8 +234,9 @@ class TestAssembly:
         assert type(stored) is Fraction and stored == 10
 
     def test_assemble_equals_the_checked_descriptor(self, parcel):
-        # assemble and the reader build through _trusted; each result must
-        # be the value the checked constructor gives.
+        # assemble and the reader hand the one constructor a Fraction, which
+        # it stores as it is; each result must be the value it gives the
+        # volume as an int or a Fraction.
         priced = with_block_volumes(parcel, [Fraction(1, 2), 3, Fraction(5, 7), 1, 2, 4])
         cases = [(t, parcel, 5 * k) for k in range(1, 7) for t in enumerate_subgroups(k)]
         # SEVENTEEN has 15 plain and 2 colored vertices.
@@ -245,6 +252,27 @@ class TestAssembly:
                 assert repr(descriptor) == repr(checked)
                 assert type(descriptor.volume_bound) is Fraction
                 assert not hasattr(descriptor, "__dict__")
+
+    def test_parcel_id_is_text(self):
+        # Once built, and then the writer raised TypeError.
+        with pytest.raises(ValueError, match="^a parcel id is a str, not 5$"):
+            ManifoldDescriptor(enumerate_subgroups(3)[0], 5, 10)
+
+    def test_source_graph_is_a_decorated_graph(self):
+        # Once built, and then the writer raised AttributeError.
+        with pytest.raises(ValueError, match="^a source graph is a DecoratedGraph, not 'x'$"):
+            ManifoldDescriptor("x", "p", 10)
+
+    @pytest.mark.parametrize(
+        "volume, named",
+        [(-5, "'-5'"), (0, "'0'"), (Fraction(-1, 2), "'-1/2'")],
+        ids=["negative", "zero", "negative-fraction"],
+    )
+    def test_volume_is_positive(self, volume, named):
+        # Once built, into a document that its reader then refused.
+        with pytest.raises(ValueError) as refusal:
+            ManifoldDescriptor(TWO, "p", volume)
+        assert str(refusal.value) == f"volume_bound {named} is not positive"
 
     def test_disconnected_rejected(self, parcel):
         # assemble takes connected graphs, and no other graph can be built.
@@ -728,6 +756,24 @@ class TestWriter:
         assert text == _dumps_document(descriptor)
         assert descriptor_from_json(text) == descriptor
 
+    @given(
+        connected_graphs(),
+        st.text(),
+        st.one_of(st.integers(), st.fractions(), st.sampled_from([0, -5, Fraction(0)])),
+    )
+    @example(LOOP, "p", -5)
+    @example(TWO, "isotropic-n4", Fraction(-7, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_descriptor_reads_back(self, graph, parcel_id, volume):
+        # Every descriptor the constructor builds writes a document that
+        # reads back equal; a volume <= 0 is refused when it is built.
+        try:
+            descriptor = ManifoldDescriptor(graph, parcel_id, volume)
+        except ValueError as refusal:
+            assert volume <= 0 and str(refusal).endswith("is not positive")
+            return
+        assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.data())
     def test_enumerated_tables_match_json_dumps(self, parcel, k, data):
@@ -905,6 +951,10 @@ def byte_edited_documents(draw, parcel):
     return text
 
 
+def _no_fraction(*args):
+    raise AssertionError(f"Fraction{args} built")
+
+
 class TestMalformedDocuments:
     def test_disconnected_graph_refused(self, parcel):
         # TWO's document with b's row as its a-row: both rows fix every
@@ -928,19 +978,23 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("vertices", 7), ("perm_a", [7]), ("perm_b", [0, 7]), ("colored", [7])],
+        [("vertices", 7), ("perm_a", [7]), ("perm_b", [0, 7]), ("colored", [7]),
+         ("volume_bound", "7")],
     )
-    def test_integers_past_the_digit_limit(self, parcel, key, value):
-        # json reads an int literal with int(): 5,000 digits were once refused
-        # in Python's own words, "Exceeds the limit (4300 digits)...".
+    def test_integers_past_the_digit_limit(self, parcel, key, value, monkeypatch):
+        # json reads an int literal with int(), and the reader a volume's
+        # parts: 5,000 digits were once refused in Python's own words,
+        # "Exceeds the limit (4300 digits)...", and a volume of 5,000 digits
+        # as not spelled.  No Fraction is built.
         document = _document(LOOP, parcel)
-        document["graph"][key] = value
+        (document if key == "volume_bound" else document["graph"])[key] = value
         text = _dumps(document).replace("7", "1" * 5000)
         assert len(text) == len(_dumps(document)) + 4999
         message = (
             "document has a numeral past Python's 4,300-digit limit"
             f" (a text of {len(text):,} characters)"
         )
+        monkeypatch.setattr(assembler, "Fraction", _no_fraction)
         for given_parcel in (None, parcel):
             with pytest.raises(ValueError) as refusal:
                 descriptor_from_json(text, given_parcel)
@@ -956,21 +1010,14 @@ class TestMalformedDocuments:
                 descriptor_from_json(_dumps(document), given_parcel)
 
     @pytest.mark.parametrize(
-        "volume",
-        ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665",
-         pytest.param("1" * 5000, id="5000-digits")],
+        "volume", ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665"]
     )
     def test_volume_spelling_refused_before_parsing(self, parcel, volume, monkeypatch):
         # The writer spells a volume as str(Fraction) does: digits, or digits
-        # "/" digits, at most 4,300 of them a part.  Fraction("1e10000000")
-        # once took 12.7 s to build the number the byte check then refused,
-        # and 5,000 digits once raised Python's own digit-limit text.
+        # "/" digits.  Fraction("1e10000000") once took 12.7 s to build the
+        # number the byte check then refused.
         text = _dumps(dict(_document(LOOP, parcel), volume_bound=volume))
-
-        def no_fraction(*args):
-            raise AssertionError(f"Fraction{args} built")
-
-        monkeypatch.setattr(assembler, "Fraction", no_fraction)
+        monkeypatch.setattr(assembler, "Fraction", _no_fraction)
         for given_parcel in (None, parcel):
             with pytest.raises(ValueError, match="volume_bound is not spelled"):
                 descriptor_from_json(text, given_parcel)

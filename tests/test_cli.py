@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,7 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cli_manifest import GRAPH_FILES
 from volcount import assembler, cli, form_families, free_groups
 from volcount.cli import BROKEN_PIPE, VERIFICATION_FAILURE, main
 from volcount.decorated_graphs import DecoratedGraph
@@ -337,6 +340,50 @@ class TestAssemble:
         code, out, err = run(["assemble", str(path), "--json"], capsys)
         assert code == 2 and err == ""
         assert json.loads(out) == {"status": "error", "payload": {"error": message}}
+
+
+# Text with quotes, backslashes, newlines, non-ASCII and lone surrogates.
+_TEXT = st.one_of(
+    st.text(st.characters() | st.characters(categories=["Cs"])),
+    st.sampled_from(['"', "\\", "\n", "\u00e9\u20ac", "\U0001f600", "\ud800", ""]),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TEXT, children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _envelope(status, payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(status, payload, [], True)
+    return out.getvalue()
+
+
+class TestJsonEnvelope:
+    # _emit nests the payload's JSON text by hand; the document must be
+    # json.dumps's.
+    @given(st.sampled_from(["ok", "error"]), st.dictionaries(_TEXT, _JSON_VALUES, max_size=4))
+    @example("ok", {"": [], "{}": {}, '"\\\n': ["\ud800", {}, []], "\u00e9": {"a": "\n"}})
+    @settings(max_examples=200, deadline=None)
+    def test_dict_payload_or_its_text_nests_as_json_dumps(self, status, payload):
+        expected = json.dumps({"status": status, "payload": payload}, sort_keys=True, indent=2)
+        assert _envelope(status, payload) == expected + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        assert _envelope(status, text) == expected + "\n"
+
+    @pytest.mark.parametrize("name", ["three.txt", "seventeen.txt"])
+    def test_assemble_payload_is_the_decoded_document(self, capsys, tmp_path, name):
+        # The old route, json.loads of the document and then json.dumps, is
+        # the oracle.
+        path = tmp_path / name
+        path.write_text(GRAPH_FILES[name])
+        _, document, _ = run(["assemble", str(path)], capsys)
+        code, out, err = run(["assemble", str(path), "--json"], capsys)
+        oracle = {"status": "ok", "payload": json.loads(document)}
+        assert (code, err) == (0, "")
+        assert out == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
 
 
 class TestCount:
