@@ -17,26 +17,28 @@ edge, for 5k block instances, then glues boundary slots in a fixed scan
 order: each vertex exposes (a-out, a-in, b-out, b-in), each edge runs
 source -> minus -> plus -> target.  The result is a closed descriptor: every
 slot is glued exactly once.  The graph alone fixes these instances and
-gluings, so a descriptor stores only the graph, the parcel id and the
-volume; the lists are derived when a document is written, and a document
-reads back only if its text is exactly what the writer emits.  Tracing a
-word through a descriptor crosses three block boundaries per letter, and
-the kind of the terminal vertex block (V1 against V0) is the observable
-that separates descriptors.
+gluings, so a descriptor stores only the graph and the parcel id; the
+lists are derived when a document is written, and a document reads back
+only if its text is exactly what the writer emits.  Tracing a word through
+a descriptor crosses three block boundaries per letter, and the kind of
+the terminal vertex block (V1 against V0) is the observable that
+separates descriptors.
 
-count_lower_bound turns a volume budget v into k = floor(v / (5 * V)) with V
-the largest block volume, reports the number a_k of index-k subgroups, and
-checks k! <= a_k <= k * k! and the ceil(k^(k/2)) growth floor.  By Hall,
-a_k = t_k / (k - 1)! with t_k the transitive pairs (sigma, tau) on k points;
-t_k >= (k - 1)! k! as every pair with sigma a k-cycle is transitive, and
-t_k <= (k!)^2.  The floor follows: (k!)^2 = prod_i i (k + 1 - i) >= k^k.
+Volumes are in units of V, the largest block volume, the only one the count
+uses: a k-vertex descriptor's 5k instances have volume at most 5k (the
+paper's 5kV), a fact of its graph.  count_lower_bound turns a volume
+budget v into k = floor(v / 5), reports the number a_k of index-k
+subgroups, and checks k! <= a_k <= k * k! and the ceil(k^(k/2)) growth
+floor.  By Hall, a_k = t_k / (k - 1)! with t_k the transitive pairs
+(sigma, tau) on k points; t_k >= (k - 1)! k! as every pair with sigma a
+k-cycle is transitive, and t_k <= (k!)^2.  The floor follows:
+(k!)^2 = prod_i i (k + 1 - i) >= k^k.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -67,50 +69,35 @@ def slots_for_kind(kind: str) -> int:
 class Parcel:
     """Six pairwise non-commensurable members of one form family, one per block kind.
 
-    forms[i] and volumes[i] belong to the block of kind BLOCK_KINDS[i].  The
-    forms share the family and dimension that compact and dimension report,
-    and differ only in the coefficient a of x_1, so their restriction to
+    forms[i] is the form of the block of kind BLOCK_KINDS[i].  The forms
+    share the family and dimension that compact and dimension report, and
+    differ only in the coefficient a of x_1, so their restriction to
     x_1 = 0 is the same for all six: that licenses mixed gluings.  certificates[i][j]
     is noncommensurability_certificate(forms[i], forms[j]), computed here; an
     uncertified pair of distinct blocks is refused.  The block spaces
     themselves (torsion-free finite-level subgroups) are assumed, not
-    computed, and listed in every CommensurabilityVerdict.
-
-    A graph's volume depends only on its shape, (vertex count, colored
-    count), so each parcel keeps the volumes of the shapes it has assembled,
-    cap checked once when built (see _total_volume).  They are kept on the
-    instance, not by parcel_id, as parcels that share an id may price their
-    blocks differently.
+    computed, and listed in every CommensurabilityVerdict.  A parcel
+    carries no block volumes: volumes are in units of the largest, V.
     """
 
     parcel_id: str
     forms: tuple[FamilyForm, ...]
-    volumes: tuple[Fraction, ...] = (Fraction(1),) * 6
     certificates: tuple = field(init=False, repr=False, compare=False)
-    max_volume: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.parcel_id) is not str:
             raise ValueError(f"a parcel id is a str, not {_named(self.parcel_id)}")
-        forms, volumes = tuple(self.forms), tuple(self.volumes)
-        if len(forms) != 6 or len(volumes) != 6:
-            raise ValueError("a parcel needs exactly six forms and six volumes")
-        for volume in volumes:
-            _require_rational(volume)
-        volumes = tuple(map(Fraction, volumes))
+        forms = tuple(self.forms)
+        if len(forms) != 6:
+            raise ValueError("a parcel needs exactly six forms")
         if not all(isinstance(form, FamilyForm) for form in forms):
             raise ValueError("the forms of a parcel must be FamilyForm values")
-        if min(volumes) <= 0:
-            raise ValueError("block volumes must be positive")
         # Refuses mixed families and mixed dimensions with a ValueError.
         certificates = certificate_matrix(forms)
         if any(certificates[i][j] is None for i in range(6) for j in range(6) if i != j):
             raise RuntimeError("parcel construction requires certified block pairs")
         object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "max_volume", max(volumes))
-        object.__setattr__(self, "_volumes", {})
 
     @property
     def dimension(self) -> int:
@@ -122,7 +109,7 @@ class Parcel:
 
 
 def default_parcel(n: int, compact: bool) -> Parcel:
-    """Parcel of a family's first six members in dimension n, all volumes 1.
+    """Parcel of a family's first six members in dimension n.
 
     Non-compact: the isotropic family over Q at the first six primes
     p = 5 (mod 8).  Compact: the anisotropic family over Q(sqrt(2)) at the
@@ -140,34 +127,30 @@ class ManifoldDescriptor:
     edge, glued in the scan order that _pick spells out.  Its document is
     the text descriptor_to_json writes, the only text that reads back.  The
     one constructor, which assemble and the reader call too, refuses with a
-    ValueError a source graph that is not a DecoratedGraph, a parcel id that
-    is not a str and a volume that is not a positive int or Fraction (an int
-    is stored as a Fraction), so a descriptor whose volume str() prints reads back.
+    ValueError a source graph that is not a DecoratedGraph and a parcel id
+    that is not a str, so every descriptor it builds reads back.
     """
 
     source_graph: DecoratedGraph
     parcel_id: str
-    volume_bound: Fraction
 
-    def __init__(self, source_graph, parcel_id, volume_bound):
-        if type(volume_bound) is not Fraction:
-            _require_rational(volume_bound)
-            volume_bound = Fraction(volume_bound)
-        if volume_bound.numerator <= 0:
-            raise ValueError(f"volume_bound {_named(str(volume_bound))} is not positive")
+    def __init__(self, source_graph, parcel_id):
         if not isinstance(source_graph, DecoratedGraph):
             raise ValueError(f"a source graph is a DecoratedGraph, not {_named(source_graph)}")
         if type(parcel_id) is not str:
             raise ValueError(f"a parcel id is a str, not {_named(parcel_id)}")
         _set_source_graph(self, source_graph)
         _set_parcel_id(self, parcel_id)
-        _set_volume_bound(self, volume_bound)
+
+    @property
+    def volume_bound(self) -> Fraction:
+        """5k for k vertices: 5k block instances, each of volume at most the unit V."""
+        return Fraction(5 * self.source_graph.vertex_count)
 
 
 # The slots' own setters, bound once, as for DecoratedGraph.
 _set_source_graph = ManifoldDescriptor.source_graph.__set__
 _set_parcel_id = ManifoldDescriptor.parcel_id.__set__
-_set_volume_bound = ManifoldDescriptor.volume_bound.__set__
 
 
 def _instance_row(instance_id: str, kind: str, serves: str) -> str:
@@ -367,48 +350,21 @@ def _check_closed(instances, gluings) -> None:
     raise ValueError(f"descriptor is not closed: {sum(expected.values()) - len(seen)} slots unglued")
 
 
-def _total_volume(graph: DecoratedGraph, parcel: Parcel) -> Fraction:
-    """The parcel's volume for the graph's shape; RuntimeError past the 5k * V cap.
-
-    One V0 block per plain vertex, one V1 per colored vertex and one block
-    of each edge kind per vertex.  Built and checked against the cap once
-    per shape (vertex count, colored count) and kept in the parcel's
-    _volumes for graphs of up to _CACHED_SIZE vertices, at most 152 shapes;
-    a larger graph's is built and checked on every call.
-    """
-    k, colored = graph.vertex_count, len(graph.colored)
-    volume = parcel._volumes.get((k, colored))
-    if volume is None:
-        plain_volume, colored_volume, *edge_volumes = parcel.volumes
-        volume = (k - colored) * plain_volume + colored * colored_volume + k * sum(edge_volumes)
-        if volume > 5 * k * parcel.max_volume:
-            raise RuntimeError(f"volume {volume} exceeds the cap {5 * k * parcel.max_volume}")
-        if k <= _CACHED_SIZE:
-            parcel._volumes[k, colored] = volume
-    return volume
-
-
 def assemble(graph: DecoratedGraph, parcel: Parcel) -> ManifoldDescriptor:
     """Instantiate and glue parcel blocks along a connected decorated graph.
 
-    The 5k instances and 6k gluings follow from the graph (see _pick), so
-    the descriptor keeps only the graph, the parcel id and the exact volume;
-    the lists appear only in the document descriptor_to_json writes.  The
-    volume is the Fraction the parcel keeps for the graph's shape
-    (_total_volume), shared by every descriptor of that shape.
+    The 5k instances, the 6k gluings (see _pick) and the volume bound 5k
+    follow from the graph, so the descriptor keeps only the graph and the
+    parcel id; the lists appear only in the document descriptor_to_json writes.
     """
-    return ManifoldDescriptor(graph, parcel.parcel_id, _total_volume(graph, parcel))
+    return ManifoldDescriptor(graph, parcel.parcel_id)
 
 
 def volume_bound(descriptor: ManifoldDescriptor, parcel: Parcel) -> Fraction:
-    """Exact sum of instance volumes from the descriptor's own parcel; asserts the 5k * V cap.
-
-    The volume is the parcel's for the graph's shape, checked against the
-    cap when the parcel first built it (_total_volume).
-    """
+    """The descriptor's volume bound 5k; ValueError unless it comes from the given parcel."""
     if descriptor.parcel_id != parcel.parcel_id:
         raise ValueError("descriptor must come from the given parcel")
-    return _total_volume(descriptor.source_graph, parcel)
+    return descriptor.volume_bound
 
 
 @dataclass(frozen=True)
@@ -478,21 +434,21 @@ def growth_floor(k: int) -> int:
 
 
 def budget_index(v, parcel: Parcel) -> int:
-    """k = floor(v / (5 V)); ValueError below the one-block scale, then past MAX_COUNT_INDEX."""
+    """k = floor(v / 5); ValueError below the one-block scale 5, then past MAX_COUNT_INDEX."""
     _require_rational(v)
     v = Fraction(v)
-    unit = 5 * parcel.max_volume
-    if v < unit:
-        raise ValueError(f"volume budget {_named(v, str)} is below the one-block scale {unit}")
-    k = floor(v / unit)
+    if v < 5:
+        raise ValueError(f"volume budget {_named(v, str)} is below the one-block scale 5")
+    k = floor(v / 5)
     if k > MAX_COUNT_INDEX:
         raise ValueError(f"descriptor count is capped at index {MAX_COUNT_INDEX} (got {_named(k)})")
     return k
 
 
 def count_lower_bound(v, parcel: Parcel) -> CountReport:
-    """Descriptors affordable within volume v: k = floor(v / (5 V)) vertices.
+    """Descriptors affordable within volume v: k = floor(v / 5) vertices.
 
+    v is in units of the largest block volume, so max_block_volume is 1.
     Reports the exact index-k subgroup count a_k and the floor ceil(k^(k/2));
     raises RuntimeError unless k! <= a_k <= k * k! and a_k >= the floor, and
     ValueError, before any count is computed, where budget_index does.
@@ -504,7 +460,7 @@ def count_lower_bound(v, parcel: Parcel) -> CountReport:
     bound = growth_floor(k)
     if count < bound:
         raise RuntimeError(f"subgroup count {count} fell below the floor {bound}")
-    return CountReport(Fraction(v), parcel.max_volume, k, count, bound)
+    return CountReport(Fraction(v), Fraction(1), k, count, bound)
 
 
 def descriptors_for_index(k: int, parcel: Parcel):
@@ -581,7 +537,7 @@ def commensurability_verdict(
 
 
 def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
-    """Stable JSON document for a descriptor; keys sorted, volumes exact.
+    """Stable JSON document for a descriptor; keys sorted, the volume bound 5k.
 
     The text is byte-identical to json.dumps(document, sort_keys=True,
     indent=2) + "\n".  Setting indent makes json.dumps skip the C encoder and
@@ -591,8 +547,9 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
     permutation (at most 2 * factorial(MAX_INDEX) = 10,080 entries, about
     28 MB).  Per document it joins only those pieces, 4k + 1 gluing pieces
     and three instance pieces, writes the keys in sorted order by hand and
-    escapes the caller's strings with the same encode_basestring_ascii that
-    json.dumps applies.  descriptor_from_json accepts exactly this text.
+    escapes the parcel id with the same encode_basestring_ascii that
+    json.dumps applies; the volume bound is digits.  descriptor_from_json
+    accepts exactly this text.
     """
     instances, gluings, colored, perm_a, perm_b = _pick(descriptor.source_graph)
     instance_text, gluing_text = ",\n".join(instances), ",\n".join(gluings)
@@ -606,7 +563,7 @@ def descriptor_to_json(descriptor: ManifoldDescriptor) -> str:
         f'  }},\n'
         f'  "instances": [\n{instance_text}\n  ],\n'
         f'  "parcel_id": {encode_basestring_ascii(descriptor.parcel_id)},\n'
-        f'  "volume_bound": {encode_basestring_ascii(str(descriptor.volume_bound))}\n'
+        f'  "volume_bound": "{5 * descriptor.source_graph.vertex_count}"\n'
         f'}}\n'
     )
 
@@ -621,21 +578,14 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _read(document: str, read, *args):
-    # read(*args) on a part of document.  json and the volume's parts read
-    # ints with int(), whose refusal past Python's int-to-str limit is a
-    # plain ValueError, not a JSONDecodeError, in Python's own words.
+    # read(*args) on a part of document.  json reads ints with int(), whose refusal
+    # past Python's int-to-str limit is a plain ValueError in Python's own words.
     try:
         return read(*args)
     except json.JSONDecodeError:
         raise
     except ValueError as error:
         raise ValueError(f"document has {_digit_limit_refusal(document)}") from error
-
-
-# str(Fraction)'s spelling, checked first, with the numerator and the
-# denominator as groups: Fraction("1e10000000") builds 10^10^7.  int() checks
-# a part against the running int-to-str limit before it converts it.
-_VOLUME_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _line_start(search, marker: str) -> int:
@@ -651,47 +601,36 @@ def descriptor_from_json(text: str, parcel: Parcel | None = None) -> ManifoldDes
     Raises ValueError, and only ValueError, unless text is exactly what
     descriptor_to_json writes for the descriptor it names, so writing the
     result reproduces the text; the graph's and the descriptor's own
-    constructors refuse a graph that is not connected, a parcel_id that is
-    not text and a volume_bound that is not positive.  Given the parcel the
-    document was assembled from, it must also name that parcel and carry
-    the volume the parcel's blocks give its graph.
+    constructors refuse a graph that is not connected and a parcel_id that
+    is not text.  Given a Parcel, the document must also name it.
 
     Only what the descriptor is rebuilt from is decoded: the graph object
-    at the first top-level "graph" line, and parcel_id and volume_bound
-    from the last top-level "parcel_id" line to the end of the text; the
-    instances and gluings rows are never parsed.  The byte check makes this
-    partial decode safe: any text it accepts is the writer's output for the
-    rebuilt descriptor, so a marker found in the wrong place (a repeated
-    key, another layout) yields other bytes and a ValueError.
+    at the first top-level "graph" line, and the tail from the last
+    top-level "parcel_id" line on; the rows are never parsed, and the bytes
+    alone decide the volume_bound, 5k for a k-vertex graph.  The byte check
+    makes this partial decode safe: any text it accepts is the writer's for
+    the rebuilt descriptor, so a marker in the wrong place (a repeated key,
+    another layout) or another volume yields other bytes and a ValueError.
     """
     if not isinstance(text, str):
         raise ValueError(f"a descriptor document is text, not {type(text).__name__}")
+    if parcel is not None and not isinstance(parcel, Parcel):
+        raise ValueError(f"a parcel is a Parcel, not {type(parcel).__name__}")
     try:
         graph_start = _line_start(text.find, _GRAPH_LINE) + len(_GRAPH_LINE)
         spec = _read(text, _raw_decode, text, graph_start)[0]
         graph = DecoratedGraph(spec["vertices"], spec["perm_a"], spec["perm_b"], spec["colored"])
+        # The whole tail, so a volume_bound numeral past the digit limit is refused here.
         tail = _read(text, _raw_decode, "{" + text[_line_start(text.rfind, _PARCEL_LINE) :])[0]
-        parcel_id, volume_text = tail["parcel_id"], tail["volume_bound"]
-        spelled = _VOLUME_TEXT.fullmatch(volume_text)
-        if spelled is None:
-            raise ValueError("volume_bound is not spelled as the writer spells a Fraction")
-        # Built here, once, from the two parts; the byte check refuses a
-        # volume not in lowest terms.
-        numerator, denominator = spelled.groups()
-        volume = Fraction(_read(text, int, numerator), _read(text, int, denominator or "1"))
-        descriptor = ManifoldDescriptor(graph, parcel_id, volume)
+        descriptor = ManifoldDescriptor(graph, tail["parcel_id"])
         written = descriptor_to_json(descriptor)
-    except (KeyError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as error:
+    except (KeyError, TypeError, OverflowError, RecursionError) as error:
         raise ValueError(f"malformed descriptor document: {error!r}") from error
     if written != text:
         raise ValueError("document differs from the text the writer gives its descriptor")
-    if parcel is not None:
-        if parcel_id != parcel.parcel_id:
-            named = _named(parcel_id)
-            raise ValueError(f"document names parcel {named}, not {parcel.parcel_id!r}")
-        if volume != _total_volume(graph, parcel):
-            named = _named(str(volume))
-            raise ValueError(f"volume_bound {named} is not the volume the parcel gives")
+    if parcel is not None and descriptor.parcel_id != parcel.parcel_id:
+        named = _named(descriptor.parcel_id)
+        raise ValueError(f"document names parcel {named}, not {parcel.parcel_id!r}")
     return descriptor
 
 

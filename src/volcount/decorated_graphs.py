@@ -156,6 +156,8 @@ def graph_to_text(graph: DecoratedGraph) -> str:
 
 def graph_from_text(text: str) -> DecoratedGraph:
     """Inverse of graph_to_text: exactly its four lines, then only blank lines."""
+    if not isinstance(text, str):
+        raise ValueError(f"graph text is text, not {type(text).__name__}")
     lines = text.split("\n")
     if len(lines) < 4:
         raise ValueError("graph text needs four lines")

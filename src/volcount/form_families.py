@@ -40,6 +40,7 @@ from math import isqrt
 from typing import Callable, NamedTuple
 
 from .exact_arith import (
+    _named,
     _require_int,
     factor_int,
     is_prime,
@@ -320,8 +321,10 @@ def _lookup(table: dict, key) -> _Family:
 
 
 def family_name(compact: bool) -> str:
-    """The family whose blocks are compact (anisotropic) or not (isotropic)."""
-    return next(family.name for family in _FAMILIES if family.compact == bool(compact))
+    """The family whose blocks are compact (anisotropic) or not (isotropic); compact is a bool."""
+    if type(compact) is not bool:
+        raise ValueError(f"compact is a bool, not {_named(compact)}")
+    return next(family.name for family in _FAMILIES if family.compact == compact)
 
 
 def reference_primes(family: str) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import islice, permutations, product
@@ -18,7 +19,6 @@ from volcount.assembler import (
     _check_closed,
     _coloring_rows,
     _permutation_rows,
-    _total_volume,
     assemble,
     commensurability_verdict,
     count_lower_bound,
@@ -47,10 +47,11 @@ from volcount.free_groups import (
 )
 
 
-def with_block_volumes(parcel: Parcel, volumes) -> Parcel:
-    """Copy of the parcel with the six block volumes replaced."""
-    assert len(volumes) == 6
-    return Parcel(parcel.parcel_id, parcel.forms, volumes)
+def priced_total(graph, volumes) -> Fraction:
+    """The total volume of the graph's instances, blocks of kind BLOCK_KINDS[i] at volumes[i]."""
+    k, colored = graph.vertex_count, len(graph.colored)
+    counts = (k - colored, colored, k, k, k, k)
+    return sum((count * Fraction(volume) for count, volume in zip(counts, volumes)), Fraction(0))
 
 
 LOOP = DecoratedGraph(1, (0,), (0,), frozenset({0}))
@@ -70,6 +71,10 @@ FORTY = _cycle_graph(40, 3, set())
 # Sizes past the enumeration cap whose rows are still kept.
 TWELVE = _cycle_graph(12, 5, {0, 7})
 SIXTEEN = _cycle_graph(16, 3, {0})
+
+
+# The reader's refusal of any text that is not the writer's.
+BYTE_CHECK = "document differs from the text the writer gives its descriptor"
 
 
 def _document(graph, parcel):
@@ -109,8 +114,6 @@ class TestParcels:
     def test_default_isotropic(self, parcel):
         assert parcel.parcel_id == "isotropic-n4"
         assert parcel.forms == tuple(make_q(p, 4) for p in (5, 13, 29, 37, 53, 61))
-        assert parcel.volumes == (1,) * 6
-        assert parcel.max_volume == 1
         assert parcel.dimension == 4
         assert not parcel.compact
 
@@ -132,18 +135,9 @@ class TestParcels:
     def test_slot_counts(self):
         assert [slots_for_kind(kind) for kind in BLOCK_KINDS] == [4, 4, 2, 2, 2, 2]
 
-    def test_volume_override(self, parcel):
-        bumped = with_block_volumes(parcel, (1, 1, 1, 1, 1, 2))
-        assert bumped.max_volume == 2
-        assert bumped.volumes == (1, 1, 1, 1, 1, 2)
-        assert bumped.parcel_id == parcel.parcel_id
-        assert bumped.certificates == parcel.certificates
-
     def test_parcel_validation(self, parcel):
         with pytest.raises(ValueError, match="exactly six forms"):
             Parcel("x", parcel.forms[:5])
-        with pytest.raises(ValueError, match="exactly six forms"):
-            Parcel("x", parcel.forms, (1,) * 5)
         with pytest.raises(ValueError, match="FamilyForm"):
             Parcel("x", parcel.forms[:5] + ("q_61",))
         # A repeated member leaves its pairs uncertified.
@@ -189,9 +183,18 @@ class TestParcels:
             default_parcel(4, compact)
 
     def test_block_validation(self, parcel):
-        for volume in (0, -1, Fraction(-1, 2)):
-            with pytest.raises(ValueError, match="volumes must be positive"):
-                with_block_volumes(parcel, (1, 1, volume, 1, 1, 1))
+        # Each of the six blocks, in any position, is a FamilyForm.
+        for i in range(6):
+            with pytest.raises(ValueError, match="FamilyForm"):
+                Parcel("x", parcel.forms[:i] + ("q_61",) + parcel.forms[i + 1 :])
+
+    @pytest.mark.parametrize("compact", ["False", 1, 0.0, None], ids=repr)
+    def test_compact_is_a_bool(self, compact):
+        # Each once built a parcel, "False" and 1 the anisotropic one.
+        refusal = f"^compact is a bool, not {re.escape(repr(compact))}$"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=refusal):
+                default_parcel(4, compact)
 
 
 class TestAssembly:
@@ -226,53 +229,44 @@ class TestAssembly:
                     _check_closed(*_pieces(document))
                     assert volume_bound(assemble(graph, parcel), parcel) == 5 * k
 
-    def test_volume_is_stored_as_given(self, parcel):
-        volume = Fraction(7, 3)
-        assert ManifoldDescriptor(TWO, "p", volume).volume_bound is volume
-        assert assemble(TWO, parcel).volume_bound == 10
-        stored = ManifoldDescriptor(TWO, "p", 10).volume_bound
-        assert type(stored) is Fraction and stored == 10
-
     def test_assemble_equals_the_checked_descriptor(self, parcel):
-        # assemble and the reader hand the one constructor a Fraction, which
-        # it stores as it is; each result must be the value it gives the
-        # volume as an int or a Fraction.
-        priced = with_block_volumes(parcel, [Fraction(1, 2), 3, Fraction(5, 7), 1, 2, 4])
-        cases = [(t, parcel, 5 * k) for k in range(1, 7) for t in enumerate_subgroups(k)]
-        # SEVENTEEN has 15 plain and 2 colored vertices.
-        priced_volume = 15 * Fraction(1, 2) + 2 * 3 + 17 * (Fraction(5, 7) + 1 + 2 + 4)
-        cases += [(SEVENTEEN, parcel, 85), (SEVENTEEN, priced, priced_volume)]
-        for graph, given_parcel, volume in cases:
-            checked = ManifoldDescriptor(graph, given_parcel.parcel_id, volume)
+        # assemble and the reader call the one constructor; each result must
+        # be the value it gives the graph and the parcel id.
+        graphs = [t for k in range(1, 7) for t in enumerate_subgroups(k)] + [SEVENTEEN]
+        for graph in graphs:
+            checked = ManifoldDescriptor(graph, parcel.parcel_id)
             for descriptor in (
-                assemble(graph, given_parcel),
-                descriptor_from_json(descriptor_to_json(checked), given_parcel),
+                assemble(graph, parcel),
+                descriptor_from_json(descriptor_to_json(checked), parcel),
             ):
                 assert descriptor == checked and hash(descriptor) == hash(checked)
                 assert repr(descriptor) == repr(checked)
+                assert descriptor.volume_bound == 5 * graph.vertex_count
                 assert type(descriptor.volume_bound) is Fraction
                 assert not hasattr(descriptor, "__dict__")
 
     def test_parcel_id_is_text(self):
         # Once built, and then the writer raised TypeError.
         with pytest.raises(ValueError, match="^a parcel id is a str, not 5$"):
-            ManifoldDescriptor(enumerate_subgroups(3)[0], 5, 10)
+            ManifoldDescriptor(enumerate_subgroups(3)[0], 5)
 
     def test_source_graph_is_a_decorated_graph(self):
         # Once built, and then the writer raised AttributeError.
         with pytest.raises(ValueError, match="^a source graph is a DecoratedGraph, not 'x'$"):
-            ManifoldDescriptor("x", "p", 10)
+            ManifoldDescriptor("x", "p")
 
     @pytest.mark.parametrize(
-        "volume, named",
-        [(-5, "'-5'"), (0, "'0'"), (Fraction(-1, 2), "'-1/2'")],
-        ids=["negative", "zero", "negative-fraction"],
+        "volume", ["-10", "0", "-1/2"], ids=["negative", "zero", "negative-fraction"]
     )
-    def test_volume_is_positive(self, volume, named):
-        # Once built, into a document that its reader then refused.
-        with pytest.raises(ValueError) as refusal:
-            ManifoldDescriptor(TWO, "p", volume)
-        assert str(refusal.value) == f"volume_bound {named} is not positive"
+    def test_volume_is_positive(self, parcel, volume):
+        # The volume bound is 5k, positive for every graph, and a document
+        # edited to another volume is refused by its bytes, with or without
+        # its parcel.
+        assert all(volume_bound(assemble(t, parcel), parcel) > 0 for t in enumerate_subgroups(4))
+        text = _dumps(dict(_document(TWO, parcel), volume_bound=volume))
+        for given_parcel in (None, parcel):
+            with pytest.raises(ValueError, match=f"^{BYTE_CHECK}$"):
+                descriptor_from_json(text, given_parcel)
 
     def test_disconnected_rejected(self, parcel):
         # assemble takes connected graphs, and no other graph can be built.
@@ -333,13 +327,14 @@ class TestVolumeBound:
             assert volume_bound(descriptor, parcel) == 5 * k
 
     def test_mixed_volumes_stay_below_cap(self, parcel):
-        mixed = with_block_volumes(parcel, (1, 1, 1, 1, 1, 2))
+        # Blocks priced at most V = 2 total at most the bound 5k in units of V.
         for table in enumerate_subgroups(3):
-            descriptor = assemble(from_subgroup(table, frozenset({0})), mixed)
-            assert volume_bound(descriptor, mixed) <= 5 * 3 * 2
+            graph = from_subgroup(table, frozenset({0}))
+            bound = volume_bound(assemble(graph, parcel), parcel)
+            assert priced_total(graph, (1, 1, 1, 1, 1, 2)) <= bound * 2 == 5 * 3 * 2
 
     def test_another_parcels_descriptor_rejected(self, parcel, compact_parcel):
-        # The two parcels price LOOP alike, so only the parcel id tells them apart.
+        # The two parcels give LOOP one volume, so only the parcel id tells them apart.
         descriptor = assemble(LOOP, parcel)
         with pytest.raises(ValueError, match="must come from the given parcel"):
             volume_bound(descriptor, compact_parcel)
@@ -462,8 +457,11 @@ class TestCounting:
         assert counts == sorted(counts)
 
     def test_volume_scale_shifts_threshold(self, parcel):
-        halved = with_block_volumes(parcel, [Fraction(1, 2)] * 6)
-        assert count_lower_bound(Fraction(15), halved).k == 6
+        # In units of the largest block volume a vertex costs 5: k steps up at
+        # each multiple of 5, and not before.
+        for k in range(1, 8):
+            assert count_lower_bound(Fraction(5 * k), parcel).k == k
+            assert count_lower_bound(Fraction(35 * k + 34, 7), parcel).k == k
 
     def test_descriptor_stream_matches_count(self, parcel):
         assert sum(1 for _ in descriptors_for_index(3, parcel)) == 13
@@ -499,25 +497,18 @@ class TestSerialization:
         assert descriptor_to_json(descriptor) == descriptor_to_json(descriptor)
         assert descriptor_to_json(descriptor).endswith("\n")
 
-    def test_fractional_volume_survives(self, parcel):
-        halved = with_block_volumes(parcel, [Fraction(1, 2)] * 6)
-        descriptor = assemble(LOOP, halved)
-        back = descriptor_from_json(descriptor_to_json(descriptor))
-        assert back.volume_bound == Fraction(5, 2)
-
-    def test_volumes_round_trip_under_a_raised_or_lifted_digit_limit(self):
-        # Each part of the volume may have as many digits as the running
-        # limit allows, and any number when the limit is off.
+    def test_volumes_round_trip_under_a_raised_or_lifted_digit_limit(self, parcel):
+        # The volume bound 5k is written and read as bytes, under the least
+        # limit Python takes, a raised one and none.
         previous = sys.get_int_max_str_digits()
         try:
-            for limit, volumes in (
-                (10_000, [10**5000, Fraction(7, 10**4999), Fraction(10**9999, 3)]),
-                (0, [10**12000]),
-            ):
+            for limit in (640, 10_000, 0):
                 sys.set_int_max_str_digits(limit)
-                for volume in volumes:
-                    descriptor = ManifoldDescriptor(LOOP, "p", volume)
-                    assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
+                for graph in (LOOP, SEVENTEEN, FORTY):
+                    descriptor = assemble(graph, parcel)
+                    text = descriptor_to_json(descriptor)
+                    assert json.loads(text)["volume_bound"] == str(5 * graph.vertex_count)
+                    assert descriptor_from_json(text, parcel) == descriptor
         finally:
             sys.set_int_max_str_digits(previous)
 
@@ -532,13 +523,14 @@ class TestSerialization:
 
 class TestParcelAwareRead:
     def test_edited_volume_is_refused_with_the_parcel(self, parcel):
+        # Read once without a parcel as a descriptor of volume 7/3.
         document = _document(LOOP, parcel)
         assert document["volume_bound"] == "5"
         document["volume_bound"] = "7/3"
         text = _dumps(document)
-        with pytest.raises(ValueError, match="volume_bound '7/3'"):
-            descriptor_from_json(text, parcel)
-        assert descriptor_from_json(text).volume_bound == Fraction(7, 3)
+        for given_parcel in (parcel, None):
+            with pytest.raises(ValueError, match=f"^{BYTE_CHECK}$"):
+                descriptor_from_json(text, given_parcel)
 
     def test_foreign_parcel_is_refused(self, parcel, compact_parcel):
         text = descriptor_to_json(assemble(TWO, compact_parcel))
@@ -546,12 +538,13 @@ class TestParcelAwareRead:
             descriptor_from_json(text, parcel)
         assert descriptor_from_json(text, compact_parcel) == assemble(TWO, compact_parcel)
 
-    def test_priced_parcel_reads_its_own_documents(self, parcel):
-        priced = with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1])
-        text = descriptor_to_json(assemble(TWO, priced))
-        assert descriptor_from_json(text, priced).volume_bound == Fraction(34, 3)
-        with pytest.raises(ValueError):
-            descriptor_from_json(text, parcel)
+    @pytest.mark.parametrize("given", ["isotropic-n4", 4, (1,) * 6], ids=["id", "int", "tuple"])
+    def test_parcel_is_a_parcel(self, parcel, given):
+        # Each once raised AttributeError.
+        text = descriptor_to_json(assemble(TWO, parcel))
+        refusal = f"^a parcel is a Parcel, not {type(given).__name__}$"
+        with pytest.raises(ValueError, match=refusal):
+            descriptor_from_json(text, given)
 
 
 def _dumps_document(descriptor):
@@ -583,7 +576,6 @@ def connected_graphs(draw, max_degree=7):
     return DecoratedGraph(n, perm_a, perm_b, colored)
 
 
-positive_volumes = st.fractions(min_value=Fraction(1, 720), max_value=1000, max_denominator=720)
 parcel_ids = st.one_of(st.text(), st.sampled_from(["isotropic-n4", "anisotropic-n4"]))
 
 
@@ -706,7 +698,7 @@ class TestRenderedOnce:
                 assert descriptor_to_json(descriptor) == _dumps_document(descriptor)
 
     def test_a_seen_graph_formats_nothing(self, parcel, compact_parcel, monkeypatch):
-        # An equal graph under another parcel: only parcel_id and the volume differ.
+        # An equal graph under another parcel: only parcel_id differs.
         first = _cycle_graph(13, 2, {1, 4})
         second = DecoratedGraph(13, first.perm_a, first.perm_b, {4, 1})
         caches = (_coloring_rows, _permutation_rows)
@@ -725,52 +717,45 @@ class TestRenderedOnce:
         assert text == _dumps_document(descriptor)
 
     def test_only_graphs_up_to_the_cached_size_are_kept(self, parcel):
-        fresh = with_block_volumes(parcel, [1] * 6)
         cached = _coloring_rows.cache_info()
         for graph in (SEVENTEEN, FORTY):
-            descriptor = assemble(graph, fresh)
-            assert volume_bound(descriptor, fresh) == 5 * graph.vertex_count
+            descriptor = assemble(graph, parcel)
+            assert volume_bound(descriptor, parcel) == 5 * graph.vertex_count
             descriptor_to_json(descriptor)
         assert _coloring_rows.cache_info() == cached
-        assert fresh._volumes == {}
-        descriptor_to_json(assemble(SIXTEEN, fresh))
-        assert fresh._volumes == {(16, 1): 80}
+        descriptor_to_json(assemble(SIXTEEN, parcel))
         consulted = _coloring_rows.cache_info()
         assert consulted.hits + consulted.misses == cached.hits + cached.misses + 1
 
 
 class TestWriter:
-    @given(connected_graphs(), st.lists(positive_volumes, min_size=6, max_size=6), parcel_ids)
-    @example(LOOP, [1] * 6, 'quote " backslash \\ tab \t nul \x00 \x1f')
-    @example(TWO, [Fraction(1, 3)] * 6, "non-ASCII: \u00e9\u20ac\U0001f600 \ud800")
-    @example(DecoratedGraph(3, (1, 2, 0), (0, 1, 2), frozenset()), [1] * 6, "")
-    @example(TWELVE, [1, Fraction(5, 2), 1, 1, 1, Fraction(1, 2)], "isotropic-n4")
-    @example(SIXTEEN, [1] * 6, "anisotropic-n4")
-    @example(SEVENTEEN, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1], "isotropic-n4")
-    @example(FORTY, [1] * 6, "anisotropic-n4")
+    @given(connected_graphs(), parcel_ids)
+    @example(LOOP, 'quote " backslash \\ tab \t nul \x00 \x1f')
+    @example(TWO, "non-ASCII: \u00e9\u20ac\U0001f600 \ud800")
+    @example(DecoratedGraph(3, (1, 2, 0), (0, 1, 2), frozenset()), "")
+    @example(TWELVE, "isotropic-n4")
+    @example(SIXTEEN, "anisotropic-n4")
+    @example(SEVENTEEN, "isotropic-n4")
+    @example(FORTY, "anisotropic-n4")
     @settings(max_examples=150, deadline=None)
-    def test_matches_json_dumps(self, parcel, graph, volumes, parcel_id):
-        built = assemble(graph, with_block_volumes(parcel, volumes))
-        descriptor = ManifoldDescriptor(graph, parcel_id, built.volume_bound)
+    def test_matches_json_dumps(self, graph, parcel_id):
+        descriptor = ManifoldDescriptor(graph, parcel_id)
         text = descriptor_to_json(descriptor)
         assert text == _dumps_document(descriptor)
         assert descriptor_from_json(text) == descriptor
 
-    @given(
-        connected_graphs(),
-        st.text(),
-        st.one_of(st.integers(), st.fractions(), st.sampled_from([0, -5, Fraction(0)])),
-    )
-    @example(LOOP, "p", -5)
-    @example(TWO, "isotropic-n4", Fraction(-7, 3))
+    @given(connected_graphs(), st.one_of(st.text(), st.integers(), st.none(), st.binary()))
+    @example(LOOP, 5)
+    @example(TWO, b"isotropic-n4")
     @settings(max_examples=200, deadline=None)
-    def test_every_accepted_descriptor_reads_back(self, graph, parcel_id, volume):
+    def test_every_accepted_descriptor_reads_back(self, graph, parcel_id):
         # Every descriptor the constructor builds writes a document that
-        # reads back equal; a volume <= 0 is refused when it is built.
+        # reads back equal; a parcel id that is not text is refused when it
+        # is built.
         try:
-            descriptor = ManifoldDescriptor(graph, parcel_id, volume)
+            descriptor = ManifoldDescriptor(graph, parcel_id)
         except ValueError as refusal:
-            assert volume <= 0 and str(refusal).endswith("is not positive")
+            assert type(parcel_id) is not str and str(refusal).startswith("a parcel id is a str")
             return
         assert descriptor_from_json(descriptor_to_json(descriptor)) == descriptor
 
@@ -783,49 +768,25 @@ class TestWriter:
         descriptor = assemble(from_subgroup(table, colored), parcel)
         assert descriptor_to_json(descriptor) == _dumps_document(descriptor)
 
-    @given(connected_graphs(), st.lists(positive_volumes, min_size=6, max_size=6))
+    @given(connected_graphs())
+    @example(SEVENTEEN)
     @settings(max_examples=100, deadline=None)
-    def test_total_volume_is_the_plain_sum(self, parcel, graph, volumes):
-        priced = with_block_volumes(parcel, volumes)
-        k, colored = graph.vertex_count, len(graph.colored)
-        counts = (k - colored, colored, k, k, k, k)
-        plain = sum(
-            (count * volume for count, volume in zip(counts, priced.volumes)), Fraction(0)
-        )
-        assert _total_volume(graph, priced) == plain
-        assert volume_bound(assemble(graph, priced), priced) == plain
-
-    def test_volume_over_the_cap_raises(self, parcel):
-        # Real volumes never exceed the cap 5k * V; TWO's volume 34/3 does
-        # once the parcel's stored largest block volume is lowered to 1, cap 10.
-        priced = with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1])
-        object.__setattr__(priced, "max_volume", Fraction(1))
-        with pytest.raises(RuntimeError, match=r"^volume 34/3 exceeds the cap 10$"):
-            assemble(TWO, priced)
-        descriptor = ManifoldDescriptor(TWO, priced.parcel_id, Fraction(34, 3))
-        with pytest.raises(RuntimeError, match=r"^volume 34/3 exceeds the cap 10$"):
-            volume_bound(descriptor, priced)
-        assert priced._volumes == {}
-
-    def test_parcels_sharing_an_id_keep_their_own_volumes(self, parcel):
-        # Same parcel_id, other block prices: each parcel's kept volumes are its own.
-        plain = with_block_volumes(parcel, [1] * 6), (5, 10)
-        priced = (
-            with_block_volumes(parcel, [Fraction(1, 3), 2, 1, 1, Fraction(3, 2), 1]),
-            (Fraction(13, 2), Fraction(34, 3)),
-        )
-        assert plain[0].parcel_id == priced[0].parcel_id
-        for given, volumes in (plain, priced, plain, priced, plain):
-            for graph, volume in zip((LOOP, TWO), volumes):
-                descriptor = assemble(graph, given)
-                assert descriptor.volume_bound == volume
-                assert volume_bound(descriptor, given) == volume
-                text = descriptor_to_json(descriptor)
-                assert descriptor_from_json(text, given).volume_bound == volume
+    def test_total_volume_is_the_plain_sum(self, parcel, graph):
+        # In units of the largest block volume every block counts 1, so the
+        # volume bound is the plain sum over the 5k instances, written as
+        # str(5k), and the document reads back equal.
+        descriptor = assemble(graph, parcel)
+        text = descriptor_to_json(descriptor)
+        document = json.loads(text)
+        assert document["volume_bound"] == str(5 * graph.vertex_count)
+        assert descriptor.volume_bound == priced_total(graph, [1] * 6) == len(document["instances"])
+        assert volume_bound(descriptor, parcel) == descriptor.volume_bound
+        assert descriptor_from_json(text) == descriptor_from_json(text, parcel) == descriptor
 
 
 class TestParcelVolumeTerms:
-    # One priced parcel each with a volume of denominator 3, 2 and 720.
+    # Block prices, each set with a volume of denominator 3, 2 and 720: a
+    # parcel's volume term is 1 per block, the unit V its largest block has.
     @pytest.mark.parametrize(
         "volumes",
         [
@@ -836,16 +797,14 @@ class TestParcelVolumeTerms:
     )
     @pytest.mark.parametrize("graph", [LOOP, TWO, SEVENTEEN], ids=["loop", "two", "seventeen"])
     def test_stored_terms_match_the_blocks(self, parcel, volumes, graph):
-        priced = with_block_volumes(parcel, volumes)
-        assert priced.max_volume == max(priced.volumes)
-        assert priced.max_volume == max(Fraction(v) for v in volumes)
-        k, colored = graph.vertex_count, len(graph.colored)
-        counts = (k - colored, colored, k, k, k, k)
-        plain = sum(
-            (count * volume for count, volume in zip(counts, priced.volumes)), Fraction(0)
-        )
-        assert _total_volume(graph, priced) == plain
-        assert _total_volume(graph, parcel) == 5 * k
+        # The written volume counts the written blocks, and blocks priced
+        # at most V total at most that count times V, equal when all are V.
+        document = _document(graph, parcel)
+        bound = assemble(graph, parcel).volume_bound
+        assert document["volume_bound"] == str(bound) == str(len(document["instances"]))
+        largest = max(map(Fraction, volumes))
+        assert priced_total(graph, volumes) < bound * largest
+        assert priced_total(graph, [largest] * 6) == bound * largest
 
 
 def _malformed_documents(parcel):
@@ -979,13 +938,14 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "key, value",
         [("vertices", 7), ("perm_a", [7]), ("perm_b", [0, 7]), ("colored", [7]),
-         ("volume_bound", "7")],
+         ("volume_bound", 7)],
     )
     def test_integers_past_the_digit_limit(self, parcel, key, value, monkeypatch):
-        # json reads an int literal with int(), and the reader a volume's
-        # parts: 5,000 digits were once refused in Python's own words,
-        # "Exceeds the limit (4300 digits)...", and a volume of 5,000 digits
-        # as not spelled.  No Fraction is built.
+        # json reads an int literal with int(): 5,000 digits were once
+        # refused in Python's own words, "Exceeds the limit (4300
+        # digits)...".  The reader decodes the whole tail, so a JSON-int
+        # volume_bound is refused so too, not by the byte check.  No
+        # Fraction is built.
         document = _document(LOOP, parcel)
         (document if key == "volume_bound" else document["graph"])[key] = value
         text = _dumps(document).replace("7", "1" * 5000)
@@ -1010,17 +970,21 @@ class TestMalformedDocuments:
                 descriptor_from_json(_dumps(document), given_parcel)
 
     @pytest.mark.parametrize(
-        "volume", ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665"]
+        "volume",
+        ["1e10000000", "1e4400", "1E5", "5.0", "+5", " 5", "5\n", "\u0665",
+         "7/3", "5/1", "05", "3e1", "-5", pytest.param("9" * 5000, id="5000-digits")],
     )
     def test_volume_spelling_refused_before_parsing(self, parcel, volume, monkeypatch):
-        # The writer spells a volume as str(Fraction) does: digits, or digits
-        # "/" digits.  Fraction("1e10000000") once took 12.7 s to build the
-        # number the byte check then refused.
+        # The writer spells LOOP's volume "5", and the byte check refuses any
+        # other text without reading a number from it.  Fraction("1e10000000")
+        # once took 12.7 s to build the number the byte check then refused,
+        # and "7/3" once read back without a parcel.
         text = _dumps(dict(_document(LOOP, parcel), volume_bound=volume))
         monkeypatch.setattr(assembler, "Fraction", _no_fraction)
         for given_parcel in (None, parcel):
-            with pytest.raises(ValueError, match="volume_bound is not spelled"):
+            with pytest.raises(ValueError) as refusal:
                 descriptor_from_json(text, given_parcel)
+            assert str(refusal.value) == BYTE_CHECK
 
     def test_each_is_a_value_error(self, parcel):
         for what, text in _malformed_documents(parcel):
@@ -1055,10 +1019,8 @@ class TestMalformedDocuments:
         "field, value, refusal",
         [
             ("parcel_id", "p" * 5000, "document names parcel <5,000 characters>, not 'isotropic"),
-            ("volume_bound", "-" + "9" * 4000, "volume_bound <4,001 characters> is not positive"),
-            ("volume_bound", "9" * 4000, "volume_bound <4,000 characters> is not the volume"),
         ],
-        ids=["parcel_id", "negative-volume", "other-volume"],
+        ids=["parcel_id"],
     )
     def test_a_long_value_is_named_by_its_length(self, parcel, field, value, refusal):
         # Each was once quoted in full.
@@ -1115,29 +1077,9 @@ class TestPartialDecode:
             with pytest.raises(ValueError, match="is text"):
                 descriptor_from_json(value)
 
-    def test_volume_is_parsed_once(self, parcel, monkeypatch):
-        text = descriptor_to_json(assemble(TWO, parcel))
-        built = []
-        original = Fraction.__new__
-
-        def counting(cls, *args, **kwargs):
-            built.append(args)
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counting)
-        descriptor = descriptor_from_json(text)
-        monkeypatch.undo()
-        volume = descriptor.volume_bound
-        assert built == [(volume.numerator, volume.denominator)]
-        # What the one parse refuses is still a ValueError.
-        written = json.dumps(str(descriptor.volume_bound))
-        for volume in ("null", "[1]", '"1/x"', '"1/0"'):
-            with pytest.raises(ValueError):
-                descriptor_from_json(text.replace(written, volume))
-
     def test_markers_inside_parcel_id_round_trip(self, parcel):
         parcel_id = 'p\n  "graph": {"vertices": 2},\n  "parcel_id": "q"'
-        descriptor = ManifoldDescriptor(TWO, parcel_id, 10)
+        descriptor = ManifoldDescriptor(TWO, parcel_id)
         text = descriptor_to_json(descriptor)
         assert descriptor_from_json(text) == descriptor
 

@@ -472,7 +472,7 @@ class TestCount:
         loop = DecoratedGraph(1, (0,), (0,), frozenset({0}))
         parcel = assembler.default_parcel(4, compact=False)
         document = json.loads(assembler.descriptor_to_json(assembler.assemble(loop, parcel)))
-        document["volume_bound"] = long
+        document["volume_bound"] = int(long)
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
         counted = []
         monkeypatch.setattr(
@@ -673,8 +673,9 @@ class TestUsage:
         ids=["assemble", "count"],
     )
     def test_answers_past_the_old_cap(self, capsys, monkeypatch, argv):
-        # default_parcel certifies as forms does; --n was capped at 100.  All
-        # block volumes are 1 at every n, so only the parcel id changes.
+        # default_parcel certifies as forms does; --n was capped at 100.  The
+        # volume unit is the largest block volume at every n, so only the
+        # parcel id changes.
         for n in (101, 10**6):
             for compact, tag in (([], "isotropic"), (["--compact"], "anisotropic")):
                 for as_json in ([], ["--json"]):

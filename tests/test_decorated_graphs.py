@@ -521,6 +521,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             graph_from_text("2\n1 x\n0 1\n\n")
 
+    @pytest.mark.parametrize("value", [b"1\n0\n0\n0\n", None, 4], ids=["bytes", "none", "int"])
+    def test_only_text_is_read(self, value):
+        # Each once raised TypeError or AttributeError.
+        with pytest.raises(ValueError, match=f"^graph text is text, not {type(value).__name__}$"):
+            graph_from_text(value)
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -52,7 +52,6 @@ DIRECTORY = object()  # stands for the test's temporary directory
 # (function, accepted arguments, path to the argument, "int" or "rational").
 # A path indexes the arguments, then into a sequence argument.
 CASES = [
-    (Parcel, ("p", PARCEL.forms, (1, 1, 2, 1, 1, 1)), (2, 2), "rational"),
     (count_lower_bound, (30, PARCEL), (0,), "rational"),
     (default_parcel, (4, False), (0,), "int"),
     (emit_descriptors, (1, PARCEL, DIRECTORY), (0,), "int"),
@@ -62,7 +61,6 @@ CASES = [
     (DecoratedGraph, (2, (1, 0), (0, 1), (0,)), (3, 0), "int"),
     (check_cover, (SWAP_A, SWAP_A, (0, 1)), (2, 1), "int"),
     (from_subgroup, (SWAP_A, (1,)), (1, 0), "int"),
-    (ManifoldDescriptor, (SWAP_A, "p", Fraction(5, 2)), (2,), "rational"),
     (factor_int, (12,), (0,), "int"),
     (is_prime, (7,), (0,), "int"),
     (legendre_symbol, (2, 7), (0,), "int"),
@@ -100,6 +98,8 @@ NO_INT_ARGUMENTS = {
     "NonCommensurabilityCertificate": "result record",
     "PrimalityRangeError": "exception class",
     # Their arguments are graphs, descriptors, forms, parcels, words or text.
+    "Parcel": "no int argument",
+    "ManifoldDescriptor": "no int argument",
     "assemble": "no int argument",
     "commensurability_verdict": "no int argument",
     "descriptor_from_json": "no int argument",
